@@ -3,9 +3,22 @@
 A circuit is a DAG of gates from {add, sub, mul, max, min, gt, const} plus
 declared input nodes.  Gates are total over the rationals; ``gt`` outputs 1
 if its left argument is strictly greater than its right argument and 0
-otherwise.  Evaluation is exact (``fractions.Fraction`` end to end), pure,
-and deterministic, so circuits can back strict-inequality verifiers with no
-tolerance ambiguity.
+otherwise.  Evaluation is exact, pure, and deterministic, so circuits can
+back strict-inequality verifiers with no tolerance ambiguity.
+
+Evaluation runs on plain integers with static denominators, the
+fraction-free idea of Bareiss elimination.  On its first evaluation a
+circuit is lowered once into a flat program over Python ints.  Lowering
+gives every node a denominator ``K*D**e``: ``D`` is the lcm of the input
+denominators of one call, and ``K`` and ``e`` are fixed by the gates alone.
+Inputs are ``(1, 1)``, a const is ``(den, 0)``, ``mul`` multiplies the
+``K`` and adds the ``e``, ``add``/``sub``/``max``/``min`` scale both
+operands to ``lcm(K_a, K_b)*D**max(e_a, e_b)``, and ``gt`` is ``(1, 0)``.
+A node then holds only its numerator, so no gate takes a gcd; each output
+becomes one ``Fraction(num, K*D**e)``.  Where some ``K*D**e`` of a call
+would pass ``DEN_BIT_BUDGET`` bits (deep ``mul`` chains such as repeated
+squaring), that call runs the ``Fraction`` interpreter instead, which stays
+as the reference.  Both give the same canonical fractions.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -21,8 +34,10 @@ forward reference.  Inputs bind positionally in declaration order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
@@ -35,6 +50,19 @@ _OP_FUNCS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
     "max": lambda a, b: a if a >= b else b,
     "min": lambda a, b: a if a <= b else b,
     "gt": lambda a, b: Fraction(1) if a > b else Fraction(0),
+}
+
+# Largest static denominator K*D**e, in bits, that the integer path carries;
+# a call that would pass it at any node runs the Fraction interpreter.
+DEN_BIT_BUDGET = 4096
+
+_INT_OPS: dict[str, Callable[[int, int], int]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "max": max,
+    "min": min,
+    "gt": lambda a, b: 1 if a > b else 0,
 }
 
 
@@ -51,10 +79,15 @@ class CircuitParseError(CircuitError):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``a/b`` or ``a`` with integer parts into an exact rational."""
+    """Parse ``a/b`` or ``a`` with integer parts into an exact rational.
+
+    Raises ValueError on malformed text, including a zero denominator.
+    """
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -95,6 +128,7 @@ class Circuit:
         self.outputs = list(outputs)
         self._inputs = [i for i in self._order if self._gates[i].kind == "input"]
         self._validate()
+        self._program: _Program | None = None
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -128,12 +162,29 @@ class Circuit:
         for node_id in self._order:
             yield node_id, self._gates[node_id]
 
-    def evaluate(self, inputs: Sequence[Fraction]) -> list[Fraction]:
-        """Exactly evaluate the circuit on rational inputs."""
+    def _check_arity(self, inputs: Sequence[Fraction]) -> None:
         if len(inputs) != self.input_arity:
             raise CircuitError(
                 f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
             )
+
+    def evaluate(self, inputs: Sequence[Fraction]) -> list[Fraction]:
+        """Exactly evaluate the circuit on rational inputs.
+
+        Runs the circuit's integer program (lowered on the first call) and
+        falls back to ``_evaluate_reference`` when the call's static
+        denominators would pass ``DEN_BIT_BUDGET`` bits.
+        """
+        self._check_arity(inputs)
+        qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
+        if self._program is None:
+            self._program = _Program(self)
+        out = self._program.run(qs)
+        return self._evaluate_reference(qs) if out is None else out
+
+    def _evaluate_reference(self, inputs: Sequence[Fraction]) -> list[Fraction]:
+        """The ``Fraction`` interpreter: one exact rational op per gate."""
+        self._check_arity(inputs)
         values: dict[int, Fraction] = {}
         for node_id in self._order:
             gate = self._gates[node_id]
@@ -164,6 +215,80 @@ class Circuit:
                 lines.append(f"n{node_id}: {gate.kind} n{gate.args[0]} n{gate.args[1]}")
         lines.append("outputs: " + " ".join(f"n{i}" for i in self.outputs))
         return "\n".join(lines) + "\n"
+
+
+def _d_bits_limit(k: int, e: int) -> int:
+    """Largest b with K.bit_length() + e*b <= DEN_BIT_BUDGET, or -1 if none."""
+    left = DEN_BIT_BUDGET - k.bit_length()
+    if left < 0:
+        return -1
+    return left // e if e else DEN_BIT_BUDGET
+
+
+class _Program:
+    """A circuit lowered to integer steps over static denominators ``K*D**e``.
+
+    Slots hold numerators: the inputs by position, then the consts, then one
+    slot per gate in topological order.  A step is ``(op, a, sa, b, sb)``;
+    a nonzero ``sa`` names the entry of ``scales`` that lifts slot ``a`` to
+    the gate's common denominator, as a pair ``(m, k)`` meaning ``m*D**k``.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        node: dict[int, tuple[int, int, int]] = {}  # node id -> (slot, K, e)
+        levels = {(1, 1)}  # every (K, e) some node or comparison carries
+        self.consts: list[int] = []
+        gates: list[tuple[int, Gate]] = []
+        for node_id, gate in circuit.nodes():
+            if gate.kind == "input":
+                node[node_id] = (gate.input_index, 1, 1)
+            elif gate.kind == "const":
+                q = Fraction(gate.value)
+                node[node_id] = (circuit.input_arity + len(self.consts), q.denominator, 0)
+                self.consts.append(q.numerator)
+                levels.add((q.denominator, 0))
+            else:
+                gates.append((node_id, gate))
+        scale_index = {(1, 0): 0}
+        self.steps: list[tuple] = []
+        for slot, (node_id, gate) in enumerate(gates, start=len(node)):
+            a, ka, ea = node[gate.args[0]]
+            b, kb, eb = node[gate.args[1]]
+            sa = sb = 0
+            if gate.kind == "mul":
+                k, e = ka * kb, ea + eb
+            else:
+                k, e = lcm(ka, kb), max(ea, eb)
+                sa = scale_index.setdefault((k // ka, e - ea), len(scale_index))
+                sb = scale_index.setdefault((k // kb, e - eb), len(scale_index))
+            levels.add((k, e))
+            if gate.kind == "gt":
+                k, e = 1, 0
+            node[node_id] = (slot, k, e)
+            self.steps.append((_INT_OPS[gate.kind], a, sa, b, sb))
+        self.scales = list(scale_index)
+        self.outputs = [node[out] for out in circuit.outputs]
+        # the largest (D-1).bit_length() that keeps every K*D**e in budget
+        self.max_d_bits = min(_d_bits_limit(k, e) for k, e in levels)
+
+    def run(self, qs: Sequence[Fraction]) -> list[Fraction] | None:
+        """Evaluate on canonical fractions; None when over the bit budget."""
+        d = lcm(*(q.denominator for q in qs))
+        # K*D**e has at most K.bit_length() + e*(D-1).bit_length() bits
+        if (d - 1).bit_length() > self.max_d_bits:
+            return None
+        v = [q.numerator * (d // q.denominator) for q in qs]
+        v += self.consts
+        s = [m * d**k for m, k in self.scales]
+        for op, a, sa, b, sb in self.steps:
+            x = v[a]
+            y = v[b]
+            if sa:
+                x *= s[sa]
+            if sb:
+                y *= s[sb]
+            v.append(op(x, y))
+        return [Fraction(v[i], k * d**e) for i, k, e in self.outputs]
 
 
 def _parse_node_ref(token: str, line_no: int) -> int:
@@ -220,7 +345,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "const takes exactly one rational")
             try:
                 value = parse_fraction(parts[1])
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
             gates[node_id] = Gate("const", value=value)
         elif op in BINARY_OPS:

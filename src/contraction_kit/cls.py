@@ -327,7 +327,10 @@ def parse_instance(text: str) -> ProblemInstance:
         except InstanceError:
             break
         if ln.startswith("circuit"):
-            name = ln.split()[1]
+            parts = ln.split()
+            if len(parts) < 2:
+                raise InstanceError(f"expected 'circuit <name>', got {ln!r}")
+            name = parts[1]
             body: list[str] = []
             while True:
                 raw = next_line()

@@ -59,6 +59,8 @@ class FiniteSelfMap:
             raise SelfMapError(f"base distance is not a metric: {bad}")
         if any(not 0 <= i < n for i in self.map):
             raise SelfMapError("map image out of range")
+        if not 0 <= self.fixed_point < n:
+            raise SelfMapError(f"fixed point index {self.fixed_point} out of range")
         if self.map[self.fixed_point] != self.fixed_point:
             raise SelfMapError("declared fixed point is not fixed")
         for i in range(n):
@@ -104,7 +106,10 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("points"):
         raise SelfMapError("missing 'points <n>' header")
-    n = int(lines[0].split()[1])
+    header = lines[0].split()
+    if len(header) != 2:
+        raise SelfMapError(f"expected 'points <n>' header, got {lines[0]!r}")
+    n = int(header[1])
     if len(lines) < n + 4:
         raise SelfMapError("truncated self-map file")
     labels, coords = [], []

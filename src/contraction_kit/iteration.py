@@ -104,16 +104,23 @@ def run_bip(
 
 @dataclass(frozen=True)
 class IterationBudget:
-    """Real-valued budget formula plus its integer ceiling (floored at 0)."""
+    """Real-valued budget formula plus its integer ceiling (floored at 0).
+
+    ``exact_steps``, when set, is the integer budget settled by an exact
+    test on rational inputs; it then replaces the float ceiling.
+    """
 
     predicted_steps: float
     d0: float
     c: float
     eps: float
     delta: float | None = None
+    exact_steps: int | None = None
 
     @property
     def budget(self) -> int:
+        if self.exact_steps is not None:
+            return self.exact_steps
         if math.isinf(self.predicted_steps) and self.predicted_steps < 0:
             return 0
         return max(0, math.ceil(self.predicted_steps))
@@ -138,13 +145,34 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     d_c at the fixed point implies base proximity" turns d_c(x_n, x*) <=
     eps/2 into d(x_n, x*) <= eps.  The ratio form makes the log base
     irrelevant.
+
+    The float ceiling can be off by one at an exact boundary.  When d0, c
+    and eps are all rational, the budget is settled from that ceiling by
+    the exact test, stepping down and then up.
     """
+    rational = all(isinstance(v, (int, Fraction)) for v in (d0, c, eps))
+    exact_args = d0, c, eps
     d0, c, eps = float(d0), float(c), float(eps)
     _check_budget_args(d0, c, eps)
     if d0 == 0:
         return IterationBudget(-math.inf, d0, c, eps)
     value = (math.log(d0) + math.log(2 / ((1 - c) * eps))) / math.log(1 / c)
-    return IterationBudget(value, d0, c, eps)
+    steps = _settle_steps(max(0, math.ceil(value)), *exact_args) if rational else None
+    return IterationBudget(value, d0, c, eps, exact_steps=steps)
+
+
+def _settle_steps(n: int, d0, c, eps) -> int:
+    """Move a near guess n to the least n with c^n*d0/(1-c) <= eps/2, exactly."""
+    d0, c, eps = Fraction(d0), Fraction(c), Fraction(eps)
+
+    def enough(k: int) -> bool:
+        return c**k * d0 / (1 - c) <= eps / 2
+
+    while n > 0 and enough(n - 1):
+        n -= 1
+    while not enough(n):
+        n += 1
+    return n
 
 
 # The earlier name of the same budget, kept for callers that use it.

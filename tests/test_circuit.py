@@ -1,10 +1,14 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contraction_kit.circuit import (
+    DEN_BIT_BUDGET,
+    BINARY_OPS,
+    Circuit,
     CircuitBuilder,
     CircuitError,
     CircuitParseError,
@@ -101,8 +105,13 @@ def test_parse_error_carries_line_number():
 
 def test_evaluate_arity_checked():
     c = parse_circuit(DOUBLER)
-    with pytest.raises(CircuitError, match="arity"):
+    message = "arity mismatch: circuit takes 1 inputs, got 2"
+    with pytest.raises(CircuitError) as err:
         c.evaluate([F(1), F(2)])
+    assert str(err.value) == message
+    with pytest.raises(CircuitError) as err:
+        c._evaluate_reference([F(1), F(2)])
+    assert str(err.value) == message
 
 
 def test_evaluation_deterministic():
@@ -185,3 +194,76 @@ def test_builder_ops_match_python_semantics(args):
     a, bb = args
     got = c.evaluate(args)
     assert got == [a + bb, a - bb, a * bb, max(a, bb), min(a, bb), F(1 if a > bb else 0)]
+
+
+# consts over pairwise coprime denominators, so lcm scaling is exercised
+CONST_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+
+# every kind of value Fraction() accepts as a circuit input
+INPUT_VALUES = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-10, max_value=10, max_denominator=40),
+    st.fractions(min_value=-10, max_value=10, max_denominator=40).map(str),
+    st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False),
+    st.decimals(min_value=-10, max_value=10, places=3, allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+
+
+@st.composite
+def random_circuits(draw):
+    b = CircuitBuilder()
+    nodes = b.inputs(draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(1, 3))):
+        num = draw(st.integers(-9, 9))
+        nodes.append(b.const(F(num, draw(st.sampled_from(CONST_DENOMINATORS)))))
+    for kind in draw(st.lists(st.sampled_from(BINARY_OPS), min_size=len(BINARY_OPS), max_size=30)):
+        a, c = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        nodes.append(b.op(kind, a, c))
+    outputs = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+    circuit = b.build(outputs)
+    args = draw(st.lists(INPUT_VALUES, min_size=circuit.input_arity, max_size=circuit.input_arity))
+    return circuit, args
+
+
+@given(random_circuits())
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_reference_interpreter(case):
+    circuit, args = case
+    got = circuit.evaluate(args)
+    want = circuit._evaluate_reference(args)
+    assert got == want
+    assert all(type(v) is F for v in got)
+    # a second call runs the cached program and must agree too
+    assert circuit.evaluate(args) == want
+
+
+def squaring_chain(squarings: int) -> Circuit:
+    b = CircuitBuilder()
+    x = b.input()
+    for _ in range(squarings):
+        x = b.mul(x, x)
+    return b.build([x])
+
+
+def test_repeated_squaring_falls_back_past_bit_budget(monkeypatch):
+    calls = []
+    reference = Circuit._evaluate_reference
+
+    def spy(self, inputs):
+        calls.append(list(inputs))
+        return reference(self, inputs)
+
+    monkeypatch.setattr(Circuit, "_evaluate_reference", spy)
+    # x**(2**k) on x = 1/3 has static denominator 3**(2**k); the budget check
+    # counts K.bit_length() + e*(D-1).bit_length() = 1 + 2*2**k bits for it
+    fits = ((DEN_BIT_BUDGET - 1) // 2).bit_length() - 1
+    assert 1 + 2 * 2**fits <= DEN_BIT_BUDGET < 1 + 2 * 2 ** (fits + 1)
+    deep = squaring_chain(fits + 1)
+    assert deep.evaluate([F(1, 3)]) == [F(1, 3) ** 2 ** (fits + 1)]
+    assert len(calls) == 1
+    # integer inputs have D = 1, so the same chain stays on the integer path
+    assert deep.evaluate([3]) == [F(3) ** 2 ** (fits + 1)]
+    # one squaring fewer fits the budget at D = 3
+    assert squaring_chain(fits).evaluate([F(1, 3)]) == [F(1, 3) ** 2**fits]
+    assert len(calls) == 1

@@ -227,3 +227,35 @@ def test_grid_flag_changes_solver_resolution(workdir, capsys):
     assert main(["--grid", "1/4", "solve", path]) == 0
     coarse = capsys.readouterr().out
     assert coarse.startswith("Ob")
+
+
+def assert_input_error(argv, capsys, fragment):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_selfmap_header_without_count_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP.replace("points 4", "points"))
+    assert_input_error(["synthesize", path, "1/2", "1"], capsys, "'points <n>'")
+
+
+def test_selfmap_fixed_index_out_of_range_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP.replace("fixed: 3", "fixed: 7"))
+    assert_input_error(["synthesize", path, "1/2", "1"], capsys, "fixed point index 7")
+
+
+def test_zero_denominator_constant_exits_two(workdir, capsys):
+    text = instance_to_text(halving_banach())
+    assert "\nc 1/2\n" in text
+    inst = write(workdir / "inst.txt", text.replace("\nc 1/2\n", "\nc 1/0\n"))
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "zero denominator")
+
+
+def test_unnamed_instance_circuit_exits_two(workdir, capsys):
+    text = instance_to_text(halving_banach())
+    inst = write(workdir / "inst.txt", text.replace("circuit f\n", "circuit\n", 1))
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "'circuit <name>'")

@@ -103,6 +103,35 @@ def test_global_budget_worked_examples():
     assert predict_iterations(F(5, 2), F(9, 10), F(1, 2)).budget >= 1
 
 
+def least_steps(d0, c, eps) -> int:
+    n = 0
+    while c**n * d0 / (1 - c) > eps / 2:
+        n += 1
+    return n
+
+
+def test_global_budget_settled_exactly_at_boundary():
+    # d0 = (1-c)*eps/2 meets c^0*d0/(1-c) <= eps/2 with equality, so 0 steps
+    # suffice; the float formula reads 8.4e-15, whose ceiling is 1
+    c, eps = F(9, 10), F(1, 8)
+    budget = predict_iterations((1 - c) * eps / 2, c, eps)
+    assert 0 < budget.predicted_steps < 1e-12
+    assert budget.budget == 0
+    # just past the boundary the float formula reads 0.0 but one step is needed
+    c = F(1, 2)
+    budget = predict_iterations((1 - c) * eps / 2 * (1 + F(1, 10**20)), c, eps)
+    assert budget.predicted_steps == 0
+    assert budget.budget == 1
+
+
+@pytest.mark.parametrize("c", [F(1, 3), F(1, 2), F(9, 10)])
+@pytest.mark.parametrize("eps", [F(1, 8), F(1, 2), F(1)])
+def test_global_budget_is_least_n_on_rationals(c, eps):
+    for k in range(8):
+        for d0 in ((1 - c) * eps / 2 / c**k, F(7, 3) / c**k):
+            assert predict_iterations(d0, c, eps).budget == least_steps(d0, c, eps)
+
+
 def test_global_budget_zero_d0():
     budget = predict_iterations(0, F(1, 2), F(1, 4))
     assert budget.budget == 0
