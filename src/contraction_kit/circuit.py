@@ -162,12 +162,6 @@ class Circuit:
         for node_id in self._order:
             yield node_id, self._gates[node_id]
 
-    def _check_arity(self, inputs: Sequence[Fraction]) -> None:
-        if len(inputs) != self.input_arity:
-            raise CircuitError(
-                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
-            )
-
     def evaluate(self, inputs: Sequence[Fraction]) -> list[Fraction]:
         """Exactly evaluate the circuit on rational inputs.
 
@@ -175,21 +169,26 @@ class Circuit:
         falls back to ``_evaluate_reference`` when the call's static
         denominators would pass ``DEN_BIT_BUDGET`` bits.
         """
-        self._check_arity(inputs)
+        if len(inputs) != self.input_arity:
+            raise CircuitError(
+                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
+            )
         qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
         if self._program is None:
             self._program = _Program(self)
         out = self._program.run(qs)
         return self._evaluate_reference(qs) if out is None else out
 
-    def _evaluate_reference(self, inputs: Sequence[Fraction]) -> list[Fraction]:
-        """The ``Fraction`` interpreter: one exact rational op per gate."""
-        self._check_arity(inputs)
+    def _evaluate_reference(self, qs: Sequence[Fraction]) -> list[Fraction]:
+        """The ``Fraction`` interpreter: one exact rational op per gate.
+
+        Takes one ``Fraction`` per input, as ``evaluate`` passes them.
+        """
         values: dict[int, Fraction] = {}
         for node_id in self._order:
             gate = self._gates[node_id]
             if gate.kind == "input":
-                values[node_id] = Fraction(inputs[gate.input_index])
+                values[node_id] = qs[gate.input_index]
             elif gate.kind == "const":
                 values[node_id] = gate.value
             else:

@@ -106,8 +106,8 @@ def run_bip(
 class IterationBudget:
     """Real-valued budget formula plus its integer ceiling (floored at 0).
 
-    ``exact_steps``, when set, is the integer budget settled by an exact
-    test on rational inputs; it then replaces the float ceiling.
+    ``settled_steps``, when set, is the integer budget settled against the
+    exact requirement; it then replaces the float ceiling.
     """
 
     predicted_steps: float
@@ -115,12 +115,12 @@ class IterationBudget:
     c: float
     eps: float
     delta: float | None = None
-    exact_steps: int | None = None
+    settled_steps: int | None = None
 
     @property
     def budget(self) -> int:
-        if self.exact_steps is not None:
-            return self.exact_steps
+        if self.settled_steps is not None:
+            return self.settled_steps
         if math.isinf(self.predicted_steps) and self.predicted_steps < 0:
             return 0
         return max(0, math.ceil(self.predicted_steps))
@@ -135,6 +135,14 @@ def _check_budget_args(d0, c, eps) -> None:
         raise ValueError("eps must be positive")
 
 
+# Rounding error allowed for the float budget formula, relative to its terms;
+# far above the few ulps its logs lose.  Only a window of this width around
+# the formula that holds an integer sends the budget to the exact test.
+_FLOAT_SLACK = 2.0**-44
+# Largest c^n, in bits, that the exact test computes.
+_EXACT_BITS = 1 << 20
+
+
 def predict_iterations(d0, c, eps) -> IterationBudget:
     """Global iteration budget (log d0 + log(2/((1-c)*eps))) / log(1/c).
 
@@ -146,33 +154,41 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     eps/2 into d(x_n, x*) <= eps.  The ratio form makes the log base
     irrelevant.
 
-    The float ceiling can be off by one at an exact boundary.  When d0, c
-    and eps are all rational, the budget is settled from that ceiling by
-    the exact test, stepping down and then up.
+    The float formula can be off by one at an exact boundary.  Its ceiling
+    is the budget when the formula lies more than its rounding error from
+    an integer.  Otherwise an exact test on the rational inputs settles n,
+    unless c^n would pass _EXACT_BITS bits; the budget is then the ceiling
+    at the top of the window.  That is never below the least n; the window
+    is narrower than one step unless 1 - c is below about 1e-11.
     """
-    rational = all(isinstance(v, (int, Fraction)) for v in (d0, c, eps))
-    exact_args = d0, c, eps
-    d0, c, eps = float(d0), float(c), float(eps)
     _check_budget_args(d0, c, eps)
-    if d0 == 0:
-        return IterationBudget(-math.inf, d0, c, eps)
-    value = (math.log(d0) + math.log(2 / ((1 - c) * eps))) / math.log(1 / c)
-    steps = _settle_steps(max(0, math.ceil(value)), *exact_args) if rational else None
-    return IterationBudget(value, d0, c, eps, exact_steps=steps)
-
-
-def _settle_steps(n: int, d0, c, eps) -> int:
-    """Move a near guess n to the least n with c^n*d0/(1-c) <= eps/2, exactly."""
     d0, c, eps = Fraction(d0), Fraction(c), Fraction(eps)
+    if d0 == 0:
+        return IterationBudget(-math.inf, 0.0, float(c), float(eps))
+    # 1 - c is exact and log1p keeps log(1/c) accurate for c near 1
+    t0, t1 = math.log(d0), math.log(2 / ((1 - c) * eps))
+    rate = -math.log1p(-float(1 - c))
+    value = (t0 + t1) / rate
+    slack = _FLOAT_SLACK * ((1 + abs(t0) + abs(t1)) / rate + abs(value))
+    lo, hi = (max(0, math.ceil(v)) for v in (value - slack, value + slack))
+    if lo < hi and hi * c.denominator.bit_length() <= _EXACT_BITS:
+        hi = _least_steps(lo, hi, d0, c, eps)
+    return IterationBudget(value, float(d0), float(c), float(eps), settled_steps=hi)
 
-    def enough(k: int) -> bool:
-        return c**k * d0 / (1 - c) <= eps / 2
 
-    while n > 0 and enough(n - 1):
-        n -= 1
-    while not enough(n):
-        n += 1
-    return n
+def _least_steps(lo: int, hi: int, d0: Fraction, c: Fraction, eps: Fraction) -> int:
+    """The least n in [lo, hi] with c^n*d0/(1-c) <= eps/2; hi must qualify."""
+    p, q = c.numerator, c.denominator
+    # c^n*d0/(1-c) <= eps/2  <=>  left*p^n <= right*q^n, over integers
+    left = 2 * eps.denominator * d0.numerator * q
+    right = eps.numerator * d0.denominator * (q - p)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if left * p**mid <= right * q**mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 # The earlier name of the same budget, kept for callers that use it.

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contraction_kit import iteration
 from contraction_kit.iteration import (
     IterationBudget,
     NonFiniteValueError,
@@ -111,12 +112,12 @@ def least_steps(d0, c, eps) -> int:
 
 
 def test_global_budget_settled_exactly_at_boundary():
-    # d0 = (1-c)*eps/2 meets c^0*d0/(1-c) <= eps/2 with equality, so 0 steps
-    # suffice; the float formula reads 8.4e-15, whose ceiling is 1
-    c, eps = F(9, 10), F(1, 8)
-    budget = predict_iterations((1 - c) * eps / 2, c, eps)
-    assert 0 < budget.predicted_steps < 1e-12
-    assert budget.budget == 0
+    # d0 = (1-c)*eps/(2c) meets c^1*d0/(1-c) <= eps/2 with equality, so 1 step
+    # suffices; the float formula reads 1 + 4e-16, whose ceiling is 2
+    c, eps = F(1, 3), F(1, 8)
+    budget = predict_iterations((1 - c) * eps / 2 / c, c, eps)
+    assert 1 < budget.predicted_steps < 1 + 1e-12
+    assert budget.budget == 1
     # just past the boundary the float formula reads 0.0 but one step is needed
     c = F(1, 2)
     budget = predict_iterations((1 - c) * eps / 2 * (1 + F(1, 10**20)), c, eps)
@@ -130,6 +131,26 @@ def test_global_budget_is_least_n_on_rationals(c, eps):
     for k in range(8):
         for d0 in ((1 - c) * eps / 2 / c**k, F(7, 3) / c**k):
             assert predict_iterations(d0, c, eps).budget == least_steps(d0, c, eps)
+
+
+def test_global_budget_near_one_skips_exact_powers():
+    # c^n at n ~ 2.2e10 would need about 6.6e11 bits; the float formula
+    # settles it, accurate here because 1 - c is taken exactly
+    c = 1 - F(1, 10**9)
+    budget = predict_iterations(1, c, F(1, 2))
+    # log(1/c) = 1e-9 + 1e-18/2 + O(1e-27)
+    assert budget.predicted_steps == pytest.approx(math.log(4e9) / (1e-9 + 5e-19), rel=1e-12)
+    assert budget.budget == math.ceil(budget.predicted_steps)
+
+
+@pytest.mark.parametrize("c", [F(1, 3), F(9, 10)])
+def test_global_budget_past_exact_bits_stays_an_upper_bound(c, monkeypatch):
+    # with no exact test allowed a boundary case takes the top of the window
+    monkeypatch.setattr(iteration, "_EXACT_BITS", 0)
+    eps = F(1, 8)
+    for k in range(1, 8):
+        d0 = (1 - c) * eps / 2 / c**k
+        assert predict_iterations(d0, c, eps).budget in (k, k + 1)
 
 
 def test_global_budget_zero_d0():
