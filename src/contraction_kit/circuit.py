@@ -416,9 +416,6 @@ class CircuitBuilder:
     def gt(self, a: int, b: int) -> int:
         return self.op("gt", a, b)
 
-    def neg(self, a: int) -> int:
-        return self.sub(self.const(0), a)
-
     def abs(self, a: int, b: int) -> int:
         """|a - b| as max(a-b, b-a)."""
         return self.max(self.sub(a, b), self.sub(b, a))
@@ -430,6 +427,29 @@ class CircuitBuilder:
         for node in ids[1:]:
             acc = self.add(acc, node)
         return acc
+
+    def peel_power(self, v: int, base: Fraction, max_value: int) -> tuple[int, int]:
+        """(base**floor(v), v - floor(v)) for a node v holding a value in [0, max_value].
+
+        The binary digits of floor(v) are peeled off with gt/sub gates against
+        descending powers of two, and the matching repeated squarings of base
+        are multiplied together.  Gate count is O(log max_value).
+        """
+        one = self.const(1)
+        n_bits = max_value.bit_length()
+        # squares[j] = base**(2**j), built in-circuit by repeated squaring
+        squares = [self.const(base)]
+        for _ in range(1, n_bits):
+            squares.append(self.mul(squares[-1], squares[-1]))
+        remainder = v
+        acc = one
+        for j in range(n_bits - 1, -1, -1):
+            threshold = self.const(2 ** j)
+            bit = self.sub(one, self.gt(threshold, remainder))  # 1 iff remainder >= 2**j
+            remainder = self.sub(remainder, self.mul(bit, threshold))
+            factor = self.add(self.mul(bit, squares[j]), self.sub(one, bit))
+            acc = self.mul(acc, factor)
+        return acc, remainder
 
     def inline(self, circuit: Circuit, args: Sequence[int]) -> list[int]:
         """Splice another circuit in, wiring its inputs to existing nodes."""
@@ -454,10 +474,8 @@ class CircuitBuilder:
 def build_power_circuit(c: Fraction, max_exponent: int) -> Circuit:
     """Circuit computing c**e for integer inputs e in [0, max_exponent].
 
-    The exponent arrives as a rational-encoded integer; its binary digits are
-    peeled off with gt/sub gates against descending powers of two, and the
-    matching repeated squarings of c are multiplied together.  Gate count is
-    O(log max_exponent).
+    The exponent arrives as a rational-encoded integer and goes through
+    ``CircuitBuilder.peel_power``.  Gate count is O(log max_exponent).
     """
     c = Fraction(c)
     if not 0 < c < 1:
@@ -465,19 +483,5 @@ def build_power_circuit(c: Fraction, max_exponent: int) -> Circuit:
     if max_exponent < 1:
         raise CircuitError("max_exponent must be at least 1")
     b = CircuitBuilder()
-    e = b.input()
-    one = b.const(1)
-    n_bits = max_exponent.bit_length()
-    # squares[j] = c**(2**j), built in-circuit by repeated squaring
-    squares = [b.const(c)]
-    for _ in range(1, n_bits):
-        squares.append(b.mul(squares[-1], squares[-1]))
-    remainder = e
-    acc = one
-    for j in range(n_bits - 1, -1, -1):
-        threshold = b.const(2 ** j)
-        bit = b.sub(one, b.gt(threshold, remainder))  # 1 iff remainder >= 2**j
-        remainder = b.sub(remainder, b.mul(bit, threshold))
-        factor = b.add(b.mul(bit, squares[j]), b.sub(one, bit))
-        acc = b.mul(acc, factor)
-    return b.build([acc])
+    power, _ = b.peel_power(b.input(), c, max_exponent)
+    return b.build([power])

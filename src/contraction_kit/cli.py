@@ -15,14 +15,13 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import cls as cls_mod
 from . import converse, gridsearch, iteration, power, reduce as reduce_mod
-from .circuit import CircuitError, CircuitParseError, format_fraction, parse_circuit, parse_fraction
+from .circuit import CircuitError, format_fraction, parse_circuit, parse_fraction
 from .library import as_point, circuit_fn, l1, sq_l2
 
 INPUT_ERRORS = (
@@ -50,19 +49,6 @@ def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    chunks = [items[i::jobs] for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda chunk: [fn(it) for it in chunk], chunks))
-    merged: list = [None] * len(items)
-    for offset, chunk_result in enumerate(results):
-        for k, value in enumerate(chunk_result):
-            merged[offset + k * jobs] = value
-    return merged
-
-
 def cmd_eval(args) -> int:
     circ = parse_circuit(_read(args.circuit))
     values = [parse_fraction(tok) for tok in args.inputs]
@@ -76,13 +62,8 @@ def cmd_verify(args) -> int:
     inst = cls_mod.parse_instance(_read(args.instance))
     sol = cls_mod.parse_solution(_read(args.solution))
     if sol.kind == "Oe" and getattr(inst, "metric_promised", False):
-        print("error: promise problem: Oe is not accepted by banach-met", file=sys.stderr)
-        return 2
-    try:
-        verdict = cls_mod.verify(inst, sol)
-    except cls_mod.SolutionKindError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise cls_mod.InstanceError("promise problem: Oe is not accepted by banach-met")
+    verdict = cls_mod.verify(inst, sol)
     lines = [
         "command verify",
         _hash_line(args.instance),
@@ -169,14 +150,7 @@ def cmd_power(args) -> int:
     sys_ = power.jacobi_eigensolve(matrix)
     if args.action == "analyze":
         seed = int(os.environ.get("CONTRACTION_KIT_SEED", "0"))
-        pairs = _power_pairs(sys_, args.pairs, seed)
-        results = _parallel_map(
-            lambda pair: power.certify_contraction_rate(sys_, [pair]).pairs[0], pairs, args.jobs
-        )
-        cert = power.RateCertificate(rate_bound=sys_.rate, pairs=results)
-        for idx, entry in enumerate(results):
-            if entry.d_after > sys_.rate * entry.d_before + power.RATE_SLACK:
-                cert.violations.append(idx)
+        cert = power.certify_contraction_rate(sys_, _power_pairs(sys_, args.pairs, seed))
         if args.format == "csv":
             _emit(cert.to_csv(), args.report)
         else:
@@ -185,7 +159,7 @@ def cmd_power(args) -> int:
                 _hash_line(args.matrix),
                 f"seed {seed}",
                 f"rate_bound {sys_.rate!r}",
-                f"pairs {len(results)}",
+                f"pairs {len(cert.pairs)}",
                 f"max_ratio {cert.max_ratio!r}",
                 f"violations {len(cert.violations)}",
             ]
@@ -276,7 +250,8 @@ def cmd_bip(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="contraction-kit", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1, help="parallelize pair/sample suites")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--grid", default="1/16", help="grid resolution for the desk-scale solver")
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,9 +317,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

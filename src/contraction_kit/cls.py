@@ -24,18 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .circuit import Circuit, format_fraction, parse_circuit, parse_fraction
 from .library import Point, as_point, circuit_fn, in_unit_cube, l1, sq_l2
-from .metrics import check_metric_axioms
-
-CLS_LOCAL_KINDS = ("CO1", "CO2", "CO3")
-CONTRACTION_KINDS = ("Oa", "Ob", "Oc")
-BANACH_MET_KINDS = ("Oa", "Ob", "Oc", "Od")
-BANACH_KINDS = ("Oa", "Ob", "Oc", "Od", "Oe")
-
-WITNESS_COUNTS = {"CO1": 1, "CO2": 2, "CO3": 2, "Oa": 1, "Ob": 2, "Oc": 2, "Od": 4}
+from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
 
 
 class InstanceError(ValueError):
@@ -69,6 +62,7 @@ class CLSLocalInstance:
     lam: Fraction
 
     tag = "cls-local"
+    namespace = "cls-local"
 
     def __post_init__(self):
         _check_arity(self.f, 3, 3, "f")
@@ -85,6 +79,8 @@ class BanachInstance:
     lam: Fraction
     c: Fraction
     metric_promised: bool = False
+
+    namespace = "banach"
 
     def __post_init__(self):
         _check_arity(self.f, 3, 3, "f")
@@ -108,6 +104,7 @@ class ContractionMapInstance:
     c: Fraction
 
     tag = "contraction-map"
+    namespace = "contraction-map"
 
     def __post_init__(self):
         _check_arity(self.f, 3, 3, "f")
@@ -121,12 +118,100 @@ class ContractionMapInstance:
 ProblemInstance = Union[CLSLocalInstance, BanachInstance, ContractionMapInstance]
 
 
+@dataclass(frozen=True)
+class Clause:
+    """One solution kind: its witness count, its clause and its exact predicate.
+
+    ``holds(inst, f, g, *witnesses)`` returns ``(ok, lhs, rhs)``.  ``f``
+    evaluates the instance's map and ``g`` its second circuit: p for
+    cls-local, d for banach; contraction-map clauses use the Euclidean metric,
+    compared in squared form, and get ``g = None``.
+    """
+
+    witnesses: range
+    text: str
+    holds: Callable[..., tuple[bool, Fraction | None, Fraction | None]]
+
+
+def _co1(inst, f, p, x):
+    lhs, rhs = p(f(x)), p(x) - inst.eps
+    return lhs >= rhs, lhs, rhs
+
+
+def _near_fixed(dist, eps: Fraction, f, x):
+    lhs = dist(x, f(x))
+    return lhs <= eps, lhs, eps
+
+
+def _od(inst, f, d, x1, x2, y1, y2):
+    lhs = abs(d(x1, x2) - d(y1, y2))
+    rhs = inst.lam * (l1(x1, y1) + l1(x2, y2))
+    return lhs > rhs, lhs, rhs
+
+
+def _oe(inst, f, d, *witnesses):
+    violation = check_metric_axioms(d, witnesses)
+    if violation is None:
+        return False, None, None
+    return True, violation.lhs, violation.rhs
+
+
+_LIPSCHITZ = Clause(
+    range(2, 3), "|f(x)-f(x')|_1 > lam*|x-x'|_1",
+    lambda inst, f, g, x, y: lipschitz_violated(f, inst.lam, x, y),
+)
+
+CLAUSES: dict[tuple[str, str], Clause] = {
+    ("cls-local", "CO1"): Clause(range(1, 2), "p(f(x)) >= p(x) - eps", _co1),
+    ("cls-local", "CO2"): _LIPSCHITZ,
+    ("cls-local", "CO3"): Clause(
+        range(2, 3), "|p(x)-p(x')| > lam*|x-x'|_1",
+        lambda inst, f, p, x, y: lipschitz_violated(p, inst.lam, x, y),
+    ),
+    ("banach", "Oa"): Clause(
+        range(1, 2), "d(x,f(x)) <= eps",
+        lambda inst, f, d, x: _near_fixed(d, inst.eps, f, x),
+    ),
+    ("banach", "Ob"): Clause(
+        range(2, 3), "d(f(x),f(x')) > c*d(x,x')",
+        lambda inst, f, d, x, y: contraction_violated(f, d, inst.c, x, y),
+    ),
+    ("banach", "Oc"): _LIPSCHITZ,
+    ("banach", "Od"): Clause(range(4, 5), "|d(x1,x2)-d(y1,y2)| > lam*(|x1-y1|_1+|x2-y2|_1)", _od),
+    ("banach", "Oe"): Clause(range(1, 4), "a metric axiom fails at the witnesses", _oe),
+    # Both sides of every Euclidean comparison are nonnegative, so squaring is
+    # equivalence-preserving and keeps everything rational.
+    ("contraction-map", "Oa"): Clause(
+        range(1, 2), "d(x,f(x))^2 <= eps^2",
+        lambda inst, f, g, x: _near_fixed(sq_l2, inst.eps ** 2, f, x),
+    ),
+    ("contraction-map", "Ob"): Clause(
+        range(2, 3), "d(f(x),f(x'))^2 > c^2*d(x,x')^2",
+        lambda inst, f, g, x, y: contraction_violated(f, sq_l2, inst.c ** 2, x, y),
+    ),
+    ("contraction-map", "Oc"): _LIPSCHITZ,
+}
+
+_WITNESSES = {kind: clause.witnesses for (_, kind), clause in CLAUSES.items()}
+
+
 def accepted_kinds(inst: ProblemInstance) -> tuple[str, ...]:
+    promised = getattr(inst, "metric_promised", False)
+    return tuple(
+        kind for namespace, kind in CLAUSES
+        if namespace == inst.namespace and not (promised and kind == "Oe")
+    )
+
+
+def evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
+    """Callables for the map f and for the second circuit the clauses read (p, d or None)."""
     if isinstance(inst, CLSLocalInstance):
-        return CLS_LOCAL_KINDS
-    if isinstance(inst, ContractionMapInstance):
-        return CONTRACTION_KINDS
-    return BANACH_MET_KINDS if inst.metric_promised else BANACH_KINDS
+        second = circuit_fn(inst.p)
+    elif isinstance(inst, BanachInstance):
+        second = circuit_fn(inst.d)
+    else:
+        second = None
+    return circuit_fn(inst.f), second
 
 
 @dataclass(frozen=True)
@@ -136,17 +221,15 @@ class Solution:
 
     def __post_init__(self):
         object.__setattr__(self, "witnesses", tuple(as_point(w) for w in self.witnesses))
-        if self.kind == "Oe":
-            if not 1 <= len(self.witnesses) <= 3:
-                raise InstanceError("Oe takes one to three witness points")
-        elif self.kind in WITNESS_COUNTS:
-            if len(self.witnesses) != WITNESS_COUNTS[self.kind]:
-                raise InstanceError(
-                    f"{self.kind} takes {WITNESS_COUNTS[self.kind]} witness point(s), "
-                    f"got {len(self.witnesses)}"
-                )
-        else:
+        counts = _WITNESSES.get(self.kind)
+        if counts is None:
             raise InstanceError(f"unknown solution kind {self.kind!r}")
+        if len(self.witnesses) not in counts:
+            if len(counts) > 1:
+                raise InstanceError(f"{self.kind} takes one to three witness points")
+            raise InstanceError(
+                f"{self.kind} takes {counts[0]} witness point(s), got {len(self.witnesses)}"
+            )
 
     def to_text(self) -> str:
         lines = [self.kind]
@@ -167,116 +250,44 @@ class Verdict:
         return self.accepted
 
 
-def _domain_reject(sol: Solution) -> Verdict | None:
-    for w in sol.witnesses:
+def _replay(inst: ProblemInstance, sol: Solution) -> Verdict:
+    """The namespace and domain checks, then the kind's clause on the witnesses."""
+    if (inst.namespace, sol.kind) not in CLAUSES:
+        raise SolutionKindError(f"{sol.kind} is not a {inst.namespace} solution kind")
+    ws = sol.witnesses
+    for w in ws:
         if not in_unit_cube(w):
             return Verdict(False, sol.kind, f"witness {w} outside [0,1]^3")
-    return None
+    if sol.kind == "Od" and (ws[0] == ws[1] or ws[2] == ws[3]):
+        return Verdict(False, "Od", "side condition x1 != x2, y1 != y2 violated")
+    f, g = evaluators(inst)
+    if sol.kind == "Oe":
+        # the verdict names the failed axiom, which (ok, lhs, rhs) does not carry
+        violation = check_metric_axioms(g, ws)
+        if violation is None:
+            return Verdict(False, "Oe", "no metric axiom fails at the given witnesses")
+        reason = f"{violation.axiom} violated at {violation.witnesses}"
+        return Verdict(True, "Oe", reason, violation.lhs, violation.rhs)
+    clause = CLAUSES[(inst.namespace, sol.kind)]
+    ok, lhs, rhs = clause.holds(inst, f, g, *ws)
+    return Verdict(ok, sol.kind, f"{clause.text} is {ok}", lhs, rhs)
 
 
 def verify_cls_local(inst: CLSLocalInstance, sol: Solution) -> Verdict:
     """Replay a CO1/CO2/CO3 claim against the instance."""
-    if sol.kind not in CLS_LOCAL_KINDS:
-        raise SolutionKindError(f"{sol.kind} is not a cls-local solution kind")
-    bad = _domain_reject(sol)
-    if bad is not None:
-        return bad
-    f = circuit_fn(inst.f)
-    p = circuit_fn(inst.p)
-    if sol.kind == "CO1":
-        (x,) = sol.witnesses
-        lhs = p(f(x))
-        rhs = p(x) - inst.eps
-        ok = lhs >= rhs
-        return Verdict(ok, "CO1", f"p(f(x)) >= p(x) - eps is {ok}", lhs, rhs)
-    x, y = sol.witnesses
-    if sol.kind == "CO2":
-        lhs = l1(f(x), f(y))
-        rhs = inst.lam * l1(x, y)
-        ok = lhs > rhs
-        return Verdict(ok, "CO2", f"|f(x)-f(x')|_1 > lam*|x-x'|_1 is {ok}", lhs, rhs)
-    lhs = abs(p(x) - p(y))
-    rhs = inst.lam * l1(x, y)
-    ok = lhs > rhs
-    return Verdict(ok, "CO3", f"|p(x)-p(x')| > lam*|x-x'|_1 is {ok}", lhs, rhs)
+    return _replay(inst, sol)
 
 
 def verify_banach(inst: BanachInstance, sol: Solution) -> Verdict:
     """Replay an Oa..Oe claim against a banach / banach-met instance."""
-    kinds = accepted_kinds(inst)
-    if sol.kind not in BANACH_KINDS:
-        raise SolutionKindError(f"{sol.kind} is not a banach solution kind")
     if sol.kind == "Oe" and inst.metric_promised:
         return Verdict(False, "Oe", "promise problem: metric violations are not accepted")
-    if sol.kind not in kinds:
-        raise SolutionKindError(f"{sol.kind} not accepted by {inst.tag}")
-    bad = _domain_reject(sol)
-    if bad is not None:
-        return bad
-    f = circuit_fn(inst.f)
-    d = circuit_fn(inst.d)
-    if sol.kind == "Oa":
-        (x,) = sol.witnesses
-        lhs = d(x, f(x))
-        ok = lhs <= inst.eps
-        return Verdict(ok, "Oa", f"d(x,f(x)) <= eps is {ok}", lhs, inst.eps)
-    if sol.kind == "Ob":
-        x, y = sol.witnesses
-        lhs = d(f(x), f(y))
-        rhs = inst.c * d(x, y)
-        ok = lhs > rhs
-        return Verdict(ok, "Ob", f"d(f(x),f(x')) > c*d(x,x') is {ok}", lhs, rhs)
-    if sol.kind == "Oc":
-        x, y = sol.witnesses
-        lhs = l1(f(x), f(y))
-        rhs = inst.lam * l1(x, y)
-        ok = lhs > rhs
-        return Verdict(ok, "Oc", f"|f(x)-f(x')|_1 > lam*|x-x'|_1 is {ok}", lhs, rhs)
-    if sol.kind == "Od":
-        x1, x2, y1, y2 = sol.witnesses
-        if x1 == x2 or y1 == y2:
-            return Verdict(False, "Od", "side condition x1 != x2, y1 != y2 violated")
-        lhs = abs(d(x1, x2) - d(y1, y2))
-        rhs = inst.lam * (l1(x1, y1) + l1(x2, y2))
-        ok = lhs > rhs
-        return Verdict(ok, "Od", f"|d(x1,x2)-d(y1,y2)| > lam*(|x1-y1|_1+|x2-y2|_1) is {ok}", lhs, rhs)
-    violation = check_metric_axioms(inst.d, sol.witnesses)
-    if violation is None:
-        return Verdict(False, "Oe", "no metric axiom fails at the given witnesses")
-    return Verdict(
-        True, "Oe", f"{violation.axiom} violated at {violation.witnesses}",
-        violation.lhs, violation.rhs,
-    )
+    return _replay(inst, sol)
 
 
 def verify_contraction_map(inst: ContractionMapInstance, sol: Solution) -> Verdict:
-    """Replay Oa/Ob/Oc with Euclidean d, compared in squared form.
-
-    Both sides of every Euclidean comparison are nonnegative, so squaring is
-    equivalence-preserving and keeps everything rational.
-    """
-    if sol.kind not in CONTRACTION_KINDS:
-        raise SolutionKindError(f"{sol.kind} is not a contraction-map solution kind")
-    bad = _domain_reject(sol)
-    if bad is not None:
-        return bad
-    f = circuit_fn(inst.f)
-    if sol.kind == "Oa":
-        (x,) = sol.witnesses
-        lhs = sq_l2(x, f(x))
-        rhs = inst.eps ** 2
-        ok = lhs <= rhs
-        return Verdict(ok, "Oa", f"d(x,f(x))^2 <= eps^2 is {ok}", lhs, rhs)
-    x, y = sol.witnesses
-    if sol.kind == "Ob":
-        lhs = sq_l2(f(x), f(y))
-        rhs = inst.c ** 2 * sq_l2(x, y)
-        ok = lhs > rhs
-        return Verdict(ok, "Ob", f"d(f(x),f(x'))^2 > c^2*d(x,x')^2 is {ok}", lhs, rhs)
-    lhs = l1(f(x), f(y))
-    rhs = inst.lam * l1(x, y)
-    ok = lhs > rhs
-    return Verdict(ok, "Oc", f"|f(x)-f(x')|_1 > lam*|x-x'|_1 is {ok}", lhs, rhs)
+    """Replay an Oa/Ob/Oc claim with the Euclidean metric, compared in squared form."""
+    return _replay(inst, sol)
 
 
 def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
@@ -328,9 +339,11 @@ def parse_instance(text: str) -> ProblemInstance:
             break
         if ln.startswith("circuit"):
             parts = ln.split()
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise InstanceError(f"expected 'circuit <name>', got {ln!r}")
             name = parts[1]
+            if name in circuits:
+                raise InstanceError(f"repeated circuit {name!r}")
             body: list[str] = []
             while True:
                 raw = next_line()
@@ -340,6 +353,8 @@ def parse_instance(text: str) -> ProblemInstance:
             circuits[name] = parse_circuit("\n".join(body) + "\n")
         else:
             key, _, val = ln.partition(" ")
+            if key in constants:
+                raise InstanceError(f"repeated constant {key!r}")
             constants[key] = parse_fraction(val)
     try:
         if tag == "cls-local":

@@ -3,34 +3,33 @@
 Not a general CLS solver: it scans a rational grid over [0,1]^3 (default
 resolution 1/16) for each accepted solution kind in a fixed priority order
 (fixed-point-style witnesses first), and checks violation clauses over a
-coarser pair/triple budget.  Every returned solution is re-verified before it
-is handed back, and the scan order is deterministic.
+coarser pair/triple budget.  Candidates are decided by the verifier's own
+clause predicates (``cls.CLAUSES``) on memoised circuit evaluators, every
+returned solution is re-verified before it is handed back, and the scan
+order is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .cls import (
-    BanachInstance,
-    CLSLocalInstance,
-    ContractionMapInstance,
-    ProblemInstance,
-    Solution,
-    verify,
-)
-from .library import Point, circuit_fn, l1, sq_l2
+from .cls import CLAUSES, ProblemInstance, Solution, accepted_kinds, evaluators, verify
+from .library import Point
+from .metrics import check_metric_axioms
+
+COARSE_RESOLUTION = Fraction(1, 4)
+MAX_PAIRS = 4000
+MAX_QUADS = 4000
+MAX_TRIANGLE_POINTS = 24
 
 
 @dataclass
 class GridConfig:
     resolution: Fraction = Fraction(1, 16)
-    coarse_resolution: Fraction = Fraction(1, 4)
-    max_pairs: int = 4000
-    max_quads: int = 4000
-    max_triangle_points: int = 24
 
 
 def grid_points(resolution: Fraction) -> list[Point]:
@@ -44,118 +43,57 @@ def grid_points(resolution: Fraction) -> list[Point]:
     return [p for p in itertools.product(axis, repeat=3)]
 
 
-def _candidate_pairs(config: GridConfig) -> list[tuple[Point, Point]]:
-    coarse = grid_points(config.coarse_resolution)
+def _candidate_pairs(resolution: Fraction) -> list[tuple[Point, Point]]:
+    coarse = grid_points(COARSE_RESOLUTION)
     pairs: list[tuple[Point, Point]] = []
-    r = config.resolution
     for pt in coarse:
         for i in range(3):
-            if pt[i] + r <= 1:
+            if pt[i] + resolution <= 1:
                 nxt = list(pt)
-                nxt[i] = nxt[i] + r
+                nxt[i] = nxt[i] + resolution
                 pairs.append((pt, tuple(nxt)))
     for i in range(len(coarse)):
         for j in range(i + 1, len(coarse)):
             pairs.append((coarse[i], coarse[j]))
-            if len(pairs) >= config.max_pairs:
+            if len(pairs) >= MAX_PAIRS:
                 return pairs
     return pairs
 
 
-def _checked(inst: ProblemInstance, sol: Solution) -> Solution | None:
-    return sol if verify(inst, sol) else None
-
-
-def solve_cls_local(inst: CLSLocalInstance, config: GridConfig | None = None) -> Solution | None:
-    config = config or GridConfig()
-    f = circuit_fn(inst.f)
-    p = circuit_fn(inst.p)
-    for x in grid_points(config.resolution):
-        if p(f(x)) >= p(x) - inst.eps:
-            return _checked(inst, Solution("CO1", (x,)))
-    pairs = _candidate_pairs(config)
-    for x, y in pairs:
-        if l1(f(x), f(y)) > inst.lam * l1(x, y):
-            return _checked(inst, Solution("CO2", (x, y)))
-    for x, y in pairs:
-        if abs(p(x) - p(y)) > inst.lam * l1(x, y):
-            return _checked(inst, Solution("CO3", (x, y)))
-    return None
-
-
-def solve_banach(inst: BanachInstance, config: GridConfig | None = None) -> Solution | None:
-    config = config or GridConfig()
-    f = circuit_fn(inst.f)
-    d = circuit_fn(inst.d)
-    for x in grid_points(config.resolution):
-        if d(x, f(x)) <= inst.eps:
-            return _checked(inst, Solution("Oa", (x,)))
-    pairs = _candidate_pairs(config)
-    cache: dict[Point, Point] = {}
-
-    def fval(pt: Point) -> Point:
-        if pt not in cache:
-            cache[pt] = f(pt)
-        return cache[pt]
-
-    for x, y in pairs:
-        if d(fval(x), fval(y)) > inst.c * d(x, y):
-            return _checked(inst, Solution("Ob", (x, y)))
-    for x, y in pairs:
-        if l1(fval(x), fval(y)) > inst.lam * l1(x, y):
-            return _checked(inst, Solution("Oc", (x, y)))
+def _quads(pairs: list[tuple[Point, Point]]) -> Iterable[tuple[Point, ...]]:
     quad_pairs = [(x, y) for x, y in pairs if x != y]
-    dvals = {}
-    for x, y in quad_pairs:
-        dvals[(x, y)] = d(x, y)
-    count = 0
-    for x1, x2 in quad_pairs:
-        for y1, y2 in quad_pairs:
-            count += 1
-            if count > config.max_quads:
-                break
-            if abs(dvals[(x1, x2)] - dvals[(y1, y2)]) > inst.lam * (l1(x1, y1) + l1(x2, y2)):
-                return _checked(inst, Solution("Od", (x1, x2, y1, y2)))
-        if count > config.max_quads:
-            break
-    if not inst.metric_promised:
-        fine = grid_points(config.resolution)
-        for x in fine:
-            if d(x, x) != 0:
-                return _checked(inst, Solution("Oe", (x,)))
-        coarse = grid_points(config.coarse_resolution)[: config.max_triangle_points]
-        for x, y in itertools.combinations(coarse, 2):
-            if d(x, y) < 0 or d(y, x) < 0 or d(x, y) != d(y, x) or (x != y and d(x, y) == 0):
-                return _checked(inst, Solution("Oe", (x, y)))
-        for x, y, z in itertools.permutations(coarse, 3):
-            if d(x, y) > d(x, z) + d(z, y):
-                return _checked(inst, Solution("Oe", (x, y, z)))
-    return None
+    quads = itertools.product(quad_pairs, quad_pairs)
+    return (xs + ys for xs, ys in itertools.islice(quads, MAX_QUADS))
 
 
-def solve_contraction_map(
-    inst: ContractionMapInstance, config: GridConfig | None = None
-) -> Solution | None:
-    config = config or GridConfig()
-    f = circuit_fn(inst.f)
-    eps_sq = inst.eps ** 2
-    c_sq = inst.c ** 2
-    for x in grid_points(config.resolution):
-        if sq_l2(x, f(x)) <= eps_sq:
-            return _checked(inst, Solution("Oa", (x,)))
-    pairs = _candidate_pairs(config)
-    for x, y in pairs:
-        if sq_l2(f(x), f(y)) > c_sq * sq_l2(x, y):
-            return _checked(inst, Solution("Ob", (x, y)))
-    for x, y in pairs:
-        if l1(f(x), f(y)) > inst.lam * l1(x, y):
-            return _checked(inst, Solution("Oc", (x, y)))
-    return None
+def _metric_violations(d, fine: list[Point]) -> Iterable[tuple[Point, ...]]:
+    """Oe candidates: fine-grid points, then pairs of coarse points, then the
+    first triangle violation among the coarse points."""
+    yield from ((x,) for x in fine)
+    coarse = grid_points(COARSE_RESOLUTION)[:MAX_TRIANGLE_POINTS]
+    yield from itertools.combinations(coarse, 2)
+    violation = check_metric_axioms(d, coarse)
+    if violation is not None:
+        yield violation.witnesses
 
 
 def solve_instance(inst: ProblemInstance, config: GridConfig | None = None) -> Solution | None:
-    if isinstance(inst, CLSLocalInstance):
-        return solve_cls_local(inst, config)
-    if isinstance(inst, BanachInstance):
-        return solve_banach(inst, config)
-    return solve_contraction_map(inst, config)
+    """First grid candidate, in kind priority order, whose clause holds."""
+    config = config or GridConfig()
+    f, g = (functools.cache(fn) if fn else None for fn in evaluators(inst))
+    fine = grid_points(config.resolution)
+    pairs = functools.cache(lambda: _candidate_pairs(config.resolution))
+    # candidate streams by witness count; pairs are built only if a pair kind is reached
+    streams = {
+        1: lambda: ((x,) for x in fine),
+        2: pairs,
+        4: lambda: _quads(pairs()),
+    }
+    for kind in accepted_kinds(inst):
+        clause = CLAUSES[(inst.namespace, kind)]
+        stream = _metric_violations(g, fine) if kind == "Oe" else streams[clause.witnesses[0]]()
+        for witnesses in stream:
+            if clause.holds(inst, f, g, *witnesses)[0]:
+                sol = Solution(kind, witnesses)
+                return sol if verify(inst, sol) else None
+    return None

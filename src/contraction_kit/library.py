@@ -24,10 +24,6 @@ def l1(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum((abs(a - b) for a, b in zip(x, y)), Fraction(0))
 
 
-def linf(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return max(abs(a - b) for a, b in zip(x, y))
-
-
 def sq_l2(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum(((a - b) ** 2 for a, b in zip(x, y)), Fraction(0))
 

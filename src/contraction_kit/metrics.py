@@ -66,50 +66,62 @@ def _as_distance(d) -> DistanceFn:
     return d
 
 
+def _first_failure(dist: Sequence[Sequence[Fraction]], keys: Sequence):
+    """First metric-axiom failure of a k x k matrix as (axiom, indices, lhs, rhs), or None.
+
+    Axioms are scanned in the order nonnegativity, identity of indiscernibles
+    (the diagonal, then pairs with distinct keys), symmetry, triangle
+    inequality; within each axiom the index tuples run in lexicographic
+    order, so the result is deterministic.  Indices i and j name distinct
+    points when keys[i] != keys[j].
+    """
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] < 0:
+                return AXIOM_NONNEG, (i, j), dist[i][j], Fraction(0)
+    for i in range(n):
+        if dist[i][i] != 0:
+            return AXIOM_IDENTITY, (i,), dist[i][i], Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            if keys[i] != keys[j] and dist[i][j] == 0:
+                return AXIOM_IDENTITY, (i, j), Fraction(0), Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                return AXIOM_SYMMETRY, (i, j), dist[i][j], dist[j][i]
+    for i in range(n):
+        row = dist[i]
+        for j in range(n):
+            if i == j:
+                continue
+            lhs = row[j]
+            for k in range(n):
+                if k != i and k != j:
+                    rhs = row[k] + dist[k][j]
+                    if lhs > rhs:
+                        return AXIOM_TRIANGLE, (i, j, k), lhs, rhs
+    return None
+
+
 def check_metric_axioms(d, points: Sequence[Sequence[Fraction]]) -> MetricViolation | None:
     """First metric-axiom violation of d over the point set, or None.
 
-    Axioms are scanned in the order nonnegativity, identity of indiscernibles,
-    symmetry, triangle inequality; within each axiom the witness tuples run in
-    lexicographic index order, so the result is deterministic.
+    d is a distance circuit or callable, evaluated once per ordered pair of
+    points, or the matrix of those values already evaluated (row i, column
+    j holds d(points[i], points[j])).  The matrix is scanned in the order of
+    ``_first_failure``; the violation names the points themselves.
     """
-    raw = _as_distance(d)
     pts = [as_point(p) for p in points]
-    n = len(pts)
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def dist(i: int, j: int) -> Fraction:
-        if (i, j) not in cache:
-            cache[(i, j)] = raw(pts[i], pts[j])
-        return cache[(i, j)]
-
-    for i in range(n):
-        for j in range(n):
-            val = dist(i, j)
-            if val < 0:
-                return MetricViolation(AXIOM_NONNEG, (pts[i], pts[j]), val, Fraction(0))
-    for i in range(n):
-        val = dist(i, i)
-        if val != 0:
-            return MetricViolation(AXIOM_IDENTITY, (pts[i],), val, Fraction(0))
-    for i in range(n):
-        for j in range(n):
-            if i != j and pts[i] != pts[j] and dist(i, j) == 0:
-                return MetricViolation(AXIOM_IDENTITY, (pts[i], pts[j]), Fraction(0), Fraction(0))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist(i, j) != dist(j, i):
-                return MetricViolation(AXIOM_SYMMETRY, (pts[i], pts[j]), dist(i, j), dist(j, i))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j or j == k or i == k:
-                    continue
-                lhs = dist(i, j)
-                rhs = dist(i, k) + dist(k, j)
-                if lhs > rhs:
-                    return MetricViolation(AXIOM_TRIANGLE, (pts[i], pts[j], pts[k]), lhs, rhs)
-    return None
+    if isinstance(d, Circuit) or callable(d):
+        raw = _as_distance(d)
+        d = [[raw(x, y) for y in pts] for x in pts]
+    failure = _first_failure(d, pts)
+    if failure is None:
+        return None
+    axiom, idx, lhs, rhs = failure
+    return MetricViolation(axiom, tuple(pts[i] for i in idx), lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -119,23 +131,35 @@ class LipschitzViolation:
     rhs: Fraction  # lam * |x - y|_1
 
 
+def lipschitz_violated(g, lam: Fraction, x: Point, y: Point) -> tuple[bool, Fraction, Fraction]:
+    """(|g(x)-g(y)|_1 > lam*|x-y|_1, lhs, rhs), decided exactly.
+
+    g may be tuple-valued (a map) or scalar-valued (a potential).
+    """
+    gx, gy = g(x), g(y)
+    if isinstance(gx, Fraction):
+        gx, gy = (gx,), (gy,)
+    lhs = l1(gx, gy)
+    rhs = lam * l1(x, y)
+    return lhs > rhs, lhs, rhs
+
+
+def contraction_violated(f, dist, c: Fraction, x: Point, y: Point) -> tuple[bool, Fraction, Fraction]:
+    """(dist(f(x), f(y)) > c * dist(x, y), lhs, rhs), decided exactly."""
+    lhs = dist(f(x), f(y))
+    rhs = c * dist(x, y)
+    return lhs > rhs, lhs, rhs
+
+
 def find_lipschitz_violation(
     g, lam: Fraction, pairs: Sequence[PointPair]
 ) -> LipschitzViolation | None:
     """First pair violating lambda-Lipschitz continuity of g in the l1 norm."""
     lam = Fraction(lam)
-    if isinstance(g, Circuit):
-        fn = circuit_fn(g)
-    else:
-        fn = g
+    fn = circuit_fn(g) if isinstance(g, Circuit) else g
     for pair in pairs:
-        gx = fn(pair.x)
-        gy = fn(pair.y)
-        if isinstance(gx, Fraction):
-            gx, gy = (gx,), (gy,)
-        lhs = sum((abs(a - b) for a, b in zip(gx, gy)), Fraction(0))
-        rhs = lam * l1(pair.x, pair.y)
-        if lhs > rhs:
+        violated, lhs, rhs = lipschitz_violated(fn, lam, pair.x, pair.y)
+        if violated:
             return LipschitzViolation(pair, lhs, rhs)
     return None
 
@@ -161,11 +185,8 @@ def find_contraction_violation(
     fn = circuit_fn(f) if isinstance(f, Circuit) else f
     dist = _as_distance(d)
     for pair in pairs:
-        fx = fn(pair.x)
-        fy = fn(pair.y)
-        lhs = dist(fx, fy)
-        rhs = c * dist(pair.x, pair.y)
-        if lhs > rhs:
+        violated, lhs, rhs = contraction_violated(fn, dist, c, pair.x, pair.y)
+        if violated:
             return ContractionViolation(pair, lhs, rhs)
     return None
 
@@ -173,29 +194,26 @@ def find_contraction_violation(
 def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
     """Exhaustive metric-axiom check for a square distance matrix.
 
-    Returns None on pass or a short description of the first failure; used to
-    vet finite-space base metrics and synthesized matrices.
+    Returns None on pass or a short description of the first failure, in the
+    scan order of ``_first_failure``; used to vet finite-space base metrics
+    and synthesized matrices.
     """
     n = len(dist)
     for i in range(n):
         if len(dist[i]) != n:
             return f"row {i} has length {len(dist[i])}, expected {n}"
-    for i in range(n):
-        if dist[i][i] != 0:
-            return f"IDENTITY: d({i},{i}) = {dist[i][i]} != 0"
-        for j in range(n):
-            if dist[i][j] < 0:
-                return f"NONNEG: d({i},{j}) = {dist[i][j]} < 0"
-            if i != j and dist[i][j] == 0:
-                return f"IDENTITY: d({i},{j}) = 0 for distinct indices"
-            if dist[i][j] != dist[j][i]:
-                return f"SYMMETRY: d({i},{j}) != d({j},{i})"
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i != j and j != k and i != k and dist[i][j] > dist[i][k] + dist[k][j]:
-                    return (
-                        f"TRIANGLE: d({i},{j}) = {dist[i][j]} > "
-                        f"d({i},{k}) + d({k},{j}) = {dist[i][k] + dist[k][j]}"
-                    )
-    return None
+    failure = _first_failure(dist, range(n))
+    if failure is None:
+        return None
+    axiom, idx, lhs, rhs = failure
+    i, j = idx[0], idx[-1]
+    if axiom == AXIOM_NONNEG:
+        return f"NONNEG: d({i},{j}) = {lhs} < 0"
+    if axiom == AXIOM_IDENTITY:
+        if len(idx) == 1:
+            return f"IDENTITY: d({i},{i}) = {lhs} != 0"
+        return f"IDENTITY: d({i},{j}) = 0 for distinct indices"
+    if axiom == AXIOM_SYMMETRY:
+        return f"SYMMETRY: d({i},{j}) != d({j},{i})"
+    i, j, k = idx
+    return f"TRIANGLE: d({i},{j}) = {lhs} > d({i},{k}) + d({k},{j}) = {rhs}"

@@ -377,10 +377,13 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(lines) != n + 1:
         raise SpectralError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:]):
         row = [float(tok) for tok in ln.split()]
         if len(row) != n:
             raise SpectralError(f"row has {len(row)} entries, expected {n}")
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise SpectralError(f"non-finite entry {value!r} at row {i}, column {j}")
         rows.append(row)
     return np.array(rows)
 

@@ -30,6 +30,7 @@ from mpmath import iv
 
 from .circuit import Circuit, CircuitBuilder, CircuitError, format_fraction
 from .cls import (
+    CLAUSES,
     BanachInstance,
     CLSLocalInstance,
     Solution,
@@ -37,7 +38,7 @@ from .cls import (
     verify_banach,
     verify_cls_local,
 )
-from .library import as_point, circuit_fn, l1
+from .library import as_point, circuit_fn, discrete_metric_circuit, l1
 from .metrics import check_metric_axioms
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
@@ -50,10 +51,6 @@ class ReductionBug(AssertionError):
 
 def ceil_fraction(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
-
-
-def floor_fraction(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def smooth_interpolation(w: Fraction, c: Fraction) -> Fraction:
@@ -69,9 +66,9 @@ def smooth_interpolation(w: Fraction, c: Fraction) -> Fraction:
 def build_interpolation_circuit(c: Fraction, max_abs: int) -> Circuit:
     """One-input circuit computing B(w) for w in [-max_abs, 0].
 
-    Inputs are clamped to the supported range; ceil(w) is recovered by
-    peeling the binary digits of -w with gt/sub gates, and c^ceil(w) comes
-    from in-circuit repeated squarings of 1/c.  O(log max_abs) gates.
+    Inputs are clamped to the supported range.  Peeling v = -w gives
+    (1/c)**floor(v) = c**ceil(w) and the remainder v - floor(v) = ceil(w) - w,
+    the mixing weight t of B.  O(log max_abs) gates.
     """
     c = Fraction(c)
     if not 0 < c < 1:
@@ -84,22 +81,9 @@ def build_interpolation_circuit(c: Fraction, max_abs: int) -> Circuit:
     one = b.const(1)
     w_cl = b.min(b.max(w, b.const(-max_abs)), zero)
     v = b.sub(zero, w_cl)  # v = -w in [0, max_abs]
-    n_bits = max_abs.bit_length()
-    squares = [b.const(1 / c)]  # squares[j] = (1/c)**(2**j)
-    for _ in range(1, n_bits):
-        squares.append(b.mul(squares[-1], squares[-1]))
-    remainder = v
-    acc = one  # (1/c)**floor(v) = c**ceil(w)
-    floor_v = zero
-    for j in range(n_bits - 1, -1, -1):
-        threshold = b.const(2 ** j)
-        bit = b.sub(one, b.gt(threshold, remainder))
-        remainder = b.sub(remainder, b.mul(bit, threshold))
-        floor_v = b.add(floor_v, b.mul(bit, threshold))
-        acc = b.mul(acc, b.add(b.mul(bit, squares[j]), b.sub(one, bit)))
-    t = b.sub(v, floor_v)  # ceil(w) - w
-    lower = b.mul(acc, b.const(c))  # c**(ceil(w)+1)
-    value = b.add(b.mul(b.sub(one, t), acc), b.mul(t, lower))
+    upper, t = b.peel_power(v, 1 / c, max_abs)  # c**ceil(w), ceil(w) - w
+    lower = b.mul(upper, b.const(c))  # c**(ceil(w)+1)
+    value = b.add(b.mul(b.sub(one, t), upper), b.mul(t, lower))
     return b.build([value])
 
 
@@ -125,24 +109,12 @@ def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) ->
 
     Gate count is 2*|p| + O(log(1/eps)).
     """
-    eps, c = Fraction(eps), Fraction(c)
-    if eps <= 0:
-        raise CircuitError("eps must be positive")
-    if not 0 < c < 1:
-        raise CircuitError("c must lie in (0,1)")
-    max_abs = max(1, ceil_fraction(1 / eps))
-    interp = build_interpolation_circuit(c, max_abs)
+    kappa = build_kappa_circuit(p, eps)
+    interp = build_interpolation_circuit(c, max(1, ceil_fraction(1 / Fraction(eps))))
     b = CircuitBuilder()
-    xs = b.inputs(3)
-    ys = b.inputs(3)
-    inv = b.const(1 / eps)
-    zero = b.const(0)
-    px = b.inline(p, xs)[0]
-    py = b.inline(p, ys)[0]
-    kappa = b.min(b.sub(zero, b.mul(px, inv)), b.sub(zero, b.mul(py, inv)))
-    interp_val = b.inline(interp, [kappa])[0]
-    flags = [b.add(b.gt(xs[i], ys[i]), b.gt(ys[i], xs[i])) for i in range(3)]
-    d_s = b.gt(b.sum(flags), zero)
+    pair = b.inputs(6)
+    interp_val = b.inline(interp, b.inline(kappa, pair))[0]
+    d_s = b.inline(discrete_metric_circuit(), pair)[0]
     return b.build([b.mul(interp_val, d_s)])
 
 
@@ -203,7 +175,7 @@ def map_cls_local_solution_to_banach(src: BanachInstance, sol: Solution) -> Solu
     if sol.kind == "CO1":
         (x,) = sol.witnesses
         fx = f(x)
-        if d(fx, f(fx)) > src.c * d(x, fx):
+        if CLAUSES[("banach", "Ob")].holds(src, f, d, x, fx)[0]:
             mapped = Solution("Ob", (x, fx))
         else:
             mapped = Solution("Oa", (x,))
@@ -282,7 +254,7 @@ def map_banach_solution_to_cls_local(
         mapped = Solution("CO2", sol.witnesses)
     elif sol.kind == "Od":
         x1, _, y1, _ = sol.witnesses
-        if abs(p(x1) - p(y1)) <= src.lam * l1(x1, y1):
+        if not CLAUSES[("cls-local", "CO3")].holds(src, f, p, x1, y1)[0]:
             raise ReductionBug(
                 "Od claim refuted by replay: |p(x1)-p(y1)| <= lambda*|x1-y1|_1; "
                 "the metric-circuit Lipschitz violation is not caused by p"
@@ -346,37 +318,42 @@ def certify_constructed_metric(
     artifacts: ReductionArtifacts, triples: Sequence[Sequence[Sequence[Fraction]]]
 ) -> MetricCertification:
     """Check metric axioms, the d >= c' lower bound, and the two-case triangle
-    argument of the constructed metric over sampled triples."""
+    argument of the constructed metric over sampled triples.
+
+    Each triple evaluates d once per ordered pair and p once per point; every
+    check reads those values.
+    """
     if artifacts.direction != CLSLOCAL_TO_BANACH:
         raise ReductionBug("artifacts are not from the hardness direction")
-    inst = artifacts.produced
-    d = circuit_fn(inst.d)
+    d = circuit_fn(artifacts.produced.d)
     p = circuit_fn(artifacts.source.p)
     c_prime = artifacts.substitutions["c_prime"]
     report = MetricCertification()
     for raw in triples:
         triple = tuple(as_point(pt) for pt in raw)
-        violation = check_metric_axioms(inst.d, triple)
+        dist = [[d(a, b) for b in triple] for a in triple]
+        pot = [p(a) for a in triple]
+        violation = check_metric_axioms(dist, triple)
         if violation is not None:
             report.axiom_failures.append(
                 f"{violation.axiom} at {violation.witnesses}: "
                 f"lhs={violation.lhs} rhs={violation.rhs}"
             )
-        for a in triple:
-            for bpt in triple:
+        for i, a in enumerate(triple):
+            for j, bpt in enumerate(triple):
                 if a != bpt:
-                    val = d(a, bpt)
+                    val = dist[i][j]
                     if report.min_offdiag is None or val < report.min_offdiag:
                         report.min_offdiag = val
                     if val < c_prime:
                         report.lower_bound_failures.append(
                             f"d({a},{bpt}) = {val} < c' = {c_prime}"
                         )
-        x, y, z = triple
-        if p(x) < p(y):
+        x, y, z = 0, 1, 2  # indices into the triple
+        if pot[x] < pot[y]:
             x, y = y, x
-        case = "p(x)>=p(z)" if p(x) >= p(z) else "p(x)<p(z)"
-        lhs = d(x, y)
-        rhs = d(x, z) + d(z, y)
+        case = "p(x)>=p(z)" if pot[x] >= pot[z] else "p(x)<p(z)"
+        lhs = dist[x][y]
+        rhs = dist[x][z] + dist[z][y]
         report.case_verdicts.append(TriangleCaseVerdict(case, lhs <= rhs, lhs, rhs))
     return report

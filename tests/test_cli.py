@@ -187,7 +187,7 @@ def test_power_analyze_seeded_and_parallel(workdir, capsys, monkeypatch):
     first = capsys.readouterr().out
     assert main(["--jobs", "1", "power", path, "analyze", "--pairs", "40"]) == 0
     second = capsys.readouterr().out
-    assert first == second  # deterministic merged output
+    assert first == second  # --jobs is accepted and has no effect
 
 
 def test_power_analyze_csv_format(workdir, capsys):
@@ -259,3 +259,39 @@ def test_unnamed_instance_circuit_exits_two(workdir, capsys):
     inst = write(workdir / "inst.txt", text.replace("circuit f\n", "circuit\n", 1))
     sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
     assert_input_error(["verify", inst, sol], capsys, "'circuit <name>'")
+
+
+def test_repeated_constant_exits_two(workdir, capsys):
+    # before, the later eps silently won and verify exited 0
+    text = instance_to_text(halving_banach()) + "eps 1/3\n"
+    inst = write(workdir / "inst.txt", text)
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "repeated constant 'eps'")
+
+
+def test_repeated_circuit_block_exits_two(workdir, capsys):
+    text = instance_to_text(halving_banach())
+    block = text[text.index("circuit f\n"):text.index("circuit d\n")]
+    inst = write(workdir / "inst.txt", text + block)
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "repeated circuit 'f'")
+
+
+def test_circuit_line_with_trailing_token_exits_two(workdir, capsys):
+    text = instance_to_text(halving_banach())
+    inst = write(workdir / "inst.txt", text.replace("circuit f\n", "circuit f g\n", 1))
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "'circuit <name>'")
+
+
+@pytest.mark.parametrize("entry", ["1e400", "inf", "nan"])
+def test_non_finite_matrix_entry_exits_two(workdir, capsys, entry):
+    path = write(workdir / "m.txt", f"2\n2.0 0.0\n0.0 {entry}\n")
+    assert_input_error(["power", path, "analyze", "--pairs", "5"], capsys, "row 1, column 1")
+
+
+def test_power_analyze_csv_numbers_every_pair(workdir, capsys):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    assert main(["--format", "csv", "power", path, "analyze", "--pairs", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3", "4"]

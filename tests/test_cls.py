@@ -20,7 +20,7 @@ from contraction_kit.cls import (
     verify_cls_local,
     verify_contraction_map,
 )
-from contraction_kit.gridsearch import GridConfig, solve_banach
+from contraction_kit.gridsearch import GridConfig, solve_instance
 from contraction_kit.library import (
     affine_contraction_circuit,
     coordinate_potential_circuit,
@@ -239,17 +239,15 @@ def test_syntactic_banach_grid_totality_on_corpus():
     # desk-scale totality: the grid solver finds an accepted witness on every
     # corpus instance
     for inst in banach_corpus()[:6]:
-        sol = solve_banach(inst, GridConfig())
+        sol = solve_instance(inst, GridConfig())
         assert sol is not None
         assert verify(inst, sol)
 
 
 def test_grid_solver_contraction_map_kinds():
-    from contraction_kit.gridsearch import solve_contraction_map
-
     # fixed point on the grid: Oa wins the kind priority
     inst = ContractionMapInstance(scaling_map_circuit(F(1, 2)), F(1, 8), F(1), F(3, 4))
-    sol = solve_contraction_map(inst)
+    sol = solve_instance(inst)
     assert sol is not None and sol.kind == "Oa"
     assert verify(inst, sol)
     # eps too small for the grid to certify a fixed point, c too small for the
@@ -258,6 +256,6 @@ def test_grid_solver_contraction_map_kinds():
         affine_contraction_circuit(F(1, 2), (F(1, 32), F(1, 32), F(1, 32))),
         F(1, 64), F(1), F(1, 4),
     )
-    sol2 = solve_contraction_map(tight)
+    sol2 = solve_instance(tight)
     assert sol2 is not None and sol2.kind == "Ob"
     assert verify(tight, sol2)

@@ -152,3 +152,6 @@ def test_matrix_checker_accepts_and_rejects():
         [F(3), F(1), F(0)],
     ]
     assert "TRIANGLE" in check_metric_matrix(bad_triangle)
+    # two axioms fail: the report names the first in axiom order
+    assert check_metric_matrix([[F(1), F(-1)], [F(-1), F(0)]]) == "NONNEG: d(0,1) = -1 < 0"
+    assert check_metric_matrix([[F(0)], [F(0)]]) == "row 0 has length 1, expected 2"

@@ -84,6 +84,16 @@ def test_interpolation_is_not_pointwise_monotone():
     assert smooth_interpolation(F(-99, 100), c) < smooth_interpolation(F(-1, 2), c)
 
 
+@given(st.data(), st.integers(min_value=1, max_value=40),
+       st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100))
+@settings(max_examples=150, deadline=None)
+def test_interpolation_circuit_equals_reference_on_its_range(data, max_abs, c):
+    # the peeled remainder is the mixing weight t = ceil(w) - w at every w in range
+    w = data.draw(st.fractions(min_value=-max_abs, max_value=0, max_denominator=64))
+    circ = build_interpolation_circuit(c, max_abs)
+    assert circ.evaluate1([w]) == smooth_interpolation(w, c)
+
+
 def test_interpolation_circuit_rejects_bad_args():
     with pytest.raises(CircuitError):
         build_interpolation_circuit(F(3, 2), 4)
