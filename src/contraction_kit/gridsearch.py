@@ -67,8 +67,9 @@ def _quads(pairs: list[tuple[Point, Point]]) -> Iterable[tuple[Point, ...]]:
 
 
 def _metric_violations(d, fine: list[Point]) -> Iterable[tuple[Point, ...]]:
-    """Oe candidates: fine-grid points, then pairs of coarse points, then the
-    first triangle violation among the coarse points."""
+    """Oe candidates: fine-grid points, pairs of coarse points, then the first
+    failure of the metric scan over the coarse points.  Every coarse pair has
+    passed by then, so that failure is a triangle violation."""
     yield from ((x,) for x in fine)
     coarse = grid_points(COARSE_RESOLUTION)[:MAX_TRIANGLE_POINTS]
     yield from itertools.combinations(coarse, 2)

@@ -20,7 +20,6 @@ it they carry the construction's inherent 2*eps slack).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +33,7 @@ from .cls import (
     BanachInstance,
     CLSLocalInstance,
     Solution,
-    Verdict,
+    evaluators,
     verify_banach,
     verify_cls_local,
 )
@@ -170,8 +169,7 @@ def map_cls_local_solution_to_banach(src: BanachInstance, sol: Solution) -> Solu
     pre = verify_cls_local(artifacts.produced, sol)
     if not pre:
         raise ReductionBug(f"solution does not verify against the reduced instance: {pre.reason}")
-    f = circuit_fn(src.f)
-    d = circuit_fn(src.d)
+    f, d = evaluators(src)
     if sol.kind == "CO1":
         (x,) = sol.witnesses
         fx = f(x)
@@ -235,8 +233,7 @@ def map_banach_solution_to_cls_local(
     pre = verify_banach(artifacts.produced, sol)
     if not pre:
         raise ReductionBug(f"solution does not verify against the reduced instance: {pre.reason}")
-    p = circuit_fn(src.p)
-    f = circuit_fn(src.f)
+    f, p = evaluators(src)
     eps_r = artifacts.substitutions["eps_r"]
     if sol.kind == "Oa":
         mapped = Solution("CO1", sol.witnesses)
