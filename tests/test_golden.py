@@ -21,8 +21,6 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-import pytest
-
 from corpus import banach_corpus, cls_local_corpus
 from contraction_kit.circuit import CircuitBuilder
 from contraction_kit.cli import main
