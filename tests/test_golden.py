@@ -12,6 +12,12 @@ tests/test_cls.py; the `verify` report for every solution kind, accepting and
 rejecting, plus the input errors verify reports; `reduce` provenance;
 `power analyze` text; and `certify_constructed_metric(...).report_text()` on
 the criterion-7 artifacts and on a deliberately broken metric.
+
+The `parsers/` cases were added, captured the same way, before every input
+file was read through one line reader and each instance class described its
+circuits once: `synthesize` on a commented self-map, `bip` on a self-map with
+`--predict-c` and on an instance of each tag with `--csv`, `eval`, and
+`power counterexample` and `power bound`.
 """
 
 import contextlib
@@ -40,6 +46,7 @@ from contraction_kit.library import (
 )
 from contraction_kit.reduce import (
     CLSLOCAL_TO_BANACH,
+    build_interpolation_circuit,
     ReductionArtifacts,
     certify_constructed_metric,
     reduce_banach_to_cls_local,
@@ -125,6 +132,74 @@ def banach(d=None, lam=F(1), c=F(1, 2), promised=False):
 
 def contraction(lam=F(1), c=F(3, 4)):
     return ContractionMapInstance(scaling_map_circuit(F(1, 2)), F(1, 8), lam, c)
+
+
+COMMENTED_SELFMAP = """\
+# a chain a -> b -> c -> star, distances on a line
+points 4
+a 0 0 0   # start
+b 1 0 0
+c 2 0 0
+
+star 3 0 0
+map: 1 2 3 3
+fixed: 3  # star
+distances:
+1
+2 1  # from c
+3 2 1
+"""
+
+
+def parser_cases():
+    """(name, argv, files to write, file whose text is appended) for the parser pins."""
+    selfmap = {"m.txt": COMMENTED_SELFMAP}
+    headed = {"m.txt": COMMENTED_SELFMAP.split("\n", 1)[1]}  # bip sniffs the first line
+    matrix = {"a.txt": "3\n2.0 0.5 0.0\n0.5 1.0 0.25  # row 1\n0.0 0.25 0.5\n"}
+    diagonal = {"a.txt": "# diag(2, 1)\n2\n2.0 0.0\n0.0 1.0\n"}
+    cases = [
+        ("synthesize-commented", ["synthesize", "m.txt", "1/2", "1"], selfmap, None),
+        ("synthesize-commented-out", ["synthesize", "m.txt", "3/4", "1/2", "--out", "r.txt"],
+         selfmap, "r.txt"),
+        ("bip-selfmap-predict", ["bip", "m.txt", "--start", "a", "--eps", "1",
+                                 "--predict-c", "1/2"], headed, None),
+        ("bip-selfmap-predict-b", ["bip", "m.txt", "--start", "b", "--eps", "1/2",
+                                   "--predict-c", "3/4"], headed, None),
+        ("bip-selfmap-bad-start", ["bip", "m.txt", "--start", "z"], headed, None),
+    ]
+    for tag, inst in (("cls-local", cls_local()), ("banach", banach()),
+                      ("banach-met", banach(promised=True)), ("contraction-map", contraction())):
+        files = {"i.txt": instance_to_text(inst)}
+        for x0, eps in (("1,1,1", "1/8"), ("1/2,0,1/4", "1/64")):
+            argv = ["bip", "i.txt", "--x0", x0, "--eps", eps, "--csv", "t.csv"]
+            cases.append((f"bip-{tag}-{x0}-{eps}", argv, files, "t.csv"))
+    cases.append(("bip-max-iters", ["bip", "i.txt", "--eps", "1/1000000", "--max-iters", "3",
+                                    "--csv", "t.csv"], {"i.txt": instance_to_text(banach())},
+                  "t.csv"))
+    interpolation = {"b.txt": build_interpolation_circuit(F(9, 10), 10).to_text()}
+    cases += [
+        ("eval-const", ["eval", "c.txt", "0", "0", "0"],
+         {"c.txt": "# one half\nn0: const 1/2\noutputs: n0  # done\n"}, None),
+        ("eval-interpolation", ["eval", "b.txt", "-3/2"], interpolation, None),
+        ("eval-interpolation-zero", ["eval", "b.txt", "0"], interpolation, None),
+        ("eval-distance", ["eval", "d.txt", "1/2", "0", "1", "0", "1/3", "1"],
+         {"d.txt": l1_distance_circuit().to_text()}, None),
+        ("eval-map-surplus", ["eval", "f.txt", "1", "1/2", "1/4", "9"],
+         {"f.txt": scaling_map_circuit(F(1, 2)).to_text()}, None),
+    ]
+    for norm in ("1", "2", "inf"):
+        cases.append((f"power-counterexample-{norm}",
+                      ["power", "a.txt", "counterexample", "--norm", norm], matrix, None))
+    cases += [
+        ("power-bound-diagonal", ["power", "a.txt", "bound", "--x0",
+                                  "0.4472135954999579,0.8944271909999159", "--eps", "0.25"],
+         diagonal, None),
+        ("power-bound-3", ["power", "a.txt", "bound", "--x0", "0.6,0.8,0.0", "--eps", "0.001"],
+         matrix, None),
+        ("power-bound-report", ["power", "a.txt", "bound", "--x0", "1,0,0", "--eps", "0.1",
+                                "--report", "r.txt"], matrix, "r.txt"),
+    ]
+    return cases
 
 
 def verify_cases():
@@ -256,6 +331,11 @@ def collect() -> dict[str, str]:
         argv = ["--jobs", jobs, "power", matrix, "analyze", "--pairs", "60"]
         out[f"power/analyze-jobs-{jobs}"] = run_cli(argv)
     out.update(criterion7_reports())
+    for name, argv, files, extra in parser_cases():
+        for path, text in files.items():
+            write(path, text)
+        out[f"parsers/{name}"] = run_cli(argv) + (
+            f"--- {extra}\n{Path(extra).read_text(encoding='utf-8')}" if extra else "")
     return out
 
 
