@@ -296,6 +296,11 @@ def _parse_node_ref(token: str, line_no: int) -> int:
     return int(token[1:])
 
 
+def content_lines(text: str) -> list[str]:
+    """The lines of an input file with ``#`` comments, surrounding space and blank lines dropped."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the textual circuit format; raises CircuitParseError with line info."""
     gates: dict[int, Gate] = {}

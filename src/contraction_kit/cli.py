@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cls as cls_mod
 from . import converse, gridsearch, iteration, power, reduce as reduce_mod
-from .circuit import CircuitError, format_fraction, parse_circuit, parse_fraction
+from .circuit import CircuitError, content_lines, format_fraction, parse_circuit, parse_fraction
 from .library import as_point, circuit_fn, l1, sq_l2
 
 INPUT_ERRORS = (
@@ -61,7 +61,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     inst = cls_mod.parse_instance(_read(args.instance))
     sol = cls_mod.parse_solution(_read(args.solution))
-    if sol.kind == "Oe" and getattr(inst, "metric_promised", False):
+    if sol.kind == "Oe" and inst.metric_promised:
         raise cls_mod.InstanceError("promise problem: Oe is not accepted by banach-met")
     verdict = cls_mod.verify(inst, sol)
     lines = [
@@ -103,8 +103,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = cls_mod.parse_instance(_read(args.instance))
-    config = gridsearch.GridConfig(resolution=parse_fraction(args.grid))
-    sol = gridsearch.solve_instance(inst, config)
+    sol = gridsearch.solve_instance(inst, parse_fraction(args.grid))
     if sol is None:
         print("no solution found on the grid", file=sys.stderr)
         return 1
@@ -146,8 +145,22 @@ def _power_pairs(sys_: power.SpectralSystem, count: int, seed: int):
 
 
 def cmd_power(args) -> int:
-    matrix = power.parse_matrix(_read(args.matrix))
-    sys_ = power.jacobi_eigensolve(matrix)
+    if args.action == "counterexample":  # a fixed 2x2 system: the matrix file is not read
+        p = math.inf if args.norm == "inf" else float(args.norm)
+        report = power.lp_counterexample(p)
+        lines = [
+            "command power counterexample",
+            f"norm l{args.norm}",
+            f"x {report.x}",
+            f"y {report.y}",
+            f"d_before {report.d_before!r}",
+            f"d_after {report.d_after!r}",
+            f"ratio {report.ratio!r}",
+            f"expanding {report.expanding}",
+        ]
+        _emit("\n".join(lines) + "\n", args.report)
+        return 0 if report.expanding else 1
+    sys_ = power.jacobi_eigensolve(power.parse_matrix(_read(args.matrix)))
     if args.action == "analyze":
         seed = int(os.environ.get("CONTRACTION_KIT_SEED", "0"))
         cert = power.certify_contraction_rate(sys_, _power_pairs(sys_, args.pairs, seed))
@@ -165,21 +178,6 @@ def cmd_power(args) -> int:
             ]
             _emit("\n".join(lines) + "\n", args.report)
         return 0 if cert.ok else 1
-    if args.action == "counterexample":
-        p = math.inf if args.norm == "inf" else float(args.norm)
-        report = power.lp_counterexample(p)
-        lines = [
-            "command power counterexample",
-            f"norm l{args.norm}",
-            f"x {report.x}",
-            f"y {report.y}",
-            f"d_before {report.d_before!r}",
-            f"d_after {report.d_after!r}",
-            f"ratio {report.ratio!r}",
-            f"expanding {report.expanding}",
-        ]
-        _emit("\n".join(lines) + "\n", args.report)
-        return 0 if report.expanding else 1
     # bound
     x0 = [float(t) for t in args.x0.split(",")]
     report = power.iteration_bound(sys_, x0, float(args.eps))
@@ -242,8 +240,7 @@ def _bip_on_selfmap(args, text: str) -> int:
 
 def cmd_bip(args) -> int:
     text = _read(args.instance)
-    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    if head.startswith("points"):
+    if next(iter(content_lines(text)), "").startswith("points"):
         return _bip_on_selfmap(args, text)
     return _bip_on_circuit(args, text)
 

@@ -16,6 +16,8 @@ Instance file format (UTF-8, ``#`` comments):
     ...circuit lines...
     end
 
+A constant or circuit the tag's class does not declare is an input error.
+
 Solution file format: a kind tag line, then one witness point per line as
 three rationals.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .circuit import Circuit, format_fraction, parse_circuit, parse_fraction
+from .circuit import Circuit, content_lines, format_fraction, parse_circuit, parse_fraction
 from .library import Point, as_point, circuit_fn, in_unit_cube, l1, sq_l2
 from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
 
@@ -46,16 +48,34 @@ def _positive(q, name: str) -> Fraction:
     return q
 
 
-def _check_arity(circ: Circuit, inputs: int, outputs: int, name: str) -> None:
-    if circ.input_arity != inputs or circ.output_arity != outputs:
-        raise InstanceError(
-            f"circuit {name} must map {inputs} inputs to {outputs} outputs, "
-            f"has {circ.input_arity}->{circ.output_arity}"
-        )
+class _Problem:
+    """Validation shared by the problem classes, read from each class's declaration.
+
+    ``circuits`` lists (name, inputs, outputs), the map f first; ``constants``
+    lists the instance file's constant keys in field order.  Parsing, printing
+    and the clause evaluators read the same declaration.
+    """
+
+    metric_promised = False
+
+    def __post_init__(self):
+        for name, inputs, outputs in self.circuits:
+            circ = getattr(self, name)
+            if circ.input_arity != inputs or circ.output_arity != outputs:
+                raise InstanceError(
+                    f"circuit {name} must map {inputs} inputs to {outputs} outputs, "
+                    f"has {circ.input_arity}->{circ.output_arity}"
+                )
+        self.eps = _positive(self.eps, "eps")
+        self.lam = _positive(self.lam, "lambda")
+        if "c" in self.constants:
+            self.c = Fraction(self.c)
+            if not 0 < self.c < 1:
+                raise InstanceError("c must lie in (0,1)")
 
 
 @dataclass
-class CLSLocalInstance:
+class CLSLocalInstance(_Problem):
     f: Circuit
     p: Circuit
     eps: Fraction
@@ -63,16 +83,12 @@ class CLSLocalInstance:
 
     tag = "cls-local"
     namespace = "cls-local"
-
-    def __post_init__(self):
-        _check_arity(self.f, 3, 3, "f")
-        _check_arity(self.p, 3, 1, "p")
-        self.eps = _positive(self.eps, "eps")
-        self.lam = _positive(self.lam, "lambda")
+    circuits = (("f", 3, 3), ("p", 3, 1))
+    constants = ("eps", "lambda")
 
 
 @dataclass
-class BanachInstance:
+class BanachInstance(_Problem):
     f: Circuit
     d: Circuit
     eps: Fraction
@@ -81,15 +97,8 @@ class BanachInstance:
     metric_promised: bool = False
 
     namespace = "banach"
-
-    def __post_init__(self):
-        _check_arity(self.f, 3, 3, "f")
-        _check_arity(self.d, 6, 1, "d")
-        self.eps = _positive(self.eps, "eps")
-        self.lam = _positive(self.lam, "lambda")
-        self.c = Fraction(self.c)
-        if not 0 < self.c < 1:
-            raise InstanceError("c must lie in (0,1)")
+    circuits = (("f", 3, 3), ("d", 6, 1))
+    constants = ("eps", "lambda", "c")
 
     @property
     def tag(self) -> str:
@@ -97,7 +106,7 @@ class BanachInstance:
 
 
 @dataclass
-class ContractionMapInstance:
+class ContractionMapInstance(_Problem):
     f: Circuit
     eps: Fraction
     lam: Fraction
@@ -105,17 +114,19 @@ class ContractionMapInstance:
 
     tag = "contraction-map"
     namespace = "contraction-map"
-
-    def __post_init__(self):
-        _check_arity(self.f, 3, 3, "f")
-        self.eps = _positive(self.eps, "eps")
-        self.lam = _positive(self.lam, "lambda")
-        self.c = Fraction(self.c)
-        if not 0 < self.c < 1:
-            raise InstanceError("c must lie in (0,1)")
+    circuits = (("f", 3, 3),)
+    constants = ("eps", "lambda", "c")
 
 
 ProblemInstance = Union[CLSLocalInstance, BanachInstance, ContractionMapInstance]
+
+# instance file tag -> (class, extra constructor arguments)
+_PROBLEMS = {
+    "cls-local": (CLSLocalInstance, {}),
+    "banach": (BanachInstance, {}),
+    "banach-met": (BanachInstance, {"metric_promised": True}),
+    "contraction-map": (ContractionMapInstance, {}),
+}
 
 
 @dataclass(frozen=True)
@@ -196,22 +207,16 @@ _WITNESSES = {kind: clause.witnesses for (_, kind), clause in CLAUSES.items()}
 
 
 def accepted_kinds(inst: ProblemInstance) -> tuple[str, ...]:
-    promised = getattr(inst, "metric_promised", False)
     return tuple(
         kind for namespace, kind in CLAUSES
-        if namespace == inst.namespace and not (promised and kind == "Oe")
+        if namespace == inst.namespace and not (inst.metric_promised and kind == "Oe")
     )
 
 
 def evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
     """Callables for the map f and for the second circuit the clauses read (p, d or None)."""
-    if isinstance(inst, CLSLocalInstance):
-        second = circuit_fn(inst.p)
-    elif isinstance(inst, BanachInstance):
-        second = circuit_fn(inst.d)
-    else:
-        second = None
-    return circuit_fn(inst.f), second
+    f, *second = (circuit_fn(getattr(inst, name)) for name, _, _ in inst.circuits)
+    return f, second[0] if second else None
 
 
 @dataclass(frozen=True)
@@ -299,79 +304,58 @@ def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
 
 
 def instance_to_text(inst: ProblemInstance) -> str:
-    lines = [inst.tag, f"eps {format_fraction(inst.eps)}", f"lambda {format_fraction(inst.lam)}"]
-    if not isinstance(inst, CLSLocalInstance):
-        lines.append(f"c {format_fraction(inst.c)}")
-    blocks = [("f", inst.f)]
-    if isinstance(inst, CLSLocalInstance):
-        blocks.append(("p", inst.p))
-    elif isinstance(inst, BanachInstance):
-        blocks.append(("d", inst.d))
-    for name, circ in blocks:
-        lines.append(f"circuit {name}")
-        lines.append(circ.to_text().rstrip("\n"))
-        lines.append("end")
+    values = {"eps": inst.eps, "lambda": inst.lam, "c": getattr(inst, "c", None)}
+    lines = [inst.tag] + [f"{key} {format_fraction(values[key])}" for key in inst.constants]
+    for name, _, _ in inst.circuits:
+        lines += [f"circuit {name}", getattr(inst, name).to_text().rstrip("\n"), "end"]
     return "\n".join(lines) + "\n"
 
 
 def parse_instance(text: str) -> ProblemInstance:
-    lines = text.splitlines()
-    idx = 0
-
-    def next_line() -> str:
-        nonlocal idx
-        while idx < len(lines):
-            ln = lines[idx].split("#", 1)[0].strip()
-            idx += 1
-            if ln:
-                return ln
+    lines = iter(content_lines(text))
+    tag = next(lines, None)
+    if tag is None:
         raise InstanceError("unexpected end of instance file")
-
-    tag = next_line()
-    if tag not in ("cls-local", "banach", "banach-met", "contraction-map"):
+    if tag not in _PROBLEMS:
         raise InstanceError(f"unknown problem tag {tag!r}")
+    problem, extra = _PROBLEMS[tag]
+    names = [name for name, _, _ in problem.circuits]
     constants: dict[str, Fraction] = {}
     circuits: dict[str, Circuit] = {}
-    while True:
-        try:
-            ln = next_line()
-        except InstanceError:
-            break
+    for ln in lines:
         if ln.startswith("circuit"):
             parts = ln.split()
             if len(parts) != 2:
                 raise InstanceError(f"expected 'circuit <name>', got {ln!r}")
             name = parts[1]
+            if name not in names:
+                raise InstanceError(f"{tag} instance takes no circuit {name!r}")
             if name in circuits:
                 raise InstanceError(f"repeated circuit {name!r}")
             body: list[str] = []
-            while True:
-                raw = next_line()
+            for raw in lines:
                 if raw == "end":
                     break
                 body.append(raw)
+            else:
+                raise InstanceError("unexpected end of instance file")
             circuits[name] = parse_circuit("\n".join(body) + "\n")
         else:
             key, _, val = ln.partition(" ")
+            if key not in problem.constants:
+                raise InstanceError(f"{tag} instance takes no constant {key!r}")
             if key in constants:
                 raise InstanceError(f"repeated constant {key!r}")
             constants[key] = parse_fraction(val)
     try:
-        if tag == "cls-local":
-            return CLSLocalInstance(circuits["f"], circuits["p"], constants["eps"], constants["lambda"])
-        if tag == "contraction-map":
-            return ContractionMapInstance(circuits["f"], constants["eps"], constants["lambda"], constants["c"])
-        return BanachInstance(
-            circuits["f"], circuits["d"], constants["eps"], constants["lambda"],
-            constants["c"], metric_promised=(tag == "banach-met"),
-        )
+        args = [circuits[name] for name in names] + [constants[key] for key in problem.constants]
     except KeyError as exc:
         raise InstanceError(f"missing field {exc} for {tag} instance") from exc
+    return problem(*args, **extra)
 
 
 def parse_solution(text: str) -> Solution:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise InstanceError("empty solution file")
     kind = lines[0]

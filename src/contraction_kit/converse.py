@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .circuit import format_fraction, parse_fraction
+from .circuit import content_lines, format_fraction, parse_fraction
 from .metrics import check_metric_matrix
 
 Matrix = list[list[Fraction]]
@@ -102,8 +102,7 @@ class FiniteSelfMap:
 
 
 def parse_selfmap(text: str) -> FiniteSelfMap:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines or not lines[0].startswith("points"):
         raise SelfMapError("missing 'points <n>' header")
     header = lines[0].split()

@@ -4,16 +4,15 @@ Not a general CLS solver: it scans a rational grid over [0,1]^3 (default
 resolution 1/16) for each accepted solution kind in a fixed priority order
 (fixed-point-style witnesses first), and checks violation clauses over a
 coarser pair/triple budget.  Candidates are decided by the verifier's own
-clause predicates (``cls.CLAUSES``) on memoised circuit evaluators, every
-returned solution is re-verified before it is handed back, and the scan
-order is deterministic.
+clause predicates (``cls.CLAUSES``) on the instance's circuit evaluators,
+every returned solution is re-verified before it is handed back, and the
+scan order is deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -25,11 +24,6 @@ COARSE_RESOLUTION = Fraction(1, 4)
 MAX_PAIRS = 4000
 MAX_QUADS = 4000
 MAX_TRIANGLE_POINTS = 24
-
-
-@dataclass
-class GridConfig:
-    resolution: Fraction = Fraction(1, 16)
 
 
 def grid_points(resolution: Fraction) -> list[Point]:
@@ -78,12 +72,11 @@ def _metric_violations(d, fine: list[Point]) -> Iterable[tuple[Point, ...]]:
         yield violation.witnesses
 
 
-def solve_instance(inst: ProblemInstance, config: GridConfig | None = None) -> Solution | None:
+def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)) -> Solution | None:
     """First grid candidate, in kind priority order, whose clause holds."""
-    config = config or GridConfig()
-    f, g = (functools.cache(fn) if fn else None for fn in evaluators(inst))
-    fine = grid_points(config.resolution)
-    pairs = functools.cache(lambda: _candidate_pairs(config.resolution))
+    f, g = evaluators(inst)
+    fine = grid_points(resolution)
+    pairs = functools.cache(lambda: _candidate_pairs(resolution))
     # candidate streams by witness count; pairs are built only if a pair kind is reached
     streams = {
         1: lambda: ((x,) for x in fine),

@@ -19,6 +19,8 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
+from .circuit import content_lines
+
 RESIDUAL_TOL = 1e-10
 ORTHO_TOL = 1e-10
 GAP_MIN = 1e-8
@@ -34,6 +36,19 @@ class SpectralError(ValueError):
     """Matrix or vector fails a module precondition."""
 
 
+def _check_matrix(a: np.ndarray) -> None:
+    """The matrix must be square, of dimension 2..MAX_DIMENSION, and symmetric."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise SpectralError("matrix must be square")
+    n = a.shape[0]
+    if n < 2:
+        raise SpectralError(f"dimension {n} is below 2: the eigen-metric needs a second eigenvalue")
+    if n > MAX_DIMENSION:
+        raise SpectralError(f"dimension {n} exceeds {MAX_DIMENSION}")
+    if not np.allclose(a, a.T, atol=1e-12, rtol=0):
+        raise SpectralError("matrix is not symmetric")
+
+
 @dataclass
 class SpectralSystem:
     """Symmetric matrix with validated, descending eigenpairs (v_i as rows)."""
@@ -46,13 +61,10 @@ class SpectralSystem:
         a = np.asarray(self.matrix, dtype=float)
         lam = np.asarray(self.eigenvalues, dtype=float)
         vec = np.asarray(self.eigenvectors, dtype=float)
+        _check_matrix(a)
         n = a.shape[0]
-        if a.shape != (n, n) or lam.shape != (n,) or vec.shape != (n, n):
+        if lam.shape != (n,) or vec.shape != (n, n):
             raise SpectralError("inconsistent shapes")
-        if n > MAX_DIMENSION:
-            raise SpectralError(f"dimension {n} exceeds {MAX_DIMENSION}")
-        if not np.allclose(a, a.T, atol=1e-12, rtol=0):
-            raise SpectralError("matrix is not symmetric")
         if np.any(np.diff(lam) > 0):
             raise SpectralError("eigenvalues must be sorted descending")
         if lam[0] - lam[1] < GAP_MIN:
@@ -88,13 +100,8 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass is < 1e-14."""
     a0 = np.asarray(a, dtype=float)
+    _check_matrix(a0)
     n = a0.shape[0]
-    if a0.shape != (n, n):
-        raise SpectralError("matrix must be square")
-    if n > MAX_DIMENSION:
-        raise SpectralError(f"dimension {n} exceeds {MAX_DIMENSION}")
-    if not np.allclose(a0, a0.T, atol=1e-12, rtol=0):
-        raise SpectralError("matrix is not symmetric")
     work = a0.copy()
     vecs = np.eye(n)
     for _ in range(100):
@@ -124,8 +131,6 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     order = np.argsort(-lam)
     lam = lam[order]
     rows = np.array([_fix_sign(vecs[:, i]) for i in order])
-    if lam[0] - lam[1] < GAP_MIN:
-        raise SpectralError(f"gap too small for the eigen-metric: {lam[0] - lam[1]:.3e}")
     return SpectralSystem(a0, lam, rows)
 
 
@@ -369,8 +374,7 @@ def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> Ite
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise SpectralError("empty matrix file")
     n = int(lines[0])

@@ -295,3 +295,35 @@ def test_power_analyze_csv_numbers_every_pair(workdir, capsys):
     assert main(["--format", "csv", "power", path, "analyze", "--pairs", "5"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3", "4"]
+
+
+def test_stray_constant_exits_two(workdir, capsys):
+    # before, a cls-local file with c and foo lines verified with exit 0
+    text = instance_to_text(cls_local_corpus()[0])
+    inst = write(workdir / "inst.txt", text.replace("\ncircuit f\n", "\nc 1/2\nfoo 7\ncircuit f\n"))
+    sol = write(workdir / "co1.txt", Solution("CO1", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "cls-local instance takes no constant 'c'")
+
+
+def test_stray_circuit_block_exits_two(workdir, capsys):
+    text = instance_to_text(cls_local_corpus()[0])
+    inst = write(workdir / "inst.txt", text + "circuit q\n" + CONST_HALF + "end\n")
+    sol = write(workdir / "co1.txt", Solution("CO1", ((F(0), F(0), F(0)),)).to_text())
+    assert_input_error(["verify", inst, sol], capsys, "cls-local instance takes no circuit 'q'")
+
+
+def test_bip_selfmap_opening_with_comment(workdir, capsys):
+    path = write(workdir / "m.txt", "# a chain of four points\n\n" + CHAIN_SELFMAP)
+    assert main(["bip", path, "--start", "a", "--eps", "1"]) == 0
+    assert "realized_steps_to_eps 2" in capsys.readouterr().out
+
+
+def test_one_by_one_matrix_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", "1\n5\n")
+    assert_input_error(["power", path, "analyze"], capsys, "dimension 1 is below 2")
+
+
+def test_counterexample_ignores_the_matrix_file(workdir, capsys):
+    path = write(workdir / "m.txt", "2\n2.0 1.0\n0.0 1.0\n")  # not symmetric
+    assert main(["power", path, "counterexample", "--norm", "2"]) == 0
+    assert "expanding True" in capsys.readouterr().out

@@ -20,7 +20,7 @@ from contraction_kit.cls import (
     verify_cls_local,
     verify_contraction_map,
 )
-from contraction_kit.gridsearch import GridConfig, solve_instance
+from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
     affine_contraction_circuit,
     coordinate_potential_circuit,
@@ -239,7 +239,7 @@ def test_syntactic_banach_grid_totality_on_corpus():
     # desk-scale totality: the grid solver finds an accepted witness on every
     # corpus instance
     for inst in banach_corpus()[:6]:
-        sol = solve_instance(inst, GridConfig())
+        sol = solve_instance(inst)
         assert sol is not None
         assert verify(inst, sol)
 
