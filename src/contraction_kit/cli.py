@@ -160,6 +160,15 @@ def cmd_power(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.report)
         return 0 if report.expanding else 1
+    # an overflow would otherwise surface as a warning and a misleading later error
+    try:
+        with np.errstate(over="raise"):
+            return _power_on_matrix(args)
+    except FloatingPointError as exc:
+        raise power.SpectralError(f"matrix too large for float64 arithmetic: {exc}") from None
+
+
+def _power_on_matrix(args) -> int:
     sys_ = power.jacobi_eigensolve(power.parse_matrix(_read(args.matrix)))
     if args.action == "analyze":
         seed = int(os.environ.get("CONTRACTION_KIT_SEED", "0"))
@@ -180,6 +189,10 @@ def cmd_power(args) -> int:
         return 0 if cert.ok else 1
     # bound
     x0 = [float(t) for t in args.x0.split(",")]
+    if len(x0) != sys_.dimension:
+        raise power.SpectralError(
+            f"--x0 has {len(x0)} entries but the matrix has dimension {sys_.dimension}"
+        )
     report = power.iteration_bound(sys_, x0, float(args.eps))
     lines = [
         "command power bound",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .circuit import content_lines, format_fraction, parse_fraction
-from .metrics import check_metric_matrix
+from .metrics import check_metric_matrix, is_semimetric, min_plus_closure, scale_to_integers
 
 Matrix = list[list[Fraction]]
 
@@ -109,6 +109,8 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
     if len(header) != 2:
         raise SelfMapError(f"expected 'points <n>' header, got {lines[0]!r}")
     n = int(header[1])
+    if n < 1:
+        raise SelfMapError(f"point count must be a positive integer, got {n}")
     if len(lines) < n + 4:
         raise SelfMapError("truncated self-map file")
     labels, coords = [], []
@@ -250,8 +252,7 @@ def compute_rho(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
     return rho
 
 
-def geodesic_closure(rho: Matrix) -> Matrix:
-    """All-pairs shortest chain lengths over rho; enforces the triangle inequality."""
+def _check_rho(rho: Matrix) -> None:
     n = len(rho)
     for i in range(n):
         if rho[i][i] != 0:
@@ -261,6 +262,28 @@ def geodesic_closure(rho: Matrix) -> Matrix:
                 raise ValueError("rho must be symmetric")
             if i != j and rho[i][j] <= 0:
                 raise ValueError("rho must be positive off the diagonal")
+
+
+def geodesic_closure(rho: Matrix) -> Matrix:
+    """All-pairs shortest chain lengths over rho; enforces the triangle inequality.
+
+    Floyd-Warshall runs on rho scaled to a common denominator, on int64 when
+    no sum can overflow and on Python ints otherwise, so the result is exact
+    and equals ``_geodesic_closure_reference``.
+    """
+    d, scale = scale_to_integers(rho)
+    if not is_semimetric(d):
+        _check_rho(rho)  # raises the message of the first bad entry
+    min_plus_closure(d)
+    rows = d.tolist()
+    value = {v: Fraction(v, scale) for v in {v for row in rows for v in row}}
+    return [[value[v] for v in row] for row in rows]
+
+
+def _geodesic_closure_reference(rho: Matrix) -> Matrix:
+    """The Fraction triple loop that ``geodesic_closure`` must equal (tests only)."""
+    _check_rho(rho)
+    n = len(rho)
     dist = [row[:] for row in rho]
     for k in range(n):
         for i in range(n):

@@ -114,7 +114,6 @@ class IterationBudget:
     d0: float
     c: float
     eps: float
-    delta: float | None = None
     settled_steps: int | None = None
 
     @property
@@ -194,21 +193,3 @@ def _least_steps(lo: int, hi: int, d0: Fraction, c: Fraction, eps: Fraction) -> 
 # The earlier name of the same budget, kept for callers that use it.
 predict_iterations_sound = predict_iterations
 
-
-def predict_iterations_local(d0, c, eps, delta, base: float = math.e) -> IterationBudget:
-    """Local-contraction budget (log d0 + log(1/eps) + log(1-c) + 1)/log(1/c) + 1.
-
-    delta is the radius of the local-contraction ball; it enters only through
-    the metric in which the caller measured d0 (d_{c,delta/2}).  The bare +1
-    in the numerator makes this formula base-dependent; base defaults to e,
-    and the documented worked examples use base 2.
-    """
-    d0, c, eps = float(d0), float(c), float(eps)
-    _check_budget_args(d0, c, eps)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    log = lambda v: math.log(v, base)
-    if d0 == 0:
-        return IterationBudget(-math.inf, d0, c, eps, float(delta))
-    value = (log(d0) + log(1 / eps) + log(1 - c) + 1) / log(1 / c) + 1
-    return IterationBudget(value, d0, c, eps, float(delta))

@@ -8,9 +8,12 @@ they replay bit-for-bit through re-evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .circuit import Circuit
 from .library import Point, as_point, circuit_fn, l1
@@ -191,18 +194,72 @@ def find_contraction_violation(
     return None
 
 
+def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
+    """(D, L) with D[i, j] = mat[i][j] * L exactly, L the lcm of the denominators.
+
+    Entries are ints or Fractions.  D is int64 when 2 * max|D| < 2^63, so
+    the sum of any two entries fits; otherwise it holds Python ints (dtype
+    object).  Both give the same exact values.
+    """
+    flat = [x for row in mat for x in row]
+    factor = {q: 1 for q in {x.denominator for x in flat}}
+    scale = math.lcm(*factor)
+    for q in factor:
+        factor[q] = scale // q
+    ints = [x.numerator * factor[x.denominator] for x in flat]
+    dtype = np.int64 if 2 * max(map(abs, ints), default=0) < 1 << 63 else object
+    return np.array(ints, dtype=dtype).reshape(len(mat), len(mat)), scale
+
+
+def min_plus_closure(d: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall in place on a scaled matrix with entries >= 0; returns d.
+
+    Entries only fall, and each sum adds two of them, so a scaled matrix
+    from ``scale_to_integers`` cannot overflow.
+    """
+    for k in range(len(d)):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
+def is_semimetric(d: np.ndarray) -> bool:
+    """Zero diagonal, positive off it, and symmetric: every axiom but the triangle."""
+    return bool(
+        (np.diagonal(d) == 0).all()
+        and np.count_nonzero(d > 0) == d.size - len(d)
+        and np.array_equal(d, d.T)
+    )
+
+
+def _is_metric_matrix(d: np.ndarray) -> bool:
+    """The four axioms of ``_first_failure`` on a scaled square matrix, vectorised.
+
+    For a semimetric the triangle inequality holds iff no chain is shorter
+    than the direct entry, i.e. iff its closure is d itself.
+    """
+    return is_semimetric(d) and np.array_equal(min_plus_closure(d.copy()), d)
+
+
 def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
     """Exhaustive metric-axiom check for a square distance matrix.
 
     Returns None on pass or a short description of the first failure, in the
     scan order of ``_first_failure``; used to vet finite-space base metrics
-    and synthesized matrices.
+    and synthesized matrices.  Acceptance is decided on the matrix scaled to
+    integers; only a failing matrix runs the scan, in ``_describe_first_failure``.
     """
     n = len(dist)
     for i in range(n):
         if len(dist[i]) != n:
             return f"row {i} has length {len(dist[i])}, expected {n}"
-    failure = _first_failure(dist, range(n))
+    if _is_metric_matrix(scale_to_integers(dist)[0]):
+        return None
+    return _describe_first_failure(dist)
+
+
+def _describe_first_failure(dist: Sequence[Sequence[Fraction]]) -> str | None:
+    """``check_metric_matrix``'s answer for a square matrix, from the ``_first_failure`` scan."""
+    failure = _first_failure(dist, range(len(dist)))
     if failure is None:
         return None
     axiom, idx, lhs, rhs = failure

@@ -327,3 +327,24 @@ def test_counterexample_ignores_the_matrix_file(workdir, capsys):
     path = write(workdir / "m.txt", "2\n2.0 1.0\n0.0 1.0\n")  # not symmetric
     assert main(["power", path, "counterexample", "--norm", "2"]) == 0
     assert "expanding True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_selfmap_nonpositive_point_count_exits_two(workdir, capsys, count):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP.replace("points 4", f"points {count}"))
+    assert_input_error(["synthesize", path, "1/2", "1"], capsys,
+                       f"point count must be a positive integer, got {count}")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would add stderr lines
+@pytest.mark.parametrize("action", ["analyze", "bound"])
+def test_overflowing_matrix_exits_two(workdir, capsys, action):
+    path = write(workdir / "m.txt", "3\n1e300 0 0\n0 1 0\n0 0 0.5\n")
+    assert_input_error(["power", path, action, "--x0", "0.6,0.8,0"], capsys,
+                       "matrix too large for float64 arithmetic: overflow")
+
+
+def test_power_bound_x0_length_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", "3\n2 0 0\n0 1 0\n0 0 0.5\n")
+    assert_input_error(["power", path, "bound", "--x0", "1,0"], capsys,
+                       "--x0 has 2 entries but the matrix has dimension 3")

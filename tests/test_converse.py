@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from corpus import random_selfmap
 from contraction_kit.converse import (
     FiniteSelfMap,
     SelfMapError,
+    _geodesic_closure_reference,
     compute_levels,
     compute_orbit_metric,
     compute_rho,
@@ -17,6 +19,7 @@ from contraction_kit.converse import (
     parse_selfmap,
     synthesize,
 )
+from contraction_kit.metrics import scale_to_integers
 
 
 def chain_selfmap(distances=(1, 1, 1)) -> FiniteSelfMap:
@@ -152,12 +155,36 @@ def test_geodesic_closure_direct_and_shortcut():
 
 
 def test_geodesic_closure_validates_input():
-    with pytest.raises(ValueError):
-        geodesic_closure([[F(1)]])
-    with pytest.raises(ValueError):
-        geodesic_closure([[F(0), F(1)], [F(2), F(0)]])
-    with pytest.raises(ValueError):
-        geodesic_closure([[F(0), F(0)], [F(0), F(0)]])
+    cases = [
+        ([[F(1)]], "zero diagonal"),
+        ([[F(0), F(1)], [F(2), F(0)]], "symmetric"),
+        ([[F(0), F(0)], [F(0), F(0)]], "positive off the diagonal"),
+        # several entries are bad: both closures name the first in row order
+        ([[F(0), F(-1), F(2)], [F(-1), F(0), F(1)], [F(3), F(1), F(5)]], "positive off"),
+    ]
+    for rho, message in cases:
+        for closure in (geodesic_closure, _geodesic_closure_reference):
+            with pytest.raises(ValueError, match=message):
+                closure(rho)
+
+
+@pytest.mark.parametrize("huge", [False, True])
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=30, deadline=None)
+def test_geodesic_closure_matches_reference(huge, n, data):
+    # entries of at least 2^62 leave no int64 headroom and force Python ints
+    num = st.integers(12 * 2**62, 2**70) if huge else st.integers(1, 64)
+    weights = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = F(data.draw(num), data.draw(st.integers(1, 12)))
+            weights[i][j] = weights[j][i] = w
+    if n > 1:
+        expected = object if huge else np.int64
+        assert scale_to_integers(weights)[0].dtype == expected
+    closure = geodesic_closure(weights)
+    assert closure == _geodesic_closure_reference(weights)
+    assert all(isinstance(v, F) for row in closure for v in row)
 
 
 @given(st.integers(2, 6), st.data())

@@ -10,7 +10,6 @@ from contraction_kit.iteration import (
     StopReason,
     predict_iterations,
     predict_iterations_sound,
-    predict_iterations_local,
     run_bip,
 )
 from contraction_kit.library import l1
@@ -171,24 +170,11 @@ def test_sound_budget_dominates_classic_form():
                 assert float(c) ** n * float(d0) / (1 - float(c)) <= float(eps) / 2 + 1e-12
 
 
-def test_local_budget_worked_examples_base_two():
-    assert predict_iterations_local(1, F(1, 2), 1, 1, base=2).predicted_steps == pytest.approx(1)
-    assert predict_iterations_local(2, F(1, 2), F(1, 4), F(1, 4), base=2).predicted_steps == pytest.approx(4)
-
-
-def test_local_budget_monotone_in_eps():
-    small = predict_iterations_local(3, F(1, 2), F(1, 8), F(1, 4))
-    large = predict_iterations_local(3, F(1, 2), F(1, 2), F(1, 4))
-    assert large.predicted_steps <= small.predicted_steps
-
-
 def test_budget_argument_validation():
     with pytest.raises(ValueError):
         predict_iterations(1, F(3, 2), F(1, 2))
     with pytest.raises(ValueError):
         predict_iterations(1, F(1, 2), 0)
-    with pytest.raises(ValueError):
-        predict_iterations_local(1, F(1, 2), F(1, 2), 0)
     with pytest.raises(ValueError):
         run_bip(halve, ONES, l1, F(1, 8), 0)
 

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from contraction_kit.library import (
@@ -17,10 +19,12 @@ from contraction_kit.library import (
 from contraction_kit.metrics import (
     AXIOM_TRIANGLE,
     PointPair,
+    _describe_first_failure,
     check_metric_axioms,
     check_metric_matrix,
     find_contraction_violation,
     find_lipschitz_violation,
+    scale_to_integers,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -155,3 +159,46 @@ def test_matrix_checker_accepts_and_rejects():
     # two axioms fail: the report names the first in axiom order
     assert check_metric_matrix([[F(1), F(-1)], [F(-1), F(0)]]) == "NONNEG: d(0,1) = -1 < 0"
     assert check_metric_matrix([[F(0)], [F(0)]]) == "row 0 has length 1, expected 2"
+
+
+METRIC_3 = [[F(0), F(1), F(3, 2)], [F(1), F(0), F(1)], [F(3, 2), F(1), F(0)]]
+# entries that break exactly one axiom of the metric above, and the report's prefix
+AXIOM_BREAKS = [
+    ({(0, 2): F(-1, 2)}, "NONNEG: d(0,2)"),
+    ({(1, 1): F(1, 3)}, "IDENTITY: d(1,1)"),
+    ({(0, 2): F(0), (2, 0): F(0)}, "IDENTITY: d(0,2) = 0"),
+    ({(1, 2): F(5, 4)}, "SYMMETRY: d(1,2)"),
+    ({(0, 2): F(3), (2, 0): F(3)}, "TRIANGLE: d(0,2)"),
+]
+
+
+@pytest.mark.parametrize("scale", [1, 2**63])
+@pytest.mark.parametrize("cells, prefix", AXIOM_BREAKS)
+def test_matrix_checker_matches_reference_on_each_axiom(scale, cells, prefix):
+    dist = [r[:] for r in METRIC_3]
+    for (i, j), value in cells.items():
+        dist[i][j] = value
+    dist = [[v * scale for v in r] for r in dist]
+    assert scale_to_integers(dist)[0].dtype == (object if scale > 1 else np.int64)
+    message = check_metric_matrix(dist)
+    assert message == _describe_first_failure(dist)
+    assert message.startswith(prefix)
+    assert check_metric_matrix([[v * scale for v in r] for r in METRIC_3]) is None
+
+
+@given(st.integers(1, 7), st.sampled_from(["raw", "symmetric"]), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_matrix_checker_matches_reference_scan(n, shape, huge, data):
+    # symmetric entries in [1, 2] always form a metric; [1, 5] often breaks the triangle
+    low = -1 if shape == "raw" else 1
+    high = data.draw(st.sampled_from([2, 5]))
+    sixths = data.draw(st.lists(st.integers(6 * low, 6 * high), min_size=n * n, max_size=n * n))
+    dist = [[F(v, 6) for v in sixths[i * n : (i + 1) * n]] for i in range(n)]
+    if shape == "symmetric":
+        for i in range(n):
+            dist[i][i] = F(0)
+            for j in range(i):
+                dist[j][i] = dist[i][j]
+    if huge:
+        dist = [[v * 2**64 for v in r] for r in dist]
+    assert check_metric_matrix(dist) == _describe_first_failure(dist)
