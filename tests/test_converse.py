@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from corpus import random_selfmap
 from contraction_kit.converse import (
     FiniteSelfMap,
     SelfMapError,
+    _certify,
     _geodesic_closure_reference,
     compute_levels,
     compute_orbit_metric,
@@ -20,6 +23,8 @@ from contraction_kit.converse import (
     synthesize,
 )
 from contraction_kit.metrics import scale_to_integers
+
+CERTIFICATE_PINS = Path(__file__).parent / "certificate_pins.json"
 
 
 def chain_selfmap(distances=(1, 1, 1)) -> FiniteSelfMap:
@@ -274,3 +279,62 @@ def test_synthesis_certificate_on_random_corpus_sample():
                     assert m.d(i, j) <= s.d_m[i][j]
                 if s.d_c[i][fp] <= s.eps:
                     assert m.d(i, fp) <= 2 * s.eps
+
+
+CORRUPTION_FACTORS = (F(1, 64), F(1, 4), F(1, 2), F(3, 4), F(3, 2), F(2), F(8))
+
+
+def corrupted_certificate_cases():
+    """_certify arguments whose d_M and d_c are corrupted but stay semimetrics.
+
+    Each case runs the synthesis stages on a small random self-map, then
+    scales up to three symmetric pairs of d_M and of d_c by one of
+    CORRUPTION_FACTORS.  Every fourth case first scales the base metric and
+    eps by 2^70/3, so the scaled integers leave int64.
+    """
+    rng = random.Random(7)
+    cases = []
+    for k in range(40):
+        m = random_selfmap(rng, rng.randint(3, 7))
+        big = F(2**70, 3) if k % 4 == 3 else F(1)
+        if big != 1:
+            d = [[v * big for v in row] for row in m.base_distance]
+            m = FiniteSelfMap(m.labels, m.coords, d, m.map, m.fixed_point)
+        c = rng.choice((F(1, 4), F(1, 2), F(9, 10)))
+        eps = rng.choice((F(1, 4), F(1, 2), F(2))) * big
+        w = find_invariant_neighborhood(m, eps)
+        d_m = compute_orbit_metric(m)
+        levels, _ = compute_levels(m, w)
+        d_c = geodesic_closure(compute_rho(d_m, levels, c))
+        for mat in (d_m, d_c):
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.sample(range(m.size), 2)
+                mat[i][j] = mat[j][i] = mat[i][j] * rng.choice(CORRUPTION_FACTORS)
+        cases.append((m, c, eps, w, d_m, d_c))
+    return cases
+
+
+def test_certificate_failures_match_pins():
+    # certificate_pins.json holds (name, ok, detail) of every entry, captured
+    # before the entries were decided on integers; it is never regenerated
+    pins = json.loads(CERTIFICATE_PINS.read_text(encoding="utf-8"))
+    got = [
+        [[e.name, e.ok, e.detail] for e in _certify(m, c, eps, w, d_m, None, None, d_c)]
+        for m, c, eps, w, d_m, d_c in corrupted_certificate_cases()
+    ]
+    assert got == pins
+    failing = {name for case in pins for name, ok, _ in case if not ok}
+    assert failing == {name for name, _, _ in pins[0]}  # every entry fails somewhere
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 1): F(0), (1, 0): F(0)}, "positive off the diagonal"),
+    ({(1, 0): F(100)}, "symmetric"),
+    ({(2, 2): F(1)}, "zero diagonal"),
+])
+def test_certify_rejects_non_semimetric_d_c(entries, message):
+    m, c, eps, w, d_m, d_c = corrupted_certificate_cases()[2]
+    for (i, j), value in entries.items():
+        d_c[i][j] = value
+    with pytest.raises(ValueError, match=message):
+        _certify(m, c, eps, w, d_m, None, None, d_c)
