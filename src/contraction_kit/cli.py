@@ -193,6 +193,9 @@ def _power_on_matrix(args) -> int:
         raise power.SpectralError(
             f"--x0 has {len(x0)} entries but the matrix has dimension {sys_.dimension}"
         )
+    norm = math.hypot(*x0)
+    if not abs(norm - 1.0) <= power.UNIT_TOL:
+        raise power.SpectralError(f"--x0 is not a unit vector: its l2 norm is {norm!r}")
     report = power.iteration_bound(sys_, x0, float(args.eps))
     lines = [
         "command power bound",

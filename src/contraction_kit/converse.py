@@ -28,8 +28,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .circuit import content_lines, format_fraction, parse_fraction
-from .metrics import check_metric_matrix, is_semimetric, min_plus_closure, scale_to_integers
+from .metrics import (
+    _describe_first_failure,
+    check_metric_matrix,
+    is_semimetric,
+    min_plus_closure,
+    scale_to_integers,
+    scaled_to_fractions,
+)
 
 Matrix = list[list[Fraction]]
 
@@ -191,23 +200,19 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
 
 
 def compute_orbit_metric(m: FiniteSelfMap) -> Matrix:
-    """d_M(x,y) = max over t >= 0 of d(f^[t](x), f^[t](y))."""
-    n = m.size
-    orbits = [m.orbit(i) for i in range(n)]
-    d_m: Matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            oi, oj = orbits[i], orbits[j]
-            steps = max(len(oi), len(oj))
-            val = Fraction(0)
-            for t in range(steps):
-                a = oi[t] if t < len(oi) else m.fixed_point
-                b = oj[t] if t < len(oj) else m.fixed_point
-                dv = m.d(a, b)
-                if dv > val:
-                    val = dv
-            d_m[i][j] = d_m[j][i] = val
-    return d_m
+    """d_M(x,y) = max over t >= 0 of d(f^[t](x), f^[t](y)).
+
+    Runs on the base metric scaled to integers.  ``at`` holds f^[t] of every
+    point; f fixes x* and every orbit reaches it, so t stops once all have.
+    """
+    base, scale = scale_to_integers(m.base_distance)
+    fmap = np.array(m.map)
+    at = np.arange(m.size)
+    d_m = base.copy()
+    while (at != m.fixed_point).any():
+        at = fmap[at]
+        np.maximum(d_m, base[np.ix_(at, at)], out=d_m)
+    return scaled_to_fractions(d_m, scale)
 
 
 def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], list[list[int]]]:
@@ -274,10 +279,7 @@ def geodesic_closure(rho: Matrix) -> Matrix:
     d, scale = scale_to_integers(rho)
     if not is_semimetric(d):
         _check_rho(rho)  # raises the message of the first bad entry
-    min_plus_closure(d)
-    rows = d.tolist()
-    value = {v: Fraction(v, scale) for v in {v for row in rows for v in row}}
-    return [[value[v] for v in row] for row in rows]
+    return scaled_to_fractions(min_plus_closure(d), scale)
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
@@ -342,74 +344,58 @@ class SynthesizedMetric:
         return "\n".join(lines) + "\n"
 
 
-def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m, levels, rho, d_c):
-    """Exhaustive synthesis certificate; every entry must pass on valid inputs."""
-    n = m.size
-    fp = m.fixed_point
-    entries: list[CertificateEntry] = []
+def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m, d_c):
+    """Exhaustive synthesis certificate; every entry must pass on valid inputs.
 
-    def check(name: str, failures: list[str]):
-        entries.append(CertificateEntry(name, not failures, failures[0] if failures else ""))
+    d, d_M and d_c are decided on one integer scale s, with c = p/q and
+    eps = a/b entering by cross-multiplication.  A failing entry names its
+    first failing pair in row-major order, with the Fraction values.
+    """
+    n, fp, f = m.size, m.fixed_point, np.array(m.map)
+    ints, s = scale_to_integers([*m.base_distance, *d_m, *d_c])
+    p, q = c.numerator, c.denominator
+    a, b = eps.numerator, eps.denominator
+    # each product below is at most max(q, b) * max|entry| or 2 * a * s
+    if max(q, b) * max(1, int(abs(ints).max())) >= 1 << 63 or 2 * a * s >= 1 << 63:
+        ints = ints.astype(object)
+    D, DM, DC = ints.reshape(3, n, n)
+    small = b * DC <= a * s  # d_c <= eps
+    far = b * D > 2 * a * s  # d > 2 eps
+    outside = np.ones(n, dtype=bool)
+    outside[w] = False
+    d_to_k0 = DM[:, w].min(axis=1)
+    # for a semimetric, which the closure demands, the closure is d_c itself
+    # iff the triangle inequality holds, i.e. iff d_c is a metric
+    closed = geodesic_closure(d_c) == d_c
 
-    fails = [
-        f"d({i},{j})={m.d(i, j)} > d_M={d_m[i][j]}"
-        for i in range(n)
-        for j in range(n)
-        if m.d(i, j) > d_m[i][j]
+    def first(mask, detail):
+        hits = np.argwhere(mask)
+        return detail(*map(int, hits[0])) if len(hits) else None
+
+    failures = [
+        ("d_M dominates d", first(
+            D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i][j]}")),
+        ("f non-expanding under d_M", first(
+            DM[np.ix_(f, f)] > DM, lambda i, j: f"pair ({i},{j})")),
+        ("d_c metric axioms", None if closed else _describe_first_failure(d_c)),
+        ("c-contraction of d_c", first(
+            q * DC[np.ix_(f, f)] > p * DC,
+            lambda i, j: f"pair ({i},{j}): {d_c[m.map[i]][m.map[j]]} > c*{d_c[i][j]}")),
+        ("small d_c implies base proximity", first(
+            small & far & far[fp][:, None] & far[fp][None, :], lambda i, j: f"pair ({i},{j})")),
+        # fixed-point form of the proximity transfer; this converts a d_c bound
+        # at x* into a base-metric bound, which the global iteration budget needs
+        ("small d_c at the fixed point implies base proximity", first(
+            small[:, fp] & far[:, fp],
+            lambda i: f"point {i}: d_c={d_c[i][fp]} <= eps but d={m.d(i, fp)} > 2*eps")),
+        ("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", first(
+            outside[:, None] & outside[None, :] & ~np.eye(n, dtype=bool)
+            & (DC < np.minimum(DM, d_to_k0[:, None])),
+            lambda i, j: f"pair ({i},{j})")),
+        ("geodesic closure idempotent",
+         None if closed else "closure(closure(rho)) != closure(rho)"),
     ]
-    check("d_M dominates d", fails)
-
-    fails = [
-        f"pair ({i},{j})"
-        for i in range(n)
-        for j in range(n)
-        if d_m[m.map[i]][m.map[j]] > d_m[i][j]
-    ]
-    check("f non-expanding under d_M", fails)
-
-    bad = check_metric_matrix(d_c)
-    check("d_c metric axioms", [bad] if bad else [])
-
-    fails = [
-        f"pair ({i},{j}): {d_c[m.map[i]][m.map[j]]} > c*{d_c[i][j]}"
-        for i in range(n)
-        for j in range(n)
-        if d_c[m.map[i]][m.map[j]] > c * d_c[i][j]
-    ]
-    check("c-contraction of d_c", fails)
-
-    fails = []
-    for i in range(n):
-        for j in range(n):
-            if d_c[i][j] <= eps:
-                if min(m.d(fp, i), m.d(fp, j), m.d(i, j)) > 2 * eps:
-                    fails.append(f"pair ({i},{j})")
-    check("small d_c implies base proximity", fails)
-
-    # fixed-point form of the proximity transfer; this converts a d_c bound
-    # at x* into a base-metric bound, which the global iteration budget needs
-    fails = [
-        f"point {i}: d_c={d_c[i][fp]} <= eps but d={m.d(i, fp)} > 2*eps"
-        for i in range(n)
-        if d_c[i][fp] <= eps and m.d(i, fp) > 2 * eps
-    ]
-    check("small d_c at the fixed point implies base proximity", fails)
-
-    k0 = set(w)
-    outside = [i for i in range(n) if i not in k0]
-    fails = []
-    for i in outside:
-        d_to_k0 = min(d_m[i][x] for x in k0)
-        for j in outside:
-            if i != j and d_c[i][j] < min(d_m[i][j], d_to_k0):
-                fails.append(f"pair ({i},{j})")
-    check("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", fails)
-
-    again = geodesic_closure(d_c)
-    fails = ["closure(closure(rho)) != closure(rho)"] if again != d_c else []
-    check("geodesic closure idempotent", fails)
-
-    return entries
+    return [CertificateEntry(name, fail is None, fail or "") for name, fail in failures]
 
 
 def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetric:
@@ -427,7 +413,7 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     levels, k_sets = compute_levels(m, w)
     rho = compute_rho(d_m, levels, c)
     d_c = geodesic_closure(rho)
-    certificate = _certify(m, c, eps, w, d_m, levels, rho, d_c)
+    certificate = _certify(m, c, eps, w, d_m, d_c)
     result = SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate)
     for entry in certificate:
         if not entry.ok:

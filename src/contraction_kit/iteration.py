@@ -104,25 +104,10 @@ def run_bip(
 
 @dataclass(frozen=True)
 class IterationBudget:
-    """Real-valued budget formula plus its integer ceiling (floored at 0).
-
-    ``settled_steps``, when set, is the integer budget settled against the
-    exact requirement; it then replaces the float ceiling.
-    """
+    """Real-valued budget formula and the integer budget settled from it."""
 
     predicted_steps: float
-    d0: float
-    c: float
-    eps: float
-    settled_steps: int | None = None
-
-    @property
-    def budget(self) -> int:
-        if self.settled_steps is not None:
-            return self.settled_steps
-        if math.isinf(self.predicted_steps) and self.predicted_steps < 0:
-            return 0
-        return max(0, math.ceil(self.predicted_steps))
+    budget: int
 
 
 def _check_budget_args(d0, c, eps) -> None:
@@ -163,7 +148,7 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     _check_budget_args(d0, c, eps)
     d0, c, eps = Fraction(d0), Fraction(c), Fraction(eps)
     if d0 == 0:
-        return IterationBudget(-math.inf, 0.0, float(c), float(eps))
+        return IterationBudget(-math.inf, 0)
     # 1 - c is exact and log1p keeps log(1/c) accurate for c near 1
     t0, t1 = math.log(d0), math.log(2 / ((1 - c) * eps))
     rate = -math.log1p(-float(1 - c))
@@ -172,7 +157,7 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     lo, hi = (max(0, math.ceil(v)) for v in (value - slack, value + slack))
     if lo < hi and hi * c.denominator.bit_length() <= _EXACT_BITS:
         hi = _least_steps(lo, hi, d0, c, eps)
-    return IterationBudget(value, float(d0), float(c), float(eps), settled_steps=hi)
+    return IterationBudget(value, hi)
 
 
 def _least_steps(lo: int, hi: int, d0: Fraction, c: Fraction, eps: Fraction) -> int:

@@ -197,9 +197,9 @@ def find_contraction_violation(
 def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
     """(D, L) with D[i, j] = mat[i][j] * L exactly, L the lcm of the denominators.
 
-    Entries are ints or Fractions.  D is int64 when 2 * max|D| < 2^63, so
-    the sum of any two entries fits; otherwise it holds Python ints (dtype
-    object).  Both give the same exact values.
+    Entries are ints or Fractions, in rows of one length.  D is int64 when
+    2 * max|D| < 2^63, so the sum of any two entries fits; otherwise it
+    holds Python ints (dtype object).  Both give the same exact values.
     """
     flat = [x for row in mat for x in row]
     factor = {q: 1 for q in {x.denominator for x in flat}}
@@ -208,7 +208,14 @@ def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, in
         factor[q] = scale // q
     ints = [x.numerator * factor[x.denominator] for x in flat]
     dtype = np.int64 if 2 * max(map(abs, ints), default=0) < 1 << 63 else object
-    return np.array(ints, dtype=dtype).reshape(len(mat), len(mat)), scale
+    return np.array(ints, dtype=dtype).reshape(len(mat), len(mat[0]) if mat else 0), scale
+
+
+def scaled_to_fractions(d: np.ndarray, scale: int) -> list[list[Fraction]]:
+    """The Fraction matrix d / scale, the inverse of ``scale_to_integers``."""
+    rows = d.tolist()
+    value = {v: Fraction(v, scale) for v in {v for row in rows for v in row}}
+    return [[value[v] for v in row] for row in rows]
 
 
 def min_plus_closure(d: np.ndarray) -> np.ndarray:

@@ -344,6 +344,24 @@ def test_overflowing_matrix_exits_two(workdir, capsys, action):
                        "matrix too large for float64 arithmetic: overflow")
 
 
+@pytest.mark.parametrize("x0", [
+    "0.447213595,0.894427191",  # about 2.2e-10 off unit norm, past UNIT_TOL
+    "2,0",  # already at v1's direction, so no power step would check it
+])
+def test_power_bound_non_unit_x0_exits_two(workdir, capsys, x0):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    assert_input_error(["power", path, "bound", "--x0", x0, "--eps", "0.25"], capsys,
+                       "--x0 is not a unit vector: its l2 norm is ")
+
+
+def test_selfmap_base_distance_not_metric_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP.replace("2 1\n", "5 1\n"))
+    assert main(["synthesize", path, "1/2", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: base distance is not a metric: TRIANGLE: d(0,2) = 5 > d(0,1) + d(1,2) = 2\n"
+    )
+
+
 def test_power_bound_x0_length_exits_two(workdir, capsys):
     path = write(workdir / "m.txt", "3\n2 0 0\n0 1 0\n0 0 0.5\n")
     assert_input_error(["power", path, "bound", "--x0", "1,0"], capsys,

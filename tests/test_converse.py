@@ -140,6 +140,38 @@ def test_orbit_metric_constant_map_equals_base():
     assert compute_orbit_metric(m) == dist
 
 
+def orbit_metric_brute_force(m):
+    """max over t < n of d(f^[t](i), f^[t](j)), iterating f from scratch for every t."""
+    def image(i, t):
+        for _ in range(t):
+            i = m.map[i]
+        return i
+
+    n = m.size
+    return [[max(m.d(image(i, t), image(j, t)) for t in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("scale", [F(1), F(2**70, 3)])  # 2^70/3 leaves int64
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=30, deadline=None)
+def test_orbit_metric_matches_brute_force(scale, n, data):
+    pos = data.draw(st.lists(st.fractions(0, 4, max_denominator=8), min_size=n, max_size=n,
+                             unique=True))
+    dist = [[abs(a - b) * scale for b in pos] for a in pos]
+    fixed = data.draw(st.integers(0, n - 1))
+    fmap = [fixed] * n
+    reached = [fixed]
+    for i in data.draw(st.permutations([i for i in range(n) if i != fixed])):
+        fmap[i] = data.draw(st.sampled_from(reached))
+        reached.append(i)
+    coords = [(p, F(0), F(0)) for p in pos]
+    m = FiniteSelfMap([f"p{i}" for i in range(n)], coords, dist, fmap, fixed)
+    d_m = compute_orbit_metric(m)
+    assert d_m == orbit_metric_brute_force(m)
+    assert all(isinstance(v, F) for row in d_m for v in row)
+
+
 def test_rho_examples():
     levels = [-2, -1, math.inf]
     d_m = [[F(0), F(3), F(4)], [F(3), F(0), F(2)], [F(4), F(2), F(0)]]
@@ -319,7 +351,7 @@ def test_certificate_failures_match_pins():
     # before the entries were decided on integers; it is never regenerated
     pins = json.loads(CERTIFICATE_PINS.read_text(encoding="utf-8"))
     got = [
-        [[e.name, e.ok, e.detail] for e in _certify(m, c, eps, w, d_m, None, None, d_c)]
+        [[e.name, e.ok, e.detail] for e in _certify(m, c, eps, w, d_m, d_c)]
         for m, c, eps, w, d_m, d_c in corrupted_certificate_cases()
     ]
     assert got == pins
@@ -337,4 +369,4 @@ def test_certify_rejects_non_semimetric_d_c(entries, message):
     for (i, j), value in entries.items():
         d_c[i][j] = value
     with pytest.raises(ValueError, match=message):
-        _certify(m, c, eps, w, d_m, None, None, d_c)
+        _certify(m, c, eps, w, d_m, d_c)

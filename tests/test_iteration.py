@@ -5,7 +5,6 @@ import pytest
 
 from contraction_kit import iteration
 from contraction_kit.iteration import (
-    IterationBudget,
     NonFiniteValueError,
     StopReason,
     predict_iterations,
@@ -180,5 +179,10 @@ def test_budget_argument_validation():
 
 
 def test_budget_ceiling_clamped_at_zero():
-    assert IterationBudget(-7.7, 1, 0.9, 0.5).budget == 0
-    assert IterationBudget(2.3, 1, 0.5, 0.5).budget == 3
+    # d0 far below (1-c)*eps/2 sends the formula negative; no step is needed
+    budget = predict_iterations(F(1, 1000), F(1, 2), F(1, 2))
+    assert budget.predicted_steps < 0
+    assert budget.budget == 0
+    budget = predict_iterations(5, F(1, 2), F(1))
+    assert 4 < budget.predicted_steps < 5
+    assert budget.budget == 5
