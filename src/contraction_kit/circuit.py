@@ -19,6 +19,10 @@ becomes one ``Fraction(num, K*D**e)``.  Where some ``K*D**e`` of a call
 would pass ``DEN_BIT_BUDGET`` bits (deep ``mul`` chains such as repeated
 squaring), that call runs the ``Fraction`` interpreter instead, which stays
 as the reference.  Both give the same canonical fractions.
+``evaluate_many`` runs each step of the same program once for a batch of
+input rows, over numpy object columns of Python ints that share one ``D``
+for the whole batch; a batch whose shared ``D`` fails the budget check is
+evaluated row by row.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -39,6 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
 GATE_KINDS = BINARY_OPS + ("const", "input")
@@ -63,6 +69,17 @@ _INT_OPS: dict[str, Callable[[int, int], int]] = {
     "max": max,
     "min": min,
     "gt": lambda a, b: 1 if a > b else 0,
+}
+
+# the same ops on numpy object arrays of Python ints, one entry per row;
+# gt goes through int64 so its 0/1 come back as Python ints, not bools
+_COLUMN_OPS: dict[str, Callable] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "max": np.maximum,
+    "min": np.minimum,
+    "gt": lambda a, b: np.greater(a, b).astype(np.int64).astype(object),
 }
 
 
@@ -162,6 +179,9 @@ class Circuit:
         for node_id in self._order:
             yield node_id, self._gates[node_id]
 
+    def _arity_error(self, got: int) -> CircuitError:
+        return CircuitError(f"arity mismatch: circuit takes {self.input_arity} inputs, got {got}")
+
     def evaluate(self, inputs: Sequence[Fraction]) -> list[Fraction]:
         """Exactly evaluate the circuit on rational inputs.
 
@@ -170,14 +190,32 @@ class Circuit:
         denominators would pass ``DEN_BIT_BUDGET`` bits.
         """
         if len(inputs) != self.input_arity:
-            raise CircuitError(
-                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
-            )
+            raise self._arity_error(len(inputs))
         qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
         if self._program is None:
             self._program = _Program(self)
         out = self._program.run(qs)
         return self._evaluate_reference(qs) if out is None else out
+
+    def evaluate_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+        """Exactly evaluate the circuit on many input rows: ``[evaluate(r) for r in rows]``.
+
+        Runs each step of the integer program once for the whole batch, over
+        column-wise values that share one ``D``, the lcm of every input
+        denominator in the batch.  When that ``D`` would put some static
+        denominator past ``DEN_BIT_BUDGET`` bits, each row goes through
+        ``evaluate`` on its own and keeps its own ``D`` or the reference.
+        """
+        for row in rows:
+            if len(row) != self.input_arity:
+                raise self._arity_error(len(row))
+        if not rows:
+            return []
+        qss = [[q if type(q) is Fraction else Fraction(q) for q in row] for row in rows]
+        if self._program is None:
+            self._program = _Program(self)
+        out = self._program.run_many(qss)
+        return [self.evaluate(qs) for qs in qss] if out is None else out
 
     def _evaluate_reference(self, qs: Sequence[Fraction]) -> list[Fraction]:
         """The ``Fraction`` interpreter: one exact rational op per gate.
@@ -231,12 +269,16 @@ class _Program:
     slot per gate in topological order.  A step is ``(op, a, sa, b, sb)``;
     a nonzero ``sa`` names the entry of ``scales`` that lifts slot ``a`` to
     the gate's common denominator, as a pair ``(m, k)`` meaning ``m*D**k``.
+    ``column_ops`` holds, per step, its form over numpy object columns of
+    Python ints for ``run_many``, or None where both operands are fixed by
+    the consts alone; ``varies`` marks the slots that depend on an input.
     """
 
     def __init__(self, circuit: Circuit) -> None:
         node: dict[int, tuple[int, int, int]] = {}  # node id -> (slot, K, e)
         levels = {(1, 1)}  # every (K, e) some node or comparison carries
         self.consts: list[int] = []
+        self.varies: list[bool] = [True] * circuit.input_arity
         gates: list[tuple[int, Gate]] = []
         for node_id, gate in circuit.nodes():
             if gate.kind == "input":
@@ -245,11 +287,13 @@ class _Program:
                 q = Fraction(gate.value)
                 node[node_id] = (circuit.input_arity + len(self.consts), q.denominator, 0)
                 self.consts.append(q.numerator)
+                self.varies.append(False)
                 levels.add((q.denominator, 0))
             else:
                 gates.append((node_id, gate))
         scale_index = {(1, 0): 0}
         self.steps: list[tuple] = []
+        self.column_ops: list[Callable | None] = []
         for slot, (node_id, gate) in enumerate(gates, start=len(node)):
             a, ka, ea = node[gate.args[0]]
             b, kb, eb = node[gate.args[1]]
@@ -265,8 +309,21 @@ class _Program:
                 k, e = 1, 0
             node[node_id] = (slot, k, e)
             self.steps.append((_INT_OPS[gate.kind], a, sa, b, sb))
+            varies = self.varies[a] or self.varies[b]
+            self.varies.append(varies)
+            self.column_ops.append(_COLUMN_OPS[gate.kind] if varies else None)
         self.scales = list(scale_index)
         self.outputs = [node[out] for out in circuit.outputs]
+        # per step, the slots no later step or output reads: run_many drops
+        # their columns, so a batch holds only the live ones
+        last_use = {}
+        for k, (_, a, _, b, _) in enumerate(self.steps):
+            last_use[a] = last_use[b] = k
+        for i, _, _ in self.outputs:
+            last_use.pop(i, None)
+        self.releases: list[list[int]] = [[] for _ in self.steps]
+        for slot, k in last_use.items():
+            self.releases[k].append(slot)
         # the largest (D-1).bit_length() that keeps every K*D**e in budget
         self.max_d_bits = min(_d_bits_limit(k, e) for k, e in levels)
 
@@ -288,6 +345,41 @@ class _Program:
                 y *= s[sb]
             v.append(op(x, y))
         return [Fraction(v[i], k * d**e) for i, k, e in self.outputs]
+
+    def run_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
+        """``run`` on every row at once with one shared ``D``; None when over budget.
+
+        A slot that varies holds an object array with one Python int per
+        row; a slot fixed by the consts holds one Python int, and its steps
+        stay plain int ops.
+        """
+        d = lcm(*(q.denominator for qs in rows for q in qs))
+        if (d - 1).bit_length() > self.max_d_bits:
+            return None
+        v: list = [
+            np.array([qs[i].numerator * (d // qs[i].denominator) for qs in rows], dtype=object)
+            for i in range(len(rows[0]))
+        ]
+        v += self.consts
+        s = [m * d**k for m, k in self.scales]
+        for (op, a, sa, b, sb), column_op, release in zip(self.steps, self.column_ops, self.releases):
+            x = v[a]
+            y = v[b]
+            if sa:
+                x = x * s[sa]  # never *=: that would scale the column in place
+            if sb:
+                y = y * s[sb]
+            v.append(op(x, y) if column_op is None else column_op(x, y))
+            for slot in release:
+                v[slot] = None
+        columns = []
+        for i, k, e in self.outputs:
+            den = k * d**e
+            if self.varies[i]:
+                columns.append([Fraction(num, den) for num in v[i]])
+            else:
+                columns.append([Fraction(v[i], den)] * len(rows))
+        return [list(row) for row in zip(*columns)]
 
 
 def _parse_node_ref(token: str, line_no: int) -> int:

@@ -245,15 +245,19 @@ def compute_rho(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
     c = Fraction(c)
     n = len(d_m)
     rho: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    powers: dict[int, Fraction] = {}  # level -> c**level, one power per level
     for i in range(n):
         for j in range(i + 1, n):
             if d_m[i][j] == 0:
                 continue
-            kappa = min(levels[i], levels[j])
             # the +inf sentinel never reaches here: it pairs only with finite
             # levels through the min unless both points are the fixed point,
             # and that pair has d_M = 0
-            rho[i][j] = rho[j][i] = c ** int(kappa) * d_m[i][j]
+            kappa = int(min(levels[i], levels[j]))
+            power = powers.get(kappa)
+            if power is None:
+                power = powers[kappa] = c ** kappa
+            rho[i][j] = rho[j][i] = power * d_m[i][j]
     return rho
 
 

@@ -26,7 +26,9 @@ MAX_QUADS = 4000
 MAX_TRIANGLE_POINTS = 24
 
 
-def grid_points(resolution: Fraction) -> list[Point]:
+@functools.cache
+def grid_points(resolution: Fraction) -> tuple[Point, ...]:
+    """The grid over [0,1]^3 in scan order, built once per resolution."""
     resolution = Fraction(resolution)
     if not 0 < resolution <= 1:
         raise ValueError("resolution must lie in (0, 1]")
@@ -34,7 +36,7 @@ def grid_points(resolution: Fraction) -> list[Point]:
     axis = [Fraction(k) * resolution for k in range(steps + 1)]
     if axis[-1] != 1:
         axis.append(Fraction(1))
-    return [p for p in itertools.product(axis, repeat=3)]
+    return tuple(itertools.product(axis, repeat=3))
 
 
 def _candidate_pairs(resolution: Fraction) -> list[tuple[Point, Point]]:

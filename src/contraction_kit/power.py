@@ -13,6 +13,7 @@ Matrix file format: a dimension line, then one row of decimal reals per line.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,6 +31,8 @@ RATE_SLACK = 1e-9
 JACOBI_TARGET = 1e-14
 MAX_DIMENSION = 64
 REPLAY_PRECISION = 128
+# largest |tau| whose square stays finite in jacobi_eigensolve
+_TAU_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 class SpectralError(ValueError):
@@ -116,7 +119,10 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 if abs(apq) < JACOBI_TARGET / max(1, n * n):
                     continue
                 tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                if abs(tau) < _TAU_SQUARE_MAX:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                else:  # the limit of the form above, where tau * tau would overflow
+                    t = 1.0 / (2.0 * tau)
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 rot = np.eye(n)

@@ -37,7 +37,7 @@ from .cls import (
     verify_banach,
     verify_cls_local,
 )
-from .library import as_point, circuit_fn, discrete_metric_circuit, l1
+from .library import as_point, discrete_metric_circuit, l1
 from .metrics import check_metric_axioms
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
@@ -317,19 +317,23 @@ def certify_constructed_metric(
     """Check metric axioms, the d >= c' lower bound, and the two-case triangle
     argument of the constructed metric over sampled triples.
 
-    Each triple evaluates d once per ordered pair and p once per point; every
-    check reads those values.
+    d is evaluated once per ordered pair of each triple and p once per point,
+    each circuit in one batch over all triples; every check reads those values.
     """
     if artifacts.direction != CLSLOCAL_TO_BANACH:
         raise ReductionBug("artifacts are not from the hardness direction")
-    d = circuit_fn(artifacts.produced.d)
-    p = circuit_fn(artifacts.source.p)
     c_prime = artifacts.substitutions["c_prime"]
+    points = [tuple(as_point(pt) for pt in raw) for raw in triples]
+    if any(len(triple) != 3 for triple in points):
+        raise ValueError("each triple needs exactly 3 points")
+    d_values = artifacts.produced.d.evaluate_many(
+        [a + b for triple in points for a in triple for b in triple]
+    )
+    p_values = artifacts.source.p.evaluate_many([a for triple in points for a in triple])
     report = MetricCertification()
-    for raw in triples:
-        triple = tuple(as_point(pt) for pt in raw)
-        dist = [[d(a, b) for b in triple] for a in triple]
-        pot = [p(a) for a in triple]
+    for t, triple in enumerate(points):
+        dist = [[d_values[9 * t + 3 * i + j][0] for j in range(3)] for i in range(3)]
+        pot = [p_values[3 * t + i][0] for i in range(3)]
         violation = check_metric_axioms(dist, triple)
         if violation is not None:
             report.axiom_failures.append(

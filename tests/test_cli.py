@@ -344,6 +344,14 @@ def test_overflowing_matrix_exits_two(workdir, capsys, action):
                        "matrix too large for float64 arithmetic: overflow")
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_tau_matrix_still_exits_two(workdir, capsys):
+    # jacobi_eigensolve takes this matrix; the pair sampling after it overflows
+    path = write(workdir / "m.txt", "2\n1e300 1\n1 1\n")
+    assert_input_error(["power", path, "analyze"], capsys,
+                       "matrix too large for float64 arithmetic: overflow encountered in dot")
+
+
 @pytest.mark.parametrize("x0", [
     "0.447213595,0.894427191",  # about 2.2e-10 off unit norm, past UNIT_TOL
     "2,0",  # already at v1's direction, so no power step would check it

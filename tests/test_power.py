@@ -58,6 +58,15 @@ def test_jacobi_two_by_two_offdiagonal():
     assert abs(sys_.v1 @ np.array([1.0, 1.0]) / math.sqrt(2)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # an overflow in tau * tau would warn
+def test_jacobi_huge_tau_does_not_overflow():
+    # tau is about -5e299 at the one rotation, past sqrt(float max) ~ 1.3e154
+    with np.errstate(over="raise"):
+        sys_ = jacobi_eigensolve([[1e300, 1.0], [1.0, 1.0]])
+    assert sys_.eigenvalues[0] == 1e300
+    assert sys_.eigenvalues[1] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_jacobi_gap_error_on_identity():
     with pytest.raises(SpectralError, match="gap"):
         jacobi_eigensolve(np.eye(3))

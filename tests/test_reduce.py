@@ -9,6 +9,7 @@ from contraction_kit.cls import BanachInstance, CLSLocalInstance, Solution, veri
 from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
     affine_contraction_circuit,
+    as_point,
     circuit_fn,
     constant_potential_circuit,
     coordinate_potential_circuit,
@@ -17,9 +18,15 @@ from contraction_kit.library import (
     l1_distance_circuit,
     l1_potential_circuit,
     scaling_map_circuit,
+    sq_l2_distance_circuit,
 )
+from contraction_kit.metrics import check_metric_axioms
 from contraction_kit.reduce import (
+    CLSLOCAL_TO_BANACH,
+    MetricCertification,
+    ReductionArtifacts,
     ReductionBug,
+    TriangleCaseVerdict,
     build_interpolated_metric_circuit,
     build_interpolation_circuit,
     build_kappa_circuit,
@@ -447,3 +454,116 @@ def test_certify_reports_both_triangle_cases():
     assert report.all_pass
     cases = {v.case for v in report.case_verdicts}
     assert cases == {"p(x)>=p(z)", "p(x)<p(z)"}
+
+
+def certify_pairwise(artifacts, triples):
+    """certify_constructed_metric as one circuit_fn call per pair and per point."""
+    d = circuit_fn(artifacts.produced.d)
+    p = circuit_fn(artifacts.source.p)
+    c_prime = artifacts.substitutions["c_prime"]
+    report = MetricCertification()
+    for raw in triples:
+        triple = tuple(as_point(pt) for pt in raw)
+        dist = [[d(a, b) for b in triple] for a in triple]
+        pot = [p(a) for a in triple]
+        violation = check_metric_axioms(dist, triple)
+        if violation is not None:
+            report.axiom_failures.append(
+                f"{violation.axiom} at {violation.witnesses}: "
+                f"lhs={violation.lhs} rhs={violation.rhs}"
+            )
+        for i, a in enumerate(triple):
+            for j, bpt in enumerate(triple):
+                if a != bpt:
+                    val = dist[i][j]
+                    if report.min_offdiag is None or val < report.min_offdiag:
+                        report.min_offdiag = val
+                    if val < c_prime:
+                        report.lower_bound_failures.append(f"d({a},{bpt}) = {val} < c' = {c_prime}")
+        x, y, z = 0, 1, 2
+        if pot[x] < pot[y]:
+            x, y = y, x
+        case = "p(x)>=p(z)" if pot[x] >= pot[z] else "p(x)<p(z)"
+        lhs, rhs = dist[x][y], dist[x][z] + dist[z][y]
+        report.case_verdicts.append(TriangleCaseVerdict(case, lhs <= rhs, lhs, rhs))
+    return report
+
+
+def random_triples(rng, count, denominators):
+    return [
+        tuple(tuple(F(rng.randint(0, den), den) for den in rng.choices(denominators, k=3))
+              for _ in range(3))
+        for _ in range(count)
+    ]
+
+
+def lopsided_distance_circuit():
+    """2*max(x1-y1, 0) + max(y1-x1, 0): not symmetric, so d(a,b) and d(b,a) differ."""
+    b = CircuitBuilder()
+    xs = b.inputs(3)
+    ys = b.inputs(3)
+    zero = b.const(0)
+    ahead = b.max(b.sub(xs[0], ys[0]), zero)
+    behind = b.max(b.sub(ys[0], xs[0]), zero)
+    return b.build([b.add(b.mul(ahead, b.const(2)), behind)])
+
+
+def broken_metric_artifacts(d):
+    src = hardness_instance()
+    art = reduce_cls_local_to_banach(src)
+    banach = BanachInstance(src.f, d, F(1), F(1), F(1, 2))
+    return ReductionArtifacts(CLSLOCAL_TO_BANACH, src, banach, dict(art.substitutions))
+
+
+def assert_same_certification(art, triples):
+    got = certify_constructed_metric(art, triples)
+    want = certify_pairwise(art, triples)
+    assert got.axiom_failures == want.axiom_failures
+    assert got.lower_bound_failures == want.lower_bound_failures
+    assert got.min_offdiag == want.min_offdiag
+    assert type(got.min_offdiag) is type(want.min_offdiag)
+    assert got.case_verdicts == want.case_verdicts
+    for g, w in zip(got.case_verdicts, want.case_verdicts):
+        assert (type(g.lhs), type(g.rhs)) == (type(w.lhs), type(w.rhs)) == (F, F)
+    assert got.report_text() == want.report_text()
+    return got
+
+
+@pytest.mark.parametrize("denominators", [[16], [8, 16]])
+@pytest.mark.parametrize("half_eps", [False, True])
+def test_batched_certificate_matches_pairwise(denominators, half_eps):
+    rng = random.Random(8 + len(denominators))
+    art = reduce_cls_local_to_banach(hardness_instance(), half_eps=half_eps)
+    # a repeated point puts diagonal pairs and d = 0 into the batch
+    triples = random_triples(rng, 40, denominators) + [(HALF, HALF, ORIGIN), (E1, E1, E1)]
+    assert assert_same_certification(art, triples).all_pass
+
+
+def test_batched_certificate_matches_pairwise_constant_potential():
+    inst = CLSLocalInstance(
+        identity_map_circuit(), constant_potential_circuit(F(1, 2)), F(1, 2), F(1)
+    )
+    art = reduce_cls_local_to_banach(inst)
+    triples = random_triples(random.Random(17), 30, [8, 16])
+    assert assert_same_certification(art, triples).all_pass
+
+
+@pytest.mark.parametrize("d", [sq_l2_distance_circuit, lopsided_distance_circuit])
+def test_batched_certificate_matches_pairwise_broken_metric(d):
+    quarter = (F(1, 4), F(0), F(0))
+    half_e1 = (F(1, 2), F(0), F(0))
+    triples = [(ORIGIN, half_e1, quarter), (ORIGIN, E1, (F(0), F(1), F(0))),
+               ((F(1), F(1), F(1)), ORIGIN, ORIGIN), (ORIGIN, ORIGIN, ORIGIN)]
+    triples += random_triples(random.Random(5), 20, [8, 16])
+    report = assert_same_certification(broken_metric_artifacts(d()), triples)
+    assert not report.all_pass
+    assert report.axiom_failures and report.lower_bound_failures
+
+
+def test_batched_certificate_empty_and_malformed_triples():
+    art = reduce_cls_local_to_banach(hardness_instance())
+    assert assert_same_certification(art, []).report_text() == (
+        "triples checked: 0\naxiom failures: 0\nlower-bound failures: 0\noverall: PASS\n"
+    )
+    with pytest.raises(ValueError, match="exactly 3 points"):
+        certify_constructed_metric(art, [(ORIGIN, E1)])
