@@ -1,9 +1,15 @@
+import contextlib
+import hashlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, sqrt as mp_sqrt
 
+from contraction_kit.cli import main
 from contraction_kit.power import (
     PAPER_PAIR_X,
     PAPER_PAIR_Y,
@@ -20,6 +26,8 @@ from contraction_kit.power import (
     power_step,
     replay_pair_mp,
 )
+
+POWER_PINS = Path(__file__).parent / "power_pins.json"
 
 
 def random_gapped_system(rng, n, gap=0.3):
@@ -306,3 +314,58 @@ def test_matrix_parse_errors():
         parse_matrix("2\n1.0 2.0\n")
     with pytest.raises(SpectralError):
         parse_matrix("")
+
+
+# ---------------------------------------------------------------- pinned float bits
+
+
+def pinned_matrices():
+    """(name, matrix): seeded gapped matrices, and one whose tau overflows when squared.
+
+    17, 20 and 33 are dimensions where a column update narrowed to columns p
+    and q rounds differently from the dense product.
+    """
+    cases = []
+    for n in (2, 3, 5, 16, 17, 20, 33, 64):
+        rng = np.random.default_rng([9, n])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1].copy()
+        lam[0] = lam[1] * rng.uniform(1.5, 3.0)
+        a = (q * lam) @ q.T
+        cases.append((f"gapped-{n}", (a + a.T) / 2))
+    cases.append(("huge-tau", np.array([[1e300, 1.0], [1.0, 1.0]])))
+    return cases
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def power_pin_digests(directory: Path) -> dict:
+    """Digests of the eigensystem bits and of `power analyze --format csv --pairs 300`."""
+    out = {}
+    for name, a in pinned_matrices():
+        sys_ = jacobi_eigensolve(a)
+        path = directory / f"{name}.txt"
+        path.write_text(format_matrix(a), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--format", "csv", "power", str(path), "analyze", "--pairs", "300"])
+        out[name] = {
+            "eigenvalues_sha256": _sha256(sys_.eigenvalues.tobytes()),
+            "eigenvectors_sha256": _sha256(sys_.eigenvectors.tobytes()),
+            "analyze_exit": code,
+            "analyze_stdout_sha256": _sha256(stdout.getvalue().encode("utf-8")),
+            "analyze_stderr": stderr.getvalue(),
+        }
+    return out
+
+
+def test_power_outputs_match_pins(tmp_path, monkeypatch):
+    # power_pins.json was captured from the dense Jacobi rotations and the
+    # per-pair certificate loop; it is never regenerated.  The digests are
+    # float bits, so they hold for the BLAS build they were taken with.
+    monkeypatch.delenv("CONTRACTION_KIT_SEED", raising=False)
+    pins = json.loads(POWER_PINS.read_text(encoding="utf-8"))
+    assert power_pin_digests(tmp_path) == pins
+    assert {pin["analyze_exit"] for pin in pins.values()} == {0, 2}
