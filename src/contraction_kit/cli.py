@@ -129,6 +129,24 @@ def cmd_synthesize(args) -> int:
 
 
 def _power_pairs(sys_: power.SpectralSystem, count: int, seed: int):
+    """`count` unit pairs drawn from `seed`, skipping pairs nearly perpendicular to v1.
+
+    All vectors come from one draw, the same stream as one draw per vector,
+    with norms and overlaps as one ddot per row; when a pair would be
+    skipped the draw is redone vector by vector in `_power_pairs_scalar`.
+    """
+    rng = np.random.default_rng(seed)
+    draws = rng.normal(size=(2 * count, sys_.dimension))
+    norms = np.sqrt(power.row_dots(draws, draws))
+    if np.any(norms == 0):
+        return _power_pairs_scalar(sys_, count, seed)
+    units = draws / norms[:, None]
+    if np.any(np.abs(power.row_dots(units, sys_.v1)) < power.OVERLAP_MIN):
+        return _power_pairs_scalar(sys_, count, seed)
+    return list(zip(units[0::2], units[1::2]))
+
+
+def _power_pairs_scalar(sys_: power.SpectralSystem, count: int, seed: int):
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < count:

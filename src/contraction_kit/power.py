@@ -7,6 +7,14 @@ coincide and gives ||A z||_2 <= lambda2 ||z||_2 on the complement of v1).
 Main arithmetic is float64; certificates can be replayed through a 128-bit
 mpmath oracle.
 
+The fast paths give the float bits of their references.  A Jacobi rotation
+turns rows p and q 2-wide and the columns of the working matrix stacked on the
+eigenvectors in one dense product, because a product narrowed to two columns
+rounds differently from the dense one at some dimensions
+(`_jacobi_eigensolve_reference` keeps three dense products per rotation).  The
+rate certificate runs chunks of pairs through stacked `np.matmul`, which makes
+the same ddot and gemv calls per row as `eigen_metric` and `power_step`.
+
 Matrix file format: a dimension line, then one row of decimal reals per line.
 """
 
@@ -31,6 +39,7 @@ RATE_SLACK = 1e-9
 JACOBI_TARGET = 1e-14
 MAX_DIMENSION = 64
 REPLAY_PRECISION = 128
+RATE_CHUNK = 64  # pairs per stacked batch in certify_contraction_rate; bounds its memory
 # largest |tau| whose square stays finite in jacobi_eigensolve
 _TAU_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
@@ -100,31 +109,96 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
+def _jacobi_angle(work: np.ndarray, p: int, q: int) -> tuple[float, float] | None:
+    """(cos, sin) of the rotation that zeroes work[p, q]; None when it is already small."""
+    n = work.shape[1]
+    apq = work[p, q]
+    if abs(apq) < JACOBI_TARGET / max(1, n * n):
+        return None
+    tau = (work[q, q] - work[p, p]) / (2.0 * apq)
+    if abs(tau) < _TAU_SQUARE_MAX:
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    else:  # the limit of the form above, where tau * tau would overflow
+        t = 1.0 / (2.0 * tau)
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    return c, t * c
+
+
+def _off_diagonal_mass(work: np.ndarray) -> float:
+    # Frobenius mass of the off-diagonal part, taken entrywise: the
+    # total-minus-diagonal form cancels catastrophically near convergence
+    return float(np.linalg.norm(work - np.diag(np.diag(work))))
+
+
+def _eigensystem(a0: np.ndarray, work: np.ndarray, vecs: np.ndarray) -> SpectralSystem:
+    lam = np.diag(work).copy()
+    order = np.argsort(-lam)
+    lam = lam[order]
+    rows = np.array([_fix_sign(vecs[:, i]) for i in order])
+    return SpectralSystem(a0, lam, rows)
+
+
 def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
-    """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass is < 1e-14."""
+    """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass is < 1e-14.
+
+    Gives the float bits of `_jacobi_eigensolve_reference` without building a
+    rotation matrix per step.  Rows p and q of the working matrix turn in one
+    2x2 @ 2xn product.  The columns turn in one dense product of the working
+    matrix stacked on the eigenvectors, by an identity whose four entries are
+    set for the step: a product narrowed to columns p and q rounds
+    differently from the dense one at some dimensions (17, 20, 33, ...).
+    """
+    a0 = np.asarray(a, dtype=float)
+    _check_matrix(a0)
+    n = a0.shape[0]
+    stack = np.concatenate([a0, np.eye(n)])  # working matrix over eigenvector columns
+    spare = np.empty_like(stack)
+    rot = np.eye(n)
+    turn = np.empty((2, 2))
+    rows_pq = np.empty((2, n))
+    for _ in range(100):
+        if _off_diagonal_mass(stack[:n]) < JACOBI_TARGET:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                angle = _jacobi_angle(stack, p, q)  # reads the top n rows only
+                if angle is None:
+                    continue
+                c, s = angle
+                turn[0, 0] = turn[1, 1] = c
+                turn[0, 1] = -s
+                turn[1, 0] = s
+                view = stack[p:q + 1:q - p]
+                np.matmul(turn, view, out=rows_pq)
+                view[...] = rows_pq
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                np.matmul(stack, rot, out=spare)
+                rot[p, p] = rot[q, q] = 1.0
+                rot[p, q] = rot[q, p] = 0.0
+                stack, spare = spare, stack
+    else:
+        raise SpectralError("Jacobi sweeps did not reach the off-diagonal target")
+    return _eigensystem(a0, stack[:n], stack[n:])
+
+
+def _jacobi_eigensolve_reference(a: Sequence[Sequence[float]]) -> SpectralSystem:
+    """Dense form of `jacobi_eigensolve`: three n x n products per rotation."""
     a0 = np.asarray(a, dtype=float)
     _check_matrix(a0)
     n = a0.shape[0]
     work = a0.copy()
     vecs = np.eye(n)
     for _ in range(100):
-        # Frobenius mass of the off-diagonal part, taken entrywise: the
-        # total-minus-diagonal form cancels catastrophically near convergence
-        off = float(np.linalg.norm(work - np.diag(np.diag(work))))
-        if off < JACOBI_TARGET:
+        if _off_diagonal_mass(work) < JACOBI_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) < JACOBI_TARGET / max(1, n * n):
+                angle = _jacobi_angle(work, p, q)
+                if angle is None:
                     continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if abs(tau) < _TAU_SQUARE_MAX:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                else:  # the limit of the form above, where tau * tau would overflow
-                    t = 1.0 / (2.0 * tau)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
+                c, s = angle
                 rot = np.eye(n)
                 rot[p, p] = rot[q, q] = c
                 rot[p, q] = s
@@ -133,11 +207,7 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 vecs = vecs @ rot
     else:
         raise SpectralError("Jacobi sweeps did not reach the off-diagonal target")
-    lam = np.diag(work).copy()
-    order = np.argsort(-lam)
-    lam = lam[order]
-    rows = np.array([_fix_sign(vecs[:, i]) for i in order])
-    return SpectralSystem(a0, lam, rows)
+    return _eigensystem(a0, work, vecs)
 
 
 def power_step(sys: SpectralSystem, x: Sequence[float]) -> np.ndarray:
@@ -220,18 +290,89 @@ class RateCertificate:
         return "\n".join(lines) + "\n"
 
 
-def certify_contraction_rate(
-    sys: SpectralSystem, pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
-) -> RateCertificate:
-    """Check d(f(x), f(y)) <= (lambda2/lambda1) d(x,y) + 1e-9 for every pair."""
+def row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u_i, w_i> for each row i (w may be one vector): one BLAS ddot per row, as `u_i @ w_i`."""
+    return (u[:, None, :] @ w[..., None])[:, 0, 0]
+
+
+def _rate_chunk(sys: SpectralSystem, chunk) -> list[tuple[float, float]]:
+    """(d(x,y), d(f(x),f(y))) of each pair, with the float bits of the scalar path.
+
+    Every inner product is one ddot and every A x one gemv, as in
+    `eigen_metric` and `power_step`; it raises wherever one of those would.
+    """
+    xs = np.asarray([x for x, _ in chunk], dtype=float)
+    ys = np.asarray([y for _, y in chunk], dtype=float)
+    if xs.shape != (len(chunk), sys.dimension) or ys.shape != xs.shape:
+        raise SpectralError("pairs must be vectors of the matrix dimension")
+
+    def metric(u, w):
+        ou, ow = row_dots(u, sys.v1), row_dots(w, sys.v1)
+        if np.any(np.abs(ou) < OVERLAP_MIN) or np.any(np.abs(ow) < OVERLAP_MIN):
+            raise SpectralError("metric undefined")
+        residual = u / ou[:, None] - w / ow[:, None]
+        return np.sqrt(row_dots(residual, residual))
+
+    def step(u):
+        if np.any(np.abs(np.sqrt(row_dots(u, u)) - 1.0) > UNIT_TOL):
+            raise SpectralError("not a unit vector")
+        if np.any(np.abs(row_dots(u, sys.v1)) < OVERLAP_MIN):
+            raise SpectralError("perpendicular to v1")
+        au = (sys.matrix @ u[:, :, None])[:, :, 0]
+        norm = np.sqrt(row_dots(au, au))
+        if np.any(norm == 0.0):
+            raise SpectralError("A x vanished")
+        out = au / norm[:, None]
+        return np.where(row_dots(out, sys.v1)[:, None] < 0, -out, out)
+
+    before = metric(xs, ys)
+    after = metric(step(xs), step(ys))
+    return list(zip(before.tolist(), after.tolist()))
+
+
+def _rate_pairs_scalar(sys: SpectralSystem, pairs) -> list[tuple[float, float]]:
+    return [
+        (eigen_metric(sys, x, y).value,
+         eigen_metric(sys, power_step(sys, x), power_step(sys, y)).value)
+        for x, y in pairs
+    ]
+
+
+def _rate_certificate(sys: SpectralSystem, values: list[tuple[float, float]]) -> RateCertificate:
     cert = RateCertificate(rate_bound=sys.rate)
-    for idx, (x, y) in enumerate(pairs):
-        before = eigen_metric(sys, x, y).value
-        after = eigen_metric(sys, power_step(sys, x), power_step(sys, y)).value
+    for idx, (before, after) in enumerate(values):
         cert.pairs.append(RatePair(idx, before, after))
         if after > sys.rate * before + RATE_SLACK:
             cert.violations.append(idx)
     return cert
+
+
+def certify_contraction_rate(
+    sys: SpectralSystem, pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
+) -> RateCertificate:
+    """Check d(f(x), f(y)) <= (lambda2/lambda1) d(x,y) + 1e-9 for every pair.
+
+    Pairs go through `_rate_chunk` RATE_CHUNK at a time.  A chunk that fails
+    there in any way, a float exception included, runs again pair by pair
+    through `eigen_metric` and `power_step`, so the first bad pair raises its
+    own error under the caller's error state.
+    """
+    values: list[tuple[float, float]] = []
+    for start in range(0, len(pairs), RATE_CHUNK):
+        chunk = pairs[start:start + RATE_CHUNK]
+        try:
+            with np.errstate(all="raise"):
+                values.extend(_rate_chunk(sys, chunk))
+        except (ValueError, FloatingPointError):
+            values.extend(_rate_pairs_scalar(sys, chunk))
+    return _rate_certificate(sys, values)
+
+
+def _certify_contraction_rate_reference(
+    sys: SpectralSystem, pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
+) -> RateCertificate:
+    """`certify_contraction_rate` one pair at a time."""
+    return _rate_certificate(sys, _rate_pairs_scalar(sys, pairs))
 
 
 def replay_pair_mp(
@@ -241,8 +382,8 @@ def replay_pair_mp(
     old = mp.prec
     mp.prec = precision
     try:
-        a = [[mpf(v) for v in row] for row in sys.matrix]
-        v1 = [mpf(v) for v in sys.v1]
+        a = [[mpf(v) for v in row] for row in sys.matrix.tolist()]
+        v1 = [mpf(v) for v in sys.v1.tolist()]
         n = len(v1)
 
         def dot(u, w):
@@ -263,8 +404,9 @@ def replay_pair_mp(
         ys = [mpf(v) for v in y]
         before = metric(xs, ys)
         ax, ay = matvec(xs), matvec(ys)
-        fx = [v / norm(ax) for v in ax]
-        fy = [v / norm(ay) for v in ay]
+        nx, ny = norm(ax), norm(ay)
+        fx = [v / nx for v in ax]
+        fy = [v / ny for v in ay]
         after = metric(fx, fy)
         return float(before), float(after)
     finally:

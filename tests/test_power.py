@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp, sqrt as mp_sqrt
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf, sqrt as mp_sqrt
 
+from contraction_kit import cli, power
 from contraction_kit.cli import main
 from contraction_kit.power import (
     PAPER_PAIR_X,
@@ -369,3 +372,192 @@ def test_power_outputs_match_pins(tmp_path, monkeypatch):
     pins = json.loads(POWER_PINS.read_text(encoding="utf-8"))
     assert power_pin_digests(tmp_path) == pins
     assert {pin["analyze_exit"] for pin in pins.values()} == {0, 2}
+
+
+# ---------------------------------------------------------------- fast paths against references
+
+
+def eigen_outcome(solve, a):
+    """Eigensystem bits, or the error, that `solve` gives on `a`."""
+    try:
+        sys_ = solve(a)
+    except SpectralError as exc:
+        return "error", str(exc)
+    return sys_.eigenvalues.tobytes(), sys_.eigenvectors.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.sampled_from(["normal", "integer", "large"]))
+def test_jacobi_matches_reference_bit_for_bit(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":  # repeated entries; often no gap, so both must raise alike
+        a = rng.integers(-2, 3, size=(n, n)).astype(float)
+    elif kind == "large":  # the 1e-14 target is out of reach: the sweeps do not converge
+        n = min(n, 5)
+        a = rng.normal(size=(n, n)) * 100.0
+    else:
+        a = rng.normal(size=(n, n))
+    a = a + a.T
+    assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(power._jacobi_eigensolve_reference, a)
+
+
+@pytest.mark.parametrize("n", [33, 47, 64])
+def test_jacobi_matches_reference_at_large_dimensions(n):
+    a = dict(pinned_matrices()).get(f"gapped-{n}")
+    if a is None:
+        a = np.random.default_rng(n).normal(size=(n, n))
+        a = a + a.T
+    assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(power._jacobi_eigensolve_reference, a)
+
+
+def test_jacobi_non_convergence_matches_reference():
+    a = np.random.default_rng(1).normal(size=(4, 4)) * 100.0
+    a = a + a.T
+    outcome = eigen_outcome(jacobi_eigensolve, a)
+    assert outcome == ("error", "Jacobi sweeps did not reach the off-diagonal target")
+    assert outcome == eigen_outcome(power._jacobi_eigensolve_reference, a)
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 300])
+def test_batched_certificate_matches_scalar_loop(monkeypatch, count):
+    rng = np.random.default_rng(count)
+    sys_ = random_gapped_system(rng, 7)
+    pairs = random_valid_pairs(rng, sys_, count)
+    if count:
+        pairs[count // 2] = (sys_.v1, -sys_.v1)  # vacuous: d_before is 0
+    reference = power._certify_contraction_rate_reference(sys_, pairs)
+    cert = certify_contraction_rate(sys_, pairs)
+    assert cert.to_csv() == reference.to_csv()
+    assert cert.violations == reference.violations == []
+    # a negative slack that fails about half the pairs exercises the violation list
+    margins = sorted(sys_.rate * p.d_before - p.d_after for p in reference.pairs)
+    if margins:
+        monkeypatch.setattr(power, "RATE_SLACK", -margins[len(margins) // 2])
+        reference = power._certify_contraction_rate_reference(sys_, pairs)
+        cert = certify_contraction_rate(sys_, pairs)
+        assert cert.violations == reference.violations
+        assert 0 < len(cert.violations) < count or count == 1
+
+
+def kernel_system():
+    """diag(1e-4, 0) with v1 tilted by 1e-7: within every tolerance, and e2 is in the kernel."""
+    s = 1e-7
+    c = math.sqrt(1.0 - s * s)
+    return SpectralSystem(np.diag([1e-4, 0.0]), np.array([1e-4, 0.0]), np.array([[c, s], [-s, c]]))
+
+
+def bad_pair_cases():
+    rng = np.random.default_rng(5)
+    sys_ = random_gapped_system(rng, 4)
+    unit = sys_.v1 + 0.5 * sys_.eigenvectors[1]
+    unit /= np.linalg.norm(unit)
+    kernel = kernel_system()
+    return [
+        ("non-unit", sys_, (2.0 * unit, unit), "power_step expects a unit vector"),
+        ("perpendicular", sys_, (sys_.eigenvectors[2], unit), "metric undefined"),
+        ("kernel", kernel, (np.array([0.0, 1.0]), kernel.v1), "A x vanished"),
+    ]
+
+
+@pytest.mark.parametrize("at", [0, 70])
+@pytest.mark.parametrize("case", bad_pair_cases(), ids=lambda case: case[0])
+def test_batched_certificate_raises_the_scalar_error(case, at):
+    _, sys_, bad, fragment = case
+    pairs = random_valid_pairs(np.random.default_rng(at), sys_, 100)
+    pairs[at] = bad
+    pairs[at + 20] = bad[::-1]  # a later bad pair must not decide the error
+    errors = []
+    for certify in (certify_contraction_rate, power._certify_contraction_rate_reference):
+        with pytest.raises(SpectralError) as info:
+            certify(sys_, pairs)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert fragment in errors[0]
+
+
+def test_batched_certificate_keeps_float_warnings_of_the_scalar_loop():
+    # outside the CLI's error state the overflow only warns, and the inf/nan
+    # it leaves trips the overlap check one step later
+    sys_ = jacobi_eigensolve([[1e300, 1.0], [1.0, 1.0]])
+    pairs = [((0.6, 0.8), (0.8, 0.6))] * 3
+    outcomes = []
+    for certify in (certify_contraction_rate, power._certify_contraction_rate_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SpectralError) as info:
+                certify(sys_, pairs)
+        outcomes.append(([str(w.message) for w in caught], str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert "overflow encountered in dot" in outcomes[0][0]
+
+
+def run_main(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("name", ["gapped-20", "huge-tau"])
+def test_power_analyze_matches_reference_paths(tmp_path, monkeypatch, name):
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(dict(pinned_matrices())[name]), encoding="utf-8")
+    argv = ["--format", "csv", "power", str(path), "analyze", "--pairs", "130"]
+    fast = run_main(argv)
+    monkeypatch.setattr(power, "jacobi_eigensolve", power._jacobi_eigensolve_reference)
+    monkeypatch.setattr(power, "certify_contraction_rate", power._certify_contraction_rate_reference)
+    monkeypatch.setattr(cli, "_power_pairs", cli._power_pairs_scalar)
+    assert fast == run_main(argv)
+    assert fast[0] == (2 if name == "huge-tau" else 0)
+
+
+@pytest.mark.parametrize("n, overlap_min", [(2, power.OVERLAP_MIN), (3, 0.3), (16, power.OVERLAP_MIN),
+                                            (16, 0.3)])
+def test_power_pairs_match_per_vector_draws(monkeypatch, n, overlap_min):
+    # OVERLAP_MIN = 0.3 rejects many draws, so the batch must fall back
+    monkeypatch.setattr(power, "OVERLAP_MIN", overlap_min)
+    sys_ = random_gapped_system(np.random.default_rng(n), n)
+    for count in (0, 1, 50):
+        got = cli._power_pairs(sys_, count, seed=count + n)
+        want = cli._power_pairs_scalar(sys_, count, seed=count + n)
+        assert len(got) == len(want) == count
+        for (x, y), (x0, y0) in zip(got, want):
+            assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def replay_pair_mp_per_entry_norm(sys_, x, y, precision=power.REPLAY_PRECISION):
+    """The replay as first written, recomputing ||A x|| for every entry."""
+    old = mp.prec
+    mp.prec = precision
+    try:
+        a = [[mpf(v) for v in row] for row in sys_.matrix]
+        v1 = [mpf(v) for v in sys_.v1]
+        n = len(v1)
+
+        def dot(u, w):
+            return sum((u[i] * w[i] for i in range(n)), mpf(0))
+
+        def norm(u):
+            return mp_sqrt(dot(u, u))
+
+        def metric(u, w):
+            nu = dot(u, v1)
+            nw = dot(w, v1)
+            return norm([u[i] / nu - w[i] / nw for i in range(n)])
+
+        xs = [mpf(v) for v in x]
+        ys = [mpf(v) for v in y]
+        ax, ay = [dot(row, xs) for row in a], [dot(row, ys) for row in a]
+        fx = [v / norm(ax) for v in ax]
+        fy = [v / norm(ay) for v in ay]
+        return float(metric(xs, ys)), float(metric(fx, fy))
+    finally:
+        mp.prec = old
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_replay_matches_per_entry_norm(n):
+    rng = np.random.default_rng(n)
+    sys_ = random_gapped_system(rng, n)
+    for x, y in random_valid_pairs(rng, sys_, 3 if n == 64 else 10):
+        assert replay_pair_mp(sys_, x, y) == replay_pair_mp_per_entry_norm(sys_, x, y)
