@@ -344,6 +344,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def power_pin_digests(directory: Path) -> dict:
     """Digests of the eigensystem bits and of `power analyze --format csv --pairs 300`."""
     out = {}
@@ -351,15 +359,14 @@ def power_pin_digests(directory: Path) -> dict:
         sys_ = jacobi_eigensolve(a)
         path = directory / f"{name}.txt"
         path.write_text(format_matrix(a), encoding="utf-8")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["--format", "csv", "power", str(path), "analyze", "--pairs", "300"])
+        code, stdout, stderr = run_main(
+            ["--format", "csv", "power", str(path), "analyze", "--pairs", "300"])
         out[name] = {
             "eigenvalues_sha256": _sha256(sys_.eigenvalues.tobytes()),
             "eigenvectors_sha256": _sha256(sys_.eigenvectors.tobytes()),
             "analyze_exit": code,
-            "analyze_stdout_sha256": _sha256(stdout.getvalue().encode("utf-8")),
-            "analyze_stderr": stderr.getvalue(),
+            "analyze_stdout_sha256": _sha256(stdout.encode("utf-8")),
+            "analyze_stderr": stderr,
         }
     return out
 
@@ -489,13 +496,6 @@ def test_batched_certificate_keeps_float_warnings_of_the_scalar_loop():
         outcomes.append(([str(w.message) for w in caught], str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert "overflow encountered in dot" in outcomes[0][0]
-
-
-def run_main(argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize("name", ["gapped-20", "huge-tau"])
