@@ -41,6 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -71,14 +72,15 @@ _INT_OPS: dict[str, Callable[[int, int], int]] = {
     "gt": lambda a, b: 1 if a > b else 0,
 }
 
-# the same ops on numpy object arrays of Python ints, one entry per row;
+# the same ops on numpy object arrays of Python ints, one entry per row, which
+# broadcast a plain Python int operand and give a Python int for two of them;
 # gt goes through int64 so its 0/1 come back as Python ints, not bools
 _COLUMN_OPS: dict[str, Callable] = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
-    "max": np.maximum,
-    "min": np.minimum,
+    "max": lambda a, b: np.maximum(a, b, dtype=object),
+    "min": lambda a, b: np.minimum(a, b, dtype=object),
     "gt": lambda a, b: np.greater(a, b).astype(np.int64).astype(object),
 }
 
@@ -145,7 +147,6 @@ class Circuit:
         self.outputs = list(outputs)
         self._inputs = [i for i in self._order if self._gates[i].kind == "input"]
         self._validate()
-        self._program: _Program | None = None
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -179,8 +180,18 @@ class Circuit:
         for node_id in self._order:
             yield node_id, self._gates[node_id]
 
-    def _arity_error(self, got: int) -> CircuitError:
-        return CircuitError(f"arity mismatch: circuit takes {self.input_arity} inputs, got {got}")
+    def _fractions(self, inputs: Sequence[Fraction]) -> list[Fraction]:
+        """One input row as Fractions, after the arity check."""
+        if len(inputs) != self.input_arity:
+            raise CircuitError(
+                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
+            )
+        return [q if type(q) is Fraction else Fraction(q) for q in inputs]
+
+    @cached_property
+    def _program(self) -> _Program:
+        """The integer program, lowered on first use."""
+        return _Program(self)
 
     def evaluate(self, inputs: Sequence[Fraction]) -> list[Fraction]:
         """Exactly evaluate the circuit on rational inputs.
@@ -189,11 +200,7 @@ class Circuit:
         falls back to ``_evaluate_reference`` when the call's static
         denominators would pass ``DEN_BIT_BUDGET`` bits.
         """
-        if len(inputs) != self.input_arity:
-            raise self._arity_error(len(inputs))
-        qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
-        if self._program is None:
-            self._program = _Program(self)
+        qs = self._fractions(inputs)
         out = self._program.run(qs)
         return self._evaluate_reference(qs) if out is None else out
 
@@ -206,14 +213,9 @@ class Circuit:
         denominator past ``DEN_BIT_BUDGET`` bits, each row goes through
         ``evaluate`` on its own and keeps its own ``D`` or the reference.
         """
-        for row in rows:
-            if len(row) != self.input_arity:
-                raise self._arity_error(len(row))
-        if not rows:
+        qss = [self._fractions(row) for row in rows]
+        if not qss:
             return []
-        qss = [[q if type(q) is Fraction else Fraction(q) for q in row] for row in rows]
-        if self._program is None:
-            self._program = _Program(self)
         out = self._program.run_many(qss)
         return [self.evaluate(qs) for qs in qss] if out is None else out
 
@@ -270,15 +272,13 @@ class _Program:
     a nonzero ``sa`` names the entry of ``scales`` that lifts slot ``a`` to
     the gate's common denominator, as a pair ``(m, k)`` meaning ``m*D**k``.
     ``column_ops`` holds, per step, its form over numpy object columns of
-    Python ints for ``run_many``, or None where both operands are fixed by
-    the consts alone; ``varies`` marks the slots that depend on an input.
+    Python ints for ``run_many``.
     """
 
     def __init__(self, circuit: Circuit) -> None:
         node: dict[int, tuple[int, int, int]] = {}  # node id -> (slot, K, e)
         levels = {(1, 1)}  # every (K, e) some node or comparison carries
         self.consts: list[int] = []
-        self.varies: list[bool] = [True] * circuit.input_arity
         gates: list[tuple[int, Gate]] = []
         for node_id, gate in circuit.nodes():
             if gate.kind == "input":
@@ -287,13 +287,11 @@ class _Program:
                 q = Fraction(gate.value)
                 node[node_id] = (circuit.input_arity + len(self.consts), q.denominator, 0)
                 self.consts.append(q.numerator)
-                self.varies.append(False)
                 levels.add((q.denominator, 0))
             else:
                 gates.append((node_id, gate))
         scale_index = {(1, 0): 0}
         self.steps: list[tuple] = []
-        self.column_ops: list[Callable | None] = []
         for slot, (node_id, gate) in enumerate(gates, start=len(node)):
             a, ka, ea = node[gate.args[0]]
             b, kb, eb = node[gate.args[1]]
@@ -309,9 +307,7 @@ class _Program:
                 k, e = 1, 0
             node[node_id] = (slot, k, e)
             self.steps.append((_INT_OPS[gate.kind], a, sa, b, sb))
-            varies = self.varies[a] or self.varies[b]
-            self.varies.append(varies)
-            self.column_ops.append(_COLUMN_OPS[gate.kind] if varies else None)
+        self.column_ops = [_COLUMN_OPS[gate.kind] for _, gate in gates]
         self.scales = list(scale_index)
         self.outputs = [node[out] for out in circuit.outputs]
         # per step, the slots no later step or output reads: run_many drops
@@ -349,9 +345,9 @@ class _Program:
     def run_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
         """``run`` on every row at once with one shared ``D``; None when over budget.
 
-        A slot that varies holds an object array with one Python int per
-        row; a slot fixed by the consts holds one Python int, and its steps
-        stay plain int ops.
+        A slot that depends on an input holds an object array with one
+        Python int per row; one fixed by the consts alone holds a plain
+        Python int, which every column op broadcasts.
         """
         d = lcm(*(q.denominator for qs in rows for q in qs))
         if (d - 1).bit_length() > self.max_d_bits:
@@ -362,23 +358,21 @@ class _Program:
         ]
         v += self.consts
         s = [m * d**k for m, k in self.scales]
-        for (op, a, sa, b, sb), column_op, release in zip(self.steps, self.column_ops, self.releases):
+        for (_, a, sa, b, sb), op, release in zip(self.steps, self.column_ops, self.releases):
             x = v[a]
             y = v[b]
             if sa:
                 x = x * s[sa]  # never *=: that would scale the column in place
             if sb:
                 y = y * s[sb]
-            v.append(op(x, y) if column_op is None else column_op(x, y))
+            v.append(op(x, y))
             for slot in release:
                 v[slot] = None
         columns = []
         for i, k, e in self.outputs:
             den = k * d**e
-            if self.varies[i]:
-                columns.append([Fraction(num, den) for num in v[i]])
-            else:
-                columns.append([Fraction(v[i], den)] * len(rows))
+            column = np.broadcast_to(np.asarray(v[i], dtype=object), len(rows))
+            columns.append([Fraction(num, den) for num in column])
         return [list(row) for row in zip(*columns)]
 
 

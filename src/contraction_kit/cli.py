@@ -128,40 +128,6 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _power_pairs(sys_: power.SpectralSystem, count: int, seed: int):
-    """`count` unit pairs drawn from `seed`, skipping pairs nearly perpendicular to v1.
-
-    All vectors come from one draw, the same stream as one draw per vector,
-    with norms and overlaps as one ddot per row; when a pair would be
-    skipped the draw is redone vector by vector in `_power_pairs_scalar`.
-    """
-    rng = np.random.default_rng(seed)
-    draws = rng.normal(size=(2 * count, sys_.dimension))
-    norms = np.sqrt(power.row_dots(draws, draws))
-    if np.any(norms == 0):
-        return _power_pairs_scalar(sys_, count, seed)
-    units = draws / norms[:, None]
-    if np.any(np.abs(power.row_dots(units, sys_.v1)) < power.OVERLAP_MIN):
-        return _power_pairs_scalar(sys_, count, seed)
-    return list(zip(units[0::2], units[1::2]))
-
-
-def _power_pairs_scalar(sys_: power.SpectralSystem, count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        x = rng.normal(size=sys_.dimension)
-        y = rng.normal(size=sys_.dimension)
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-        if nx == 0 or ny == 0:
-            continue
-        x, y = x / nx, y / ny
-        if abs(x @ sys_.v1) < power.OVERLAP_MIN or abs(y @ sys_.v1) < power.OVERLAP_MIN:
-            continue
-        pairs.append((x, y))
-    return pairs
-
-
 def cmd_power(args) -> int:
     if args.action == "counterexample":  # a fixed 2x2 system: the matrix file is not read
         p = math.inf if args.norm == "inf" else float(args.norm)
@@ -190,7 +156,7 @@ def _power_on_matrix(args) -> int:
     sys_ = power.jacobi_eigensolve(power.parse_matrix(_read(args.matrix)))
     if args.action == "analyze":
         seed = int(os.environ.get("CONTRACTION_KIT_SEED", "0"))
-        cert = power.certify_contraction_rate(sys_, _power_pairs(sys_, args.pairs, seed))
+        cert = power.certify_contraction_rate(sys_, power.sample_pairs(sys_, args.pairs, seed))
         if args.format == "csv":
             _emit(cert.to_csv(), args.report)
         else:
@@ -214,7 +180,10 @@ def _power_on_matrix(args) -> int:
     norm = math.hypot(*x0)
     if not abs(norm - 1.0) <= power.UNIT_TOL:
         raise power.SpectralError(f"--x0 is not a unit vector: its l2 norm is {norm!r}")
-    report = power.iteration_bound(sys_, x0, float(args.eps))
+    eps = float(args.eps)
+    if not math.isfinite(eps):
+        raise power.SpectralError(f"--eps must be finite, got {args.eps!r}")
+    report = power.iteration_bound(sys_, x0, eps)
     lines = [
         "command power bound",
         _hash_line(args.matrix),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -127,6 +128,16 @@ _FLOAT_SLACK = 2.0**-44
 _EXACT_BITS = 1 << 20
 
 
+def _log(q: Fraction) -> float:
+    """math.log(q) for a positive rational, also where float(q) would overflow or underflow."""
+    if sys.float_info.min <= q <= sys.float_info.max:
+        return math.log(q)
+    # q / 2**shift lies in (1/2, 2), where one int division rounds it once
+    shift = q.numerator.bit_length() - q.denominator.bit_length()
+    mantissa = (q.numerator << max(0, -shift)) / (q.denominator << max(0, shift))
+    return math.log(mantissa) + shift * math.log(2)
+
+
 def predict_iterations(d0, c, eps) -> IterationBudget:
     """Global iteration budget (log d0 + log(2/((1-c)*eps))) / log(1/c).
 
@@ -143,17 +154,25 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     an integer.  Otherwise an exact test on the rational inputs settles n,
     unless c^n would pass _EXACT_BITS bits; the budget is then the ceiling
     at the top of the window.  That is never below the least n; the window
-    is narrower than one step unless 1 - c is below about 1e-11.
+    is narrower than one step unless 1 - c is below about 1e-11.  Logs of
+    rationals outside the float range are taken from their bits; where c is
+    so close to 1 that the formula leaves the float range, ValueError.
     """
     _check_budget_args(d0, c, eps)
     d0, c, eps = Fraction(d0), Fraction(c), Fraction(eps)
     if d0 == 0:
         return IterationBudget(-math.inf, 0)
-    # 1 - c is exact and log1p keeps log(1/c) accurate for c near 1
-    t0, t1 = math.log(d0), math.log(2 / ((1 - c) * eps))
-    rate = -math.log1p(-float(1 - c))
+    t0, t1 = _log(d0), _log(2 / ((1 - c) * eps))
+    # 1 - c is exact and log1p keeps log(1/c) accurate for c near 1; below
+    # c = 1/2, float(1 - c) would drop the low bits of c, so log(c) is taken
+    gap = float(1 - c)
+    if gap < sys.float_info.min:
+        raise ValueError("c is within 2.2e-308 of 1: no iteration budget is representable")
+    rate = -math.log1p(-gap) if c >= 0.5 else -_log(c)
     value = (t0 + t1) / rate
     slack = _FLOAT_SLACK * ((1 + abs(t0) + abs(t1)) / rate + abs(value))
+    if not math.isfinite(value + slack):
+        raise ValueError("c is too close to 1: no iteration budget is representable")
     lo, hi = (max(0, math.ceil(v)) for v in (value - slack, value + slack))
     if lo < hi and hi * c.denominator.bit_length() <= _EXACT_BITS:
         hi = _least_steps(lo, hi, d0, c, eps)

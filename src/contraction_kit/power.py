@@ -295,6 +295,43 @@ def row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ w[..., None])[:, 0, 0]
 
 
+def sample_pairs(sys: SpectralSystem, count: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`count` pairs of unit vectors drawn from `default_rng(seed)`.
+
+    A pair is skipped when either draw is zero or nearly perpendicular to
+    v1.  Each round draws every pair still missing in one `rng.normal` call:
+    the same stream, and the same float bits, as `_sample_pairs_reference`,
+    which draws one vector at a time.
+    """
+    if count < 0:
+        raise SpectralError(f"pair count must be nonnegative, got {count}")
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        draws = rng.normal(size=(2 * (count - len(pairs)), sys.dimension))
+        norms = np.sqrt(row_dots(draws, draws))
+        units = draws / np.where(norms == 0, 1.0, norms)[:, None]
+        usable = (norms != 0) & (np.abs(row_dots(units, sys.v1)) >= OVERLAP_MIN)
+        keep = usable[0::2] & usable[1::2]
+        pairs.extend(zip(units[0::2][keep], units[1::2][keep]))
+    return pairs
+
+
+def _sample_pairs_reference(sys: SpectralSystem, count: int, seed: int):
+    """`sample_pairs` one vector at a time."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.normal(size=sys.dimension), rng.normal(size=sys.dimension)
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        if nx == 0 or ny == 0:
+            continue
+        x, y = x / nx, y / ny
+        if abs(x @ sys.v1) >= OVERLAP_MIN and abs(y @ sys.v1) >= OVERLAP_MIN:
+            pairs.append((x, y))
+    return pairs
+
+
 def _rate_chunk(sys: SpectralSystem, chunk) -> list[tuple[float, float]]:
     """(d(x,y), d(f(x),f(y))) of each pair, with the float bits of the scalar path.
 
@@ -376,12 +413,10 @@ def _certify_contraction_rate_reference(
 
 
 def replay_pair_mp(
-    sys: SpectralSystem, x: Sequence[float], y: Sequence[float], precision: int = REPLAY_PRECISION
+    sys: SpectralSystem, x: Sequence[float], y: Sequence[float]
 ) -> tuple[float, float]:
-    """(d(x,y), d(f(x),f(y))) recomputed from the same floats at high precision."""
-    old = mp.prec
-    mp.prec = precision
-    try:
+    """(d(x,y), d(f(x),f(y))) recomputed from the same floats at REPLAY_PRECISION bits."""
+    with mp.workprec(REPLAY_PRECISION):
         a = [[mpf(v) for v in row] for row in sys.matrix.tolist()]
         v1 = [mpf(v) for v in sys.v1.tolist()]
         n = len(v1)
@@ -409,8 +444,6 @@ def replay_pair_mp(
         fy = [v / ny for v in ay]
         after = metric(fx, fy)
         return float(before), float(after)
-    finally:
-        mp.prec = old
 
 
 PAPER_PAIR_X = (1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0))
@@ -512,7 +545,9 @@ def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> Ite
     if d0 <= eps:
         predicted = 0
     else:
-        predicted = math.ceil(math.log(d0 / eps) / math.log(1.0 / sys.rate))
+        ratio = d0 / eps  # overflows where eps is subnormal
+        log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(d0) - math.log(eps)
+        predicted = math.ceil(log_ratio / math.log(1.0 / sys.rate))
     distances = [d0]
     for _ in range(predicted):
         x = power_step(sys, x)

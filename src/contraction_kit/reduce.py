@@ -119,13 +119,17 @@ def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) ->
 
 def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> Fraction:
     """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling."""
+    old = iv.prec  # the interval context has no workprec
     iv.prec = 128
-    ci = iv.mpf(c_prime.numerator) / iv.mpf(c_prime.denominator)
-    ei = iv.mpf(eps.numerator) / iv.mpf(eps.denominator)
-    li = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
-    log_inv = iv.log(1 / ci)
-    bound = iv.exp(log_inv / ei) * li * log_inv / ei
-    ceiling = Fraction(int(mpmath.ceil(bound.b)))
+    try:
+        ci = iv.mpf(c_prime.numerator) / iv.mpf(c_prime.denominator)
+        ei = iv.mpf(eps.numerator) / iv.mpf(eps.denominator)
+        li = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
+        log_inv = iv.log(1 / ci)
+        bound = iv.exp(log_inv / ei) * li * log_inv / ei
+        ceiling = Fraction(int(mpmath.ceil(bound.b)))
+    finally:
+        iv.prec = old
     return max(Fraction(lam), ceiling)
 
 

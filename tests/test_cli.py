@@ -374,3 +374,44 @@ def test_power_bound_x0_length_exits_two(workdir, capsys):
     path = write(workdir / "m.txt", "3\n2 0 0\n0 1 0\n0 0 0.5\n")
     assert_input_error(["power", path, "bound", "--x0", "1,0"], capsys,
                        "--x0 has 2 entries but the matrix has dimension 3")
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_bound_subnormal_eps_reports(workdir, capsys):
+    # d0 / eps overflows to inf at eps = 1e-320; the step count comes from logs
+    path = write(workdir / "m.txt", "3\n2.0 0.5 0.0\n0.5 1.0 0.25\n0.0 0.25 0.5\n")
+    code = main(["power", path, "bound", "--x0", "1,0,0", "--eps", "1e-320"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = dict(line.split(" ", 1) for line in captured.out.splitlines())
+    assert int(lines["predicted"]) > 0
+    assert code == (0 if lines["ok"] == "True" else 1)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_power_bound_non_finite_eps_exits_two(workdir, capsys, eps):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    assert_input_error(["power", path, "bound", "--x0", "0.6,0.8", "--eps", eps], capsys,
+                       f"--eps must be finite, got '{eps}'")
+
+
+def two_point_selfmap(distance: str) -> str:
+    return f"points 2\na 0 0 0\nstar 1 0 0\nmap: 1 1\nfixed: 1\ndistances:\n{distance}\n"
+
+
+@pytest.mark.parametrize("distance", [str(10**400), f"1/{10**400}"])
+def test_bip_prediction_outside_the_float_range(workdir, capsys, distance):
+    path = write(workdir / "m.txt", two_point_selfmap(distance))
+    assert main(["bip", path, "--start", "a", "--eps", "1/8", "--predict-c", "1/2"]) == 0
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    d0, c, eps = F(lines["d0"]), F(1, 2), F(1, 8)
+    n = int(lines["predicted"].split(" budget ")[1])
+    assert c**n * d0 / (1 - c) <= eps / 2
+    assert n == 0 or c ** (n - 1) * d0 / (1 - c) > eps / 2
+
+
+def test_bip_prediction_with_c_too_close_to_one_exits_two(workdir, capsys):
+    path = write(workdir / "m.txt", two_point_selfmap("1"))
+    c = f"{10**400 - 1}/{10**400}"
+    assert_input_error(["bip", path, "--start", "a", "--predict-c", c], capsys,
+                       "no iteration budget is representable")

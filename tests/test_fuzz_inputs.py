@@ -10,6 +10,7 @@ import contextlib
 import io
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from contraction_kit.cli import main
@@ -33,8 +34,10 @@ n3: const 1/2
 n4: add n0 n1
 n5: mul n4 n3
 n6: const 1/3
-n7: abs n2 n6
-outputs: n5 n7
+n7: sub n2 n6
+n8: sub n6 n2
+n9: max n7 n8
+outputs: n5 n9
 """
 
 SELFMAP = """\
@@ -70,7 +73,9 @@ FORMATS = {
     "selfmap-bip": (SELFMAP, ["bip", "in.txt", "--start", "a", "--predict-c", "1/2"], {}),
     "matrix": (MATRIX, ["power", "in.txt", "analyze", "--pairs", "3"], {}),
 }
-TOKENS = ["0", "1", "-1", "4", "1/0", "1/3", "x", "nan", "inf", "n9", "end", "circuit", ":"]
+# the last two lie outside the float range, as a value and as a reciprocal
+TOKENS = ["0", "1", "-1", "4", "1/0", "1/3", "x", "nan", "inf", "n9", "end", "circuit", ":",
+          str(10**400), f"1/{10**400}"]
 
 
 @st.composite
@@ -94,12 +99,8 @@ def mutated(draw):
     return name, "\n".join(lines) + "\n"
 
 
-@given(mutated())
-@example(("matrix", "1\n5\n"))  # no second eigenvalue: must be an input error, not a crash
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_mutated_inputs_exit_by_contract(tmp_path, monkeypatch, case):
-    name, text = case
+def run_case(tmp_path, monkeypatch, name, text):
+    """(exit code, stderr) of the format's command with `text` as its input file."""
     _, argv, companions = FORMATS[name]
     monkeypatch.chdir(tmp_path)
     for path, content in {**companions, "in.txt": text}.items():
@@ -107,7 +108,23 @@ def test_mutated_inputs_exit_by_contract(tmp_path, monkeypatch, case):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_unmutated_inputs_are_valid(tmp_path, monkeypatch, name):
+    # each mutation must start from a file its command accepts
+    code, err = run_case(tmp_path, monkeypatch, name, FORMATS[name][0])
+    assert code in (0, 1), err
+
+
+@given(mutated())
+@example(("matrix", "1\n5\n"))  # no second eigenvalue: must be an input error, not a crash
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_inputs_exit_by_contract(tmp_path, monkeypatch, case):
+    code, err = run_case(tmp_path, monkeypatch, *case)
     if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert code in (0, 1)

@@ -186,3 +186,38 @@ def test_budget_ceiling_clamped_at_zero():
     budget = predict_iterations(5, F(1, 2), F(1))
     assert 4 < budget.predicted_steps < 5
     assert budget.budget == 5
+
+
+def assert_least_steps(budget, d0, c, eps):
+    n = budget.budget
+    assert c**n * d0 / (1 - c) <= eps / 2
+    assert n == 0 or c ** (n - 1) * d0 / (1 - c) > eps / 2
+
+
+@pytest.mark.parametrize("d0, c, eps", [
+    (F(10**400), F(1, 2), F(1, 8)),  # float(d0) overflows
+    (F(1, 10**400), F(1, 2), F(1, 10**420)),  # float(d0) and float(eps) underflow
+    (F(10**500), F(1, 10**400), F(1)),  # float(1 - c) rounds to 1
+    (F(7, 3), F(1, 3), F(1, 10**310)),  # 2/((1-c)*eps) overflows
+])
+def test_global_budget_outside_the_float_range(d0, c, eps):
+    budget = predict_iterations(d0, c, eps)
+    assert budget.budget > 0
+    assert_least_steps(budget, d0, c, eps)
+
+
+@pytest.mark.parametrize("c", [F(1, 10**8), F(3, 10**9), F(1, 10**12)])
+def test_global_budget_is_least_n_for_small_c(c):
+    # float(1 - c) keeps only about 16 digits of c here, enough to move the
+    # float formula across an integer 1e-9 away from a boundary
+    eps = F(1, 8)
+    for k in range(1, 4):
+        boundary = (1 - c) * eps / 2 / c**k
+        for d0 in (boundary * (1 + F(1, 10**9)), boundary * (1 - F(1, 10**9))):
+            assert_least_steps(predict_iterations(d0, c, eps), d0, c, eps)
+
+
+@pytest.mark.parametrize("gap", [F(1, 10**400), F(1, 10**307)])
+def test_global_budget_with_c_too_close_to_one_is_rejected(gap):
+    with pytest.raises(ValueError, match="no iteration budget is representable"):
+        predict_iterations(1, 1 - gap, F(1, 2))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from contraction_kit import cli, power
+from contraction_kit import power
 from contraction_kit.cli import main
 from contraction_kit.power import (
     PAPER_PAIR_X,
@@ -506,23 +506,68 @@ def test_power_analyze_matches_reference_paths(tmp_path, monkeypatch, name):
     fast = run_main(argv)
     monkeypatch.setattr(power, "jacobi_eigensolve", power._jacobi_eigensolve_reference)
     monkeypatch.setattr(power, "certify_contraction_rate", power._certify_contraction_rate_reference)
-    monkeypatch.setattr(cli, "_power_pairs", cli._power_pairs_scalar)
+    monkeypatch.setattr(power, "sample_pairs", power._sample_pairs_reference)
     assert fast == run_main(argv)
     assert fast[0] == (2 if name == "huge-tau" else 0)
 
 
 @pytest.mark.parametrize("n, overlap_min", [(2, power.OVERLAP_MIN), (3, 0.3), (16, power.OVERLAP_MIN),
-                                            (16, 0.3)])
+                                            (16, 0.3), (64, power.OVERLAP_MIN), (64, 0.1)])
 def test_power_pairs_match_per_vector_draws(monkeypatch, n, overlap_min):
-    # OVERLAP_MIN = 0.3 rejects many draws, so the batch must fall back
+    # a raised OVERLAP_MIN rejects many draws, so later rounds draw the rest
     monkeypatch.setattr(power, "OVERLAP_MIN", overlap_min)
     sys_ = random_gapped_system(np.random.default_rng(n), n)
-    for count in (0, 1, 50):
-        got = cli._power_pairs(sys_, count, seed=count + n)
-        want = cli._power_pairs_scalar(sys_, count, seed=count + n)
+    for count in (0, 1, 50, 300):
+        got = power.sample_pairs(sys_, count, seed=count + n)
+        want = power._sample_pairs_reference(sys_, count, seed=count + n)
         assert len(got) == len(want) == count
         for (x, y), (x0, y0) in zip(got, want):
             assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+class ScriptedNormals:
+    """A stand-in for `default_rng` that deals out one fixed stream of normals."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used:self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
+def test_power_pairs_skip_zero_draws_as_the_per_vector_loop(monkeypatch):
+    # pairs 0 and 2 hold an all-zero draw and pair 3 one perpendicular to v1;
+    # the batch must skip them without a division warning
+    sys_ = paper_counterexample_system()
+    rows = [[0.0, 0.0], [1.0, 1.0], [3.0, 4.0], [0.6, -0.8], [1.0, 2.0], [0.0, 0.0],
+            [0.0, 5.0], [2.0, 1.0], [-1.0, 0.5], [4.0, 3.0], [1.0, -1.0], [2.0, 2.0]]
+    streams = {}
+    for sample in (power.sample_pairs, power._sample_pairs_reference):
+        rng = ScriptedNormals(np.ravel(rows))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, rng=rng: rng)
+        with np.errstate(all="raise"):
+            streams[sample] = (sample(sys_, 3, seed=0), rng.used)
+    (got, used), (want, used_ref) = streams.values()
+    assert used == used_ref == 24
+    assert len(got) == len(want) == 3
+    for (x, y), (x0, y0) in zip(got, want):
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    assert np.array_equal(got[0][0], [0.6, 0.8])
+
+
+def test_negative_pair_count_is_an_input_error(tmp_path):
+    sys_ = paper_counterexample_system()
+    with pytest.raises(SpectralError, match="nonnegative"):
+        power.sample_pairs(sys_, -3, seed=0)
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(np.diag([2.0, 1.0])), encoding="utf-8")
+    code, out, err = run_main(["power", str(path), "analyze", "--pairs", "-3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "-3" in err
 
 
 def replay_pair_mp_per_entry_norm(sys_, x, y, precision=power.REPLAY_PRECISION):
@@ -561,3 +606,10 @@ def test_replay_matches_per_entry_norm(n):
     sys_ = random_gapped_system(rng, n)
     for x, y in random_valid_pairs(rng, sys_, 3 if n == 64 else 10):
         assert replay_pair_mp(sys_, x, y) == replay_pair_mp_per_entry_norm(sys_, x, y)
+
+
+def test_replay_restores_mpmath_precision():
+    sys_ = paper_counterexample_system()
+    before = mp.prec
+    replay_pair_mp(sys_, PAPER_PAIR_X, PAPER_PAIR_Y)
+    assert mp.prec == before

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpmath import iv
+
 from contraction_kit.circuit import CircuitBuilder, CircuitError
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, Solution, verify, verify_banach
 from contraction_kit.gridsearch import solve_instance
@@ -567,3 +569,50 @@ def test_batched_certificate_empty_and_malformed_triples():
     )
     with pytest.raises(ValueError, match="exactly 3 points"):
         certify_constructed_metric(art, [(ORIGIN, E1)])
+
+
+def test_lambda_prime_restores_interval_precision():
+    before = iv.prec
+    certified_lambda_prime(F(1), F(1, 2), F(19, 20))
+    assert iv.prec == before
+
+
+def test_backmap_co3_to_oa_at_a_fixed_point():
+    # p(x) = K*|x - f(x)|_1 = K/2*|x - t|_1 breaks the small lambda at x = t,
+    # and t, the fixed point of f, is an Oa witness
+    t = (F(1, 4), F(1, 2), F(3, 4))
+    inst = BanachInstance(
+        affine_contraction_circuit(F(1, 2), t), l1_distance_circuit(F(1000)), F(1, 4), F(1), F(1, 2)
+    )
+    mapped = map_cls_local_solution_to_banach(inst, Solution("CO3", (t, ORIGIN)))
+    assert mapped == Solution("Oa", (t,))
+    assert verify_banach(inst, mapped)
+
+
+def test_backmap_ob_to_co1_at_x():
+    # p = 0 makes the constructed d the discrete metric, so any x != y with
+    # f(x) != f(y) is an Ob witness, and p(f(x)) = 0 > p(x) - eps_r
+    inst = CLSLocalInstance(scaling_map_circuit(F(1, 2)), constant_potential_circuit(0), F(1, 2), F(1))
+    art = reduce_cls_local_to_banach(inst)
+    sol = Solution("Ob", (E1, ORIGIN))
+    assert verify_banach(art.produced, sol)
+    mapped = map_banach_solution_to_cls_local(inst, art, sol)
+    assert mapped == Solution("CO1", (E1,))
+    assert verify(inst, mapped)
+
+
+def test_backmap_ob_to_co1_at_y():
+    # p = x1 with f(v) = (v1*v2, v2, v3): p drops by 1 at x and not at all at y,
+    # while kappa, and so d, is the same before and after the step
+    b = CircuitBuilder()
+    xs = b.inputs(3)
+    zero = b.const(0)
+    f_circ = b.build([b.mul(xs[0], xs[1]), b.add(xs[1], zero), b.add(xs[2], zero)])
+    inst = CLSLocalInstance(f_circ, coordinate_potential_circuit(), F(1, 2), F(1))
+    art = reduce_cls_local_to_banach(inst)
+    x, y = E1, (F(1), F(1), F(0))
+    sol = Solution("Ob", (x, y))
+    assert verify_banach(art.produced, sol)
+    mapped = map_banach_solution_to_cls_local(inst, art, sol)
+    assert mapped == Solution("CO1", (y,))
+    assert verify(inst, mapped)
