@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,13 +35,15 @@ from .circuit import content_lines, format_fraction, parse_fraction
 from .metrics import (
     _describe_first_failure,
     check_metric_matrix,
-    is_semimetric,
+    int_dtype,
     min_plus_closure,
     scale_to_integers,
     scaled_to_fractions,
+    semimetric_failure,
 )
 
 Matrix = list[list[Fraction]]
+Scaled = tuple[np.ndarray, int]  # (D, s): the matrix D / s, as ``scale_to_integers`` gives it
 
 
 class SelfMapError(ValueError):
@@ -98,6 +101,11 @@ class FiniteSelfMap:
     def d(self, i: int, j: int) -> Fraction:
         return self.base_distance[i][j]
 
+    @cached_property
+    def scaled_distance(self) -> Scaled:
+        """The base metric scaled to integers, converted once per self-map."""
+        return scale_to_integers(self.base_distance)
+
     def to_text(self) -> str:
         lines = [f"points {self.size}"]
         for label, coord in zip(self.labels, self.coords):
@@ -146,8 +154,7 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
         if len(vals) != i:
             raise SelfMapError(f"distance row {i} must have {i} entries")
         for j, v in enumerate(vals):
-            dist[i][j] = v
-            dist[j][i] = v
+            dist[i][j] = dist[j][i] = v
     return FiniteSelfMap(labels, coords, dist, fmap, fixed)
 
 
@@ -162,12 +169,13 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     if eps <= 0:
         raise SelfMapError("eps must be positive")
     fp = m.fixed_point
-    radii = sorted({m.d(fp, i) for i in range(m.size)})
+    base, scale = m.scaled_distance
+    near = base <= math.floor(eps * scale)  # d <= eps, on the integer scale
     best: list[int] = [fp]
-    for r in radii:
-        ball = [i for i in range(m.size) if m.d(fp, i) <= r]
-        if all(m.d(a, b) <= eps for a in ball for b in ball):
-            best = ball
+    for r in sorted(set(base[fp].tolist())):
+        ball = np.flatnonzero(base[fp] <= r)
+        if near[np.ix_(ball, ball)].all():
+            best = ball.tolist()
         else:
             break
     u_set = set(best)
@@ -175,44 +183,32 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     def image(s: set[int]) -> set[int]:
         return {m.map[x] for x in s}
 
-    k = 1
-    img = image(u_set)
+    k, img = 1, image(u_set)
     while not img <= u_set:
         img = image(img)
         k += 1
-    w = []
-    for x in range(m.size):
-        y = x
-        ok = True
-        for _ in range(k):
-            if y not in u_set:
-                ok = False
-                break
-            y = m.map[y]
-        if ok:
-            w.append(x)
+    # an orbit shorter than k ends at x*, which U holds
+    w = [x for x in range(m.size) if u_set.issuperset(m.orbit(x)[:k])]
     w_set = set(w)
-    if fp not in w_set or not image(w_set) <= w_set or any(
-        m.d(a, b) > eps for a in w for b in w
-    ):
+    if fp not in w_set or not image(w_set) <= w_set or not near[np.ix_(w, w)].all():
         return [fp]  # cannot happen on valid instances; singleton always qualifies
     return sorted(w)
 
 
-def compute_orbit_metric(m: FiniteSelfMap) -> Matrix:
-    """d_M(x,y) = max over t >= 0 of d(f^[t](x), f^[t](y)).
+def compute_orbit_metric(m: FiniteSelfMap) -> Scaled:
+    """d_M(x,y) = max over t >= 0 of d(f^[t](x), f^[t](y)), on the base metric's scale.
 
     Runs on the base metric scaled to integers.  ``at`` holds f^[t] of every
     point; f fixes x* and every orbit reaches it, so t stops once all have.
     """
-    base, scale = scale_to_integers(m.base_distance)
+    base, scale = m.scaled_distance
     fmap = np.array(m.map)
     at = np.arange(m.size)
     d_m = base.copy()
     while (at != m.fixed_point).any():
         at = fmap[at]
         np.maximum(d_m, base[np.ix_(at, at)], out=d_m)
-    return scaled_to_fractions(d_m, scale)
+    return d_m, scale
 
 
 def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], list[list[int]]]:
@@ -232,16 +228,30 @@ def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], lis
         elif x in k_sets[0]:
             levels[x] = max(t for t, ks in enumerate(k_sets) if x in ks)
         else:
-            y, steps = x, 0
-            while y not in k_sets[0]:
-                y = m.map[y]
-                steps += 1
-            levels[x] = -steps
+            levels[x] = -next(t for t, y in enumerate(m.orbit(x)) if y in k_sets[0])
     return levels, [sorted(ks) for ks in k_sets]
 
 
-def compute_rho(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
-    """rho_c(x,y) = c^min(n(x), n(y)) * d_M(x,y); contraction holds, triangle may not."""
+def compute_rho(d_m: Scaled, levels: Sequence[float], c: Fraction) -> Scaled:
+    """rho_c(x,y) = c^min(n(x), n(y)) * d_M(x,y); contraction holds, triangle may not.
+
+    With c = p/q and the finite levels in [lo, hi], lo <= 0 <= hi, c^kappa is the
+    integer p^(kappa-lo) * q^(hi-kappa) over p^(-lo) * q^hi, which joins d_M's scale.
+    x*'s +inf level counts as hi: the min pairs it with a finite level, or d_M is 0.
+    """
+    d, scale = d_m
+    p, q = Fraction(c).as_integer_ratio()
+    finite = [int(v) for v in levels if not math.isinf(v)]
+    lo, hi = min([0, *finite]), max([0, *finite])
+    weights = [p ** (k - lo) * q ** (hi - k) for k in range(lo, hi + 1)]
+    dtype = int_dtype(max(weights) * max(1, int(abs(d).max(initial=0))))
+    kappa = np.array([hi if math.isinf(v) else int(v) for v in levels]) - lo
+    rho = d.astype(dtype) * np.array(weights, dtype=dtype)[np.minimum.outer(kappa, kappa)]
+    return rho, scale * p ** -lo * q ** hi
+
+
+def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
+    """The Fraction loop that ``compute_rho`` must equal (tests only)."""
     c = Fraction(c)
     n = len(d_m)
     rho: Matrix = [[Fraction(0)] * n for _ in range(n)]
@@ -261,34 +271,23 @@ def compute_rho(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
     return rho
 
 
-def _check_rho(rho: Matrix) -> None:
-    n = len(rho)
-    for i in range(n):
-        if rho[i][i] != 0:
-            raise ValueError("rho must have a zero diagonal")
-        for j in range(n):
-            if rho[i][j] != rho[j][i]:
-                raise ValueError("rho must be symmetric")
-            if i != j and rho[i][j] <= 0:
-                raise ValueError("rho must be positive off the diagonal")
-
-
-def geodesic_closure(rho: Matrix) -> Matrix:
+def geodesic_closure(rho: Scaled) -> Scaled:
     """All-pairs shortest chain lengths over rho; enforces the triangle inequality.
 
-    Floyd-Warshall runs on rho scaled to a common denominator, on int64 when
-    no sum can overflow and on Python ints otherwise, so the result is exact
-    and equals ``_geodesic_closure_reference``.
+    Floyd-Warshall runs on a copy of rho's scaled integers, whose dtype leaves
+    room for every sum, so the result is exact, on rho's scale, and equals
+    ``_geodesic_closure_reference``.
     """
-    d, scale = scale_to_integers(rho)
-    if not is_semimetric(d):
-        _check_rho(rho)  # raises the message of the first bad entry
-    return scaled_to_fractions(min_plus_closure(d), scale)
+    d, scale = rho
+    if (bad := semimetric_failure(d)) is not None:
+        raise ValueError(bad)
+    return min_plus_closure(d.copy()), scale
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
     """The Fraction triple loop that ``geodesic_closure`` must equal (tests only)."""
-    _check_rho(rho)
+    if (bad := semimetric_failure(np.array(rho, dtype=object))) is not None:
+        raise ValueError(bad)
     n = len(rho)
     dist = [row[:] for row in rho]
     for k in range(n):
@@ -348,29 +347,33 @@ class SynthesizedMetric:
         return "\n".join(lines) + "\n"
 
 
-def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m, d_c):
+def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: Scaled):
     """Exhaustive synthesis certificate; every entry must pass on valid inputs.
 
-    d, d_M and d_c are decided on one integer scale s, with c = p/q and
-    eps = a/b entering by cross-multiplication.  A failing entry names its
-    first failing pair in row-major order, with the Fraction values.
+    d, d_M and d_c are decided on one integer scale s, the lcm of their
+    scales, reached by integer multiplies; c = p/q and eps = a/b enter by
+    cross-multiplication.  A failing entry names its first failing pair in
+    row-major order, with the Fraction values.
     """
     n, fp, f = m.size, m.fixed_point, np.array(m.map)
-    ints, s = scale_to_integers([*m.base_distance, *d_m, *d_c])
+    scaled = (m.scaled_distance, d_m, d_c)
+    s = math.lcm(*(scale for _, scale in scaled))
     p, q = c.numerator, c.denominator
     a, b = eps.numerator, eps.denominator
     # each product below is at most max(q, b) * max|entry| or 2 * a * s
-    if max(q, b) * max(1, int(abs(ints).max())) >= 1 << 63 or 2 * a * s >= 1 << 63:
-        ints = ints.astype(object)
-    D, DM, DC = ints.reshape(3, n, n)
+    top = max(max(1, int(abs(x).max())) * (s // scale) for x, scale in scaled)
+    dtype = int_dtype(max(max(q, b) * top, a * s))
+    D, DM, DC = (x.astype(dtype) * (s // scale) for x, scale in scaled)
     small = b * DC <= a * s  # d_c <= eps
     far = b * D > 2 * a * s  # d > 2 eps
-    outside = np.ones(n, dtype=bool)
-    outside[w] = False
+    outside = ~np.isin(np.arange(n), w)
     d_to_k0 = DM[:, w].min(axis=1)
     # for a semimetric, which the closure demands, the closure is d_c itself
     # iff the triangle inequality holds, i.e. iff d_c is a metric
-    closed = geodesic_closure(d_c) == d_c
+    closed = np.array_equal(geodesic_closure(d_c)[0], d_c[0])
+
+    def at(x, i, j):  # an entry of D, DM or DC as a Fraction, to word a failure
+        return Fraction(int(x[i, j]), s)
 
     def first(mask, detail):
         hits = np.argwhere(mask)
@@ -378,20 +381,21 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m, d_c):
 
     failures = [
         ("d_M dominates d", first(
-            D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i][j]}")),
+            D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={at(DM, i, j)}")),
         ("f non-expanding under d_M", first(
             DM[np.ix_(f, f)] > DM, lambda i, j: f"pair ({i},{j})")),
-        ("d_c metric axioms", None if closed else _describe_first_failure(d_c)),
+        ("d_c metric axioms",
+         None if closed else _describe_first_failure(scaled_to_fractions(*d_c))),
         ("c-contraction of d_c", first(
             q * DC[np.ix_(f, f)] > p * DC,
-            lambda i, j: f"pair ({i},{j}): {d_c[m.map[i]][m.map[j]]} > c*{d_c[i][j]}")),
+            lambda i, j: f"pair ({i},{j}): {at(DC, f[i], f[j])} > c*{at(DC, i, j)}")),
         ("small d_c implies base proximity", first(
             small & far & far[fp][:, None] & far[fp][None, :], lambda i, j: f"pair ({i},{j})")),
         # fixed-point form of the proximity transfer; this converts a d_c bound
         # at x* into a base-metric bound, which the global iteration budget needs
         ("small d_c at the fixed point implies base proximity", first(
             small[:, fp] & far[:, fp],
-            lambda i: f"point {i}: d_c={d_c[i][fp]} <= eps but d={m.d(i, fp)} > 2*eps")),
+            lambda i: f"point {i}: d_c={at(DC, i, fp)} <= eps but d={m.d(i, fp)} > 2*eps")),
         ("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", first(
             outside[:, None] & outside[None, :] & ~np.eye(n, dtype=bool)
             & (DC < np.minimum(DM, d_to_k0[:, None])),
@@ -408,8 +412,7 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     Raises CertificateError with the first witnessing failure if any check
     fails; on valid inputs that indicates an implementation bug, not bad data.
     """
-    c = Fraction(c)
-    eps = Fraction(eps)
+    c, eps = Fraction(c), Fraction(eps)
     if not 0 < c < 1:
         raise SelfMapError("c must lie in (0,1)")
     w = find_invariant_neighborhood(m, eps)
@@ -418,8 +421,8 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     rho = compute_rho(d_m, levels, c)
     d_c = geodesic_closure(rho)
     certificate = _certify(m, c, eps, w, d_m, d_c)
-    result = SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate)
     for entry in certificate:
         if not entry.ok:
             raise CertificateError(f"{entry.name}: {entry.detail}")
-    return result
+    d_m, rho, d_c = (scaled_to_fractions(*x) for x in (d_m, rho, d_c))
+    return SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate)

@@ -197,9 +197,8 @@ def find_contraction_violation(
 def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
     """(D, L) with D[i, j] = mat[i][j] * L exactly, L the lcm of the denominators.
 
-    Entries are ints or Fractions, in rows of one length.  D is int64 when
-    2 * max|D| < 2^63, so the sum of any two entries fits; otherwise it
-    holds Python ints (dtype object).  Both give the same exact values.
+    Entries are ints or Fractions, in rows of one length.  D has the dtype
+    ``int_dtype`` picks for max|D|.
     """
     flat = [x for row in mat for x in row]
     factor = {q: 1 for q in {x.denominator for x in flat}}
@@ -207,8 +206,13 @@ def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, in
     for q in factor:
         factor[q] = scale // q
     ints = [x.numerator * factor[x.denominator] for x in flat]
-    dtype = np.int64 if 2 * max(map(abs, ints), default=0) < 1 << 63 else object
+    dtype = int_dtype(max(map(abs, ints), default=0))
     return np.array(ints, dtype=dtype).reshape(len(mat), len(mat[0]) if mat else 0), scale
+
+
+def int_dtype(bound: int):
+    """int64 if the sum of two entries of magnitude <= bound fits, else object (Python ints)."""
+    return np.int64 if 2 * bound < 1 << 63 else object
 
 
 def scaled_to_fractions(d: np.ndarray, scale: int) -> list[list[Fraction]]:
@@ -229,13 +233,20 @@ def min_plus_closure(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def is_semimetric(d: np.ndarray) -> bool:
-    """Zero diagonal, positive off it, and symmetric: every axiom but the triangle."""
-    return bool(
-        (np.diagonal(d) == 0).all()
-        and np.count_nonzero(d > 0) == d.size - len(d)
-        and np.array_equal(d, d.T)
-    )
+# semimetric_failure's answer per code; the messages name rho, the converse closure's weights
+_SEMIMETRIC_FAILURES = (None, "rho must have a zero diagonal", "rho must be symmetric",
+                        "rho must be positive off the diagonal")
+
+
+def semimetric_failure(d: np.ndarray) -> str | None:
+    """First way a square matrix of ints or Fractions fails to be a semimetric, or None.
+
+    A semimetric meets every metric axiom but the triangle inequality.  The scan runs
+    row by row: the diagonal entry, then each column, symmetry before positivity.
+    """
+    off = np.where(d != d.T, 2, np.where((d <= 0) & ~np.eye(len(d), dtype=bool), 3, 0))
+    codes = np.column_stack([np.where(np.diagonal(d) != 0, 1, 0), off]).ravel()
+    return _SEMIMETRIC_FAILURES[codes[(codes != 0).argmax()]] if len(codes) else None
 
 
 def _is_metric_matrix(d: np.ndarray) -> bool:
@@ -244,7 +255,7 @@ def _is_metric_matrix(d: np.ndarray) -> bool:
     For a semimetric the triangle inequality holds iff no chain is shorter
     than the direct entry, i.e. iff its closure is d itself.
     """
-    return is_semimetric(d) and np.array_equal(min_plus_closure(d.copy()), d)
+    return semimetric_failure(d) is None and np.array_equal(min_plus_closure(d.copy()), d)
 
 
 def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
@@ -259,9 +270,7 @@ def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
     for i in range(n):
         if len(dist[i]) != n:
             return f"row {i} has length {len(dist[i])}, expected {n}"
-    if _is_metric_matrix(scale_to_integers(dist)[0]):
-        return None
-    return _describe_first_failure(dist)
+    return None if _is_metric_matrix(scale_to_integers(dist)[0]) else _describe_first_failure(dist)
 
 
 def _describe_first_failure(dist: Sequence[Sequence[Fraction]]) -> str | None:

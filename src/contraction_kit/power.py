@@ -1,9 +1,10 @@
 """Power iteration, the eigen-metric it contracts under, and its certificates.
 
 The metric d(x,y) = || x/<x,v1> - y/<y,v1> ||_2 contracts at rate
-lambda2/lambda1 under the normalized power step for symmetric matrices with a
-simple principal eigenvalue (symmetry makes left and right eigenvectors
-coincide and gives ||A z||_2 <= lambda2 ||z||_2 on the complement of v1).
+max_{i>=2} |lambda_i| / lambda1 under the normalized power step for symmetric
+matrices whose principal eigenvalue dominates every other in absolute value
+(symmetry makes left and right eigenvectors coincide and gives
+||A z||_2 <= max_{i>=2} |lambda_i| ||z||_2 on the complement of v1).
 Main arithmetic is float64; certificates can be replayed through a 128-bit
 mpmath oracle.
 
@@ -40,6 +41,7 @@ JACOBI_TARGET = 1e-14
 MAX_DIMENSION = 64
 REPLAY_PRECISION = 128
 RATE_CHUNK = 64  # pairs per stacked batch in certify_contraction_rate; bounds its memory
+MAX_POWER_STEPS = 10_000  # most power steps iteration_bound plans and runs
 # largest |tau| whose square stays finite in jacobi_eigensolve
 _TAU_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
@@ -79,8 +81,12 @@ class SpectralSystem:
             raise SpectralError("inconsistent shapes")
         if np.any(np.diff(lam) > 0):
             raise SpectralError("eigenvalues must be sorted descending")
-        if lam[0] - lam[1] < GAP_MIN:
-            raise SpectralError(f"gap too small for the eigen-metric: {lam[0] - lam[1]:.3e}")
+        # descending order puts max_{i>=2} |lambda_i| at lambda2 or -lambda_n
+        gap = lam[0] - max(lam[1], -lam[-1])
+        if gap < GAP_MIN:
+            raise SpectralError(
+                f"dominance gap too small: lambda1 - max |lambda_i|, i >= 2, is {gap:.3e}"
+            )
         gram = vec @ vec.T
         if np.max(np.abs(gram - np.eye(n))) > ORTHO_TOL:
             raise SpectralError("eigenvectors are not orthonormal")
@@ -100,8 +106,9 @@ class SpectralSystem:
 
     @property
     def rate(self) -> float:
-        """Contraction constant lambda2/lambda1 of the eigen-metric."""
-        return self.eigenvalues[1] / self.eigenvalues[0]
+        """Contraction constant max_{i>=2} |lambda_i| / lambda1 of the eigen-metric."""
+        lam = self.eigenvalues
+        return max(lam[1], -lam[-1]) / lam[0]
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -387,7 +394,7 @@ def _rate_certificate(sys: SpectralSystem, values: list[tuple[float, float]]) ->
 def certify_contraction_rate(
     sys: SpectralSystem, pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
 ) -> RateCertificate:
-    """Check d(f(x), f(y)) <= (lambda2/lambda1) d(x,y) + 1e-9 for every pair.
+    """Check d(f(x), f(y)) <= rate * d(x,y) + 1e-9 for every pair.
 
     Pairs go through `_rate_chunk` RATE_CHUNK at a time.  A chunk that fails
     there in any way, a float exception included, runs again pair by pair
@@ -533,10 +540,11 @@ class IterationBoundReport:
 
 
 def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> IterationBoundReport:
-    """Predicted step count log(d(x0,v1)/eps)/log(lambda1/lambda2), then verify.
+    """Predicted step count log(d(x0,v1)/eps)/log(1/rate), then verify.
 
     Runs the predicted number of steps and confirms both d(x_t, v1) <= eps and
-    ||x_t - v1||_2 <= eps (the d-to-l2 conversion).
+    ||x_t - v1||_2 <= eps (the d-to-l2 conversion).  A zero rate predicts one
+    step; a plan above MAX_POWER_STEPS is refused before any step runs.
     """
     if eps <= 0:
         raise SpectralError("eps must be positive")
@@ -544,10 +552,17 @@ def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> Ite
     d0 = eigen_metric(sys, x, sys.v1).value
     if d0 <= eps:
         predicted = 0
+    elif sys.rate == 0:  # every other eigenvalue is 0, so A x lies on the line of v1
+        predicted = 1
     else:
         ratio = d0 / eps  # overflows where eps is subnormal
         log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(d0) - math.log(eps)
-        predicted = math.ceil(log_ratio / math.log(1.0 / sys.rate))
+        per_step = math.log(1.0 / sys.rate)
+        if log_ratio > MAX_POWER_STEPS * per_step:  # no division: per_step may round to 0
+            raise SpectralError(
+                f"--eps {eps!r} needs more than MAX_POWER_STEPS = {MAX_POWER_STEPS} power steps"
+            )
+        predicted = math.ceil(log_ratio / per_step)
     distances = [d0]
     for _ in range(predicted):
         x = power_step(sys, x)

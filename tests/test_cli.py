@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from corpus import banach_corpus, cls_local_corpus
+from contraction_kit import power
 from contraction_kit.cli import main
 from contraction_kit.cls import (
     BanachInstance,
@@ -386,6 +387,53 @@ def test_power_bound_subnormal_eps_reports(workdir, capsys):
     lines = dict(line.split(" ", 1) for line in captured.out.splitlines())
     assert int(lines["predicted"]) > 0
     assert code == (0 if lines["ok"] == "True" else 1)
+
+
+NEGATIVE_SPECTRUM = "2\n2.0 0.0\n0.0 -1.0\n"  # rate max(lambda2, -lambda_n)/lambda1 = 1/2
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_analyze_negative_eigenvalue_passes(workdir, capsys):
+    path = write(workdir / "m.txt", NEGATIVE_SPECTRUM)
+    assert main(["power", path, "analyze", "--pairs", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "rate_bound np.float64(0.5)" in out and "violations 0" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_bound_negative_eigenvalue_reaches_eps(workdir, capsys):
+    path = write(workdir / "m.txt", NEGATIVE_SPECTRUM)
+    assert main(["power", path, "bound", "--x0", "0.6,0.8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "ok True" in captured.out
+
+
+@pytest.mark.parametrize("action", ["analyze", "bound"])
+def test_power_non_dominant_lambda1_exits_two(workdir, capsys, action):
+    # |-3| > 2: the power step does not converge to v1
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 -3.0\n")
+    assert_input_error(["power", path, action, "--x0", "0.6,0.8"], capsys,
+                       "dominance gap too small: lambda1 - max |lambda_i|, i >= 2, is -1.000e+00")
+
+
+@pytest.mark.filterwarnings("error")  # a divide-by-zero RuntimeWarning would fail the test
+def test_power_bound_zero_rate_takes_one_step(workdir, capsys):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 0.0\n")
+    assert main(["power", path, "bound", "--x0", "0.6,0.8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "predicted 1\n" in captured.out and "ok True" in captured.out
+
+
+def test_power_bound_step_cap_exits_two_before_stepping(workdir, capsys, monkeypatch):
+    # gap 1e-6 passes GAP_MIN, but eps = 1e-300 would plan about 6.9e8 steps
+    def no_step(*args):
+        raise AssertionError("a power step ran before the plan was refused")
+
+    monkeypatch.setattr(power, "power_step", no_step)
+    path = write(workdir / "m.txt", "2\n1.0 0.0\n0.0 0.999999\n")
+    assert_input_error(["power", path, "bound", "--x0", "0.6,0.8", "--eps", "1e-300"], capsys,
+                       f"--eps 1e-300 needs more than MAX_POWER_STEPS = {power.MAX_POWER_STEPS}")
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf"])

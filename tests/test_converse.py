@@ -13,6 +13,7 @@ from contraction_kit.converse import (
     FiniteSelfMap,
     SelfMapError,
     _certify,
+    _compute_rho_reference,
     _geodesic_closure_reference,
     compute_levels,
     compute_orbit_metric,
@@ -22,7 +23,7 @@ from contraction_kit.converse import (
     parse_selfmap,
     synthesize,
 )
-from contraction_kit.metrics import scale_to_integers
+from contraction_kit.metrics import scale_to_integers, scaled_to_fractions
 
 CERTIFICATE_PINS = Path(__file__).parent / "certificate_pins.json"
 
@@ -65,6 +66,16 @@ def shortest_simple_path_oracle(weights):
             else:
                 best[i][j] = dfs(i, j, {i}, F(0), None)
     return best
+
+
+def closure_of_fractions(rho):
+    """geodesic_closure on a Fraction matrix, through its scaled-integer form."""
+    return scaled_to_fractions(*geodesic_closure(scale_to_integers(rho)))
+
+
+def certify_fractions(m, c, eps, w, d_m, d_c):
+    """_certify on Fraction matrices d_M and d_c, through their scaled-integer form."""
+    return _certify(m, c, eps, w, scale_to_integers(d_m), scale_to_integers(d_c))
 
 
 def test_neighborhood_singleton_when_eps_small():
@@ -119,7 +130,7 @@ def test_levels_with_two_point_neighborhood():
 
 def test_orbit_metric_examples():
     m = chain_selfmap((1, 2, 1))
-    d_m = compute_orbit_metric(m)
+    d_m = scaled_to_fractions(*compute_orbit_metric(m))
     for i in range(m.size):
         assert d_m[i][i] == 0
     # d_M dominates d and f is non-expanding
@@ -137,7 +148,7 @@ def test_orbit_metric_constant_map_equals_base():
     coords = [(F(i), F(0), F(0)) for i in range(n)]
     dist = [[abs(F(i) - F(j)) for j in range(n)] for i in range(n)]
     m = FiniteSelfMap([f"p{i}" for i in range(n)], coords, dist, [3, 3, 3, 3], 3)
-    assert compute_orbit_metric(m) == dist
+    assert scaled_to_fractions(*compute_orbit_metric(m)) == dist
 
 
 def orbit_metric_brute_force(m):
@@ -167,7 +178,7 @@ def test_orbit_metric_matches_brute_force(scale, n, data):
         reached.append(i)
     coords = [(p, F(0), F(0)) for p in pos]
     m = FiniteSelfMap([f"p{i}" for i in range(n)], coords, dist, fmap, fixed)
-    d_m = compute_orbit_metric(m)
+    d_m = scaled_to_fractions(*compute_orbit_metric(m))
     assert d_m == orbit_metric_brute_force(m)
     assert all(isinstance(v, F) for row in d_m for v in row)
 
@@ -175,20 +186,47 @@ def test_orbit_metric_matches_brute_force(scale, n, data):
 def test_rho_examples():
     levels = [-2, -1, math.inf]
     d_m = [[F(0), F(3), F(4)], [F(3), F(0), F(2)], [F(4), F(2), F(0)]]
-    rho = compute_rho(d_m, levels, F(1, 2))
+    rho = scaled_to_fractions(*compute_rho(scale_to_integers(d_m), levels, F(1, 2)))
     assert rho[0][0] == 0
     assert rho[0][1] == 12  # c^-2 * 3
     assert rho[1][2] == 4   # kappa = min(-1, inf) = -1
-    same_level = compute_rho(d_m, [0, 0, math.inf], F(1, 2))
+    same_level = scaled_to_fractions(*compute_rho(scale_to_integers(d_m), [0, 0, math.inf], F(1, 2)))
     assert same_level[0][1] == d_m[0][1]  # c^0 = 1
+
+
+@pytest.mark.parametrize("huge", [False, True])
+@pytest.mark.parametrize("level_range", [(-5, 0), (-5, 5), (0, 5)])
+@given(st.integers(1, 8), st.sampled_from([F(1, 4), F(1, 2), F(9, 10)]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_compute_rho_matches_reference(huge, level_range, n, c, data):
+    # entries of at least 2^62 leave no int64 headroom and force Python ints
+    num = st.integers(12 * 2**62, 2**70) if huge else st.integers(1, 64)
+    d_m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_m[i][j] = d_m[j][i] = F(data.draw(num), data.draw(st.integers(1, 12)))
+    levels = data.draw(st.lists(st.integers(*level_range), min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # the fixed point's level
+        levels[data.draw(st.integers(0, n - 1))] = math.inf
+    rho, scale = compute_rho(scale_to_integers(d_m), levels, c)
+    if n > 1:
+        assert rho.dtype == (object if huge else np.int64)
+    assert scaled_to_fractions(rho, scale) == _compute_rho_reference(d_m, levels, c)
+
+
+@pytest.mark.parametrize("c", [F(1, 4), F(1, 2), F(9, 10)])
+@pytest.mark.parametrize("level", [math.inf, -3, 0, 4])
+def test_compute_rho_single_point(c, level):
+    rho = compute_rho(scale_to_integers([[F(0)]]), [level], c)
+    assert scaled_to_fractions(*rho) == _compute_rho_reference([[F(0)]], [level], c) == [[0]]
 
 
 def test_geodesic_closure_direct_and_shortcut():
     rho = [[F(0), F(10), F(1)], [F(10), F(0), F(1)], [F(1), F(1), F(0)]]
-    d_c = geodesic_closure(rho)
+    d_c = closure_of_fractions(rho)
     assert d_c[0][1] == 2
     metric_already = [[F(0), F(1)], [F(1), F(0)]]
-    assert geodesic_closure(metric_already) == metric_already
+    assert closure_of_fractions(metric_already) == metric_already
 
 
 def test_geodesic_closure_validates_input():
@@ -200,7 +238,7 @@ def test_geodesic_closure_validates_input():
         ([[F(0), F(-1), F(2)], [F(-1), F(0), F(1)], [F(3), F(1), F(5)]], "positive off"),
     ]
     for rho, message in cases:
-        for closure in (geodesic_closure, _geodesic_closure_reference):
+        for closure in (closure_of_fractions, _geodesic_closure_reference):
             with pytest.raises(ValueError, match=message):
                 closure(rho)
 
@@ -219,7 +257,7 @@ def test_geodesic_closure_matches_reference(huge, n, data):
     if n > 1:
         expected = object if huge else np.int64
         assert scale_to_integers(weights)[0].dtype == expected
-    closure = geodesic_closure(weights)
+    closure = closure_of_fractions(weights)
     assert closure == _geodesic_closure_reference(weights)
     assert all(isinstance(v, F) for row in closure for v in row)
 
@@ -232,9 +270,9 @@ def test_geodesic_matches_path_oracle(n, data):
         for j in range(i + 1, n):
             w = data.draw(st.fractions(min_value="1/8", max_value=8, max_denominator=16))
             weights[i][j] = weights[j][i] = w
-    closure = geodesic_closure(weights)
+    closure = closure_of_fractions(weights)
     assert closure == shortest_simple_path_oracle(weights)
-    assert geodesic_closure(closure) == closure
+    assert closure_of_fractions(closure) == closure
 
 
 def test_synthesize_single_point():
@@ -337,7 +375,8 @@ def corrupted_certificate_cases():
         w = find_invariant_neighborhood(m, eps)
         d_m = compute_orbit_metric(m)
         levels, _ = compute_levels(m, w)
-        d_c = geodesic_closure(compute_rho(d_m, levels, c))
+        d_c = scaled_to_fractions(*geodesic_closure(compute_rho(d_m, levels, c)))
+        d_m = scaled_to_fractions(*d_m)
         for mat in (d_m, d_c):
             for _ in range(rng.randint(0, 3)):
                 i, j = rng.sample(range(m.size), 2)
@@ -351,7 +390,7 @@ def test_certificate_failures_match_pins():
     # before the entries were decided on integers; it is never regenerated
     pins = json.loads(CERTIFICATE_PINS.read_text(encoding="utf-8"))
     got = [
-        [[e.name, e.ok, e.detail] for e in _certify(m, c, eps, w, d_m, d_c)]
+        [[e.name, e.ok, e.detail] for e in certify_fractions(m, c, eps, w, d_m, d_c)]
         for m, c, eps, w, d_m, d_c in corrupted_certificate_cases()
     ]
     assert got == pins
@@ -369,4 +408,4 @@ def test_certify_rejects_non_semimetric_d_c(entries, message):
     for (i, j), value in entries.items():
         d_c[i][j] = value
     with pytest.raises(ValueError, match=message):
-        _certify(m, c, eps, w, d_m, d_c)
+        certify_fractions(m, c, eps, w, d_m, d_c)

@@ -25,6 +25,7 @@ from contraction_kit.metrics import (
     find_contraction_violation,
     find_lipschitz_violation,
     scale_to_integers,
+    semimetric_failure,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -202,3 +203,37 @@ def test_matrix_checker_matches_reference_scan(n, shape, huge, data):
     if huge:
         dist = [[v * 2**64 for v in r] for r in dist]
     assert check_metric_matrix(dist) == _describe_first_failure(dist)
+
+
+def semimetric_scan(rho):
+    """The entry-by-entry scan ``semimetric_failure`` must equal: for each row,
+    its diagonal entry, then each column, symmetry before positivity."""
+    n = len(rho)
+    for i in range(n):
+        if rho[i][i] != 0:
+            return "rho must have a zero diagonal"
+        for j in range(n):
+            if rho[i][j] != rho[j][i]:
+                return "rho must be symmetric"
+            if i != j and rho[i][j] <= 0:
+                return "rho must be positive off the diagonal"
+    return None
+
+
+@given(st.integers(1, 6), st.sampled_from(["raw", "symmetric"]), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_semimetric_failure_matches_entry_scan(n, shape, huge, data):
+    entries = data.draw(st.lists(st.integers(-1, 3), min_size=n * n, max_size=n * n))
+    rho = [[F(v, 2) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
+    if shape == "symmetric":  # zero diagonal and symmetric, so only positivity can fail
+        for i in range(n):
+            rho[i][i] = F(0)
+            for j in range(i):
+                rho[j][i] = rho[i][j]
+    if huge:
+        rho = [[v * 2**64 for v in r] for r in rho]
+    expected = semimetric_scan(rho)
+    ints, _ = scale_to_integers(rho)
+    assert ints.dtype == (object if huge and any(map(any, rho)) else np.int64)
+    assert semimetric_failure(ints) == expected
+    assert semimetric_failure(np.array(rho, dtype=object)) == expected
