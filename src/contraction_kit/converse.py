@@ -154,7 +154,8 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
         if len(vals) != i:
             raise SelfMapError(f"distance row {i} must have {i} entries")
         for j, v in enumerate(vals):
-            dist[i][j] = dist[j][i] = v
+            dist[i][j] = v
+            dist[j][i] = v
     return FiniteSelfMap(labels, coords, dist, fmap, fixed)
 
 
@@ -183,7 +184,8 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     def image(s: set[int]) -> set[int]:
         return {m.map[x] for x in s}
 
-    k, img = 1, image(u_set)
+    k = 1
+    img = image(u_set)
     while not img <= u_set:
         img = image(img)
         k += 1
@@ -255,7 +257,6 @@ def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) ->
     c = Fraction(c)
     n = len(d_m)
     rho: Matrix = [[Fraction(0)] * n for _ in range(n)]
-    powers: dict[int, Fraction] = {}  # level -> c**level, one power per level
     for i in range(n):
         for j in range(i + 1, n):
             if d_m[i][j] == 0:
@@ -264,10 +265,7 @@ def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) ->
             # levels through the min unless both points are the fixed point,
             # and that pair has d_M = 0
             kappa = int(min(levels[i], levels[j]))
-            power = powers.get(kappa)
-            if power is None:
-                power = powers[kappa] = c ** kappa
-            rho[i][j] = rho[j][i] = power * d_m[i][j]
+            rho[i][j] = rho[j][i] = c ** kappa * d_m[i][j]
     return rho
 
 
@@ -292,9 +290,8 @@ def _geodesic_closure_reference(rho: Matrix) -> Matrix:
     dist = [row[:] for row in rho]
     for k in range(n):
         for i in range(n):
-            dik = dist[i][k]
             for j in range(n):
-                via = dik + dist[k][j]
+                via = dist[i][k] + dist[k][j]
                 if via < dist[i][j]:
                     dist[i][j] = via
     return dist
@@ -366,7 +363,8 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     D, DM, DC = (x.astype(dtype) * (s // scale) for x, scale in scaled)
     small = b * DC <= a * s  # d_c <= eps
     far = b * D > 2 * a * s  # d > 2 eps
-    outside = ~np.isin(np.arange(n), w)
+    outside = np.ones(n, dtype=bool)
+    outside[w] = False
     d_to_k0 = DM[:, w].min(axis=1)
     # for a semimetric, which the closure demands, the closure is d_c itself
     # iff the triangle inequality holds, i.e. iff d_c is a metric
@@ -412,7 +410,8 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     Raises CertificateError with the first witnessing failure if any check
     fails; on valid inputs that indicates an implementation bug, not bad data.
     """
-    c, eps = Fraction(c), Fraction(eps)
+    c = Fraction(c)
+    eps = Fraction(eps)
     if not 0 < c < 1:
         raise SelfMapError("c must lie in (0,1)")
     w = find_invariant_neighborhood(m, eps)

@@ -201,10 +201,9 @@ def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, in
     ``int_dtype`` picks for max|D|.
     """
     flat = [x for row in mat for x in row]
-    factor = {q: 1 for q in {x.denominator for x in flat}}
-    scale = math.lcm(*factor)
-    for q in factor:
-        factor[q] = scale // q
+    denominators = {x.denominator for x in flat}
+    scale = math.lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
     ints = [x.numerator * factor[x.denominator] for x in flat]
     dtype = int_dtype(max(map(abs, ints), default=0))
     return np.array(ints, dtype=dtype).reshape(len(mat), len(mat[0]) if mat else 0), scale
@@ -270,7 +269,9 @@ def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
     for i in range(n):
         if len(dist[i]) != n:
             return f"row {i} has length {len(dist[i])}, expected {n}"
-    return None if _is_metric_matrix(scale_to_integers(dist)[0]) else _describe_first_failure(dist)
+    if _is_metric_matrix(scale_to_integers(dist)[0]):
+        return None
+    return _describe_first_failure(dist)
 
 
 def _describe_first_failure(dist: Sequence[Sequence[Fraction]]) -> str | None:
