@@ -290,8 +290,9 @@ def _geodesic_closure_reference(rho: Matrix) -> Matrix:
     dist = [row[:] for row in rho]
     for k in range(n):
         for i in range(n):
+            dik = dist[i][k]
             for j in range(n):
-                via = dist[i][k] + dist[k][j]
+                via = dik + dist[k][j]
                 if via < dist[i][j]:
                     dist[i][j] = via
     return dist

@@ -201,9 +201,10 @@ def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, in
     ``int_dtype`` picks for max|D|.
     """
     flat = [x for row in mat for x in row]
-    denominators = {x.denominator for x in flat}
-    scale = math.lcm(*denominators)
-    factor = {q: scale // q for q in denominators}
+    factor = {q: 1 for q in {x.denominator for x in flat}}
+    scale = math.lcm(*factor)
+    for q in factor:
+        factor[q] = scale // q
     ints = [x.numerator * factor[x.denominator] for x in flat]
     dtype = int_dtype(max(map(abs, ints), default=0))
     return np.array(ints, dtype=dtype).reshape(len(mat), len(mat[0]) if mat else 0), scale
