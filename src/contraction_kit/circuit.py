@@ -19,10 +19,15 @@ becomes one ``Fraction(num, K*D**e)``.  Where some ``K*D**e`` of a call
 would pass ``DEN_BIT_BUDGET`` bits (deep ``mul`` chains such as repeated
 squaring), that call runs the ``Fraction`` interpreter instead, which stays
 as the reference.  Both give the same canonical fractions.
-``evaluate_many`` runs each step of the same program once for a batch of
-input rows, over numpy object columns of Python ints that share one ``D``
-for the whole batch; a batch whose shared ``D`` fails the budget check is
-evaluated row by row.
+``evaluate_columns`` runs each step of the same program once for a batch,
+over numpy object columns of Python ints: it takes each input as a column
+of numerators over one ``D`` that the caller chose, and gives each output
+as a numerator column over its static denominator ``K*D**e``, or None when
+that ``D`` fails the budget check.  A caller that reads many rows built
+from few points scales each point once and gathers the columns by index.
+``evaluate_many`` is that kernel on rows of rationals, with ``D`` the lcm
+of the batch's denominators and one ``Fraction`` per output entry; a batch
+over the budget is evaluated row by row.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -207,17 +212,42 @@ class Circuit:
     def evaluate_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         """Exactly evaluate the circuit on many input rows: ``[evaluate(r) for r in rows]``.
 
-        Runs each step of the integer program once for the whole batch, over
-        column-wise values that share one ``D``, the lcm of every input
-        denominator in the batch.  When that ``D`` would put some static
-        denominator past ``DEN_BIT_BUDGET`` bits, each row goes through
-        ``evaluate`` on its own and keeps its own ``D`` or the reference.
+        Runs ``evaluate_columns`` once for the whole batch, with ``D`` the lcm
+        of every input denominator in the batch.  When that ``D`` would put
+        some static denominator past ``DEN_BIT_BUDGET`` bits, each row goes
+        through ``evaluate`` on its own and keeps its own ``D`` or the reference.
         """
         qss = [self._fractions(row) for row in rows]
         if not qss:
             return []
-        out = self._program.run_many(qss)
-        return [self.evaluate(qs) for qs in qss] if out is None else out
+        d = lcm(*(q.denominator for qs in qss for q in qs))
+        columns = [
+            np.array([qs[i].numerator * (d // qs[i].denominator) for qs in qss], dtype=object)
+            for i in range(self.input_arity)
+        ]
+        out = self.evaluate_columns(columns, d, len(qss))
+        if out is None:
+            return [self.evaluate(qs) for qs in qss]
+        columns = [[Fraction(num, den) for num in nums] for nums, den in out]
+        return [list(row) for row in zip(*columns)]
+
+    def evaluate_columns(
+        self, columns: Sequence[np.ndarray], d: int, size: int
+    ) -> list[tuple[np.ndarray, int]] | None:
+        """Exactly evaluate a batch of ``size`` rows given as scaled input columns.
+
+        ``columns[i][r] / d`` is input ``i`` of row ``r``: one numpy object
+        array of Python ints per input, all over the one denominator ``d``.
+        Each output comes back as ``(numerators, den)``, an object column of
+        ``size`` Python ints over its static denominator ``den = K*D**e``,
+        not reduced to lowest terms.  None when ``d`` would put some static
+        denominator past ``DEN_BIT_BUDGET`` bits.
+        """
+        if len(columns) != self.input_arity:
+            raise CircuitError(
+                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(columns)}"
+            )
+        return self._program.run_many(columns, d, size)
 
     def _evaluate_reference(self, qs: Sequence[Fraction]) -> list[Fraction]:
         """The ``Fraction`` interpreter: one exact rational op per gate.
@@ -342,20 +372,19 @@ class _Program:
             v.append(op(x, y))
         return [Fraction(v[i], k * d**e) for i, k, e in self.outputs]
 
-    def run_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-        """``run`` on every row at once with one shared ``D``; None when over budget.
+    def run_many(
+        self, columns: Sequence[np.ndarray], d: int, size: int
+    ) -> list[tuple[np.ndarray, int]] | None:
+        """``run`` on ``size`` rows of input columns scaled to ``d``; None when over budget.
 
         A slot that depends on an input holds an object array with one
         Python int per row; one fixed by the consts alone holds a plain
-        Python int, which every column op broadcasts.
+        Python int, which every column op broadcasts.  Each output is its
+        numerator column and its static denominator ``K*d**e``.
         """
-        d = lcm(*(q.denominator for qs in rows for q in qs))
         if (d - 1).bit_length() > self.max_d_bits:
             return None
-        v: list = [
-            np.array([qs[i].numerator * (d // qs[i].denominator) for qs in rows], dtype=object)
-            for i in range(len(rows[0]))
-        ]
+        v: list = list(columns)
         v += self.consts
         s = [m * d**k for m, k in self.scales]
         for (_, a, sa, b, sb), op, release in zip(self.steps, self.column_ops, self.releases):
@@ -368,12 +397,10 @@ class _Program:
             v.append(op(x, y))
             for slot in release:
                 v[slot] = None
-        columns = []
-        for i, k, e in self.outputs:
-            den = k * d**e
-            column = np.broadcast_to(np.asarray(v[i], dtype=object), len(rows))
-            columns.append([Fraction(num, den) for num in column])
-        return [list(row) for row in zip(*columns)]
+        return [
+            (np.broadcast_to(np.asarray(v[i], dtype=object), size), k * d**e)
+            for i, k, e in self.outputs
+        ]
 
 
 def _parse_node_ref(token: str, line_no: int) -> int:

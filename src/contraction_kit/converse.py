@@ -37,6 +37,7 @@ from .metrics import (
     check_metric_matrix,
     int_dtype,
     min_plus_closure,
+    ragged_row,
     scale_to_integers,
     scaled_to_fractions,
     semimetric_failure,
@@ -66,7 +67,10 @@ class FiniteSelfMap:
         n = len(self.labels)
         if not (len(self.coords) == len(self.map) == len(self.base_distance) == n):
             raise SelfMapError("inconsistent field lengths")
-        bad = check_metric_matrix(self.base_distance)
+        # the ragged-row check runs before the one conversion to integers
+        bad = ragged_row(self.base_distance)
+        if bad is None:
+            bad = check_metric_matrix(self.base_distance, self.scaled_distance[0])
         if bad is not None:
             raise SelfMapError(f"base distance is not a metric: {bad}")
         if any(not 0 <= i < n for i in self.map):

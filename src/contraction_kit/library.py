@@ -17,7 +17,9 @@ Point = tuple[Fraction, Fraction, Fraction]
 def as_point(coords: Sequence) -> Point:
     if len(coords) != 3:
         raise ValueError(f"expected 3 coordinates, got {len(coords)}")
-    return tuple(Fraction(c) for c in coords)  # type: ignore[return-value]
+    # a Fraction is kept as it is: Fraction(q) would rebuild it
+    point = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    return point  # type: ignore[return-value]
 
 
 def l1(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

@@ -223,13 +223,13 @@ def scaled_to_fractions(d: np.ndarray, scale: int) -> list[list[Fraction]]:
 
 
 def min_plus_closure(d: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall in place on a scaled matrix with entries >= 0; returns d.
+    """Floyd-Warshall in place on a scaled matrix (or a stack) with entries >= 0; returns d.
 
     Entries only fall, and each sum adds two of them, so a scaled matrix
     from ``scale_to_integers`` cannot overflow.
     """
-    for k in range(len(d)):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    for k in range(d.shape[-1]):
+        np.minimum(d, d[..., :, k, None] + d[..., None, k, :], out=d)
     return d
 
 
@@ -238,39 +238,68 @@ _SEMIMETRIC_FAILURES = (None, "rho must have a zero diagonal", "rho must be symm
                         "rho must be positive off the diagonal")
 
 
+def _semimetric_codes(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Failure codes per row of each square matrix in a stack: diagonal entry, then each column.
+
+    1 is a nonzero diagonal entry, 2 an entry that differs from its mirror,
+    3 an entry below zero or a zero between indices that ``distinct`` marks.
+    """
+    off = np.where(d != np.swapaxes(d, -1, -2), 2, np.where((d < 0) | ((d == 0) & distinct), 3, 0))
+    diagonal = np.where(np.diagonal(d, axis1=-2, axis2=-1) != 0, 1, 0)
+    return np.concatenate([diagonal[..., None], off], axis=-1)
+
+
 def semimetric_failure(d: np.ndarray) -> str | None:
     """First way a square matrix of ints or Fractions fails to be a semimetric, or None.
 
     A semimetric meets every metric axiom but the triangle inequality.  The scan runs
     row by row: the diagonal entry, then each column, symmetry before positivity.
     """
-    off = np.where(d != d.T, 2, np.where((d <= 0) & ~np.eye(len(d), dtype=bool), 3, 0))
-    codes = np.column_stack([np.where(np.diagonal(d) != 0, 1, 0), off]).ravel()
+    codes = _semimetric_codes(d, ~np.eye(len(d), dtype=bool)).ravel()
     return _SEMIMETRIC_FAILURES[codes[(codes != 0).argmax()]] if len(codes) else None
 
 
-def _is_metric_matrix(d: np.ndarray) -> bool:
-    """The four axioms of ``_first_failure`` on a scaled square matrix, vectorised.
+def metric_failure_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Per matrix of a (T, k, k) stack of scaled matrices, whether ``_first_failure`` fails it.
 
-    For a semimetric the triangle inequality holds iff no chain is shorter
-    than the direct entry, i.e. iff its closure is d itself.
+    ``distinct[t, i, j]`` is ``keys[i] != keys[j]`` for matrix t.  A matrix
+    that passes the semimetric codes (which cover nonnegativity, identity
+    of indiscernibles and symmetry) meets the triangle inequality iff no
+    chain is shorter than the direct entry, i.e. iff its closure is itself;
+    only those matrices are closed, so no sum sees a negative entry.
     """
-    return semimetric_failure(d) is None and np.array_equal(min_plus_closure(d.copy()), d)
+    failed = _semimetric_codes(d, distinct).any(axis=(-2, -1))
+    keep = ~failed
+    failed[keep] = (min_plus_closure(d[keep]) != d[keep]).any(axis=(-2, -1))  # d[keep] is a copy
+    return failed
 
 
-def check_metric_matrix(dist: Sequence[Sequence[Fraction]]) -> str | None:
+def ragged_row(dist: Sequence[Sequence[Fraction]]) -> str | None:
+    """The first row whose length is not the row count, described, or None."""
+    n = len(dist)
+    for i in range(n):
+        if len(dist[i]) != n:
+            return f"row {i} has length {len(dist[i])}, expected {n}"
+    return None
+
+
+def check_metric_matrix(
+    dist: Sequence[Sequence[Fraction]], scaled: np.ndarray | None = None
+) -> str | None:
     """Exhaustive metric-axiom check for a square distance matrix.
 
     Returns None on pass or a short description of the first failure, in the
     scan order of ``_first_failure``; used to vet finite-space base metrics
     and synthesized matrices.  Acceptance is decided on the matrix scaled to
-    integers; only a failing matrix runs the scan, in ``_describe_first_failure``.
+    integers, ``scaled`` when the caller holds ``scale_to_integers(dist)[0]``
+    already; only a failing matrix runs the scan, in ``_describe_first_failure``.
     """
-    n = len(dist)
-    for i in range(n):
-        if len(dist[i]) != n:
-            return f"row {i} has length {len(dist[i])}, expected {n}"
-    if _is_metric_matrix(scale_to_integers(dist)[0]):
+    bad = ragged_row(dist)
+    if bad is not None:
+        return bad
+    if scaled is None:
+        scaled = scale_to_integers(dist)[0]
+    if not metric_failure_mask(scaled[None], ~np.eye(len(dist), dtype=bool))[0]:
         return None
     return _describe_first_failure(dist)
 

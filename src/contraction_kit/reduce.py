@@ -16,6 +16,13 @@ the ceiling, so it is exact and reproducible.
 The optional half_eps switch runs the hardness construction at eps/2; with it
 the back-mapping lands CO1 witnesses that verify at the source eps (without
 it they carry the construction's inherent 2*eps slack).
+
+certify_constructed_metric checks the constructed d on sampled triples on one
+integer scale: the points are scaled once to a common denominator, d and p
+run as batches over integer columns (Circuit.evaluate_columns), and every
+clause is decided on the numerators d's values share one denominator over.
+The metric axioms go through metrics.metric_failure_mask, and only a flagged
+triple reaches the check_metric_axioms scan that names its failure.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import numpy as np
 from mpmath import iv
 
 from .circuit import Circuit, CircuitBuilder, CircuitError, format_fraction
@@ -38,7 +46,12 @@ from .cls import (
     verify_cls_local,
 )
 from .library import as_point, discrete_metric_circuit, l1
-from .metrics import check_metric_axioms
+from .metrics import (
+    check_metric_axioms,
+    metric_failure_mask,
+    scale_to_integers,
+    scaled_to_fractions,
+)
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
 CLSLOCAL_TO_BANACH = "cls-local->banach"
@@ -321,8 +334,14 @@ def certify_constructed_metric(
     """Check metric axioms, the d >= c' lower bound, and the two-case triangle
     argument of the constructed metric over sampled triples.
 
-    d is evaluated once per ordered pair of each triple and p once per point,
-    each circuit in one batch over all triples; every check reads those values.
+    Every point is scaled once to the batch's common denominator; d is
+    evaluated once per ordered pair of each triple and p once per point,
+    each circuit in one batch over columns gathered from those integers.
+    Each clause is decided on the integer numerators that d's values (and
+    p's) share one denominator over.  ``Fraction``s are built only for the
+    report: each triple's two triangle sides, the smallest off-diagonal
+    distance, and the detail strings of failures.  A triple flagged by the
+    axiom mask is described by ``check_metric_axioms``.
     """
     if artifacts.direction != CLSLOCAL_TO_BANACH:
         raise ReductionBug("artifacts are not from the hardness direction")
@@ -330,35 +349,64 @@ def certify_constructed_metric(
     points = [tuple(as_point(pt) for pt in raw) for raw in triples]
     if any(len(triple) != 3 for triple in points):
         raise ValueError("each triple needs exactly 3 points")
-    d_values = artifacts.produced.d.evaluate_many(
-        [a + b for triple in points for a in triple for b in triple]
-    )
-    p_values = artifacts.source.p.evaluate_many([a for triple in points for a in triple])
     report = MetricCertification()
-    for t, triple in enumerate(points):
-        dist = [[d_values[9 * t + 3 * i + j][0] for j in range(3)] for i in range(3)]
-        pot = [p_values[3 * t + i][0] for i in range(3)]
-        violation = check_metric_axioms(dist, triple)
+    if not points:
+        return report
+    scaled, scale = scale_to_integers([pt for triple in points for pt in triple])
+    coords = scaled.astype(object)  # (3T, 3) Python ints: row 3t+i is point i of triple t
+    n = len(points)
+    first = np.repeat(np.arange(3 * n), 3)  # pair row 9t+3i+j reads point 3t+i ...
+    second = np.arange(3 * n).reshape(n, 1, 3).repeat(3, axis=1).ravel()  # ... and 3t+j
+    d_num, d_den = _on_one_scale(
+        artifacts.produced.d, [*coords[first].T, *coords[second].T], scale
+    )
+    p_num, _ = _on_one_scale(artifacts.source.p, list(coords.T), scale)
+    dist = d_num.reshape(n, 3, 3)
+    pot = p_num.reshape(n, 3)
+    pts = coords.reshape(n, 3, 3)
+    distinct = (pts[:, :, None, :] != pts[:, None, :, :]).any(axis=3)
+
+    for k in np.flatnonzero(metric_failure_mask(dist, distinct)):
+        violation = check_metric_axioms(scaled_to_fractions(dist[k], d_den), points[k])
         if violation is not None:
             report.axiom_failures.append(
                 f"{violation.axiom} at {violation.witnesses}: "
                 f"lhs={violation.lhs} rhs={violation.rhs}"
             )
-        for i, a in enumerate(triple):
-            for j, bpt in enumerate(triple):
-                if a != bpt:
-                    val = dist[i][j]
-                    if report.min_offdiag is None or val < report.min_offdiag:
-                        report.min_offdiag = val
-                    if val < c_prime:
-                        report.lower_bound_failures.append(
-                            f"d({a},{bpt}) = {val} < c' = {c_prime}"
-                        )
-        x, y, z = 0, 1, 2  # indices into the triple
-        if pot[x] < pot[y]:
-            x, y = y, x
-        case = "p(x)>=p(z)" if pot[x] >= pot[z] else "p(x)<p(z)"
-        lhs = dist[x][y]
-        rhs = dist[x][z] + dist[z][y]
-        report.case_verdicts.append(TriangleCaseVerdict(case, lhs <= rhs, lhs, rhs))
+    offdiag = dist[distinct]
+    if offdiag.size:
+        report.min_offdiag = Fraction(int(offdiag.min()), d_den)
+    below = distinct & (dist * c_prime.denominator < c_prime.numerator * d_den)
+    for k, i, j in np.argwhere(below):
+        u, v, val = points[k][i], points[k][j], Fraction(dist[k, i, j], d_den)
+        report.lower_bound_failures.append(f"d({u},{v}) = {val} < c' = {c_prime}")
+
+    rows = np.arange(n)
+    x = np.where(pot[:, 0] < pot[:, 1], 1, 0)  # x, y = 0, 1 ordered so that p(x) >= p(y)
+    y = 1 - x
+    ge = (pot[rows, x] >= pot[:, 2]).tolist()
+    lhs = dist[rows, x, y]
+    rhs = dist[rows, x, 2] + dist[rows, 2, y]
+    for case_ge, ok, a, b in zip(ge, (lhs <= rhs).tolist(), lhs.tolist(), rhs.tolist()):
+        report.case_verdicts.append(TriangleCaseVerdict(
+            "p(x)>=p(z)" if case_ge else "p(x)<p(z)", ok, Fraction(a, d_den), Fraction(b, d_den)
+        ))
     return report
+
+
+def _on_one_scale(
+    circuit: Circuit, columns: list[np.ndarray], scale: int
+) -> tuple[np.ndarray, int]:
+    """A one-output circuit on each row of ``columns / scale``, as (numerators, denominator).
+
+    The batch runs through ``Circuit.evaluate_columns``; a batch over its bit
+    budget is evaluated row by row, and the row values brought to one
+    denominator by ``scale_to_integers``.
+    """
+    size = len(columns[0])
+    out = circuit.evaluate_columns(columns, scale, size)
+    if out is not None:
+        return out[0]
+    rows = [[Fraction(v, scale) for v in row] for row in zip(*(c.tolist() for c in columns))]
+    values, den = scale_to_integers([circuit.evaluate(row) for row in rows])
+    return values.astype(object).reshape(size), den

@@ -1,7 +1,9 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,3 +364,96 @@ def test_evaluate_many_falls_back_per_row_past_bit_budget(monkeypatch):
     calls.clear()
     assert c.evaluate_many([[F(1, 2049), 1], [F(1, 3), 1]]) == [[F(1, 2049)], [F(1, 3)]]
     assert calls == ["evaluate", "reference", "evaluate"]
+
+
+# ---------------------------------------------------------------- evaluate_columns
+
+
+def scaled_columns(circuit, rows, extra=1):
+    """The rows as input columns of numerators over extra * (the lcm of their denominators)."""
+    qss = [[F(a) for a in row] for row in rows]
+    d = extra * lcm(*(q.denominator for qs in qss for q in qs))
+    columns = [np.array([qs[i].numerator * (d // qs[i].denominator) for qs in qss], dtype=object)
+               for i in range(circuit.input_arity)]
+    return columns, d
+
+
+def assert_columns_match(circuit, rows, out):
+    """Each (numerators, den) output column read as Fractions equals evaluate and the reference."""
+    assert len(out) == circuit.output_arity
+    for nums, den in out:
+        assert type(den) is int and den > 0
+        assert len(nums) == len(rows)
+        assert all(type(v) is int for v in nums)
+    got = [[F(nums[r], den) for nums, den in out] for r in range(len(rows))]
+    assert got == [circuit.evaluate(r) for r in rows]
+    assert got == [circuit._evaluate_reference([F(a) for a in r]) for r in rows]
+
+
+@given(random_batches(), st.sampled_from([1, 6]))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_columns_matches_evaluate_and_reference(case, extra):
+    # extra = 6 puts the inputs over a denominator larger than their lcm
+    circuit, rows = case
+    columns, d = scaled_columns(circuit, rows, extra)
+    out = circuit.evaluate_columns(columns, d, len(rows))
+    if out is None:  # tiny floats carry denominators past the bit budget
+        assert (d - 1).bit_length() > circuit._program.max_d_bits
+    else:
+        assert_columns_match(circuit, rows, out)
+
+
+def test_evaluate_columns_existing_cases():
+    cases = [
+        (MUL_MAX, [[F(1, 3), F(2, 5)], [F(-7, 8), 4], [F(1, 9), F(-5, 7)], [0, 0]]),
+        (GT, [[F(1, 3), F(2, 5)], [F(-7, 8), 4], [F(1, 9), F(-5, 7)], [0, 0]]),
+        (DOUBLER, [[F(3, 7)], [F(-1, 2)], [5]]),
+    ]
+    for text, rows in cases:
+        c = parse_circuit(text)
+        columns, d = scaled_columns(c, rows)
+        assert_columns_match(c, rows, c.evaluate_columns(columns, d, len(rows)))
+
+
+def test_evaluate_columns_broadcasts_constant_outputs():
+    b = CircuitBuilder()
+    x = b.input()
+    third = b.const(F(1, 3))
+    fixed = b.max(b.const(3), b.const(5))
+    c = b.build([third, b.mul(x, third), fixed])
+    rows = [[F(1, 2)], [F(3, 7)], [2]]
+    columns, d = scaled_columns(c, rows)
+    out = c.evaluate_columns(columns, d, len(rows))
+    assert_columns_match(c, rows, out)
+    assert [F(v, out[0][1]) for v in out[0][0]] == [F(1, 3)] * 3
+    # a circuit with no inputs has no columns: the size alone sets the batch
+    const = parse_circuit(CONST_HALF)
+    ((nums, den),) = const.evaluate_columns([], 1, 4)
+    assert [F(v, den) for v in nums] == [F(1, 2)] * 4
+
+
+def test_evaluate_columns_empty_batch():
+    c = parse_circuit(MUL_MAX)
+    empty = np.array([], dtype=object)
+    ((nums, den),) = c.evaluate_columns([empty, empty], 1, 0)
+    assert len(nums) == 0 and den == 1
+    ((nums, _),) = parse_circuit(CONST_HALF).evaluate_columns([], 1, 0)
+    assert len(nums) == 0
+
+
+def test_evaluate_columns_arity_checked():
+    c = parse_circuit(MUL_MAX)
+    with pytest.raises(CircuitError, match="arity mismatch: circuit takes 2 inputs, got 1"):
+        c.evaluate_columns([np.array([1], dtype=object)], 1, 1)
+
+
+def test_evaluate_columns_none_past_bit_budget(monkeypatch):
+    # as in the evaluate_many fallback test: D - 1 may have at most 10 bits
+    monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
+    b = CircuitBuilder()
+    x, y = b.inputs(2)
+    c = b.build([b.mul(x, y)])
+    rows = [[F(1, 997), F(3)], [F(2, 991), F(5)]]
+    assert c.evaluate_columns(*scaled_columns(c, rows), len(rows)) is None
+    rows = [[F(1, 4), F(3)], [F(1, 8), F(1, 2)]]
+    assert_columns_match(c, rows, c.evaluate_columns(*scaled_columns(c, rows), len(rows)))

@@ -20,10 +20,12 @@ from contraction_kit.metrics import (
     AXIOM_TRIANGLE,
     PointPair,
     _describe_first_failure,
+    _first_failure,
     check_metric_axioms,
     check_metric_matrix,
     find_contraction_violation,
     find_lipschitz_violation,
+    metric_failure_mask,
     scale_to_integers,
     semimetric_failure,
 )
@@ -237,3 +239,29 @@ def test_semimetric_failure_matches_entry_scan(n, shape, huge, data):
     assert ints.dtype == (object if huge and any(map(any, rho)) else np.int64)
     assert semimetric_failure(ints) == expected
     assert semimetric_failure(np.array(rho, dtype=object)) == expected
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.sampled_from(["raw", "semimetric"]),
+       st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_metric_failure_mask_matches_first_failure(k, count, shape, huge, data):
+    # keys from two values put repeated points, where a zero off the diagonal is no failure
+    mats, keys = [], []
+    for _ in range(count):
+        entries = data.draw(st.lists(st.integers(-1, 4), min_size=k * k, max_size=k * k))
+        dist = [[F(v, 3) for v in entries[i * k : (i + 1) * k]] for i in range(k)]
+        if shape == "semimetric":  # zero diagonal and symmetric: the triangle decides
+            for i in range(k):
+                dist[i][i] = F(0)
+                for j in range(i):
+                    dist[j][i] = dist[i][j] = abs(dist[i][j])
+        if huge:
+            dist = [[v * 2**64 for v in r] for r in dist]
+        mats.append(dist)
+        keys.append(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    expected = [_first_failure(dist, key) is not None for dist, key in zip(mats, keys)]
+    stack = scale_to_integers([row for dist in mats for row in dist])[0].reshape(count, k, k)
+    distinct = np.array([[[a != b for b in key] for a in key] for key in keys], dtype=bool)
+    distinct = distinct.reshape(count, k, k)
+    assert metric_failure_mask(stack, distinct).tolist() == expected
+    assert metric_failure_mask(stack.astype(object), distinct).tolist() == expected

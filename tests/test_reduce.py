@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpmath import iv
 
-from contraction_kit.circuit import CircuitBuilder, CircuitError
+from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, Solution, verify, verify_banach
 from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
@@ -15,6 +15,7 @@ from contraction_kit.library import (
     circuit_fn,
     constant_potential_circuit,
     coordinate_potential_circuit,
+    discrete_metric_circuit,
     flip_map_circuit,
     identity_map_circuit,
     l1_distance_circuit,
@@ -569,6 +570,113 @@ def test_batched_certificate_empty_and_malformed_triples():
     )
     with pytest.raises(ValueError, match="exactly 3 points"):
         certify_constructed_metric(art, [(ORIGIN, E1)])
+
+
+def circuit_on_first_coordinates(op):
+    """A 6-input distance circuit built by op(builder, x1, y1) from the first coordinates."""
+    b = CircuitBuilder()
+    xs = b.inputs(3)
+    ys = b.inputs(3)
+    return b.build([op(b, xs[0], ys[0])])
+
+
+def constant_one_distance_circuit():
+    b = CircuitBuilder()
+    b.inputs(6)
+    return b.build([b.const(1)])
+
+
+QUARTER = (F(1, 4), F(0), F(0))
+HALF_E1 = (F(1, 2), F(0), F(0))
+E2 = (F(0), F(1), F(0))
+
+# name -> (distance circuit, triples, the axiom their failures name or None,
+#          whether lower-bound failures are expected)
+FAILING_METRICS = {
+    "nonneg": (circuit_on_first_coordinates(lambda b, x, y: b.sub(y, x)),
+               [(E1, ORIGIN, QUARTER), (ORIGIN, QUARTER, HALF_E1)], "NONNEG", True),
+    "identity-diagonal": (constant_one_distance_circuit(),
+                          [(ORIGIN, E1, QUARTER), (HALF, E2, ORIGIN)], "IDENTITY", False),
+    "identity-distinct": (circuit_on_first_coordinates(lambda b, x, y: b.abs(x, y)),
+                          [(ORIGIN, E2, E1), (E1, HALF_E1, (F(1), F(1), F(1)))], "IDENTITY", True),
+    "triangle": (sq_l2_distance_circuit(),
+                 [(ORIGIN, E1, HALF_E1), (E2, ORIGIN, (F(0), F(1, 2), F(0)))], "TRIANGLE", True),
+    "below-c-prime": (l1_distance_circuit(F(1, 16)),
+                      [(ORIGIN, E1, QUARTER), (HALF, E2, E1)], None, True),
+    # a repeated point: d(x,x) = 1 fails, and the zero between the copies is not a failure
+    "repeated-point": (constant_one_distance_circuit(), [(ORIGIN, ORIGIN, E1), (E1, E2, E2)],
+                       "IDENTITY", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_METRICS))
+def test_batched_certificate_matches_pairwise_on_each_failure(name):
+    d, triples, axiom, below = FAILING_METRICS[name]
+    triples = list(triples) + random_triples(random.Random(len(name)), 6, [4, 8])
+    report = assert_same_certification(broken_metric_artifacts(d), triples)
+    assert not report.all_pass
+    assert bool(report.lower_bound_failures) == below
+    if axiom is None:
+        assert not report.axiom_failures
+    else:
+        assert report.axiom_failures
+        assert all(msg.startswith(axiom + " at ") for msg in report.axiom_failures[:2])
+
+
+@pytest.mark.parametrize("below", [F(0), F(1, 1000)])
+def test_batched_certificate_lower_bound_is_strict(below):
+    # d = (c' - below) * d_S: at exactly c' every off-diagonal distance meets the bound
+    c_prime = F(19, 20)  # 1 - eps/10 at hardness_instance's eps = 1/2
+    b = CircuitBuilder()
+    d_s = b.inline(discrete_metric_circuit(), b.inputs(6))[0]
+    art = broken_metric_artifacts(b.build([b.mul(d_s, b.const(c_prime - below))]))
+    assert art.substitutions["c_prime"] == c_prime
+    # 6 ordered pairs of distinct points in the first triple, 4 in the second
+    report = assert_same_certification(art, [(ORIGIN, E1, HALF), (HALF, E2, HALF)])
+    assert report.min_offdiag == c_prime - below
+    assert not report.axiom_failures
+    assert len(report.lower_bound_failures) == (0 if below == 0 else 10)
+
+
+def test_batched_certificate_matches_pairwise_coprime_denominators():
+    art = reduce_cls_local_to_banach(hardness_instance(scale=F(1, 3)), half_eps=True)
+    triples = random_triples(random.Random(37), 30, [3, 7, 16]) + [(HALF, ORIGIN, HALF)]
+    assert assert_same_certification(art, triples).all_pass
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_batched_certificate_matches_pairwise_past_bit_budget(monkeypatch, broken):
+    # 8 bits leave no room for the batch's shared D (336), so both circuits run row by row
+    art = broken_metric_artifacts(sq_l2_distance_circuit()) if broken else (
+        reduce_cls_local_to_banach(hardness_instance()))
+    triples = random_triples(random.Random(3), 12, [3, 7, 16]) + [(ORIGIN, E1, HALF_E1)]
+    monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 8)
+    batches = []
+    evaluate_columns = Circuit.evaluate_columns
+
+    def spy(self, columns, d, size):
+        batches.append(evaluate_columns(self, columns, d, size))
+        return batches[-1]
+
+    monkeypatch.setattr(Circuit, "evaluate_columns", spy)
+    report = assert_same_certification(art, triples)
+    assert batches == [None, None]
+    assert report.all_pass != broken
+
+
+def test_passing_certificate_makes_no_axiom_scan(monkeypatch):
+    calls = []
+    monkeypatch.setattr("contraction_kit.reduce.check_metric_axioms",
+                        lambda *args: calls.append(args))
+    art = reduce_cls_local_to_banach(hardness_instance(), half_eps=True)
+    # repeated points are not failures, so the axiom mask does not flag them
+    triples = random_triples(random.Random(4), 30, [8, 16]) + [(HALF, HALF, ORIGIN), (E1, E1, E1)]
+    assert certify_constructed_metric(art, triples).all_pass
+    assert calls == []
+    # a failing triple is the one handed to the scan
+    art = broken_metric_artifacts(sq_l2_distance_circuit())
+    certify_constructed_metric(art, [(ORIGIN, E2, E1), (ORIGIN, E1, HALF_E1)])
+    assert [args[1] for args in calls] == [(ORIGIN, E1, HALF_E1)]
 
 
 def test_lambda_prime_restores_interval_precision():
