@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .circuit import Circuit, content_lines, format_fraction, parse_circuit, parse_fraction
-from .library import Point, as_point, circuit_fn, in_unit_cube, l1, sq_l2
+from .library import Point, as_point, circuit_columns, circuit_fn, in_unit_cube, l1, sq_l2
 from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
 
 
@@ -136,7 +136,10 @@ class Clause:
     ``holds(inst, f, g, *witnesses)`` returns ``(ok, lhs, rhs)``.  ``f``
     evaluates the instance's map and ``g`` its second circuit: p for
     cls-local, d for banach; contraction-map clauses use the Euclidean metric,
-    compared in squared form, and get ``g = None``.
+    compared in squared form, and get ``g = None``.  Given the
+    ``column_evaluators`` and point columns for witnesses, every predicate but
+    Oe's decides a chunk of candidates at once: ``ok`` is then a boolean mask
+    and ``lhs`` and ``rhs`` are ``ScaledColumn``s.
     """
 
     witnesses: range
@@ -213,10 +216,19 @@ def accepted_kinds(inst: ProblemInstance) -> tuple[str, ...]:
     )
 
 
+def _wrap_circuits(inst: ProblemInstance, wrap: Callable) -> tuple[Callable, Callable | None]:
+    f, *second = (wrap(getattr(inst, name)) for name, _, _ in inst.circuits)
+    return f, second[0] if second else None
+
+
 def evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
     """Callables for the map f and for the second circuit the clauses read (p, d or None)."""
-    f, *second = (circuit_fn(getattr(inst, name)) for name, _, _ in inst.circuits)
-    return f, second[0] if second else None
+    return _wrap_circuits(inst, circuit_fn)
+
+
+def column_evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
+    """``evaluators`` on point columns (see ``Clause``)."""
+    return _wrap_circuits(inst, circuit_columns)
 
 
 @dataclass(frozen=True)

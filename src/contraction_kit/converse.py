@@ -55,15 +55,25 @@ class CertificateError(AssertionError):
     """A synthesized-metric certificate check failed (should be impossible)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteSelfMap:
-    labels: list[str]
-    coords: list[tuple[Fraction, ...]]
-    base_distance: Matrix
-    map: list[int]
+    """A finite metric space with a self-map, vetted once and frozen.
+
+    The fields are stored as tuples, so no edit after construction can leave
+    ``scaled_distance`` stale or skip the checks.
+    """
+
+    labels: tuple[str, ...]
+    coords: tuple[tuple[Fraction, ...], ...]
+    base_distance: tuple[tuple[Fraction, ...], ...]
+    map: tuple[int, ...]
     fixed_point: int
 
     def __post_init__(self) -> None:
+        for name in ("labels", "map"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("coords", "base_distance"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         n = len(self.labels)
         if not (len(self.coords) == len(self.map) == len(self.base_distance) == n):
             raise SelfMapError("inconsistent field lengths")

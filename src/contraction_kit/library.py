@@ -2,12 +2,21 @@
 
 Maps are 3->3 circuits over [0,1]^3, potentials 3->1, distances 6->1 with the
 first point in inputs 0..2 and the second in inputs 3..5.
+
+A point is three rationals.  A point column is three ``ScaledColumn``s, one
+chunk of points with each coordinate over one denominator; ``circuit_fn``
+evaluates a circuit on points and ``circuit_columns`` on point columns,
+through the batch kernel ``on_one_scale``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from .circuit import Circuit, CircuitBuilder
 
@@ -40,6 +49,120 @@ def circuit_fn(circuit: Circuit):
     def call(*points: Sequence[Fraction]):
         flat: list[Fraction] = [c for p in points for c in p]
         out = circuit.evaluate(flat)
+        return out[0] if len(out) == 1 else tuple(out)
+
+    return call
+
+
+def _times(num, k: int):
+    """num * k, without the copy a factor of 1 would make."""
+    return num if k == 1 else num * k
+
+
+class ScaledColumn:
+    """A column of rationals ``num[r] / den``: an object array of Python ints over one denominator.
+
+    The value a clause predicate computes on a chunk of candidates.  It has
+    the operations the clauses use: ``+`` and ``-`` with a column or a
+    rational (an int or a ``Fraction``), ``abs``, multiplication by a
+    rational, ``**`` by a natural number, and comparisons with a column or a
+    rational, each of which gives a boolean mask with one entry per row.
+    ``den`` is positive; the numerators are not reduced.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _parts(other) -> tuple:
+        if isinstance(other, ScaledColumn):
+            return other.num, other.den
+        return other.numerator, other.denominator
+
+    def _lift(self, other) -> tuple:
+        """Both operands' numerators over the lcm of their denominators, and that lcm."""
+        num, den = self._parts(other)
+        common = lcm(self.den, den)
+        return _times(self.num, common // self.den), _times(num, common // den), common
+
+    def __add__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(a + b, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(a - b, den)
+
+    def __rsub__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(b - a, den)
+
+    def __abs__(self) -> ScaledColumn:
+        return ScaledColumn(np.abs(self.num), self.den)
+
+    def __mul__(self, other) -> ScaledColumn:
+        if isinstance(other, ScaledColumn):
+            return NotImplemented
+        return ScaledColumn(self.num * other.numerator, self.den * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> ScaledColumn:
+        return ScaledColumn(self.num ** k, self.den ** k)
+
+    def _compare(self, other, op) -> np.ndarray:
+        num, den = self._parts(other)  # denominators are positive: cross-multiply
+        return op(_times(self.num, den), _times(num, self.den))
+
+    def __lt__(self, other) -> np.ndarray:
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other) -> np.ndarray:
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other) -> np.ndarray:
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other) -> np.ndarray:
+        return self._compare(other, operator.ge)
+
+
+def on_one_scale(circuit: Circuit, columns: Sequence[np.ndarray], scale: int) -> list[tuple]:
+    """Each output of ``circuit`` on the rows of ``columns / scale``, as (numerators, denominator).
+
+    The batch runs through ``Circuit.evaluate_columns``.  A batch over its bit
+    budget is evaluated row by row, and each output's values are brought to
+    one denominator, the lcm of theirs.
+    """
+    size = len(columns[0])
+    out = circuit.evaluate_columns(columns, scale, size)
+    if out is not None:
+        return out
+    rows = zip(*(c.tolist() for c in columns))
+    values = [circuit.evaluate([Fraction(v, scale) for v in row]) for row in rows]
+    scaled = []
+    for k in range(circuit.output_arity):
+        den = lcm(*(row[k].denominator for row in values))
+        nums = [row[k].numerator * (den // row[k].denominator) for row in values]
+        scaled.append((np.array(nums, dtype=object).reshape(size), den))
+    return scaled
+
+
+def circuit_columns(circuit: Circuit):
+    """``circuit_fn`` on point columns: tuples of ``ScaledColumn``s in, ``ScaledColumn``s out."""
+
+    def call(*points: Sequence[ScaledColumn]):
+        flat = [c for p in points for c in p]
+        den = lcm(*(c.den for c in flat))
+        out = [
+            ScaledColumn(num, d)
+            for num, d in on_one_scale(circuit, [_times(c.num, den // c.den) for c in flat], den)
+        ]
         return out[0] if len(out) == 1 else tuple(out)
 
     return call

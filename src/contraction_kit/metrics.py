@@ -137,10 +137,11 @@ class LipschitzViolation:
 def lipschitz_violated(g, lam: Fraction, x: Point, y: Point) -> tuple[bool, Fraction, Fraction]:
     """(|g(x)-g(y)|_1 > lam*|x-y|_1, lhs, rhs), decided exactly.
 
-    g may be tuple-valued (a map) or scalar-valued (a potential).
+    g may be tuple-valued (a map) or scalar-valued (a potential), on points
+    or on point columns.
     """
     gx, gy = g(x), g(y)
-    if isinstance(gx, Fraction):
+    if not isinstance(gx, tuple):
         gx, gy = (gx,), (gy,)
     lhs = l1(gx, gy)
     rhs = lam * l1(x, y)

@@ -45,7 +45,7 @@ from .cls import (
     verify_banach,
     verify_cls_local,
 )
-from .library import as_point, discrete_metric_circuit, l1
+from .library import as_point, discrete_metric_circuit, l1, on_one_scale
 from .metrics import (
     check_metric_axioms,
     metric_failure_mask,
@@ -357,10 +357,10 @@ def certify_constructed_metric(
     n = len(points)
     first = np.repeat(np.arange(3 * n), 3)  # pair row 9t+3i+j reads point 3t+i ...
     second = np.arange(3 * n).reshape(n, 1, 3).repeat(3, axis=1).ravel()  # ... and 3t+j
-    d_num, d_den = _on_one_scale(
+    ((d_num, d_den),) = on_one_scale(
         artifacts.produced.d, [*coords[first].T, *coords[second].T], scale
     )
-    p_num, _ = _on_one_scale(artifacts.source.p, list(coords.T), scale)
+    ((p_num, _),) = on_one_scale(artifacts.source.p, list(coords.T), scale)
     dist = d_num.reshape(n, 3, 3)
     pot = p_num.reshape(n, 3)
     pts = coords.reshape(n, 3, 3)
@@ -392,21 +392,3 @@ def certify_constructed_metric(
             "p(x)>=p(z)" if case_ge else "p(x)<p(z)", ok, Fraction(a, d_den), Fraction(b, d_den)
         ))
     return report
-
-
-def _on_one_scale(
-    circuit: Circuit, columns: list[np.ndarray], scale: int
-) -> tuple[np.ndarray, int]:
-    """A one-output circuit on each row of ``columns / scale``, as (numerators, denominator).
-
-    The batch runs through ``Circuit.evaluate_columns``; a batch over its bit
-    budget is evaluated row by row, and the row values brought to one
-    denominator by ``scale_to_integers``.
-    """
-    size = len(columns[0])
-    out = circuit.evaluate_columns(columns, scale, size)
-    if out is not None:
-        return out[0]
-    rows = [[Fraction(v, scale) for v in row] for row in zip(*(c.tolist() for c in columns))]
-    values, den = scale_to_integers([circuit.evaluate(row) for row in rows])
-    return values.astype(object).reshape(size), den

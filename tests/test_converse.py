@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -316,6 +317,24 @@ def test_non_metric_base_rejected_at_load():
     coords = [(F(i), F(0), F(0)) for i in range(3)]
     with pytest.raises(SelfMapError, match="TRIANGLE"):
         FiniteSelfMap(["a", "b", "star"], coords, dist, [2, 2, 2], 2)
+
+
+def test_selfmap_cannot_be_edited_after_construction():
+    # an edit would leave scaled_distance stale and skip the checks
+    m = chain_selfmap((1, 1, 1))
+    scaled = m.scaled_distance
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.base_distance = [[F(0)] * 4 for _ in range(4)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.map = [3, 3, 3, 3]
+    with pytest.raises(TypeError):
+        m.base_distance[0][1] = F(7)
+    with pytest.raises(TypeError):
+        m.base_distance[0] = (F(0),) * 4
+    with pytest.raises(TypeError):
+        m.map[0] = 0
+    assert m.scaled_distance is scaled
+    assert m.base_distance[0][1] == 1 and m.map == (1, 2, 3, 3)
 
 
 def test_selfmap_file_roundtrip():
