@@ -48,12 +48,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
 GATE_KINDS = BINARY_OPS + ("const", "input")
+T = TypeVar("T")
 
 _OP_FUNCS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
     "add": lambda a, b: a + b,
@@ -90,6 +91,10 @@ _COLUMN_OPS: dict[str, Callable] = {
 }
 
 
+class InputError(ValueError):
+    """Malformed or out-of-range input text or argument, where no module's own error fits."""
+
+
 class CircuitError(ValueError):
     """Structural problem in a circuit (bad reference, arity, ...)."""
 
@@ -102,18 +107,26 @@ class CircuitParseError(CircuitError):
         self.line_no = line_no
 
 
+def parse_number(convert: Callable[[str], T], text: str, error: type[ValueError] = InputError) -> T:
+    """``convert(text)`` (``int`` or ``float``), raising ``error`` with the same message on malformed text."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse ``a/b`` or ``a`` with integer parts into an exact rational.
 
-    Raises ValueError on malformed text, including a zero denominator.
+    Raises InputError on malformed text, including a zero denominator.
     """
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        if parse_number(int, den) == 0:
+            raise InputError(f"zero denominator in {text!r}")
+        return Fraction(parse_number(int, num), parse_number(int, den))
+    return Fraction(parse_number(int, text))
 
 
 def format_fraction(q: Fraction) -> str:
@@ -462,7 +475,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "const takes exactly one rational")
             try:
                 value = parse_fraction(parts[1])
-            except ValueError as exc:
+            except InputError as exc:
                 raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
             gates[node_id] = Gate("const", value=value)
         elif op in BINARY_OPS:

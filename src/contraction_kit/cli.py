@@ -11,6 +11,7 @@ suites.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -21,7 +22,15 @@ import numpy as np
 
 from . import cls as cls_mod
 from . import converse, gridsearch, iteration, power, reduce as reduce_mod
-from .circuit import CircuitError, content_lines, format_fraction, parse_circuit, parse_fraction
+from .circuit import (
+    CircuitError,
+    InputError,
+    content_lines,
+    format_fraction,
+    parse_circuit,
+    parse_fraction,
+    parse_number,
+)
 from .library import as_point, circuit_fn, l1, sq_l2
 
 INPUT_ERRORS = (
@@ -29,18 +38,25 @@ INPUT_ERRORS = (
     cls_mod.InstanceError,
     converse.SelfMapError,
     power.SpectralError,
+    InputError,
     FileNotFoundError,
-    ValueError,
 )
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> tuple[str, str]:
+    """The file's text and its ``input <path> sha256=<digest>`` report line, from one read.
 
-
-def _hash_line(path: str) -> str:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"input {path} sha256={digest}"
+    The digest is of the raw bytes.  The text is what
+    ``Path.read_text(encoding="utf-8")`` gives, universal newlines included:
+    ``\\r\\n`` and a lone ``\\r`` both become ``\\n``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, f"input {path} sha256={hashlib.sha256(data).hexdigest()}"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -50,7 +66,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
-    circ = parse_circuit(_read(args.circuit))
+    circ = parse_circuit(_read(args.circuit)[0])
     values = [parse_fraction(tok) for tok in args.inputs]
     # surplus CLI arguments are ignored so constant circuits accept any input
     outputs = circ.evaluate(values[: circ.input_arity])
@@ -59,15 +75,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = cls_mod.parse_instance(_read(args.instance))
-    sol = cls_mod.parse_solution(_read(args.solution))
+    inst_text, inst_line = _read(args.instance)
+    inst = cls_mod.parse_instance(inst_text)
+    sol_text, sol_line = _read(args.solution)
+    sol = cls_mod.parse_solution(sol_text)
     if sol.kind == "Oe" and inst.metric_promised:
         raise cls_mod.InstanceError("promise problem: Oe is not accepted by banach-met")
     verdict = cls_mod.verify(inst, sol)
     lines = [
         "command verify",
-        _hash_line(args.instance),
-        _hash_line(args.solution),
+        inst_line,
+        sol_line,
         f"problem {inst.tag}",
         f"kind {sol.kind}",
     ]
@@ -83,7 +101,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = cls_mod.parse_instance(_read(args.instance))
+    text, input_line = _read(args.instance)
+    inst = cls_mod.parse_instance(text)
     if args.direction == "banach-to-cls-local":
         if not isinstance(inst, cls_mod.BanachInstance):
             raise cls_mod.InstanceError("source instance must be banach/banach-met")
@@ -94,7 +113,7 @@ def cmd_reduce(args) -> int:
         artifacts = reduce_mod.reduce_cls_local_to_banach(inst, half_eps=args.half_eps)
     Path(args.out).write_text(cls_mod.instance_to_text(artifacts.produced), encoding="utf-8")
     sidecar = args.out + ".provenance"
-    provenance = "command reduce\n" + _hash_line(args.instance) + "\n" + artifacts.provenance_text()
+    provenance = "command reduce\n" + input_line + "\n" + artifacts.provenance_text()
     Path(sidecar).write_text(provenance, encoding="utf-8")
     print(f"wrote {args.out} and {sidecar}")
     sys.stdout.write(provenance)
@@ -102,7 +121,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = cls_mod.parse_instance(_read(args.instance))
+    inst = cls_mod.parse_instance(_read(args.instance)[0])
     sol = gridsearch.solve_instance(inst, parse_fraction(args.grid))
     if sol is None:
         print("no solution found on the grid", file=sys.stderr)
@@ -115,7 +134,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    m = converse.parse_selfmap(_read(args.selfmap))
+    text, input_line = _read(args.selfmap)
+    m = converse.parse_selfmap(text)
     c = parse_fraction(args.c)
     eps = parse_fraction(args.eps)
     try:
@@ -123,7 +143,7 @@ def cmd_synthesize(args) -> int:
     except converse.CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    text = "command synthesize\n" + _hash_line(args.selfmap) + "\n" + result.report_text()
+    text = "command synthesize\n" + input_line + "\n" + result.report_text()
     _emit(text, args.out)
     return 0
 
@@ -153,16 +173,19 @@ def cmd_power(args) -> int:
 
 
 def _power_on_matrix(args) -> int:
-    sys_ = power.jacobi_eigensolve(power.parse_matrix(_read(args.matrix)))
+    text, input_line = _read(args.matrix)
+    sys_ = power.jacobi_eigensolve(power.parse_matrix(text))
     if args.action == "analyze":
-        seed = int(os.environ.get("CONTRACTION_KIT_SEED", "0"))
+        seed = parse_number(int, os.environ.get("CONTRACTION_KIT_SEED", "0"))
+        if seed < 0:
+            raise InputError(f"CONTRACTION_KIT_SEED must be nonnegative, got {seed}")
         cert = power.certify_contraction_rate(sys_, power.sample_pairs(sys_, args.pairs, seed))
         if args.format == "csv":
             _emit(cert.to_csv(), args.report)
         else:
             lines = [
                 "command power analyze",
-                _hash_line(args.matrix),
+                input_line,
                 f"seed {seed}",
                 f"rate_bound {sys_.rate!r}",
                 f"pairs {len(cert.pairs)}",
@@ -172,7 +195,12 @@ def _power_on_matrix(args) -> int:
             _emit("\n".join(lines) + "\n", args.report)
         return 0 if cert.ok else 1
     # bound
-    x0 = [float(t) for t in args.x0.split(",")]
+    if not args.x0:
+        raise power.SpectralError("power bound needs --x0, a unit start vector such as 0.6,0.8")
+    try:
+        x0 = [float(t) for t in args.x0.split(",")]
+    except ValueError as exc:
+        raise power.SpectralError(f"--x0 must be comma-separated numbers: {exc}") from None
     if len(x0) != sys_.dimension:
         raise power.SpectralError(
             f"--x0 has {len(x0)} entries but the matrix has dimension {sys_.dimension}"
@@ -180,13 +208,13 @@ def _power_on_matrix(args) -> int:
     norm = math.hypot(*x0)
     if not abs(norm - 1.0) <= power.UNIT_TOL:
         raise power.SpectralError(f"--x0 is not a unit vector: its l2 norm is {norm!r}")
-    eps = float(args.eps)
+    eps = parse_number(float, args.eps, power.SpectralError)
     if not math.isfinite(eps):
         raise power.SpectralError(f"--eps must be finite, got {args.eps!r}")
     report = power.iteration_bound(sys_, x0, eps)
     lines = [
         "command power bound",
-        _hash_line(args.matrix),
+        input_line,
         f"predicted {report.predicted}",
         f"final_distance {report.final_distance!r}",
         f"final_l2_error {report.final_l2_error!r}",
@@ -196,7 +224,7 @@ def _power_on_matrix(args) -> int:
     return 0 if report.ok else 1
 
 
-def _bip_on_circuit(args, text: str) -> int:
+def _bip_on_circuit(args, text: str, input_line: str) -> int:
     inst = cls_mod.parse_instance(text)
     f = circuit_fn(inst.f)
     eps = parse_fraction(args.eps)
@@ -210,14 +238,14 @@ def _bip_on_circuit(args, text: str) -> int:
     trace = iteration.run_bip(f, x0, dist, target, args.max_iters)
     if args.csv:
         Path(args.csv).write_text(trace.to_csv(), encoding="utf-8")
-    print(_hash_line(args.instance))
+    print(input_line)
     print(f"stop_reason {trace.stop_reason.value}")
     print(f"stop_index {trace.stop_index}")
     print(f"final_residual {trace.residuals[-1] if trace.residuals else 0}")
     return 0 if trace.stop_reason is iteration.StopReason.RESIDUAL_BELOW_EPS else 1
 
 
-def _bip_on_selfmap(args, text: str) -> int:
+def _bip_on_selfmap(args, text: str, input_line: str) -> int:
     m = converse.parse_selfmap(text)
     eps = parse_fraction(args.eps)
     if args.start not in m.labels:
@@ -227,7 +255,7 @@ def _bip_on_selfmap(args, text: str) -> int:
     realized = next(
         (t for t, idx in enumerate(orbit) if m.d(idx, m.fixed_point) <= eps), len(orbit) - 1
     )
-    print(_hash_line(args.instance))
+    print(input_line)
     print(f"realized_steps_to_eps {realized}")
     if args.predict_c:
         c = parse_fraction(args.predict_c)
@@ -242,10 +270,10 @@ def _bip_on_selfmap(args, text: str) -> int:
 
 
 def cmd_bip(args) -> int:
-    text = _read(args.instance)
+    text, input_line = _read(args.instance)
     if next(iter(content_lines(text)), "").startswith("points"):
-        return _bip_on_selfmap(args, text)
-    return _bip_on_circuit(args, text)
+        return _bip_on_selfmap(args, text, input_line)
+    return _bip_on_circuit(args, text, input_line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,9 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on the first call, not at import, and then reused.
+# Each cmd_* function is bound into it then, so none may be replaced later.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except INPUT_ERRORS as exc:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import content_lines, format_fraction, parse_fraction
+from .circuit import content_lines, format_fraction, parse_fraction, parse_number
 from .metrics import (
     _describe_first_failure,
     check_metric_matrix,
@@ -139,7 +139,7 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
     header = lines[0].split()
     if len(header) != 2:
         raise SelfMapError(f"expected 'points <n>' header, got {lines[0]!r}")
-    n = int(header[1])
+    n = parse_number(int, header[1], SelfMapError)
     if n < 1:
         raise SelfMapError(f"point count must be a positive integer, got {n}")
     if len(lines) < n + 4:
@@ -152,11 +152,11 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
     map_line = lines[n + 1]
     if not map_line.startswith("map:"):
         raise SelfMapError("expected 'map:' line")
-    fmap = [int(t) for t in map_line[len("map:"):].split()]
+    fmap = [parse_number(int, t, SelfMapError) for t in map_line[len("map:"):].split()]
     fixed_line = lines[n + 2]
     if not fixed_line.startswith("fixed:"):
         raise SelfMapError("expected 'fixed:' line")
-    fixed = int(fixed_line[len("fixed:"):].strip())
+    fixed = parse_number(int, fixed_line[len("fixed:"):].strip(), SelfMapError)
     if lines[n + 3] != "distances:":
         raise SelfMapError("expected 'distances:' line")
     dist = [[Fraction(0)] * n for _ in range(n)]

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .circuit import InputError
 from .cls import (
     CLAUSES,
     ProblemInstance,
@@ -52,7 +53,7 @@ def _axis(resolution: Fraction) -> list[Fraction]:
     """The grid's coordinates on each axis: the multiples of the resolution, then 1."""
     resolution = Fraction(resolution)
     if not 0 < resolution <= 1:
-        raise ValueError("resolution must lie in (0, 1]")
+        raise InputError("resolution must lie in (0, 1]")
     steps = int(1 / resolution)
     axis = [Fraction(k) * resolution for k in range(steps + 1)]
     if axis[-1] != 1:

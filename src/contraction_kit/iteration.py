@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .circuit import InputError
+
 STAGNATION_WINDOW = 50
 
 
@@ -71,11 +73,11 @@ def run_bip(
     STAGNATION_WINDOW steps, and reports non-finite iterates with their step.
     """
     if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+        raise InputError("max_iters must be at least 1")
     x = tuple(x0)
     exact = _is_exact_point(x)
     if not (eps > 0):
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
     points = [x]
     residuals = []
     seen = {x: 0}
@@ -113,11 +115,11 @@ class IterationBudget:
 
 def _check_budget_args(d0, c, eps) -> None:
     if not 0 < c < 1:
-        raise ValueError("c must lie in (0,1)")
+        raise InputError("c must lie in (0,1)")
     if d0 < 0:
-        raise ValueError("d0 must be nonnegative")
+        raise InputError("d0 must be nonnegative")
     if not eps > 0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps must be positive")
 
 
 # Rounding error allowed for the float budget formula, relative to its terms;
@@ -156,7 +158,7 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     at the top of the window.  That is never below the least n; the window
     is narrower than one step unless 1 - c is below about 1e-11.  Logs of
     rationals outside the float range are taken from their bits; where c is
-    so close to 1 that the formula leaves the float range, ValueError.
+    so close to 1 that the formula leaves the float range, InputError.
     """
     _check_budget_args(d0, c, eps)
     d0, c, eps = Fraction(d0), Fraction(c), Fraction(eps)
@@ -167,12 +169,12 @@ def predict_iterations(d0, c, eps) -> IterationBudget:
     # c = 1/2, float(1 - c) would drop the low bits of c, so log(c) is taken
     gap = float(1 - c)
     if gap < sys.float_info.min:
-        raise ValueError("c is within 2.2e-308 of 1: no iteration budget is representable")
+        raise InputError("c is within 2.2e-308 of 1: no iteration budget is representable")
     rate = -math.log1p(-gap) if c >= 0.5 else -_log(c)
     value = (t0 + t1) / rate
     slack = _FLOAT_SLACK * ((1 + abs(t0) + abs(t1)) / rate + abs(value))
     if not math.isfinite(value + slack):
-        raise ValueError("c is too close to 1: no iteration budget is representable")
+        raise InputError("c is too close to 1: no iteration budget is representable")
     lo, hi = (max(0, math.ceil(v)) for v in (value - slack, value + slack))
     if lo < hi and hi * c.denominator.bit_length() <= _EXACT_BITS:
         hi = _least_steps(lo, hi, d0, c, eps)

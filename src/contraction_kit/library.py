@@ -18,14 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitBuilder
+from .circuit import Circuit, CircuitBuilder, InputError
 
 Point = tuple[Fraction, Fraction, Fraction]
 
 
 def as_point(coords: Sequence) -> Point:
     if len(coords) != 3:
-        raise ValueError(f"expected 3 coordinates, got {len(coords)}")
+        raise InputError(f"expected 3 coordinates, got {len(coords)}")
     # a Fraction is kept as it is: Fraction(q) would rebuild it
     point = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
     return point  # type: ignore[return-value]

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from .circuit import content_lines
+from .circuit import content_lines, parse_number
 
 RESIDUAL_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -575,12 +575,12 @@ def parse_matrix(text: str) -> np.ndarray:
     lines = content_lines(text)
     if not lines:
         raise SpectralError("empty matrix file")
-    n = int(lines[0])
+    n = parse_number(int, lines[0], SpectralError)
     if len(lines) != n + 1:
         raise SpectralError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []
     for i, ln in enumerate(lines[1:]):
-        row = [float(tok) for tok in ln.split()]
+        row = [parse_number(float, tok, SpectralError) for tok in ln.split()]
         if len(row) != n:
             raise SpectralError(f"row has {len(row)} entries, expected {n}")
         for j, value in enumerate(row):

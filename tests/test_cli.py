@@ -1,9 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from corpus import banach_corpus, cls_local_corpus
-from contraction_kit import power
+from contraction_kit import cli, power
 from contraction_kit.cli import main
 from contraction_kit.cls import (
     BanachInstance,
@@ -463,3 +468,197 @@ def test_bip_prediction_with_c_too_close_to_one_exits_two(workdir, capsys):
     c = f"{10**400 - 1}/{10**400}"
     assert_input_error(["bip", path, "--start", "a", "--predict-c", c], capsys,
                        "no iteration budget is representable")
+
+
+def test_power_bound_without_x0_names_the_option(workdir, capsys):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    assert_input_error(["power", path, "bound"], capsys, "power bound needs --x0")
+
+
+def test_power_bound_non_numeric_x0_names_the_option(workdir, capsys):
+    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    assert_input_error(["power", path, "bound", "--x0", "0.6,x"], capsys,
+                       "--x0 must be comma-separated numbers: could not convert string to float: 'x'")
+
+
+# ---------------------------------------------------------------- typed input errors
+
+@pytest.fixture
+def input_files(workdir):
+    write(workdir / "c.txt", CONST_HALF)
+    write(workdir / "inst.txt", instance_to_text(halving_banach()))
+    write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    write(workdir / "bad-size.txt", "x\n1 0\n0 1\n")
+    write(workdir / "bad-entry.txt", "2\n2.0 a\n0.0 1.0\n")
+    write(workdir / "bad-count.txt", CHAIN_SELFMAP.replace("points 4", "points x"))
+    write(workdir / "bad-map.txt", CHAIN_SELFMAP.replace("map: 1 2 3 3", "map: 1 x 3 3"))
+    write(workdir / "bad-fixed.txt", CHAIN_SELFMAP.replace("fixed: 3", "fixed: x"))
+    return workdir
+
+
+INVALID_INT = "invalid literal for int() with base 10: 'x'"
+
+
+# each site that a bare ValueError reached before INPUT_ERRORS stopped catching it
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "c.txt", "1/0"], "zero denominator in '1/0'"),
+    (["eval", "c.txt", "x"], INVALID_INT),
+    (["bip", "inst.txt", "--eps", "0"], "eps must be positive"),
+    (["bip", "inst.txt", "--max-iters", "0"], "max_iters must be at least 1"),
+    (["--grid", "2", "solve", "inst.txt"], "resolution must lie in (0, 1]"),
+    (["bip", "inst.txt", "--x0", "1,1"], "expected 3 coordinates, got 2"),
+    (["power", "bad-size.txt", "analyze"], INVALID_INT),
+    (["power", "bad-entry.txt", "analyze"], "could not convert string to float: 'a'"),
+    (["power", "m.txt", "bound", "--x0", "0.6,0.8", "--eps", "x"],
+     "could not convert string to float: 'x'"),
+    (["synthesize", "bad-count.txt", "1/2", "1"], INVALID_INT),
+    (["synthesize", "bad-map.txt", "1/2", "1"], INVALID_INT),
+    (["synthesize", "bad-fixed.txt", "1/2", "1"], INVALID_INT),
+])
+def test_typed_input_errors_exit_two(input_files, capsys, argv, message):
+    assert_input_error(argv, capsys, message)
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("x", INVALID_INT),
+    ("-1", "CONTRACTION_KIT_SEED must be nonnegative, got -1"),
+])
+def test_bad_seed_exits_two(input_files, capsys, monkeypatch, seed, message):
+    monkeypatch.setenv("CONTRACTION_KIT_SEED", seed)
+    assert_input_error(["power", "m.txt", "analyze", "--pairs", "3"], capsys, message)
+
+
+def test_bare_value_error_is_not_an_input_error(workdir, monkeypatch):
+    # a ValueError from a program bug must surface, not pass as exit 2
+    def bug(text):
+        raise ValueError("a program bug")
+
+    path = write(workdir / "c.txt", CONST_HALF)
+    monkeypatch.setattr(cli, "parse_circuit", bug)
+    with pytest.raises(ValueError, match="a program bug"):
+        main(["eval", path, "0"])
+
+
+# ---------------------------------------------------------------- one read per input file
+
+def two_reads(path):
+    """The text and report line as two separate reads of the file give them."""
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return Path(path).read_text(encoding="utf-8"), f"input {path} sha256={digest}"
+
+
+# (files, argv): every file is rewritten with the newline style under test
+READ_CASES = {
+    "verify": ({"inst.txt": instance_to_text(halving_banach()), "sol.txt": "Oa\n0 0 0\n"},
+               ["verify", "inst.txt", "sol.txt"]),
+    "synthesize": ({"sm.txt": CHAIN_SELFMAP}, ["synthesize", "sm.txt", "1/2", "1"]),
+    "bip": ({"sm.txt": CHAIN_SELFMAP}, ["bip", "sm.txt", "--start", "a", "--predict-c", "1/2"]),
+    "power": ({"m.txt": "2\n2.0 0.0\n0.0 1.0\n"}, ["power", "m.txt", "analyze", "--pairs", "3"]),
+}
+NEWLINES = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "mixed": lambda data: data.replace(b"\n", b"\r", 1).replace(b"\n", b"\r\n", 1),
+}
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("newline", sorted(NEWLINES))
+@pytest.mark.parametrize("command", sorted(READ_CASES))
+def test_one_read_matches_two_reads(workdir, capsys, monkeypatch, command, newline):
+    files, argv = READ_CASES[command]
+    for name, text in files.items():
+        (workdir / name).write_bytes(NEWLINES[newline](text.encode("utf-8")))
+    once = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_read", two_reads)
+    assert once == run_main(argv, capsys)
+    assert once[0] in (0, 1) and once[2] == ""
+    for name in files:
+        assert f"input {name} sha256={hashlib.sha256((workdir / name).read_bytes()).hexdigest()}" \
+            in once[1]
+
+
+@pytest.mark.parametrize("command", sorted(READ_CASES))
+def test_non_utf8_byte_mid_file_exits_two(workdir, capsys, command):
+    files, argv = READ_CASES[command]
+    for name, text in files.items():
+        head, _, tail = text.partition("\n")
+        (workdir / name).write_bytes(f"{head}\n# caf".encode() + b"\xe9\n" + tail.encode())
+    with pytest.raises(UnicodeDecodeError) as info:
+        Path(next(iter(files))).read_text(encoding="utf-8")
+    assert run_main(argv, capsys) == (2, "", f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"a\r\nb\rc\n", b"\r\r\n\n\r", b"end\r", b"\xef\xbb\xbfbom\r\n", "é\r x".encode(),
+])
+def test_read_decodes_like_read_text(tmp_path, data):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    assert cli._read(str(path)) == two_reads(str(path))
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def parser_sequence(workdir):
+    circ = write(workdir / "b.txt", build_interpolation_circuit(F(9, 10), 10).to_text())
+    matrix = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
+    return [
+        ["eval", circ, "-3/2", "-1/4"],  # REMAINDER keeps negative rationals as inputs
+        ["verify", circ],  # argparse error: the solution file is missing
+        ["--grid", "1/4", "--format", "csv", "--jobs", "3", "power", matrix, "analyze", "--pairs", "3"],
+        ["power", matrix, "analyze", "--pairs", "3"],  # the global defaults are back
+        ["power", matrix, "nonsense"],  # argparse error: invalid choice
+        ["eval", circ, "1/2"],
+    ]
+
+
+def run_sequence(argvs, parse, capsys):
+    """(namespace, exit code, stdout, stderr) of each argv; an argparse error gives its SystemExit."""
+    results = []
+    for argv in argvs:
+        try:
+            namespace = vars(parse(argv))
+        except SystemExit as exc:
+            namespace = ("exit", exc.code)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        results.append((namespace, code, *capsys.readouterr()))
+    return results
+
+
+def test_cached_parser_matches_a_fresh_parser(workdir, capsys, monkeypatch):
+    argvs = parser_sequence(workdir)
+    cli._parser.cache_clear()
+    cached = run_sequence(argvs, lambda argv: cli._parser().parse_args(argv), capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # main builds a fresh parser per call
+    assert cached == run_sequence(argvs, lambda argv: cli.build_parser().parse_args(argv), capsys)
+    assert [code for _, code, _, _ in cached] == [0, ("exit", 2), 0, 0, ("exit", 2), 0]
+    assert cached[0][0]["inputs"] == ["-3/2", "-1/4"]
+    assert cached[1][3].startswith("usage: contraction-kit verify")
+    assert [cached[i][0][k] for i in (2, 3) for k in ("jobs", "grid", "format")] == \
+        [3, "1/4", "csv", 1, "1/16", "text"]
+
+
+def test_main_builds_its_parser_once(workdir, capsys):
+    path = write(workdir / "c.txt", CONST_HALF)
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert main(["eval", path, "0"]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import contraction_kit.cli as cli; print(cli._parser.cache_info().misses)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "0\n"
