@@ -470,17 +470,6 @@ def test_bip_prediction_with_c_too_close_to_one_exits_two(workdir, capsys):
                        "no iteration budget is representable")
 
 
-def test_power_bound_without_x0_names_the_option(workdir, capsys):
-    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
-    assert_input_error(["power", path, "bound"], capsys, "power bound needs --x0")
-
-
-def test_power_bound_non_numeric_x0_names_the_option(workdir, capsys):
-    path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
-    assert_input_error(["power", path, "bound", "--x0", "0.6,x"], capsys,
-                       "--x0 must be comma-separated numbers: could not convert string to float: 'x'")
-
-
 # ---------------------------------------------------------------- typed input errors
 
 @pytest.fixture
@@ -509,6 +498,9 @@ INVALID_INT = "invalid literal for int() with base 10: 'x'"
     (["bip", "inst.txt", "--x0", "1,1"], "expected 3 coordinates, got 2"),
     (["power", "bad-size.txt", "analyze"], INVALID_INT),
     (["power", "bad-entry.txt", "analyze"], "could not convert string to float: 'a'"),
+    (["power", "m.txt", "bound"], "power bound needs --x0"),
+    (["power", "m.txt", "bound", "--x0", "0.6,x"],
+     "--x0 must be comma-separated numbers: could not convert string to float: 'x'"),
     (["power", "m.txt", "bound", "--x0", "0.6,0.8", "--eps", "x"],
      "could not convert string to float: 'x'"),
     (["synthesize", "bad-count.txt", "1/2", "1"], INVALID_INT),
