@@ -130,10 +130,16 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(q: Fraction) -> str:
-    """Render a rational as ``num/den`` (integers as ``num/1``-free form)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as ``num/den`` (integers as ``num/1``-free form).
+
+    Raises InputError when a part has more digits than ``sys.get_int_max_str_digits()``.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -416,10 +422,24 @@ class _Program:
         ]
 
 
+def _parse_node_id(digits: str, line_no: int, message: str) -> int:
+    """The node id spelled by decimal ``digits``; CircuitParseError(message) on other text.
+
+    ``str.isdecimal`` admits exactly the digits ``int`` reads; ``str.isdigit``
+    would also admit '²' and '①', which ``int`` rejects.
+    """
+    if not digits.isdecimal():
+        raise CircuitParseError(line_no, message)
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than the interpreter's int-conversion limit
+        raise CircuitParseError(line_no, str(exc)) from None
+
+
 def _parse_node_ref(token: str, line_no: int) -> int:
-    if not token.startswith("n") or not token[1:].isdigit():
+    if not token.startswith("n"):
         raise CircuitParseError(line_no, f"bad node reference {token!r}")
-    return int(token[1:])
+    return _parse_node_id(token[1:], line_no, f"bad node reference {token!r}")
 
 
 def content_lines(text: str) -> list[str]:
@@ -441,9 +461,7 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError(line_no, "content after outputs line")
         if line.startswith("input"):
             token = line[len("input"):].strip()
-            if not token.isdigit():
-                raise CircuitParseError(line_no, f"bad input declaration {line!r}")
-            node_id = int(token)
+            node_id = _parse_node_id(token, line_no, f"bad input declaration {line!r}")
             if node_id in gates:
                 raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
             gates[node_id] = Gate("input", input_index=n_inputs)

@@ -241,7 +241,7 @@ def _bip_on_circuit(args, text: str, input_line: str) -> int:
     print(input_line)
     print(f"stop_reason {trace.stop_reason.value}")
     print(f"stop_index {trace.stop_index}")
-    print(f"final_residual {trace.residuals[-1] if trace.residuals else 0}")
+    print(f"final_residual {format_fraction(trace.residuals[-1]) if trace.residuals else 0}")
     return 0 if trace.stop_reason is iteration.StopReason.RESIDUAL_BELOW_EPS else 1
 
 

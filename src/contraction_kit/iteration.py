@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .circuit import InputError
+from .circuit import InputError, format_fraction
 
 STAGNATION_WINDOW = 50
 
@@ -49,10 +49,14 @@ class IterationTrace:
     def to_csv(self) -> str:
         lines = ["step,x1,x2,x3,residual"]
         for t, pt in enumerate(self.points):
-            res = str(self.residuals[t]) if t < len(self.residuals) else ""
-            coords = ",".join(str(c) for c in pt)
+            res = _cell(self.residuals[t]) if t < len(self.residuals) else ""
+            coords = ",".join(_cell(c) for c in pt)
             lines.append(f"{t},{coords},{res}")
         return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    return format_fraction(value) if isinstance(value, (Fraction, int)) else str(value)
 
 
 def _is_exact_point(point) -> bool:

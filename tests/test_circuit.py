@@ -96,6 +96,12 @@ def test_dangling_output_rejected():
         parse_circuit("input 0\noutputs: n4\n")
 
 
+def test_node_ids_in_other_decimal_scripts_parse():
+    # int() reads any Unicode decimal digit: n٣ is n3, as it always was
+    c = parse_circuit("input ٠\nn٣: add n٠ n0\noutputs: n3 n０\n")
+    assert c.evaluate([F(1, 2)]) == [F(1), F(1, 2)]
+
+
 def test_parse_error_carries_line_number():
     try:
         parse_circuit("n0: const 1/2\nn1: add n0 n7\noutputs: n1\n")

@@ -482,6 +482,18 @@ def input_files(workdir):
     write(workdir / "bad-count.txt", CHAIN_SELFMAP.replace("points 4", "points x"))
     write(workdir / "bad-map.txt", CHAIN_SELFMAP.replace("map: 1 2 3 3", "map: 1 x 3 3"))
     write(workdir / "bad-fixed.txt", CHAIN_SELFMAP.replace("fixed: 3", "fixed: x"))
+    # str.isdigit admits '²' and '①', which int() rejects
+    write(workdir / "sup-input.txt", "input \u00b2\n" + CONST_HALF)
+    write(workdir / "sup-node.txt", "n\u00b2: const 1/2\noutputs: n\u00b2\n")
+    write(workdir / "circled-output.txt", "n0: const 1/2\noutputs: n\u2460\n")
+    write(workdir / "long-node.txt", f"n{'9' * 5000}: const 1/2\noutputs: n0\n")
+    # 10**(2**14) has more digits than int-to-str conversion allows
+    write(workdir / "long-output.txt", "n0: const 10\n" + "".join(
+        f"n{k + 1}: mul n{k} n{k}\n" for k in range(14)) + "outputs: n14\n")
+    squaring = instance_to_text(halving_banach())
+    for i in range(3):
+        squaring = squaring.replace(f"mul n{i} n3", f"mul n{i} n{i}")
+    write(workdir / "squaring.txt", squaring)
     return workdir
 
 
@@ -506,6 +518,15 @@ INVALID_INT = "invalid literal for int() with base 10: 'x'"
     (["synthesize", "bad-count.txt", "1/2", "1"], INVALID_INT),
     (["synthesize", "bad-map.txt", "1/2", "1"], INVALID_INT),
     (["synthesize", "bad-fixed.txt", "1/2", "1"], INVALID_INT),
+    (["eval", "sup-input.txt"], "line 1: bad input declaration 'input \u00b2'"),
+    (["eval", "sup-node.txt"], "line 1: bad node reference 'n\u00b2'"),
+    (["eval", "circled-output.txt"], "line 2: bad node reference 'n\u2460'"),
+    (["eval", "long-node.txt"], "line 1: Exceeds the limit (4300 digits)"),
+    (["eval", "long-output.txt"], "Exceeds the limit (4300 digits)"),
+    (["bip", "squaring.txt", "--x0", "10,1,1", "--max-iters", "14"],
+     "Exceeds the limit (4300 digits)"),
+    (["bip", "squaring.txt", "--x0", "10,1,1", "--max-iters", "14", "--csv", "t.csv"],
+     "Exceeds the limit (4300 digits)"),
 ])
 def test_typed_input_errors_exit_two(input_files, capsys, argv, message):
     assert_input_error(argv, capsys, message)
