@@ -24,7 +24,7 @@ Self-map file format (UTF-8, ``#`` comments):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -331,6 +331,8 @@ class SynthesizedMetric:
     rho: Matrix
     d_c: Matrix
     certificate: list[CertificateEntry]
+    # d_m, rho and d_c as (D, s), the form report_text renders
+    scaled: tuple[Scaled, Scaled, Scaled] = field(repr=False, compare=False, kw_only=True)
 
     @property
     def certified(self) -> bool:
@@ -347,10 +349,11 @@ class SynthesizedMetric:
                 for i, lv in enumerate(self.levels)
             ),
         ]
-        for name, mat in (("d_M", self.d_m), ("rho_c", self.rho), ("d_c", self.d_c)):
+        for name, (d, scale) in zip(("d_M", "rho_c", "d_c"), self.scaled):
             lines.append(f"matrix {name}:")
-            for row in mat:
-                lines.append("  " + " ".join(format_fraction(v) for v in row))
+            rows = d.tolist()
+            text = {v: format_fraction(Fraction(v, scale)) for v in set().union(*rows)}
+            lines.extend("  " + " ".join(text[v] for v in row) for row in rows)
         lines.append("certificate:")
         for entry in self.certificate:
             status = "PASS" if entry.ok else "FAIL"
@@ -438,5 +441,7 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     for entry in certificate:
         if not entry.ok:
             raise CertificateError(f"{entry.name}: {entry.detail}")
-    d_m, rho, d_c = (scaled_to_fractions(*x) for x in (d_m, rho, d_c))
-    return SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate)
+    scaled = d_m, rho, d_c
+    d_m, rho, d_c = (scaled_to_fractions(*x) for x in scaled)
+    return SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate,
+                             scaled=scaled)

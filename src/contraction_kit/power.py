@@ -16,18 +16,29 @@ rounds differently from the dense one at some dimensions
 rate certificate runs chunks of pairs through stacked `np.matmul`, which makes
 the same ddot and gemv calls per row as `eigen_metric` and `power_step`.
 
+The replay gives the mpf values of `_replay_pair_mp_reference`, which runs
+every entry through mpf.  A dot product whose operands are all float64, a
+row of A x or <x, v1>, is summed as Python ints over a common exponent: each
+product of two doubles is exact at 106 bits, and when the sum of the terms'
+absolute values spans at most REPLAY_PRECISION bits above their lowest set
+bit, no partial sum of the left-to-right mpf sum rounds, so the exact sum is
+its value.  A sum that fails that check, and the O(n) rest on 128-bit
+values, run in mpf.
+
 Matrix file format: a dimension line, then one row of decimal reals per line.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
+from mpmath.libmp import from_man_exp
 
 from .circuit import content_lines, parse_number
 
@@ -116,19 +127,27 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _jacobi_angle(work: np.ndarray, p: int, q: int) -> tuple[float, float] | None:
-    """(cos, sin) of the rotation that zeroes work[p, q]; None when it is already small."""
-    n = work.shape[1]
-    apq = work[p, q]
-    if abs(apq) < JACOBI_TARGET / max(1, n * n):
+def _jacobi_angle(work: np.ndarray, p: int, q: int, skip: float) -> tuple[float, float] | None:
+    """(cos, sin) of the rotation that zeroes work[p, q]; None when |work[p, q]| < skip.
+
+    The entries are read as Python floats: IEEE double arithmetic gives the
+    bits of `np.float64` scalar arithmetic at a fraction of its cost.
+    """
+    apq = work.item(p, q)
+    if abs(apq) < skip:
         return None
-    tau = (work[q, q] - work[p, p]) / (2.0 * apq)
+    tau = (work.item(q, q) - work.item(p, p)) / (2.0 * apq)
     if abs(tau) < _TAU_SQUARE_MAX:
         t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
     else:  # the limit of the form above, where tau * tau would overflow
         t = 1.0 / (2.0 * tau)
     c = 1.0 / math.sqrt(1.0 + t * t)
     return c, t * c
+
+
+def _jacobi_skip(n: int) -> float:
+    """The |a_pq| below which a rotation is skipped: the target spread over n^2 entries."""
+    return JACOBI_TARGET / (n * n)
 
 
 def _off_diagonal_mass(work: np.ndarray) -> float:
@@ -163,12 +182,13 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     rot = np.eye(n)
     turn = np.empty((2, 2))
     rows_pq = np.empty((2, n))
+    skip = _jacobi_skip(n)
     for _ in range(100):
         if _off_diagonal_mass(stack[:n]) < JACOBI_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                angle = _jacobi_angle(stack, p, q)  # reads the top n rows only
+                angle = _jacobi_angle(stack, p, q, skip)  # reads the top n rows only
                 if angle is None:
                     continue
                 c, s = angle
@@ -197,12 +217,13 @@ def _jacobi_eigensolve_reference(a: Sequence[Sequence[float]]) -> SpectralSystem
     n = a0.shape[0]
     work = a0.copy()
     vecs = np.eye(n)
+    skip = _jacobi_skip(n)
     for _ in range(100):
         if _off_diagonal_mass(work) < JACOBI_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                angle = _jacobi_angle(work, p, q)
+                angle = _jacobi_angle(work, p, q, skip)
                 if angle is None:
                     continue
                 c, s = angle
@@ -419,10 +440,103 @@ def _certify_contraction_rate_reference(
     return _rate_certificate(sys, _rate_pairs_scalar(sys, pairs))
 
 
+def _float_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e) with v = m * 2**e exactly for finite v: m odd in int64, or 0 with e = _NO_TERM."""
+    frac, exp = np.frexp(v)
+    m = (frac * 2.0 ** 53).astype(np.int64)  # exact: |frac| lies in [1/2, 1)
+    zero = m == 0
+    shift = np.where(zero, 0, np.frexp(m & -m)[1] - 1)  # trailing zero bits of m
+    return m >> shift, np.where(zero, _NO_TERM, exp.astype(np.int64) - 53 + shift)
+
+
+_NO_TERM = 1 << 40  # the exponent of a zero entry: above any float's, so no minimum picks it
+
+
+def _exact_dots(rows: np.ndarray, vecs: np.ndarray) -> list[list]:
+    """out[i][j] = `_mp_dot` of the mpf forms of rows[i] and vecs[j], or None where that may round.
+
+    Each product of two doubles is exact at 106 bits.  The terms are summed
+    as Python ints over a common exponent.  Let T be the bit length of the
+    sum of their absolute values and L the lowest set bit among them.  If
+    T - L <= mp.prec, every partial sum of the left-to-right mpf sum fits in
+    mp.prec bits, so none rounds and the exact sum is its value.  Otherwise,
+    and for a row or vector with a non-finite entry, the entry is None.
+    """
+    finite_r, finite_v = np.isfinite(rows).all(axis=1), np.isfinite(vecs).all(axis=1)
+    mr, er = _float_parts(np.where(finite_r[:, None], rows, 0.0))
+    mv, ev = _float_parts(np.where(finite_v[:, None], vecs, 0.0))
+    low = (er[:, None, :] + ev[None, :, :]).min(axis=2)  # of the nonzero terms
+    frame_r, frame_v = er.min(axis=1), ev.min(axis=1)
+
+    def scaled(m, e, frame):  # Python ints m * 2**(e - frame), each row on its own frame
+        shift = np.where(m == 0, 0, e - frame[:, None])
+        return np.left_shift(m.astype(object), shift.astype(object))
+
+    ri, vi = scaled(mr, er, frame_r), scaled(mv, ev, frame_v)
+    sums, spans = (ri @ vi.T).tolist(), (abs(ri) @ abs(vi.T)).tolist()
+    out = []
+    low = low.tolist()
+    for i, fr in enumerate(frame_r.tolist()):
+        row = []
+        for j, fv in enumerate(frame_v.tolist()):
+            frame = fr + fv
+            exact = finite_r[i] and finite_v[j] and (
+                spans[i][j].bit_length() - (low[i][j] - frame) <= mp.prec)
+            row.append(mp.make_mpf(from_man_exp(sums[i][j], frame)) if exact else None)
+        out.append(row)
+    return out
+
+
+def _mp_dot(u, w):
+    """sum(u_i * w_i) in mpf, left to right from mpf(0)."""
+    return sum(map(operator.mul, u, w), mpf(0))
+
+
+def _mp_dots(rows: np.ndarray, vecs: np.ndarray) -> list[list]:
+    """`_mp_dot` of the mpf forms of rows[i] and vecs[j], exact where `_exact_dots` allows."""
+    out = _exact_dots(rows, vecs)
+    for i, row in enumerate(out):
+        for j, value in enumerate(row):
+            if value is None:
+                row[j] = _mp_dot(map(mpf, rows[i].tolist()), map(mpf, vecs[j].tolist()))
+    return out
+
+
+def _mp_norm(u):
+    return mp_sqrt(_mp_dot(u, u))
+
+
 def replay_pair_mp(
     sys: SpectralSystem, x: Sequence[float], y: Sequence[float]
 ) -> tuple[float, float]:
-    """(d(x,y), d(f(x),f(y))) recomputed from the same floats at REPLAY_PRECISION bits."""
+    """(d(x,y), d(f(x),f(y))) recomputed from the same floats at REPLAY_PRECISION bits.
+
+    Gives the mpf values of `_replay_pair_mp_reference`.  The dot products of
+    float operands, the rows of A x and A y and <x, v1> and <y, v1>, come from
+    `_mp_dots`; the O(n) rest, on 128-bit values, runs in mpf.
+    """
+    pair = np.array([x, y], dtype=float)
+    with mp.workprec(REPLAY_PRECISION):
+        v1 = [mpf(v) for v in sys.v1.tolist()]
+
+        def metric(u, w, nu, nw):
+            return _mp_norm([ui / nu - wi / nw for ui, wi in zip(u, w)])
+
+        (ox,), (oy,) = _mp_dots(pair, sys.v1[None])
+        xs, ys = ([mpf(v) for v in row] for row in pair.tolist())
+        before = metric(xs, ys, ox, oy)
+        ax, ay = zip(*_mp_dots(sys.matrix, pair))
+        nx, ny = _mp_norm(ax), _mp_norm(ay)
+        fx = [v / nx for v in ax]
+        fy = [v / ny for v in ay]
+        after = metric(fx, fy, _mp_dot(fx, v1), _mp_dot(fy, v1))
+        return float(before), float(after)
+
+
+def _replay_pair_mp_reference(
+    sys: SpectralSystem, x: Sequence[float], y: Sequence[float]
+) -> tuple[float, float]:
+    """`replay_pair_mp` with every entry and every dot product in mpf."""
     with mp.workprec(REPLAY_PRECISION):
         a = [[mpf(v) for v in row] for row in sys.matrix.tolist()]
         v1 = [mpf(v) for v in sys.v1.tolist()]

@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 from mpmath import iv
 
-from .circuit import Circuit, CircuitBuilder, CircuitError, format_fraction
+from .circuit import Circuit, CircuitBuilder, CircuitError, InputError, format_fraction
 from .cls import (
     CLAUSES,
     BanachInstance,
@@ -52,6 +52,11 @@ from .metrics import (
     scale_to_integers,
     scaled_to_fractions,
 )
+
+# bits past which certified_lambda_prime refuses the ceiling: far above the
+# ~14,300 bits of the 4,300 digits format_fraction can write, far below an
+# int that costs real memory
+LAMBDA_PRIME_MAX_BITS = 1 << 20
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
 CLSLOCAL_TO_BANACH = "cls-local->banach"
@@ -131,7 +136,12 @@ def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) ->
 
 
 def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> Fraction:
-    """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling."""
+    """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling.
+
+    Raises InputError when the bound has more than LAMBDA_PRIME_MAX_BITS
+    bits, which a tiny eps brings about through c'^(-1/eps) or through the
+    width of the 128-bit interval around ln(1/c').
+    """
     old = iv.prec  # the interval context has no workprec
     iv.prec = 128
     try:
@@ -140,6 +150,11 @@ def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> F
         li = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
         log_inv = iv.log(1 / ci)
         bound = iv.exp(log_inv / ei) * li * log_inv / ei
+        if mpmath.mag(bound.b) > LAMBDA_PRIME_MAX_BITS:
+            raise InputError(
+                f"eps is too small: the certified lambda' bound has more than "
+                f"{LAMBDA_PRIME_MAX_BITS} bits"
+            )
         ceiling = Fraction(int(mpmath.ceil(bound.b)))
     finally:
         iv.prec = old

@@ -127,6 +127,15 @@ def test_reduce_rejects_large_eps(workdir, capsys):
     assert main(["reduce", "--direction", "cls-local-to-banach", inst, str(workdir / "t.txt")]) == 2
 
 
+@pytest.mark.parametrize("eps", [f"1/{10**100 - 1}", f"1/{'9' * 4000}"])
+def test_reduce_with_tiny_eps_exits_two(workdir, capsys, eps):
+    src = cls_local_corpus()[0]
+    text = instance_to_text(src).replace(f"eps {src.eps}", f"eps {eps}")
+    inst = write(workdir / "cls.txt", text)
+    argv = ["reduce", "--direction", "cls-local-to-banach", inst, str(workdir / "t.txt")]
+    assert_input_error(argv, capsys, "eps is too small")
+
+
 def test_cli_roundtrip_reduce_solve_backmap_verify(workdir, capsys):
     inst_path = write(workdir / "banach.txt", instance_to_text(banach_corpus()[0]))
     target = str(workdir / "target.txt")

@@ -408,7 +408,7 @@ def test_jacobi_matches_reference_bit_for_bit(n, seed, kind):
     assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(power._jacobi_eigensolve_reference, a)
 
 
-@pytest.mark.parametrize("n", [33, 47, 64])
+@pytest.mark.parametrize("n", [32, 33, 47, 64])
 def test_jacobi_matches_reference_at_large_dimensions(n):
     a = dict(pinned_matrices()).get(f"gapped-{n}")
     if a is None:
@@ -600,12 +600,14 @@ def replay_pair_mp_per_entry_norm(sys_, x, y, precision=power.REPLAY_PRECISION):
         mp.prec = old
 
 
-@pytest.mark.parametrize("n", [2, 16, 64])
+@pytest.mark.parametrize("n", [2, 16, 32, 64])
 def test_replay_matches_per_entry_norm(n):
     rng = np.random.default_rng(n)
     sys_ = random_gapped_system(rng, n)
-    for x, y in random_valid_pairs(rng, sys_, 3 if n == 64 else 10):
-        assert replay_pair_mp(sys_, x, y) == replay_pair_mp_per_entry_norm(sys_, x, y)
+    pairs = random_valid_pairs(rng, sys_, 3 if n == 64 else 10)
+    for x, y in pairs + [(sys_.v1, sys_.v1)]:  # the last pair has d(x, y) = 0
+        want = replay_pair_mp_per_entry_norm(sys_, x, y)
+        assert replay_pair_mp(sys_, x, y) == power._replay_pair_mp_reference(sys_, x, y) == want
 
 
 def test_replay_restores_mpmath_precision():
@@ -613,3 +615,66 @@ def test_replay_restores_mpmath_precision():
     before = mp.prec
     replay_pair_mp(sys_, PAPER_PAIR_X, PAPER_PAIR_Y)
     assert mp.prec == before
+
+
+def adversarial_floats(rng, shape):
+    """Exact zeros, -0.0, subnormals, and both signs of magnitudes from 1e-40 to 1e5."""
+    kind = rng.integers(0, 5, size=shape)
+    normal = rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-40, 5, size=shape)
+    subnormal = rng.integers(-(2 ** 52), 2 ** 52, size=shape) * 5e-324
+    return np.select([kind == 0, kind == 1, kind == 2], [0.0, -0.0, subnormal], normal)
+
+
+def test_exact_dots_equal_the_mpf_sums():
+    rng = np.random.default_rng(15)
+    exact = fallback = 0
+    with mp.workprec(power.REPLAY_PRECISION):
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            rows = adversarial_floats(rng, (int(rng.integers(1, 4)), n))
+            vecs = adversarial_floats(rng, (int(rng.integers(1, 3)), n))
+            for i, row in enumerate(power._exact_dots(rows, vecs)):
+                for j, value in enumerate(row):
+                    want = power._mp_dot(map(mpf, rows[i].tolist()), map(mpf, vecs[j].tolist()))
+                    if value is None:
+                        fallback += 1
+                    else:
+                        exact += 1
+                        assert value._mpf_ == want._mpf_, (rows[i], vecs[j])
+    # both paths must run: the wide magnitude range makes about half the sums fall back
+    assert exact > 200 and fallback > 200
+
+
+def test_mp_dots_fall_back_on_non_finite_entries():
+    rows = np.array([[math.inf, 1.0], [1.0, 2.0], [math.inf, -math.inf]])
+    vecs = np.array([[0.5, 0.25], [1.0, math.nan]])
+    with mp.workprec(power.REPLAY_PRECISION):
+        exact = power._exact_dots(rows, vecs)
+        assert [[v is None for v in row] for row in exact] == [
+            [True, True], [False, True], [True, True]]
+        got = power._mp_dots(rows, vecs)
+        want = [[power._mp_dot(map(mpf, r.tolist()), map(mpf, v.tolist())) for v in vecs]
+                for r in rows]
+    assert [[v._mpf_ for v in row] for row in got] == [[v._mpf_ for v in row] for row in want]
+
+
+def test_replay_fast_path_holds_on_pinned_matrices():
+    """Fewer than 1% of the float dot products fall back to the mpf sum.
+
+    huge-tau is left out: its row (1e300, 1) and its v1 ~ (1, 1e-300) span
+    about 1000 bits, so those sums must fall back, and do.
+    """
+    rows = fallback = 0
+    with mp.workprec(power.REPLAY_PRECISION):
+        for name, a in pinned_matrices():
+            sys_ = jacobi_eigensolve(a)
+            for x, y in power.sample_pairs(sys_, 20, seed=len(a)):
+                pair = np.array([x, y])
+                out = power._exact_dots(sys_.matrix, pair) + power._exact_dots(pair, sys_.v1[None])
+                misses = sum(v is None for row in out for v in row)
+                if name == "huge-tau":
+                    assert misses == 4  # row 0 of A x and of A y, <x, v1> and <y, v1>
+                else:
+                    rows += sum(map(len, out))
+                    fallback += misses
+    assert rows > 6000 and fallback < rows / 100

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpmath import iv
 
-from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError
+from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError, InputError
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, Solution, verify, verify_banach
 from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
@@ -164,6 +164,14 @@ def test_lambda_prime_worked_example():
 
 def test_lambda_prime_grows_with_inverse_eps():
     assert certified_lambda_prime(F(1), F(1, 10), F(9, 10)) > 1
+
+
+def test_lambda_prime_past_the_bit_limit_is_an_input_error():
+    # 2**(10**6) fits under LAMBDA_PRIME_MAX_BITS; 2**(10**7) and 2**(10**100) do not
+    assert certified_lambda_prime(F(1), F(1, 10**6), F(1, 2)) > 2 ** 10**6
+    for eps in (F(1, 10**7), F(1, 10**100 - 1)):
+        with pytest.raises(InputError, match="eps is too small"):
+            certified_lambda_prime(F(1), eps, F(1, 2))
 
 
 def test_hardness_constants_at_eps_one():
