@@ -47,12 +47,14 @@ def _read(path: str) -> tuple[str, str]:
     """The file's text and its ``input <path> sha256=<digest>`` report line, from one read.
 
     The digest is of the raw bytes.  The text is what
-    ``Path.read_text(encoding="utf-8")`` gives, universal newlines included:
-    ``\\r\\n`` and a lone ``\\r`` both become ``\\n``.
+    ``Path.read_text(encoding="utf-8-sig")`` gives, universal newlines
+    included: a leading UTF-8 byte-order mark is dropped, and ``\\r\\n`` and a
+    lone ``\\r`` both become ``\\n``.  A decoding error names its position in
+    the raw bytes, byte-order mark included.
     """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(str(exc)) from None
     text = text.replace("\r\n", "\n").replace("\r", "\n")

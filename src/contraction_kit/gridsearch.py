@@ -47,6 +47,9 @@ MAX_PAIRS = 4000
 MAX_QUADS = 4000
 MAX_TRIANGLE_POINTS = 24
 CHUNK = 64  # candidates decided per batch
+# most steps per axis: the grid and its columns are built whole, about 1.8 GB at
+# 260 steps, the finest that ran in a 2 GB address space; past it, a MemoryError
+MAX_GRID_STEPS = 260
 
 
 def _axis(resolution: Fraction) -> list[Fraction]:
@@ -55,6 +58,10 @@ def _axis(resolution: Fraction) -> list[Fraction]:
     if not 0 < resolution <= 1:
         raise InputError("resolution must lie in (0, 1]")
     steps = int(1 / resolution)
+    if steps > MAX_GRID_STEPS:
+        raise InputError(
+            f"--grid {resolution} needs {steps} steps per axis, above the budget of {MAX_GRID_STEPS}"
+        )
     axis = [Fraction(k) * resolution for k in range(steps + 1)]
     if axis[-1] != 1:
         axis.append(Fraction(1))

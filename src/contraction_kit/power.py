@@ -9,12 +9,16 @@ Main arithmetic is float64; certificates can be replayed through a 128-bit
 mpmath oracle.
 
 The fast paths give the float bits of their references.  A Jacobi rotation
-turns rows p and q 2-wide and the columns of the working matrix stacked on the
-eigenvectors in one dense product, because a product narrowed to two columns
-rounds differently from the dense one at some dimensions
-(`_jacobi_eigensolve_reference` keeps three dense products per rotation).  The
-rate certificate runs chunks of pairs through stacked `np.matmul`, which makes
-the same ddot and gemv calls per row as `eigen_metric` and `power_step`.
+turns rows p and q 2-wide.  Columns p and q of the working matrix stacked on
+the eigenvectors turn in one dense product until that product has taught the
+process which of two O(n) forms gives its bits at (n, p, q, column): a
+product narrowed to two columns rounds differently from the dense one at
+some places, and which way is the BLAS kernel's, not the values'.  From
+dimension FAST_COLUMNS_MIN up, a learnt step then turns the two columns in
+O(n) (`_ColumnTurn`); `_jacobi_eigensolve_reference` keeps three dense
+products per rotation.  The rate certificate runs chunks of pairs through
+stacked `np.matmul`, which makes the same ddot and gemv calls per row as
+`eigen_metric` and `power_step`.
 
 The replay gives the mpf values of `_replay_pair_mp_reference`, which runs
 every entry through mpf.  A dot product whose operands are all float64, a
@@ -164,6 +168,121 @@ def _eigensystem(a0: np.ndarray, work: np.ndarray, vecs: np.ndarray) -> Spectral
     return SpectralSystem(a0, lam, rows)
 
 
+class _ColumnTurn:
+    """Buffers for turning columns p and q of the stack in O(n), and the forms that do it.
+
+    The dense product's turned column equals, on every row, one of two forms
+    of the two old columns x (column p) and y (column q) and the step
+    w = [[c, s], [-s, c]]: PRODUCT, the 2-wide BLAS product `[x y] @ w`, or
+    SUM, the two products rounded on their own and then added.  Which one is
+    a property of the BLAS kernel at (n, p, q, column), not of the values,
+    except for the sign of a zero left by a product that underflows to zero:
+    the zero terms of the dense product decide that sign.  The learning and
+    the O(n) turn both leave a step that may hold such a zero to the dense
+    product.
+    """
+
+    PRODUCT, SUM = 1, 2
+
+    def __init__(self, n: int, forms: np.ndarray):
+        self.forms = forms  # forms[p, q] for column p, forms[q, p] for column q; 0 = unlearnt
+        self.w = np.empty((2, 2))
+        self.pair = np.empty((2 * n, 2))
+        self.turned = np.empty((2 * n, 2))
+        self.terms = np.empty((2 * n, 2))
+
+    def _load(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+        self.pair[...] = stack[:, p:q + 1:q - p]
+        w = self.w
+        w[0, 0] = w[1, 1] = c
+        w[0, 1] = s
+        w[1, 0] = -s
+
+    def _sum(self, j: int, out: np.ndarray) -> None:
+        np.multiply(self.pair, self.w[:, j], out=self.terms)
+        np.add(self.terms[:, 0], self.terms[:, 1], out=out)
+
+    def _zeros_decided(self, turned: np.ndarray, s: float) -> bool:
+        """Whether each zero of `turned` is +0.0 under the dense product too.
+
+        A zero where x and y are both zero, or where two products cancel
+        exactly, is +0.0 whatever zero terms the dense product adds.  Only a
+        product that underflows to zero leaves the sign to those terms, and
+        none does when |s * e| >= 2^-968 for every nonzero entry e (and
+        c >= |s|): each product is then a multiple of 2^-1074.
+        """
+        if np.count_nonzero(turned) == turned.size:
+            return True
+        least = np.abs(self.pair, out=self.terms).min()
+        if not least:
+            nonzero = self.terms[self.terms != 0]
+            least = nonzero.min() if nonzero.size else math.inf
+        return abs(s) * least >= _UNDERFLOW_FREE
+
+    def turn(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
+        """Turn columns p and q of `stack` in place; False, touching nothing, when the
+        forms are unlearnt or a turned entry is a zero whose sign they do not decide."""
+        fp, fq = self.forms.item(p, q), self.forms.item(q, p)
+        if not (fp and fq):
+            return False
+        self._load(stack, p, q, c, s)
+        turned = self.turned
+        if fp == self.PRODUCT or fq == self.PRODUCT:
+            np.dot(self.pair, self.w, out=turned)
+        if fp == self.SUM:
+            self._sum(0, turned[:, 0])
+        if fq == self.SUM:
+            self._sum(1, turned[:, 1])
+        if not self._zeros_decided(turned, s):
+            return False
+        stack[:, p:q + 1:q - p] = turned
+        return True
+
+    def learn(self, stack: np.ndarray, dense: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+        """Record the form of each column that `dense`, the dense product of `stack`, took.
+
+        A form is recorded only when it alone matches every row byte for
+        byte, on a step with no zero that the forms leave undecided.
+        """
+        self._load(stack, p, q, c, s)
+        if not self._zeros_decided(dense[:, p:q + 1:q - p], s):
+            return
+        product = np.dot(self.pair, self.w)
+        for j, col, entry in ((0, p, (p, q)), (1, q, (q, p))):
+            got = dense[:, col].tobytes()
+            self._sum(j, self.turned[:, j])
+            by_product = product[:, j].tobytes() == got
+            by_sum = self.turned[:, j].tobytes() == got
+            if by_product != by_sum:
+                self.forms[entry] = self.PRODUCT if by_product else self.SUM
+
+
+# learnt column forms, one int8 table per dimension, taught only by the dense product
+_COLUMN_FORMS: dict[int, np.ndarray] = {}
+# the least dimension whose columns turn in O(n) once learnt: with one OpenBLAS
+# thread on a Haswell core, a warm O(n) solve cost 1.04x a dense one at n = 33,
+# 1.00x at 36, 0.84x at 40 and 0.47x at 64
+FAST_COLUMNS_MIN = 40
+_FAST_NORM_MAX = 2.0 ** 1000  # a bound on the Frobenius norm that keeps every product finite
+_UNDERFLOW_FREE = 2.0 ** -968  # no product of doubles this large rounds to zero
+
+
+def _column_turn(a0: np.ndarray) -> _ColumnTurn | None:
+    """The O(n) column turn for a solve of `a0`, or None when every rotation must run dense.
+
+    The dense product leaves the other columns as they are only when the
+    stack is finite and holds no -0.0: it turns inf into NaN (inf * 0) and
+    -0.0 into +0.0 (-0.0 + 0.0).  Rotations keep the Frobenius norm, which
+    n * max|a_ij| bounds, and the turns make no -0.0 from a stack without one.
+    """
+    n = a0.shape[0]
+    if n < FAST_COLUMNS_MIN or not float(np.max(np.abs(a0))) * n < _FAST_NORM_MAX:
+        return None
+    if np.signbit(a0[a0 == 0]).any():
+        return None
+    return _ColumnTurn(n, _COLUMN_FORMS.setdefault(n, np.zeros((n, n), dtype=np.int8)))
+
+
 def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass is < 1e-14.
 
@@ -171,8 +290,10 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     rotation matrix per step.  Rows p and q of the working matrix turn in one
     2x2 @ 2xn product.  The columns turn in one dense product of the working
     matrix stacked on the eigenvectors, by an identity whose four entries are
-    set for the step: a product narrowed to columns p and q rounds
-    differently from the dense one at some dimensions (17, 20, 33, ...).
+    set for the step, below FAST_COLUMNS_MIN and for an input `_column_turn`
+    refuses.  Otherwise the dense product also teaches this process the O(n)
+    form of each column it turns (`_ColumnTurn`), and a step whose forms are
+    learnt turns columns p and q in O(n) instead, with the same bits.
     """
     a0 = np.asarray(a, dtype=float)
     _check_matrix(a0)
@@ -183,6 +304,7 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     turn = np.empty((2, 2))
     rows_pq = np.empty((2, n))
     skip = _jacobi_skip(n)
+    columns = _column_turn(a0)
     for _ in range(100):
         if _off_diagonal_mass(stack[:n]) < JACOBI_TARGET:
             break
@@ -198,12 +320,16 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 view = stack[p:q + 1:q - p]
                 np.matmul(turn, view, out=rows_pq)
                 view[...] = rows_pq
+                if columns is not None and columns.turn(stack, p, q, c, s):
+                    continue
                 rot[p, p] = rot[q, q] = c
                 rot[p, q] = s
                 rot[q, p] = -s
                 np.matmul(stack, rot, out=spare)
                 rot[p, p] = rot[q, q] = 1.0
                 rot[p, q] = rot[q, p] = 0.0
+                if columns is not None:
+                    columns.learn(stack, spare, p, q, c, s)
                 stack, spare = spare, stack
     else:
         raise SpectralError("Jacobi sweeps did not reach the off-diagonal target")

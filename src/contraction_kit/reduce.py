@@ -57,6 +57,9 @@ from .metrics import (
 # ~14,300 bits of the 4,300 digits format_fraction can write, far below an
 # int that costs real memory
 LAMBDA_PRIME_MAX_BITS = 1 << 20
+# most bits by which eps or 1 - c' may fall below 1: certified_lambda_prime
+# works at 64 bits past that, so at most 320 bits
+LAMBDA_PRIME_MAX_SMALLNESS = 256
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
 CLSLOCAL_TO_BANACH = "cls-local->banach"
@@ -135,15 +138,31 @@ def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) ->
     return b.build([b.mul(interp_val, d_s)])
 
 
+def _smallness(x: Fraction) -> int:
+    """About log2(1/|x|) for |x| < 1, and 0 for |x| >= 1."""
+    return max(0, x.denominator.bit_length() - abs(x.numerator).bit_length())
+
+
 def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> Fraction:
     """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling.
 
-    Raises InputError when the bound has more than LAMBDA_PRIME_MAX_BITS
-    bits, which a tiny eps brings about through c'^(-1/eps) or through the
-    width of the 128-bit interval around ln(1/c').
+    The interval arithmetic runs at 128 bits, or at 64 bits past the
+    smallness (bits below 1) of eps and of 1 - c' where that is more.  The
+    interval around ln(1/c'), which is about 1 - c', is some 2^-prec wide,
+    and dividing by eps widens it by 2^smallness(eps) before exp: at a fixed
+    precision the bound would grow without limit as eps shrinks.  Raises
+    InputError when that smallness passes LAMBDA_PRIME_MAX_SMALLNESS, or
+    when the bound has more than LAMBDA_PRIME_MAX_BITS bits, which a tiny
+    eps brings about through c'^(-1/eps).
     """
+    smallness = max(_smallness(eps), _smallness(1 - c_prime))
+    if smallness > LAMBDA_PRIME_MAX_SMALLNESS:
+        raise InputError(
+            f"eps is too small: certifying lambda' would need {smallness + 64} bits of "
+            f"interval precision, above {LAMBDA_PRIME_MAX_SMALLNESS + 64}"
+        )
     old = iv.prec  # the interval context has no workprec
-    iv.prec = 128
+    iv.prec = max(128, smallness + 64)
     try:
         ci = iv.mpf(c_prime.numerator) / iv.mpf(c_prime.denominator)
         ei = iv.mpf(eps.numerator) / iv.mpf(eps.denominator)

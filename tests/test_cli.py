@@ -536,6 +536,8 @@ INVALID_INT = "invalid literal for int() with base 10: 'x'"
      "Exceeds the limit (4300 digits)"),
     (["bip", "squaring.txt", "--x0", "10,1,1", "--max-iters", "14", "--csv", "t.csv"],
      "Exceeds the limit (4300 digits)"),
+    (["--grid", "1/100000", "solve", "inst.txt"],
+     "--grid 1/100000 needs 100000 steps per axis, above the budget of 260"),
 ])
 def test_typed_input_errors_exit_two(input_files, capsys, argv, message):
     assert_input_error(argv, capsys, message)
@@ -621,7 +623,24 @@ def test_non_utf8_byte_mid_file_exits_two(workdir, capsys, command):
 def test_read_decodes_like_read_text(tmp_path, data):
     path = tmp_path / "f.txt"
     path.write_bytes(data)
-    assert cli._read(str(path)) == two_reads(str(path))
+    text, line = two_reads(str(path))
+    # a leading byte-order mark is dropped, as the utf-8-sig codec drops it
+    assert cli._read(str(path)) == (text.removeprefix("\ufeff"), line)
+    assert cli._read(str(path))[0] == path.read_text(encoding="utf-8-sig")
+
+
+def test_byte_order_mark_is_dropped_but_digested(workdir, capsys):
+    bom = b"\xef\xbb\xbf"
+    (workdir / "c.txt").write_bytes(bom + CONST_HALF.encode())
+    assert run_main(["eval", "c.txt", "0"], capsys) == (0, "1/2\n", "")
+    # the report line digests the raw bytes, mark included
+    digest = hashlib.sha256(bom + CONST_HALF.encode()).hexdigest()
+    assert cli._read("c.txt") == (CONST_HALF, f"input c.txt sha256={digest}")
+    # a decoding error names its position in the raw bytes
+    (workdir / "c.txt").write_bytes(bom + b"n0: const 1/2\xe9\noutputs: n0\n")
+    with pytest.raises(UnicodeDecodeError) as info:
+        (workdir / "c.txt").read_text(encoding="utf-8")
+    assert run_main(["eval", "c.txt", "0"], capsys) == (2, "", f"error: {info.value}\n")
 
 
 # ---------------------------------------------------------------- one parser per process

@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import banach_corpus, cls_local_corpus
 from test_golden import solve_instances
-from contraction_kit.circuit import Circuit, CircuitBuilder
+from contraction_kit.circuit import Circuit, CircuitBuilder, InputError
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
 from contraction_kit.gridsearch import (
     CHUNK,
+    MAX_GRID_STEPS,
+    _axis,
     _candidate_pairs,
     _grid,
     _quads,
@@ -214,3 +216,11 @@ def test_scaled_column_matches_fraction_arithmetic(pair, q, extra, power):
         assert op(a, b).tolist() == [op(x, y) for x, y in zip(xs, ys)]
         assert op(a, q).tolist() == [op(x, q) for x in xs]
         assert op(q, a).tolist() == [op(q, x) for x in xs]
+
+
+def test_grid_past_the_step_budget_is_an_input_error():
+    assert len(_axis(F(1, MAX_GRID_STEPS))) == MAX_GRID_STEPS + 1
+    assert len(_axis(F(2, 2 * MAX_GRID_STEPS + 1))) == MAX_GRID_STEPS + 2  # the axis ends at 1
+    for resolution in (F(1, MAX_GRID_STEPS + 1), F(1, 10**100)):
+        with pytest.raises(InputError, match="^--grid .* steps per axis, above the budget"):
+            _axis(resolution)

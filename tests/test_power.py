@@ -328,16 +328,19 @@ def pinned_matrices():
     17, 20 and 33 are dimensions where a column update narrowed to columns p
     and q rounds differently from the dense product.
     """
-    cases = []
-    for n in (2, 3, 5, 16, 17, 20, 33, 64):
-        rng = np.random.default_rng([9, n])
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        lam = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1].copy()
-        lam[0] = lam[1] * rng.uniform(1.5, 3.0)
-        a = (q * lam) @ q.T
-        cases.append((f"gapped-{n}", (a + a.T) / 2))
+    cases = [(f"gapped-{n}", gapped_matrix(np.random.default_rng([9, n]), n))
+             for n in (2, 3, 5, 16, 17, 20, 33, 64)]
     cases.append(("huge-tau", np.array([[1e300, 1.0], [1.0, 1.0]])))
     return cases
+
+
+def gapped_matrix(rng, n):
+    """A symmetric matrix with a random eigenbasis and a dominant lambda1."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.sort(rng.uniform(0.1, 1.0, size=n))[::-1].copy()
+    lam[0] = lam[1] * rng.uniform(1.5, 3.0)
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2
 
 
 def _sha256(data: bytes) -> str:
@@ -678,3 +681,156 @@ def test_replay_fast_path_holds_on_pinned_matrices():
                     rows += sum(map(len, out))
                     fallback += misses
     assert rows > 6000 and fallback < rows / 100
+
+
+# ---------------------------------------------------------------- learnt O(n) column turns
+
+
+@pytest.fixture
+def column_forms(monkeypatch):
+    """An empty table of learnt column forms; the process's own comes back after the test."""
+    forms = {}
+    monkeypatch.setattr(power, "_COLUMN_FORMS", forms)
+    return forms
+
+
+@pytest.fixture
+def fast_turns(monkeypatch):
+    """The outcome of each O(n) column turn tried, True where it turned the columns."""
+    made = []
+    turn = power._ColumnTurn.turn
+
+    def counted(self, *args):
+        made.append(turn(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(power._ColumnTurn, "turn", counted)
+    return made
+
+
+def solve_twice_like_reference(a):
+    """Solve `a` twice, learning then on learnt forms; both match the dense reference."""
+    expected = eigen_outcome(power._jacobi_eigensolve_reference, a)
+    assert eigen_outcome(jacobi_eigensolve, a) == expected
+    assert eigen_outcome(jacobi_eigensolve, a) == expected
+    return expected
+
+
+# the gate, 64, and dimensions between them with n mod 8 = 0, 1, 4, 7, 0
+@pytest.mark.parametrize("n", [power.FAST_COLUMNS_MIN, 41, 44, 47, 64])
+def test_learnt_column_turns_match_reference(column_forms, fast_turns, n):
+    a = gapped_matrix(np.random.default_rng([16, n]), n)
+    solve_twice_like_reference(a)
+    assert set(column_forms) == {n}
+    second = fast_turns[len(fast_turns) // 2:]
+    assert sum(second) > len(second) // 2  # the second solve turns most columns in O(n)
+
+
+def test_dimensions_below_the_gate_learn_nothing(column_forms, fast_turns):
+    for n in (16, power.FAST_COLUMNS_MIN - 1):
+        solve_twice_like_reference(gapped_matrix(np.random.default_rng([16, n]), n))
+    assert column_forms == {} and fast_turns == []
+
+
+def zero_cases(n):
+    """(name, matrix) at dimension n: signed zeros, exact zeros, a subnormal next to a zero."""
+    rng = np.random.default_rng([17, n])
+    a = gapped_matrix(rng, n)
+    signed = a.copy()
+    signed[3, 7] = signed[7, 3] = signed[5, 5] = -0.0
+    blocks = np.zeros((n, n))
+    for lo, hi, scale in ((0, 10, 3.0), (10, 25, 1.0), (25, n, 0.5)):
+        blocks[lo:hi, lo:hi] = gapped_matrix(rng, hi - lo) * scale
+    negative_blocks = np.where(blocks == 0, -0.0, blocks)
+    tiny = a.copy()
+    tiny[9, 0] = tiny[0, 9] = 0.0
+    tiny[9, 1] = tiny[1, 9] = 5e-324  # 5e-324 * |s| < 2^-1075 rounds to a signed zero
+    return [("negative-zeros", signed), ("block-diagonal", blocks),
+            ("block-diagonal-negative-zeros", negative_blocks), ("subnormal", tiny)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[name for name, _ in zero_cases(41)])
+def test_learnt_column_turns_keep_zeros_like_reference(column_forms, case):
+    n = 41  # both forms occur at 41 with OpenBLAS on Haswell
+    jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
+    solve_twice_like_reference(zero_cases(n)[case][1])
+
+
+def test_non_convergence_at_the_gate_raises_like_reference(column_forms):
+    a = np.random.default_rng(1).normal(size=(power.FAST_COLUMNS_MIN,) * 2) * 100.0
+    assert solve_twice_like_reference(a + a.T) == (
+        "error", "Jacobi sweeps did not reach the off-diagonal target")
+
+
+def test_inputs_past_the_guards_solve_dense(column_forms, fast_turns):
+    n = power.FAST_COLUMNS_MIN
+    a = gapped_matrix(np.random.default_rng([18, n]), n)
+    huge = a.copy()
+    huge[0, :] = huge[:, 0] = 0.0
+    huge[0, 0] = 1e300  # n * max|a_ij| passes 2^1000; row 0 never turns, so the sweeps converge
+    signed = a.copy()
+    signed[0, 0] = -0.0
+    for refused in (huge, signed, np.where(a > 0.5, np.inf, a), np.where(a > 0.5, np.nan, a)):
+        assert power._column_turn(refused) is None
+    solve_twice_like_reference(huge)
+    solve_twice_like_reference(signed)
+    assert fast_turns == []
+    assert power._column_turn(a) is not None
+
+
+def test_every_learnt_form_reproduces_the_dense_product(column_forms):
+    rng = np.random.default_rng(19)
+    for n in (41, 64):
+        jacobi_eigensolve(gapped_matrix(rng, n))
+    assert set(column_forms) == {41, 64}
+    for n, forms in column_forms.items():
+        assert set(np.unique(forms)) <= {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
+        assert not np.diag(forms).any()
+        columns = power._ColumnTurn(n, forms)
+        taught = [(p, q) for p, q in zip(*np.triu_indices(n, 1)) if forms[p, q] and forms[q, p]]
+        assert len(taught) > n * (n - 1) // 4
+        for p, q in taught:
+            stack = rng.normal(size=(2 * n, n))
+            angle = rng.uniform(-math.pi / 4, math.pi / 4)
+            c, s = math.cos(angle), math.sin(angle)
+            rot = np.eye(n)
+            rot[p, p] = rot[q, q] = c
+            rot[p, q] = s
+            rot[q, p] = -s
+            dense = stack @ rot
+            assert columns.turn(stack, p, q, c, s)
+            assert stack.tobytes() == dense.tobytes()
+
+
+def test_column_turn_leaves_undecided_zeros_to_the_dense_product():
+    n, p, q = 40, 3, 17
+    rng = np.random.default_rng(20)
+    c, s = math.sqrt(1 - 0.4 ** 2), 0.4
+    rot = np.eye(n)
+    rot[p, p] = rot[q, q] = c
+    rot[p, q] = s
+    rot[q, p] = -s
+    columns = power._ColumnTurn(n, np.zeros((n, n), dtype=np.int8))
+    # both forms give each entry of a column that holds only 0 and 1
+    ones = np.zeros((2 * n, n))
+    ones[:, p] = 1.0
+    columns.learn(ones, ones @ rot, p, q, c, s)
+    assert not columns.forms.any()
+    stack = rng.normal(size=(2 * n, n))
+    columns.learn(stack, stack @ rot, p, q, c, s)
+    assert columns.forms[p, q] and columns.forms[q, p]
+    # 0 * c - s * 5e-324 underflows: the sign of that zero is the dense product's to decide
+    stack[9, p], stack[9, q] = 0.0, 5e-324
+    before = stack.tobytes()
+    assert not columns.turn(stack, p, q, c, s)
+    assert stack.tobytes() == before
+    taught = columns.forms.copy()
+    columns.forms[...] = 0
+    columns.learn(stack, stack @ rot, p, q, c, s)
+    assert not columns.forms.any()
+    # an exact zero, from two zero entries, is +0.0 under every form
+    columns.forms[...] = taught
+    stack[9, q] = 0.0
+    dense = stack @ rot
+    assert columns.turn(stack, p, q, c, s)
+    assert stack.tobytes() == dense.tobytes()
