@@ -187,9 +187,13 @@ class _ColumnTurn:
     def __init__(self, n: int, forms: np.ndarray):
         self.forms = forms  # forms[p, q] for column p, forms[q, p] for column q; 0 = unlearnt
         self.w = np.empty((2, 2))
-        self.pair = np.empty((2 * n, 2))
+        self.pair = np.empty((2 * n, 2))  # x and y
         self.turned = np.empty((2 * n, 2))
-        self.terms = np.empty((2 * n, 2))
+        self.magnitudes = np.empty((2 * n, 2))
+        # laid out so that each ufunc runs along 2n entries
+        self.products = np.empty((2, 2, 2 * n))  # products[j, k] = w[k, j] * (x, y)[k]
+        self.summed = np.empty((2, 2 * n))  # SUM of column j in row j
+        self.dense = np.empty((2, 2 * n))  # the dense product's columns p and q
 
     def _load(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> None:
         self.pair[...] = stack[:, p:q + 1:q - p]
@@ -198,14 +202,14 @@ class _ColumnTurn:
         w[0, 1] = s
         w[1, 0] = -s
 
-    def _sum(self, j: int, out: np.ndarray) -> None:
-        np.multiply(self.pair, self.w[:, j], out=self.terms)
-        np.add(self.terms[:, 0], self.terms[:, 1], out=out)
+    def _sums(self) -> None:
+        np.multiply(self.w.T[:, :, None], self.pair.T, out=self.products)
+        np.add(self.products[:, 0], self.products[:, 1], out=self.summed)
 
     def _zeros_decided(self, turned: np.ndarray, s: float) -> bool:
         """Whether each zero of `turned` is +0.0 under the dense product too.
 
-        A zero where x and y are both zero, or where two products cancel
+        A zero where x and y are both +0.0, or where two products cancel
         exactly, is +0.0 whatever zero terms the dense product adds.  Only a
         product that underflows to zero leaves the sign to those terms, and
         none does when |s * e| >= 2^-968 for every nonzero entry e (and
@@ -213,9 +217,9 @@ class _ColumnTurn:
         """
         if np.count_nonzero(turned) == turned.size:
             return True
-        least = np.abs(self.pair, out=self.terms).min()
+        least = np.abs(self.pair, out=self.magnitudes).min()
         if not least:
-            nonzero = self.terms[self.terms != 0]
+            nonzero = self.magnitudes[self.magnitudes != 0]
             least = nonzero.min() if nonzero.size else math.inf
         return abs(s) * least >= _UNDERFLOW_FREE
 
@@ -229,40 +233,51 @@ class _ColumnTurn:
         turned = self.turned
         if fp == self.PRODUCT or fq == self.PRODUCT:
             np.dot(self.pair, self.w, out=turned)
-        if fp == self.SUM:
-            self._sum(0, turned[:, 0])
-        if fq == self.SUM:
-            self._sum(1, turned[:, 1])
+        if fp == self.SUM or fq == self.SUM:
+            self._sums()
+            if fp == self.SUM:
+                turned[:, 0] = self.summed[0]
+            if fq == self.SUM:
+                turned[:, 1] = self.summed[1]
         if not self._zeros_decided(turned, s):
             return False
         stack[:, p:q + 1:q - p] = turned
         return True
 
-    def learn(self, stack: np.ndarray, dense: np.ndarray, p: int, q: int, c: float, s: float) -> None:
+    def learn(self, stack: np.ndarray, dense: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
         """Record the form of each column that `dense`, the dense product of `stack`, took.
 
         A form is recorded only when it alone matches every row byte for
-        byte, on a step with no zero that the forms leave undecided.
+        byte, on a step with no zero that the forms leave undecided.  Returns
+        False when a turned column holds a -0.0: the O(n) turn leaves a -0.0
+        in place where the dense product would make it +0.0, so it no longer
+        gives the dense bits on this stack.
         """
+        got = self.dense
+        got[...] = dense[:, p:q + 1:q - p].T
+        if _has_negative_zero(got):
+            return False
         self._load(stack, p, q, c, s)
-        if not self._zeros_decided(dense[:, p:q + 1:q - p], s):
-            return
-        product = np.dot(self.pair, self.w)
-        for j, col, entry in ((0, p, (p, q)), (1, q, (q, p))):
-            got = dense[:, col].tobytes()
-            self._sum(j, self.turned[:, j])
-            by_product = product[:, j].tobytes() == got
-            by_sum = self.turned[:, j].tobytes() == got
+        if not self._zeros_decided(got, s):
+            return True
+        np.dot(self.pair, self.w, out=self.turned)
+        self._sums()
+        for j, entry in ((0, (p, q)), (1, (q, p))):
+            want = got[j].tobytes()
+            by_product = self.turned[:, j].tobytes() == want
+            by_sum = self.summed[j].tobytes() == want
             if by_product != by_sum:
                 self.forms[entry] = self.PRODUCT if by_product else self.SUM
+        return True
 
 
 # learnt column forms, one int8 table per dimension, taught only by the dense product
 _COLUMN_FORMS: dict[int, np.ndarray] = {}
-# the least dimension whose columns turn in O(n) once learnt: with one OpenBLAS
-# thread on a Haswell core, a warm O(n) solve cost 1.04x a dense one at n = 33,
-# 1.00x at 36, 0.84x at 40 and 0.47x at 64
-FAST_COLUMNS_MIN = 40
+# the least dimension whose columns turn in O(n) once learnt, the crossover of a
+# solve that still has to learn its forms: with one OpenBLAS thread on a Xeon
+# core, the median cold solve cost 1.02x a dense one at n = 52 and 0.88x at 53,
+# and a warm one 0.78x and 0.63x (11 gapped matrices each)
+FAST_COLUMNS_MIN = 53
 _FAST_NORM_MAX = 2.0 ** 1000  # a bound on the Frobenius norm that keeps every product finite
 _UNDERFLOW_FREE = 2.0 ** -968  # no product of doubles this large rounds to zero
 
@@ -273,7 +288,8 @@ def _column_turn(a0: np.ndarray) -> _ColumnTurn | None:
     The dense product leaves the other columns as they are only when the
     stack is finite and holds no -0.0: it turns inf into NaN (inf * 0) and
     -0.0 into +0.0 (-0.0 + 0.0).  Rotations keep the Frobenius norm, which
-    n * max|a_ij| bounds, and the turns make no -0.0 from a stack without one.
+    n * max|a_ij| bounds.  A turn can make a -0.0 where a product underflows;
+    `jacobi_eigensolve` checks every step for one.
     """
     n = a0.shape[0]
     if n < FAST_COLUMNS_MIN or not float(np.max(np.abs(a0))) * n < _FAST_NORM_MAX:
@@ -281,6 +297,10 @@ def _column_turn(a0: np.ndarray) -> _ColumnTurn | None:
     if np.signbit(a0[a0 == 0]).any():
         return None
     return _ColumnTurn(n, _COLUMN_FORMS.setdefault(n, np.zeros((n, n), dtype=np.int8)))
+
+
+def _has_negative_zero(a: np.ndarray) -> bool:
+    return np.count_nonzero(a) < a.size and bool(np.signbit(a[a == 0]).any())
 
 
 def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
@@ -293,7 +313,10 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     set for the step, below FAST_COLUMNS_MIN and for an input `_column_turn`
     refuses.  Otherwise the dense product also teaches this process the O(n)
     form of each column it turns (`_ColumnTurn`), and a step whose forms are
-    learnt turns columns p and q in O(n) instead, with the same bits.
+    learnt turns columns p and q in O(n) instead, with the same bits.  That
+    holds only while the stack has no -0.0, so the first step that leaves one
+    in rows p and q or in columns p and q hands the rest of the solve to the
+    dense product.
     """
     a0 = np.asarray(a, dtype=float)
     _check_matrix(a0)
@@ -320,16 +343,19 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 view = stack[p:q + 1:q - p]
                 np.matmul(turn, view, out=rows_pq)
                 view[...] = rows_pq
-                if columns is not None and columns.turn(stack, p, q, c, s):
-                    continue
+                if columns is not None:
+                    if _has_negative_zero(rows_pq):
+                        columns = None
+                    elif columns.turn(stack, p, q, c, s):
+                        continue
                 rot[p, p] = rot[q, q] = c
                 rot[p, q] = s
                 rot[q, p] = -s
                 np.matmul(stack, rot, out=spare)
                 rot[p, p] = rot[q, q] = 1.0
                 rot[p, q] = rot[q, p] = 0.0
-                if columns is not None:
-                    columns.learn(stack, spare, p, q, c, s)
+                if columns is not None and not columns.learn(stack, spare, p, q, c, s):
+                    columns = None
                 stack, spare = spare, stack
     else:
         raise SpectralError("Jacobi sweeps did not reach the off-diagonal target")

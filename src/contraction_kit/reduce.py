@@ -57,9 +57,11 @@ from .metrics import (
 # ~14,300 bits of the 4,300 digits format_fraction can write, far below an
 # int that costs real memory
 LAMBDA_PRIME_MAX_BITS = 1 << 20
-# most bits by which eps or 1 - c' may fall below 1: certified_lambda_prime
-# works at 64 bits past that, so at most 320 bits
-LAMBDA_PRIME_MAX_SMALLNESS = 256
+# interval precision of certified_lambda_prime's size test, and the least it
+# computes the value at; the value's precision rises with the smallness of eps
+# and of 1 - c' up to LAMBDA_PRIME_MAX_PREC
+LAMBDA_PRIME_PREC = 128
+LAMBDA_PRIME_MAX_PREC = 320
 
 BANACH_TO_CLSLOCAL = "banach->cls-local"
 CLSLOCAL_TO_BANACH = "cls-local->banach"
@@ -143,26 +145,11 @@ def _smallness(x: Fraction) -> int:
     return max(0, x.denominator.bit_length() - abs(x.numerator).bit_length())
 
 
-def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> Fraction:
-    """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling.
-
-    The interval arithmetic runs at 128 bits, or at 64 bits past the
-    smallness (bits below 1) of eps and of 1 - c' where that is more.  The
-    interval around ln(1/c'), which is about 1 - c', is some 2^-prec wide,
-    and dividing by eps widens it by 2^smallness(eps) before exp: at a fixed
-    precision the bound would grow without limit as eps shrinks.  Raises
-    InputError when that smallness passes LAMBDA_PRIME_MAX_SMALLNESS, or
-    when the bound has more than LAMBDA_PRIME_MAX_BITS bits, which a tiny
-    eps brings about through c'^(-1/eps).
-    """
-    smallness = max(_smallness(eps), _smallness(1 - c_prime))
-    if smallness > LAMBDA_PRIME_MAX_SMALLNESS:
-        raise InputError(
-            f"eps is too small: certifying lambda' would need {smallness + 64} bits of "
-            f"interval precision, above {LAMBDA_PRIME_MAX_SMALLNESS + 64}"
-        )
+def _lambda_prime_bound(lam: Fraction, eps: Fraction, c_prime: Fraction, prec: int):
+    """The ceiling of the upper end of c'^(-1/eps) * lambda * ln(1/c') / eps in a
+    `prec`-bit interval, or None when that end has more than LAMBDA_PRIME_MAX_BITS bits."""
     old = iv.prec  # the interval context has no workprec
-    iv.prec = max(128, smallness + 64)
+    iv.prec = prec
     try:
         ci = iv.mpf(c_prime.numerator) / iv.mpf(c_prime.denominator)
         ei = iv.mpf(eps.numerator) / iv.mpf(eps.denominator)
@@ -170,14 +157,52 @@ def certified_lambda_prime(lam: Fraction, eps: Fraction, c_prime: Fraction) -> F
         log_inv = iv.log(1 / ci)
         bound = iv.exp(log_inv / ei) * li * log_inv / ei
         if mpmath.mag(bound.b) > LAMBDA_PRIME_MAX_BITS:
-            raise InputError(
-                f"eps is too small: the certified lambda' bound has more than "
-                f"{LAMBDA_PRIME_MAX_BITS} bits"
-            )
-        ceiling = Fraction(int(mpmath.ceil(bound.b)))
+            return None
+        return int(mpmath.ceil(bound.b))
     finally:
         iv.prec = old
-    return max(Fraction(lam), ceiling)
+
+
+def certified_lambda_prime(
+    lam: Fraction, eps: Fraction, c_prime: Fraction, writable: bool = False
+) -> Fraction:
+    """max(lambda, ceil(c'^(-1/eps) * lambda * ln(1/c') / eps)) with a certified ceiling.
+
+    Raises InputError when the bound at LAMBDA_PRIME_PREC bits has more than
+    LAMBDA_PRIME_MAX_BITS bits, which a tiny eps brings about through
+    c'^(-1/eps) or through the width of the interval around ln(1/c').  That
+    width is some 2^-prec, and dividing by eps widens it by 2^smallness(eps)
+    before exp, so for an eps or 1 - c' below 2^-64 the bound is computed
+    again at 64 bits past their smallness (at most LAMBDA_PRIME_MAX_PREC),
+    and the lesser of the two certified ceilings is taken.
+
+    With `writable`, it also raises InputError when the bound at
+    LAMBDA_PRIME_PREC bits has more digits than `format_fraction` writes.
+    The reduction refuses those eps, as it did when it wrote that bound: the
+    tighter bound does not make the `d` it builds for them, which squares
+    1/c' about log2(1/eps) times, any cheaper to evaluate.
+    """
+    ceiling = _lambda_prime_bound(lam, eps, c_prime, LAMBDA_PRIME_PREC)
+    if ceiling is None:
+        raise InputError(
+            f"eps is too small: the certified lambda' bound has more than "
+            f"{LAMBDA_PRIME_MAX_BITS} bits"
+        )
+    if writable:
+        try:
+            format_fraction(Fraction(ceiling))
+        except InputError as exc:
+            raise InputError(
+                f"eps is too small: the lambda' bound at {LAMBDA_PRIME_PREC} bits cannot be "
+                f"written ({exc})"
+            ) from None
+    smallness = max(_smallness(eps), _smallness(1 - c_prime))
+    prec = min(smallness + 64, LAMBDA_PRIME_MAX_PREC)
+    if prec > LAMBDA_PRIME_PREC:
+        tight = _lambda_prime_bound(lam, eps, c_prime, prec)
+        if tight is not None:
+            ceiling = min(ceiling, tight)
+    return max(Fraction(lam), Fraction(ceiling))
 
 
 @dataclass
@@ -262,7 +287,7 @@ def reduce_cls_local_to_banach(inst: CLSLocalInstance, half_eps: bool = False) -
         raise CircuitError("eps must be below 10: c' = 1 - 0.1*eps would leave (0,1)")
     c_prime = 1 - eps_r / 10
     eps_prime = 1 / c_prime
-    lam_prime = certified_lambda_prime(inst.lam, eps_r, c_prime)
+    lam_prime = certified_lambda_prime(inst.lam, eps_r, c_prime, writable=True)
     d = build_interpolated_metric_circuit(inst.p, eps_r, c_prime)
     produced = BanachInstance(inst.f, d, eps_prime, lam_prime, c_prime, metric_promised=False)
     subs = {

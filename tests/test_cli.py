@@ -136,6 +136,22 @@ def test_reduce_with_tiny_eps_exits_two(workdir, capsys, eps):
     assert_input_error(argv, capsys, "eps is too small")
 
 
+@pytest.mark.parametrize("k, code", [(40, 0), (41, 0), (42, 2)])
+def test_reduce_tiny_eps_boundary(workdir, capsys, k, code):
+    # eps = 1/(10^k - 1): the lambda' bound at 128 bits has 177 bits at k = 40 and
+    # 1,707 at 41, and passes the 4,300 digits format_fraction writes at 42; what
+    # is written is the tight lambda' = lambda, and k >= 42 stays refused
+    src = cls_local_corpus()[0]
+    text = instance_to_text(src).replace(f"eps {src.eps}", f"eps 1/{10**k - 1}")
+    inst = write(workdir / "cls.txt", text)
+    out = workdir / "t.txt"
+    assert main(["reduce", "--direction", "cls-local-to-banach", inst, str(out)]) == code
+    if code:
+        assert "error: eps is too small: the lambda' bound at 128 bits" in capsys.readouterr().err
+    else:
+        assert f"lambda_prime {src.lam}\n" in (workdir / "t.txt.provenance").read_text()
+
+
 def test_cli_roundtrip_reduce_solve_backmap_verify(workdir, capsys):
     inst_path = write(workdir / "banach.txt", instance_to_text(banach_corpus()[0]))
     target = str(workdir / "target.txt")

@@ -716,14 +716,40 @@ def solve_twice_like_reference(a):
     return expected
 
 
-# the gate, 64, and dimensions between them with n mod 8 = 0, 1, 4, 7, 0
-@pytest.mark.parametrize("n", [power.FAST_COLUMNS_MIN, 41, 44, 47, 64])
+# the gate, 64, and dimensions between them: n mod 8 = 5, 6, 1, 4, 0
+LEARNT_DIMENSIONS = [power.FAST_COLUMNS_MIN, 54, 57, 60, 64]
+
+
+@pytest.mark.parametrize("n", LEARNT_DIMENSIONS)
 def test_learnt_column_turns_match_reference(column_forms, fast_turns, n):
     a = gapped_matrix(np.random.default_rng([16, n]), n)
     solve_twice_like_reference(a)
     assert set(column_forms) == {n}
     second = fast_turns[len(fast_turns) // 2:]
     assert sum(second) > len(second) // 2  # the second solve turns most columns in O(n)
+    assert_every_learnt_form_reproduces_the_dense_product(n, column_forms[n])
+
+
+def assert_every_learnt_form_reproduces_the_dense_product(n, forms):
+    """Each entry of the table is one the dense product taught, and turns a random stack
+    with the dense product's bits."""
+    assert set(np.unique(forms)) <= {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
+    assert not np.diag(forms).any()
+    columns = power._ColumnTurn(n, forms)
+    taught = [(p, q) for p, q in zip(*np.triu_indices(n, 1)) if forms[p, q] and forms[q, p]]
+    assert len(taught) > n * (n - 1) // 4
+    rng = np.random.default_rng([19, n])
+    for p, q in taught:
+        stack = rng.normal(size=(2 * n, n))
+        angle = rng.uniform(-math.pi / 4, math.pi / 4)
+        c, s = math.cos(angle), math.sin(angle)
+        rot = np.eye(n)
+        rot[p, p] = rot[q, q] = c
+        rot[p, q] = s
+        rot[q, p] = -s
+        dense = stack @ rot
+        assert columns.turn(stack, p, q, c, s)
+        assert stack.tobytes() == dense.tobytes()
 
 
 def test_dimensions_below_the_gate_learn_nothing(column_forms, fast_turns):
@@ -749,11 +775,58 @@ def zero_cases(n):
             ("block-diagonal-negative-zeros", negative_blocks), ("subnormal", tiny)]
 
 
-@pytest.mark.parametrize("case", range(4), ids=[name for name, _ in zero_cases(41)])
-def test_learnt_column_turns_keep_zeros_like_reference(column_forms, case):
-    n = 41  # both forms occur at 41 with OpenBLAS on Haswell
+def test_learnt_column_turns_keep_zeros_like_reference(column_forms):
+    n = 57  # both forms occur at 57 with OpenBLAS on a Xeon core
     jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
-    solve_twice_like_reference(zero_cases(n)[case][1])
+    assert set(np.unique(column_forms[n])) == {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
+    for _, a in zero_cases(n):
+        solve_twice_like_reference(a)
+
+
+class _EnoughPivots(Exception):
+    pass
+
+
+def stack_digests(monkeypatch, a, gate, pivots):
+    """A digest of the whole stack at each of the first `pivots` pivots of a solve of
+    `a`, with the O(n) column turn allowed from dimension `gate` up."""
+    seen = []
+    angle = power._jacobi_angle
+
+    def traced(stack, p, q, skip):
+        if len(seen) == pivots:
+            raise _EnoughPivots
+        seen.append(hashlib.blake2b(stack, digest_size=16).digest())
+        return angle(stack, p, q, skip)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(power, "_jacobi_angle", traced)
+        patched.setattr(power, "FAST_COLUMNS_MIN", gate)
+        with contextlib.suppress(_EnoughPivots):
+            jacobi_eigensolve(a)
+    return seen
+
+
+def test_a_step_that_leaves_a_negative_zero_hands_the_solve_to_the_dense_product(
+        column_forms, monkeypatch):
+    # rows whose only entries are a diagonal one and a few subnormals: s * e underflows
+    # there, in rows other than p and q, and a turn can leave a -0.0 that the dense
+    # product would make +0.0 at a later step
+    n = power.FAST_COLUMNS_MIN
+    rng = np.random.default_rng([5, n, 11])
+    a = gapped_matrix(rng, n)
+    for i in rng.choice(np.arange(2, n), size=4, replace=False):
+        v = np.zeros(n)
+        couplings = rng.choice([j for j in range(n) if j != i], size=3, replace=False)
+        v[couplings] = rng.integers(1, 3, size=3) * 5e-324 * rng.choice([-1, 1], size=3)
+        v[i] = rng.uniform(0.1, 0.5)
+        a[i, :] = a[:, i] = v
+    pivots = n * (n - 1)  # two sweeps
+    dense = stack_digests(monkeypatch, a, power.MAX_DIMENSION + 1, pivots)
+    jacobi_eigensolve(a)  # teaches the pairs it can
+    assert stack_digests(monkeypatch, a, power.FAST_COLUMNS_MIN, pivots) == dense
+    expected = eigen_outcome(power._jacobi_eigensolve_reference, a)
+    assert eigen_outcome(jacobi_eigensolve, a) == expected
 
 
 def test_non_convergence_at_the_gate_raises_like_reference(column_forms):
@@ -778,32 +851,8 @@ def test_inputs_past_the_guards_solve_dense(column_forms, fast_turns):
     assert power._column_turn(a) is not None
 
 
-def test_every_learnt_form_reproduces_the_dense_product(column_forms):
-    rng = np.random.default_rng(19)
-    for n in (41, 64):
-        jacobi_eigensolve(gapped_matrix(rng, n))
-    assert set(column_forms) == {41, 64}
-    for n, forms in column_forms.items():
-        assert set(np.unique(forms)) <= {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
-        assert not np.diag(forms).any()
-        columns = power._ColumnTurn(n, forms)
-        taught = [(p, q) for p, q in zip(*np.triu_indices(n, 1)) if forms[p, q] and forms[q, p]]
-        assert len(taught) > n * (n - 1) // 4
-        for p, q in taught:
-            stack = rng.normal(size=(2 * n, n))
-            angle = rng.uniform(-math.pi / 4, math.pi / 4)
-            c, s = math.cos(angle), math.sin(angle)
-            rot = np.eye(n)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            dense = stack @ rot
-            assert columns.turn(stack, p, q, c, s)
-            assert stack.tobytes() == dense.tobytes()
-
-
 def test_column_turn_leaves_undecided_zeros_to_the_dense_product():
-    n, p, q = 40, 3, 17
+    n, p, q = power.FAST_COLUMNS_MIN, 3, 17
     rng = np.random.default_rng(20)
     c, s = math.sqrt(1 - 0.4 ** 2), 0.4
     rot = np.eye(n)

