@@ -716,8 +716,8 @@ def solve_twice_like_reference(a):
     return expected
 
 
-# the gate, 64, and dimensions between them: n mod 8 = 5, 6, 1, 4, 0
-LEARNT_DIMENSIONS = [power.FAST_COLUMNS_MIN, 54, 57, 60, 64]
+# the gate, 64, and dimensions between them: n mod 8 = 5, 1, 4, 0
+LEARNT_DIMENSIONS = [power.FAST_COLUMNS_MIN, 57, 60, 64]
 
 
 @pytest.mark.parametrize("n", LEARNT_DIMENSIONS)
@@ -754,7 +754,7 @@ def assert_every_learnt_form_reproduces_the_dense_product(n, forms):
 
 def test_dimensions_below_the_gate_learn_nothing(column_forms, fast_turns):
     for n in (16, power.FAST_COLUMNS_MIN - 1):
-        solve_twice_like_reference(gapped_matrix(np.random.default_rng([16, n]), n))
+        jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))
     assert column_forms == {} and fast_turns == []
 
 
@@ -779,8 +779,9 @@ def test_learnt_column_turns_keep_zeros_like_reference(column_forms):
     n = 57  # both forms occur at 57 with OpenBLAS on a Xeon core
     jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
     assert set(np.unique(column_forms[n])) == {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
-    for _, a in zero_cases(n):
-        solve_twice_like_reference(a)
+    for _, a in zero_cases(n):  # each solve turns on the taught forms from its first sweep
+        assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(
+            power._jacobi_eigensolve_reference, a)
 
 
 class _EnoughPivots(Exception):
@@ -845,8 +846,9 @@ def test_inputs_past_the_guards_solve_dense(column_forms, fast_turns):
     signed[0, 0] = -0.0
     for refused in (huge, signed, np.where(a > 0.5, np.inf, a), np.where(a > 0.5, np.nan, a)):
         assert power._column_turn(refused) is None
-    solve_twice_like_reference(huge)
-    solve_twice_like_reference(signed)
+    for refused in (huge, signed):
+        assert eigen_outcome(jacobi_eigensolve, refused) == eigen_outcome(
+            power._jacobi_eigensolve_reference, refused)
     assert fast_turns == []
     assert power._column_turn(a) is not None
 
