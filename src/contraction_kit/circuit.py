@@ -24,10 +24,8 @@ over numpy object columns of Python ints: it takes each input as a column
 of numerators over one ``D`` that the caller chose, and gives each output
 as a numerator column over its static denominator ``K*D**e``, or None when
 that ``D`` fails the budget check.  A caller that reads many rows built
-from few points scales each point once and gathers the columns by index.
-``evaluate_many`` is that kernel on rows of rationals, with ``D`` the lcm
-of the batch's denominators and one ``Fraction`` per output entry; a batch
-over the budget is evaluated row by row.
+from few points scales each point once and gathers the columns by index;
+``library.on_one_scale`` wraps it with a row-by-row fallback past the budget.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -204,14 +202,6 @@ class Circuit:
         for node_id in self._order:
             yield node_id, self._gates[node_id]
 
-    def _fractions(self, inputs: Sequence[Fraction]) -> list[Fraction]:
-        """One input row as Fractions, after the arity check."""
-        if len(inputs) != self.input_arity:
-            raise CircuitError(
-                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
-            )
-        return [q if type(q) is Fraction else Fraction(q) for q in inputs]
-
     @cached_property
     def _program(self) -> _Program:
         """The integer program, lowered on first use."""
@@ -224,31 +214,13 @@ class Circuit:
         falls back to ``_evaluate_reference`` when the call's static
         denominators would pass ``DEN_BIT_BUDGET`` bits.
         """
-        qs = self._fractions(inputs)
+        if len(inputs) != self.input_arity:
+            raise CircuitError(
+                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
+            )
+        qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
         out = self._program.run(qs)
         return self._evaluate_reference(qs) if out is None else out
-
-    def evaluate_many(self, rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-        """Exactly evaluate the circuit on many input rows: ``[evaluate(r) for r in rows]``.
-
-        Runs ``evaluate_columns`` once for the whole batch, with ``D`` the lcm
-        of every input denominator in the batch.  When that ``D`` would put
-        some static denominator past ``DEN_BIT_BUDGET`` bits, each row goes
-        through ``evaluate`` on its own and keeps its own ``D`` or the reference.
-        """
-        qss = [self._fractions(row) for row in rows]
-        if not qss:
-            return []
-        d = lcm(*(q.denominator for qs in qss for q in qs))
-        columns = [
-            np.array([qs[i].numerator * (d // qs[i].denominator) for qs in qss], dtype=object)
-            for i in range(self.input_arity)
-        ]
-        out = self.evaluate_columns(columns, d, len(qss))
-        if out is None:
-            return [self.evaluate(qs) for qs in qss]
-        columns = [[Fraction(num, den) for num in nums] for nums, den in out]
-        return [list(row) for row in zip(*columns)]
 
     def evaluate_columns(
         self, columns: Sequence[np.ndarray], d: int, size: int

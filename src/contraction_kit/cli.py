@@ -16,6 +16,7 @@ import hashlib
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,8 @@ def _bip_on_selfmap(args, text: str, input_line: str) -> int:
     if args.predict_c:
         c = parse_fraction(args.predict_c)
         synth = converse.synthesize(m, c, eps / 2)
-        d0 = synth.d_c[start][m.map[start]]
+        d_c, scale = synth.scaled[2]
+        d0 = Fraction(int(d_c[start, m.map[start]]), scale)
         budget = iteration.predict_iterations(d0, c, eps)
         print(f"d0 {format_fraction(d0)}")
         # predicted_sound names the same budget; both keys stay for report readers

@@ -325,14 +325,23 @@ class SynthesizedMetric:
     c: Fraction
     eps: Fraction
     w: list[int]
-    d_m: Matrix
     levels: list[float]
     k_sets: list[list[int]]
-    rho: Matrix
-    d_c: Matrix
     certificate: list[CertificateEntry]
-    # d_m, rho and d_c as (D, s), the form report_text renders
-    scaled: tuple[Scaled, Scaled, Scaled] = field(repr=False, compare=False, kw_only=True)
+    # d_M, rho_c and d_c as (D, s), the one form the stages hand on and report_text renders
+    scaled: tuple[Scaled, Scaled, Scaled] = field(repr=False, compare=False)
+
+    @cached_property
+    def d_m(self) -> Matrix:
+        return scaled_to_fractions(*self.scaled[0])
+
+    @cached_property
+    def rho(self) -> Matrix:
+        return scaled_to_fractions(*self.scaled[1])
+
+    @cached_property
+    def d_c(self) -> Matrix:
+        return scaled_to_fractions(*self.scaled[2])
 
     @property
     def certified(self) -> bool:
@@ -441,7 +450,4 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
     for entry in certificate:
         if not entry.ok:
             raise CertificateError(f"{entry.name}: {entry.detail}")
-    scaled = d_m, rho, d_c
-    d_m, rho, d_c = (scaled_to_fractions(*x) for x in scaled)
-    return SynthesizedMetric(m, c, eps, w, d_m, levels, k_sets, rho, d_c, certificate,
-                             scaled=scaled)
+    return SynthesizedMetric(m, c, eps, w, levels, k_sets, certificate, (d_m, rho, d_c))

@@ -1,9 +1,9 @@
 """Basic iterative procedure (x_{t+1} = f(x_t)) and iteration-count budgets.
 
-run_bip works over any point type: exact rational tuples (cycle detection by
-exact revisit) or float tuples (stagnation window).  The budget formulas take
-d0 measured in a synthesized contraction metric; see the converse module for
-how that metric is produced on finite spaces.
+run_bip iterates on exact rational tuples and detects a cycle by exact
+revisit of a point.  The budget formulas take d0 measured in a synthesized
+contraction metric; see the converse module for how that metric is produced
+on finite spaces.
 """
 
 from __future__ import annotations
@@ -17,21 +17,11 @@ from typing import Callable
 
 from .circuit import InputError, format_fraction
 
-STAGNATION_WINDOW = 50
-
 
 class StopReason(enum.Enum):
     RESIDUAL_BELOW_EPS = "residual_below_eps"
     MAX_ITERS = "max_iters"
     CYCLE_DETECTED = "cycle_detected"
-
-
-class NonFiniteValueError(ArithmeticError):
-    """Float-mode iterate left the finite range; carries the step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite value at step {step}")
-        self.step = step
 
 
 @dataclass
@@ -49,18 +39,10 @@ class IterationTrace:
     def to_csv(self) -> str:
         lines = ["step,x1,x2,x3,residual"]
         for t, pt in enumerate(self.points):
-            res = _cell(self.residuals[t]) if t < len(self.residuals) else ""
-            coords = ",".join(_cell(c) for c in pt)
+            res = format_fraction(self.residuals[t]) if t < len(self.residuals) else ""
+            coords = ",".join(format_fraction(c) for c in pt)
             lines.append(f"{t},{coords},{res}")
         return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    return format_fraction(value) if isinstance(value, (Fraction, int)) else str(value)
-
-
-def _is_exact_point(point) -> bool:
-    return all(isinstance(c, (Fraction, int)) for c in point)
 
 
 def run_bip(
@@ -72,39 +54,27 @@ def run_bip(
 ) -> IterationTrace:
     """Iterate f from x0 until the residual d(x_t, f(x_t)) drops to eps.
 
-    Exact mode (rational points) detects cycles by exact revisit; float mode
-    flags stagnation when the best residual has not improved over the last
-    STAGNATION_WINDOW steps, and reports non-finite iterates with their step.
+    Points are tuples of exact rationals; a point seen before ends the run as
+    a cycle.
     """
     if max_iters < 1:
         raise InputError("max_iters must be at least 1")
     x = tuple(x0)
-    exact = _is_exact_point(x)
     if not (eps > 0):
         raise InputError("eps must be positive")
     points = [x]
     residuals = []
-    seen = {x: 0}
-    best_residual = None
-    best_step = 0
-    for t in range(max_iters):
+    seen = {x}
+    for _ in range(max_iters):
         nxt = tuple(f(x))
-        if not exact and not all(math.isfinite(float(c)) for c in nxt):
-            raise NonFiniteValueError(t + 1)
         res = d(x, nxt)
         points.append(nxt)
         residuals.append(res)
         if res <= eps:
             return IterationTrace(points, residuals, StopReason.RESIDUAL_BELOW_EPS)
-        if exact:
-            if nxt in seen:
-                return IterationTrace(points, residuals, StopReason.CYCLE_DETECTED)
-            seen[nxt] = t + 1
-        else:
-            if best_residual is None or res < best_residual:
-                best_residual, best_step = res, t
-            elif t - best_step >= STAGNATION_WINDOW:
-                return IterationTrace(points, residuals, StopReason.CYCLE_DETECTED)
+        if nxt in seen:
+            return IterationTrace(points, residuals, StopReason.CYCLE_DETECTED)
+        seen.add(nxt)
         x = nxt
     return IterationTrace(points, residuals, StopReason.MAX_ITERS)
 

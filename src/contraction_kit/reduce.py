@@ -158,7 +158,8 @@ def _lambda_prime_bound(lam: Fraction, eps: Fraction, c_prime: Fraction, prec: i
         bound = iv.exp(log_inv / ei) * li * log_inv / ei
         if mpmath.mag(bound.b) > LAMBDA_PRIME_MAX_BITS:
             return None
-        return int(mpmath.ceil(bound.b))
+        with mpmath.workprec(prec):  # the end holds prec bits, which 53 would round
+            return int(mpmath.ceil(bound.b))
     finally:
         iv.prec = old
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contraction_kit.circuit import (
     DEN_BIT_BUDGET,
@@ -18,6 +18,7 @@ from contraction_kit.circuit import (
     parse_circuit,
     parse_fraction,
 )
+from contraction_kit.library import on_one_scale
 
 CONST_HALF = "n0: const 1/2\noutputs: n0\n"
 
@@ -274,102 +275,12 @@ def test_repeated_squaring_falls_back_past_bit_budget(monkeypatch):
     assert len(calls) == 1
 
 
-# ---------------------------------------------------------------- evaluate_many
-
-
-def assert_same_values(got, want):
-    assert got == want
-    for got_row, want_row in zip(got, want):
-        assert [type(v) for v in got_row] == [F] * len(want_row)
-        assert all(type(v.numerator) is int and type(v.denominator) is int for v in got_row)
-
-
 @st.composite
 def random_batches(draw):
     circuit, _ = draw(random_circuits())
     n = circuit.input_arity
     rows = draw(st.lists(st.lists(INPUT_VALUES, min_size=n, max_size=n), max_size=6))
     return circuit, rows
-
-
-@given(random_batches())
-@settings(max_examples=200, deadline=None)
-def test_evaluate_many_matches_evaluate_and_reference(case):
-    # rows draw integers, floats, decimals and fractions over 40 denominators,
-    # so most batches mix denominators and share a D no single row has
-    circuit, rows = case
-    got = circuit.evaluate_many(rows)
-    assert_same_values(got, [circuit.evaluate(r) for r in rows])
-    assert_same_values(got, [circuit._evaluate_reference([F(a) for a in r]) for r in rows])
-
-
-def test_evaluate_many_mixed_denominators():
-    c = parse_circuit(MUL_MAX)
-    rows = [[F(1, 3), F(2, 5)], [F(-7, 8), 4], [F(1, 9), F(-5, 7)], [0, 0]]
-    assert_same_values(c.evaluate_many(rows), [c.evaluate(r) for r in rows])
-    gt = parse_circuit(GT)
-    assert_same_values(gt.evaluate_many(rows), [[F(0)], [F(0)], [F(1)], [F(0)]])
-
-
-def test_evaluate_many_broadcasts_constant_outputs():
-    b = CircuitBuilder()
-    x = b.input()
-    third = b.const(F(1, 3))
-    fixed = b.max(b.const(3), b.const(5))  # a step on two const slots
-    c = b.build([third, b.mul(x, third), fixed, b.gt(b.const(2), b.const(1))])
-    rows = [[F(1, 2)], [F(3, 7)], [2]]
-    got = c.evaluate_many(rows)
-    assert_same_values(got, [c.evaluate(r) for r in rows])
-    assert [row[0] for row in got] == [F(1, 3)] * 3
-    assert [row[2:] for row in got] == [[F(5), F(1)]] * 3
-
-
-def test_evaluate_many_empty_batch():
-    assert parse_circuit(DOUBLER).evaluate_many([]) == []
-    assert parse_circuit(CONST_HALF).evaluate_many([]) == []
-
-
-def test_evaluate_many_arity_checked():
-    c = parse_circuit(DOUBLER)
-    with pytest.raises(CircuitError) as want:
-        c.evaluate([F(1), F(2)])
-    with pytest.raises(CircuitError) as got:
-        c.evaluate_many([[F(1)], [F(1), F(2)], [F(3)]])
-    assert str(got.value) == str(want.value)
-
-
-def test_evaluate_many_falls_back_per_row_past_bit_budget(monkeypatch):
-    # x*y has static denominator D**2, counted as 1 + 2*(D-1).bit_length()
-    # bits: with a 21-bit budget, D - 1 may have at most 10 bits
-    monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
-    calls = []
-    evaluate, reference = Circuit.evaluate, Circuit._evaluate_reference
-
-    def spy_evaluate(self, inputs):
-        calls.append("evaluate")
-        return evaluate(self, inputs)
-
-    def spy_reference(self, inputs):
-        calls.append("reference")
-        return reference(self, inputs)
-
-    monkeypatch.setattr(Circuit, "evaluate", spy_evaluate)
-    monkeypatch.setattr(Circuit, "_evaluate_reference", spy_reference)
-    b = CircuitBuilder()
-    x, y = b.inputs(2)
-    c = b.build([b.mul(x, y)])
-    # 997 and 991 each fit alone; their lcm, 988027, needs 20 bits
-    rows = [[F(1, 997), F(3)], [F(2, 991), F(5)]]
-    assert c.evaluate_many(rows) == [[F(3, 997)], [F(10, 991)]]
-    assert calls == ["evaluate", "evaluate"]
-    # a batch whose shared D fits runs as one batch
-    calls.clear()
-    assert c.evaluate_many([[F(1, 4), F(3)], [F(1, 8), F(1, 2)]]) == [[F(3, 4)], [F(1, 16)]]
-    assert calls == []
-    # a row past the budget alone still reaches the reference on the fallback
-    calls.clear()
-    assert c.evaluate_many([[F(1, 2049), 1], [F(1, 3), 1]]) == [[F(1, 2049)], [F(1, 3)]]
-    assert calls == ["evaluate", "reference", "evaluate"]
 
 
 # ---------------------------------------------------------------- evaluate_columns
@@ -454,7 +365,8 @@ def test_evaluate_columns_arity_checked():
 
 
 def test_evaluate_columns_none_past_bit_budget(monkeypatch):
-    # as in the evaluate_many fallback test: D - 1 may have at most 10 bits
+    # x*y has static denominator D**2, counted as 1 + 2*(D-1).bit_length()
+    # bits: with a 21-bit budget, D - 1 may have at most 10 bits
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
     b = CircuitBuilder()
     x, y = b.inputs(2)
@@ -463,3 +375,59 @@ def test_evaluate_columns_none_past_bit_budget(monkeypatch):
     assert c.evaluate_columns(*scaled_columns(c, rows), len(rows)) is None
     rows = [[F(1, 4), F(3)], [F(1, 8), F(1, 2)]]
     assert_columns_match(c, rows, c.evaluate_columns(*scaled_columns(c, rows), len(rows)))
+
+
+# ---------------------------------------------------------------- on_one_scale
+
+
+@given(random_batches())
+@example((squaring_chain(3), [[F(1, 3)], [2.0**-1000], [F(5, 7)]]))
+@settings(max_examples=200, deadline=None)
+def test_on_one_scale_matches_evaluate_and_reference(case):
+    # rows draw integers, floats, decimals and fractions over 40 denominators,
+    # so most batches mix denominators and share a D no single row has; a tiny
+    # float puts that D past the bit budget, which sends the batch row by row
+    # (x**8 allows 512 bits of D - 1: the example's middle row alone runs the reference)
+    circuit, rows = case
+    assume(circuit.input_arity > 0)  # the batch size is read off the first column
+    columns, d = scaled_columns(circuit, rows)
+    assert_columns_match(circuit, rows, on_one_scale(circuit, columns, d))
+
+
+def test_on_one_scale_falls_back_per_row_past_bit_budget(monkeypatch):
+    # as in test_evaluate_columns_none_past_bit_budget: D - 1 may have at most 10 bits
+    monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
+    calls = []
+    evaluate, reference = Circuit.evaluate, Circuit._evaluate_reference
+
+    def spy_evaluate(self, inputs):
+        calls.append("evaluate")
+        return evaluate(self, inputs)
+
+    def spy_reference(self, inputs):
+        calls.append("reference")
+        return reference(self, inputs)
+
+    monkeypatch.setattr(Circuit, "evaluate", spy_evaluate)
+    monkeypatch.setattr(Circuit, "_evaluate_reference", spy_reference)
+    b = CircuitBuilder()
+    x, y = b.inputs(2)
+    c = b.build([b.mul(x, y)])
+
+    def run(rows):
+        ((nums, den),) = on_one_scale(c, *scaled_columns(c, rows))
+        return list(nums), den
+
+    # 997 and 991 each fit alone, their lcm 988027 does not: each row runs on
+    # its own, and the output comes back over the lcm of the rows' denominators
+    assert run([[F(1, 997), F(3)], [F(2, 991), F(5)]]) == ([3 * 991, 10 * 997], 997 * 991)
+    assert calls == ["evaluate", "evaluate"]
+    # a batch whose shared D fits runs as one batch
+    calls.clear()
+    nums, den = run([[F(1, 4), F(3)], [F(1, 8), F(1, 2)]])
+    assert [F(v, den) for v in nums] == [F(3, 4), F(1, 16)]
+    assert calls == []
+    # a row past the budget alone reaches the reference; 2049 = 3 * 683
+    calls.clear()
+    assert run([[F(1, 2049), 1], [F(1, 3), 1]]) == ([1, 683], 2049)
+    assert calls == ["evaluate", "reference", "evaluate"]

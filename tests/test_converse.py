@@ -294,6 +294,16 @@ def test_synthesize_chain_certificate_and_oracle():
             assert s.d_c[m.map[i]][m.map[j]] <= F(1, 2) * s.d_c[i][j]
 
 
+def test_fraction_matrices_are_lazy_views_of_scaled():
+    s = synthesize(random_selfmap(random.Random(5), 12), F(1, 2), F(1, 4))
+    s.report_text()
+    names = ("d_m", "rho", "d_c")
+    assert not set(names) & set(vars(s))
+    for k, name in enumerate(names):
+        assert getattr(s, name) == scaled_to_fractions(*s.scaled[k])
+        assert name in vars(s)
+
+
 def test_two_fixed_points_rejected_at_load():
     with pytest.raises(SelfMapError, match="second fixed point"):
         FiniteSelfMap(

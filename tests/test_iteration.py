@@ -5,7 +5,6 @@ import pytest
 
 from contraction_kit import iteration
 from contraction_kit.iteration import (
-    NonFiniteValueError,
     StopReason,
     predict_iterations,
     predict_iterations_sound,
@@ -57,13 +56,6 @@ def test_max_iters_reached():
     trace = run_bip(drift, (F(0), F(0), F(0)), l1, F(1, 2), 7)
     assert trace.stop_reason is StopReason.MAX_ITERS
     assert len(trace.residuals) == 7
-
-
-def test_float_mode_nonfinite_reports_step():
-    blow_up = lambda x: (x[0] * 1e200, x[1], x[2])
-    with pytest.raises(NonFiniteValueError) as err:
-        run_bip(blow_up, (1.0, 0.0, 0.0), lambda a, b: abs(a[0] - b[0]), 1e-12, 100)
-    assert err.value.step == 2
 
 
 def test_float_mode_stagnation_detected():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmath
 from mpmath import iv
 
 from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError, InputError
@@ -192,6 +193,16 @@ def test_lambda_prime_refuses_the_eps_the_fixed_precision_refused():
         certified_lambda_prime(F(1), eps, 1 - eps / 10)
     # (10/9)^10 * ln(10/9) * 10 = 3.02..., at the 128 bits every eps down to 2^-64 keeps
     assert certified_lambda_prime(F(1), F(1, 10), F(9, 10)) == 4
+
+
+@pytest.mark.parametrize("lam, k", [(1, 300), (7, 5000)])
+def test_lambda_prime_ceiling_is_not_rounded_below_the_bound(lam, k):
+    # c' = 1/2: the bound 2^k * lam * ln 2 * k has k + 8 to k + 15 bits, which
+    # a 53-bit ceiling of the interval's end rounded below the true value
+    got = certified_lambda_prime(F(lam), F(1, k), F(1, 2))
+    with mpmath.workprec(6000):
+        want = int(mpmath.ceil(mpmath.mpf(2) ** k * lam * mpmath.log(2) * k))
+    assert want <= got < want + (want >> 100)
 
 
 def test_hardness_constants_at_eps_one():
