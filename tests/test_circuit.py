@@ -112,6 +112,80 @@ def test_parse_error_carries_line_number():
         pytest.fail("expected a parse error")
 
 
+def _int_limit_message(digits: int) -> str:
+    try:
+        int("1" * digits)
+    except ValueError as exc:
+        return str(exc)
+    pytest.fail("expected the int-conversion limit")
+
+
+# one case per CircuitParseError message, with its exact text and line number
+PARSE_ERRORS = {
+    "unparseable": ("input 0\nn1 add n0 n0\noutputs: n1\n",
+                    "line 2: unparseable line 'n1 add n0 n0'"),
+    "bad-input": ("input x\noutputs: n0\n", "line 1: bad input declaration 'input x'"),
+    "input-prefix": ("inputs: add n0 n1\noutputs: n0\n",
+                     "line 1: bad input declaration 'inputs: add n0 n1'"),
+    "bad-node-ref-head": ("input 0\nm1: add n0 n0\noutputs: m1\n",
+                          "line 2: bad node reference 'm1'"),
+    "bad-node-ref-spaced": ("input 0\nn 1: add n0 n0\noutputs: n1\n",
+                            "line 2: bad node reference 'n 1'"),
+    "bad-node-ref-arg": ("input 0\nn1: add n0 x0\noutputs: n1\n",
+                         "line 2: bad node reference 'x0'"),
+    "bad-node-ref-output": ("input 0\noutputs: add n0\n", "line 2: bad node reference 'add'"),
+    "node-id-too-long": ("input 0\nn1: add n0 n" + "1" * 5000 + "\noutputs: n1\n",
+                         "line 2: " + _int_limit_message(5000)),
+    "duplicate-input": ("input 0\ninput 0\noutputs: n0\n", "line 2: duplicate node id n0"),
+    "duplicate-gate": ("input 0\nn0: add n0 n0\noutputs: n0\n", "line 2: duplicate node id n0"),
+    "unknown-gate": ("input 0\nn1: exp n0 n0\noutputs: n1\n", "line 2: unknown gate 'exp'"),
+    "binary-arity": ("input 0\nn1: add n0\noutputs: n1\n",
+                     "line 2: add takes exactly two node references"),
+    "binary-arity-three": ("input 0\nn1: mul n0 n0 n0\noutputs: n1\n",
+                           "line 2: mul takes exactly two node references"),
+    "const-arity": ("n0: const 1 2\noutputs: n0\n", "line 1: const takes exactly one rational"),
+    "bad-rational": ("n0: const 1/0\noutputs: n0\n",
+                     "line 1: bad rational '1/0': zero denominator in '1/0'"),
+    "bad-rational-text": ("n0: const half\noutputs: n0\n",
+                          "line 1: bad rational 'half': invalid literal for int() with base 10: 'half'"),
+    "forward-reference": ("input 0\nn1: add n0 n2\nn2: const 1\noutputs: n1\n",
+                          "line 2: forward reference to n2"),
+    "forward-before-cycle": ("input 0\nn1: sub n2 n1\noutputs: n1\n",
+                             "line 2: forward reference to n2"),
+    "self-cycle": ("input 0\n# a comment line\n\nn1: gt n1 n0\noutputs: n1\n",
+                   "line 4: cycle detected: n1 references itself"),
+    "dangling-output": ("input 0\noutputs: n0 n4\n", "line 2: dangling node id n4"),
+    "empty-outputs": ("input 0\noutputs:\n", "line 2: empty outputs line"),
+    "content-after-outputs": ("input 0\noutputs: n0\n\nn1: add n0 n0\n",
+                              "line 4: content after outputs line"),
+    "missing-outputs": ("input 0\nn1: add n0 n0  # no outputs\n", "line 2: missing outputs line"),
+    "missing-outputs-empty-text": ("", "line 1: missing outputs line"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
+def test_parse_error_messages_are_pinned(name):
+    text, message = PARSE_ERRORS[name]
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+    assert err.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_gate_lines_parse_with_any_spacing_around_the_colon():
+    want = parse_circuit("input 0\nn1: add n0 n0\noutputs: n1\n").to_text()
+    for line in ("n1:add n0 n0", "n1 : add n0 n0", "n1:\tadd  n0 n0  # doubled"):
+        assert parse_circuit(f"input 0\n{line}\noutputs: n1\n").to_text() == want
+
+
+def test_builder_rejects_an_unknown_op():
+    b = CircuitBuilder()
+    x = b.input()
+    with pytest.raises(CircuitError) as err:
+        b.op("pow", x, x)
+    assert str(err.value) == "unknown gate kind 'pow'"
+
+
 def test_evaluate_arity_checked():
     c = parse_circuit(DOUBLER)
     message = "arity mismatch: circuit takes 1 inputs, got 2"
