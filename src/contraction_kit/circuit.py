@@ -37,21 +37,24 @@ Text format (UTF-8, one node per line, ``#`` starts a comment):
 Node references may only point at previously declared nodes, which makes
 cycles unrepresentable; a reference to a later node is rejected as a
 forward reference.  Inputs bind positionally in declaration order.
+
+A ``Gate`` is a plain named tuple that checks nothing.  Checks live where a
+bad gate can come in: ``parse_circuit`` rejects each malformed line with a
+``CircuitParseError`` naming the line, ``CircuitBuilder.op`` rejects a kind
+outside ``BINARY_OPS``, and ``Circuit`` checks references and outputs.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
-GATE_KINDS = BINARY_OPS + ("const", "input")
 T = TypeVar("T")
 
 _OP_FUNCS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
@@ -140,24 +143,16 @@ def format_fraction(q: Fraction) -> str:
         raise InputError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One circuit node: an operation, a constant, or a declared input."""
+class Gate(NamedTuple):
+    """One circuit node: an operation, a constant, or a declared input.
+
+    Unchecked; ``parse_circuit`` and ``CircuitBuilder`` make only valid gates.
+    """
 
     kind: str
     args: tuple[int, ...] = ()
     value: Fraction | None = None       # const only
     input_index: int | None = None      # input only
-
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        if self.kind in BINARY_OPS and len(self.args) != 2:
-            raise CircuitError(f"{self.kind} gate takes exactly two inputs")
-        if self.kind in ("const", "input") and self.args:
-            raise CircuitError(f"{self.kind} gate takes no inputs")
-        if self.kind == "const" and self.value is None:
-            raise CircuitError("const gate needs a rational value")
 
 
 class Circuit:
@@ -300,35 +295,34 @@ class _Program:
         node: dict[int, tuple[int, int, int]] = {}  # node id -> (slot, K, e)
         levels = {(1, 1)}  # every (K, e) some node or comparison carries
         self.consts: list[int] = []
-        gates: list[tuple[int, Gate]] = []
-        for node_id, gate in circuit.nodes():
-            if gate.kind == "input":
-                node[node_id] = (gate.input_index, 1, 1)
-            elif gate.kind == "const":
-                q = Fraction(gate.value)
+        gates: list[tuple[int, str, tuple[int, ...]]] = []
+        for node_id, (kind, args, q, index) in circuit.nodes():
+            if kind == "input":
+                node[node_id] = (index, 1, 1)
+            elif kind == "const":  # q is a Fraction (or an int): canonical parts
                 node[node_id] = (circuit.input_arity + len(self.consts), q.denominator, 0)
                 self.consts.append(q.numerator)
                 levels.add((q.denominator, 0))
             else:
-                gates.append((node_id, gate))
+                gates.append((node_id, kind, args))
         scale_index = {(1, 0): 0}
         self.steps: list[tuple] = []
-        for slot, (node_id, gate) in enumerate(gates, start=len(node)):
-            a, ka, ea = node[gate.args[0]]
-            b, kb, eb = node[gate.args[1]]
+        for slot, (node_id, kind, (x, y)) in enumerate(gates, start=len(node)):
+            a, ka, ea = node[x]
+            b, kb, eb = node[y]
             sa = sb = 0
-            if gate.kind == "mul":
+            if kind == "mul":
                 k, e = ka * kb, ea + eb
             else:
                 k, e = lcm(ka, kb), max(ea, eb)
                 sa = scale_index.setdefault((k // ka, e - ea), len(scale_index))
                 sb = scale_index.setdefault((k // kb, e - eb), len(scale_index))
             levels.add((k, e))
-            if gate.kind == "gt":
+            if kind == "gt":
                 k, e = 1, 0
             node[node_id] = (slot, k, e)
-            self.steps.append((_INT_OPS[gate.kind], a, sa, b, sb))
-        self.column_ops = [_COLUMN_OPS[gate.kind] for _, gate in gates]
+            self.steps.append((_INT_OPS[kind], a, sa, b, sb))
+        self.column_ops = [_COLUMN_OPS[kind] for _, kind, _ in gates]
         self.scales = list(scale_index)
         self.outputs = [node[out] for out in circuit.outputs]
         # per step, the slots no later step or output reads: run_many drops
@@ -394,14 +388,15 @@ class _Program:
         ]
 
 
-def _parse_node_id(digits: str, line_no: int, message: str) -> int:
-    """The node id spelled by decimal ``digits``; CircuitParseError(message) on other text.
+def _parse_node_id(digits: str, line_no: int, what: str, text: str) -> int:
+    """The node id spelled by decimal ``digits``; CircuitParseError ``f"{what} {text!r}"`` on other text.
 
-    ``str.isdecimal`` admits exactly the digits ``int`` reads; ``str.isdigit``
-    would also admit '²' and '①', which ``int`` rejects.
+    The message is formatted only on failure.  ``str.isdecimal`` admits
+    exactly the digits ``int`` reads; ``str.isdigit`` would also admit '²'
+    and '①', which ``int`` rejects.
     """
     if not digits.isdecimal():
-        raise CircuitParseError(line_no, message)
+        raise CircuitParseError(line_no, f"{what} {text!r}")
     try:
         return int(digits)
     except ValueError as exc:  # more digits than the interpreter's int-conversion limit
@@ -409,9 +404,8 @@ def _parse_node_id(digits: str, line_no: int, message: str) -> int:
 
 
 def _parse_node_ref(token: str, line_no: int) -> int:
-    if not token.startswith("n"):
-        raise CircuitParseError(line_no, f"bad node reference {token!r}")
-    return _parse_node_id(token[1:], line_no, f"bad node reference {token!r}")
+    digits = token[1:] if token[:1] == "n" else ""
+    return _parse_node_id(digits, line_no, "bad node reference", token)
 
 
 def content_lines(text: str) -> list[str]:
@@ -420,7 +414,12 @@ def content_lines(text: str) -> list[str]:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the textual circuit format; raises CircuitParseError with line info."""
+    """Parse the textual circuit format; raises CircuitParseError with line info.
+
+    A gate line ``n<id>: <op> n<i> n<j>`` is tested first, since almost every
+    line is one; a line that starts with ``n`` cannot be an input or outputs
+    line, so the order of the tests changes no message.
+    """
     gates: dict[int, Gate] = {}
     order: list[int] = []
     outputs: list[int] | None = None
@@ -431,9 +430,28 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if outputs is not None:
             raise CircuitParseError(line_no, "content after outputs line")
+        head, _, rest = line.partition(":")
+        parts = rest.split()
+        op = parts[0] if parts else ""
+        if op in BINARY_OPS and line[0] == "n":
+            node_id = _parse_node_ref(head.rstrip(), line_no)
+            if node_id in gates:
+                raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
+            if len(parts) != 3:
+                raise CircuitParseError(line_no, f"{op} takes exactly two node references")
+            a = _parse_node_ref(parts[1], line_no)
+            b = _parse_node_ref(parts[2], line_no)
+            if not (a in gates and b in gates):
+                ref = b if a in gates else a
+                if ref == node_id:
+                    raise CircuitParseError(line_no, f"cycle detected: n{node_id} references itself")
+                raise CircuitParseError(line_no, f"forward reference to n{ref}")
+            gates[node_id] = Gate(op, (a, b))
+            order.append(node_id)
+            continue
         if line.startswith("input"):
             token = line[len("input"):].strip()
-            node_id = _parse_node_id(token, line_no, f"bad input declaration {line!r}")
+            node_id = _parse_node_id(token, line_no, "bad input declaration", line)
             if node_id in gates:
                 raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
             gates[node_id] = Gate("input", input_index=n_inputs)
@@ -452,35 +470,20 @@ def parse_circuit(text: str) -> Circuit:
                 out_ids.append(ref)
             outputs = out_ids
             continue
-        head, _, rest = line.partition(":")
         if not rest:
             raise CircuitParseError(line_no, f"unparseable line {line!r}")
         node_id = _parse_node_ref(head.strip(), line_no)
         if node_id in gates:
             raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
-        parts = rest.split()
-        op = parts[0]
-        if op == "const":
-            if len(parts) != 2:
-                raise CircuitParseError(line_no, "const takes exactly one rational")
-            try:
-                value = parse_fraction(parts[1])
-            except InputError as exc:
-                raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
-            gates[node_id] = Gate("const", value=value)
-        elif op in BINARY_OPS:
-            if len(parts) != 3:
-                raise CircuitParseError(line_no, f"{op} takes exactly two node references")
-            a = _parse_node_ref(parts[1], line_no)
-            b = _parse_node_ref(parts[2], line_no)
-            for ref in (a, b):
-                if ref not in gates:
-                    if ref == node_id:
-                        raise CircuitParseError(line_no, f"cycle detected: n{node_id} references itself")
-                    raise CircuitParseError(line_no, f"forward reference to n{ref}")
-            gates[node_id] = Gate(op, (a, b))
-        else:
+        if op != "const":  # a binary op here has a head that is no node reference
             raise CircuitParseError(line_no, f"unknown gate {op!r}")
+        if len(parts) != 2:
+            raise CircuitParseError(line_no, "const takes exactly one rational")
+        try:
+            value = parse_fraction(parts[1])
+        except InputError as exc:
+            raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
+        gates[node_id] = Gate("const", value=value)
         order.append(node_id)
     if outputs is None:
         raise CircuitParseError(len(text.splitlines()) or 1, "missing outputs line")
@@ -494,7 +497,7 @@ class CircuitBuilder:
         self._gates: dict[int, Gate] = {}
         self._order: list[int] = []
         self._n_inputs = 0
-        self._const_cache: dict[Fraction, int] = {}
+        self._const_cache: dict[tuple[int, int], int] = {}
 
     def _push(self, gate: Gate) -> int:
         node_id = len(self._order)
@@ -511,31 +514,35 @@ class CircuitBuilder:
         return [self.input() for _ in range(count)]
 
     def const(self, value) -> int:
-        q = Fraction(value)
-        if q not in self._const_cache:
-            self._const_cache[q] = self._push(Gate("const", value=q))
-        return self._const_cache[q]
+        q = value if type(value) is Fraction else Fraction(value)
+        key = (q.numerator, q.denominator)  # a tuple of ints hashes faster than a Fraction
+        node_id = self._const_cache.get(key)
+        if node_id is None:
+            node_id = self._const_cache[key] = self._push(Gate("const", value=q))
+        return node_id
 
     def op(self, kind: str, a: int, b: int) -> int:
+        if kind not in BINARY_OPS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
         return self._push(Gate(kind, (a, b)))
 
     def add(self, a: int, b: int) -> int:
-        return self.op("add", a, b)
+        return self._push(Gate("add", (a, b)))
 
     def sub(self, a: int, b: int) -> int:
-        return self.op("sub", a, b)
+        return self._push(Gate("sub", (a, b)))
 
     def mul(self, a: int, b: int) -> int:
-        return self.op("mul", a, b)
+        return self._push(Gate("mul", (a, b)))
 
     def max(self, a: int, b: int) -> int:
-        return self.op("max", a, b)
+        return self._push(Gate("max", (a, b)))
 
     def min(self, a: int, b: int) -> int:
-        return self.op("min", a, b)
+        return self._push(Gate("min", (a, b)))
 
     def gt(self, a: int, b: int) -> int:
-        return self.op("gt", a, b)
+        return self._push(Gate("gt", (a, b)))
 
     def abs(self, a: int, b: int) -> int:
         """|a - b| as max(a-b, b-a)."""
@@ -579,13 +586,13 @@ class CircuitBuilder:
                 f"inline arity mismatch: circuit takes {circuit.input_arity}, got {len(args)}"
             )
         mapping: dict[int, int] = {}
-        for node_id, gate in circuit.nodes():
-            if gate.kind == "input":
-                mapping[node_id] = args[gate.input_index]
-            elif gate.kind == "const":
-                mapping[node_id] = self.const(gate.value)
+        for node_id, (kind, refs, value, index) in circuit.nodes():
+            if kind == "input":
+                mapping[node_id] = args[index]
+            elif kind == "const":
+                mapping[node_id] = self.const(value)
             else:
-                mapping[node_id] = self.op(gate.kind, mapping[gate.args[0]], mapping[gate.args[1]])
+                mapping[node_id] = self.op(kind, mapping[refs[0]], mapping[refs[1]])
         return [mapping[out] for out in circuit.outputs]
 
     def build(self, outputs: Sequence[int]) -> Circuit:

@@ -132,14 +132,15 @@ class ScaledColumn:
         return self._compare(other, operator.ge)
 
 
-def on_one_scale(circuit: Circuit, columns: Sequence[np.ndarray], scale: int) -> list[tuple]:
-    """Each output of ``circuit`` on the rows of ``columns / scale``, as (numerators, denominator).
+def on_one_scale(
+    circuit: Circuit, columns: Sequence[np.ndarray], scale: int, size: int
+) -> list[tuple]:
+    """Each output of ``circuit`` on the ``size`` rows of ``columns / scale``, as (numerators, denominator).
 
     The batch runs through ``Circuit.evaluate_columns``.  A batch over its bit
     budget is evaluated row by row, and each output's values are brought to
     one denominator, the lcm of theirs.
     """
-    size = len(columns[0])
     out = circuit.evaluate_columns(columns, scale, size)
     if out is not None:
         return out
@@ -159,10 +160,8 @@ def circuit_columns(circuit: Circuit):
     def call(*points: Sequence[ScaledColumn]):
         flat = [c for p in points for c in p]
         den = lcm(*(c.den for c in flat))
-        out = [
-            ScaledColumn(num, d)
-            for num, d in on_one_scale(circuit, [_times(c.num, den // c.den) for c in flat], den)
-        ]
+        columns = [_times(c.num, den // c.den) for c in flat]
+        out = [ScaledColumn(num, d) for num, d in on_one_scale(circuit, columns, den, len(columns[0]))]
         return out[0] if len(out) == 1 else tuple(out)
 
     return call
@@ -206,15 +205,17 @@ def sq_l2_distance_circuit() -> Circuit:
     return b.build([b.sum(terms)])
 
 
+def discrete_metric(b: CircuitBuilder, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """A node of ``b`` that is 1 iff the points at nodes ``xs`` and ``ys`` differ, else 0."""
+    flags = [b.add(b.gt(x, y), b.gt(y, x)) for x, y in zip(xs, ys)]
+    return b.gt(b.sum(flags), b.const(0))
+
+
 def discrete_metric_circuit() -> Circuit:
     """1 iff the two points differ in any coordinate, else 0."""
     b = CircuitBuilder()
     xs = b.inputs(3)
-    ys = b.inputs(3)
-    flags = []
-    for i in range(3):
-        flags.append(b.add(b.gt(xs[i], ys[i]), b.gt(ys[i], xs[i])))
-    return b.build([b.gt(b.sum(flags), b.const(0))])
+    return b.build([discrete_metric(b, xs, b.inputs(3))])
 
 
 def identity_map_circuit() -> Circuit:

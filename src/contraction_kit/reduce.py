@@ -45,7 +45,7 @@ from .cls import (
     verify_banach,
     verify_cls_local,
 )
-from .library import as_point, discrete_metric_circuit, l1, on_one_scale
+from .library import as_point, discrete_metric, l1, on_one_scale
 from .metrics import (
     check_metric_axioms,
     metric_failure_mask,
@@ -85,6 +85,22 @@ def smooth_interpolation(w: Fraction, c: Fraction) -> Fraction:
     return (1 - t) * c ** cw + t * c ** (cw + 1)
 
 
+def _interpolation(b: CircuitBuilder, w: int, c: Fraction, max_abs: int) -> int:
+    """B at node ``w`` of ``b``, clamped to [-max_abs, 0]; the body of ``build_interpolation_circuit``."""
+    c = Fraction(c)
+    if not 0 < c < 1:
+        raise CircuitError("c must lie in (0,1)")
+    if max_abs < 1:
+        raise CircuitError("max_abs must be at least 1")
+    zero = b.const(0)
+    one = b.const(1)
+    w_cl = b.min(b.max(w, b.const(-max_abs)), zero)
+    v = b.sub(zero, w_cl)  # v = -w in [0, max_abs]
+    upper, t = b.peel_power(v, 1 / c, max_abs)  # c**ceil(w), ceil(w) - w
+    lower = b.mul(upper, b.const(c))  # c**(ceil(w)+1)
+    return b.add(b.mul(b.sub(one, t), upper), b.mul(t, lower))
+
+
 def build_interpolation_circuit(c: Fraction, max_abs: int) -> Circuit:
     """One-input circuit computing B(w) for w in [-max_abs, 0].
 
@@ -92,52 +108,44 @@ def build_interpolation_circuit(c: Fraction, max_abs: int) -> Circuit:
     (1/c)**floor(v) = c**ceil(w) and the remainder v - floor(v) = ceil(w) - w,
     the mixing weight t of B.  O(log max_abs) gates.
     """
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise CircuitError("c must lie in (0,1)")
-    if max_abs < 1:
-        raise CircuitError("max_abs must be at least 1")
     b = CircuitBuilder()
-    w = b.input()
-    zero = b.const(0)
-    one = b.const(1)
-    w_cl = b.min(b.max(w, b.const(-max_abs)), zero)
-    v = b.sub(zero, w_cl)  # v = -w in [0, max_abs]
-    upper, t = b.peel_power(v, 1 / c, max_abs)  # c**ceil(w), ceil(w) - w
-    lower = b.mul(upper, b.const(c))  # c**(ceil(w)+1)
-    value = b.add(b.mul(b.sub(one, t), upper), b.mul(t, lower))
-    return b.build([value])
+    return b.build([_interpolation(b, b.input(), c, max_abs)])
 
 
-def build_kappa_circuit(p: Circuit, eps: Fraction) -> Circuit:
-    """6-input circuit for kappa(x,y) = min(-p(x)/eps, -p(y)/eps)."""
+def _kappa(b: CircuitBuilder, p: Circuit, xs: Sequence[int], ys: Sequence[int], eps: Fraction) -> int:
+    """kappa of the points at nodes ``xs`` and ``ys`` of ``b``, with ``p`` inlined once for each."""
     eps = Fraction(eps)
     if eps <= 0:
         raise CircuitError("eps must be positive")
-    b = CircuitBuilder()
-    xs = b.inputs(3)
-    ys = b.inputs(3)
     inv = b.const(1 / eps)
     zero = b.const(0)
     px = b.inline(p, xs)[0]
     py = b.inline(p, ys)[0]
     kx = b.sub(zero, b.mul(px, inv))
     ky = b.sub(zero, b.mul(py, inv))
-    return b.build([b.min(kx, ky)])
+    return b.min(kx, ky)
+
+
+def build_kappa_circuit(p: Circuit, eps: Fraction) -> Circuit:
+    """6-input circuit for kappa(x,y) = min(-p(x)/eps, -p(y)/eps)."""
+    b = CircuitBuilder()
+    xs = b.inputs(3)
+    return b.build([_kappa(b, p, xs, b.inputs(3), eps)])
 
 
 def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) -> Circuit:
     """d(x,y) = B(kappa(x,y)) * d_S(x,y) as one 6-input circuit.
 
-    Gate count is 2*|p| + O(log(1/eps)).
+    kappa, B and d_S are written into one builder, so each gate of d is made
+    once; the builder's const cache shares a constant between them.  Gate
+    count is 2*|p| + O(log(1/eps)).
     """
-    kappa = build_kappa_circuit(p, eps)
-    interp = build_interpolation_circuit(c, max(1, ceil_fraction(1 / Fraction(eps))))
     b = CircuitBuilder()
-    pair = b.inputs(6)
-    interp_val = b.inline(interp, b.inline(kappa, pair))[0]
-    d_s = b.inline(discrete_metric_circuit(), pair)[0]
-    return b.build([b.mul(interp_val, d_s)])
+    xs = b.inputs(3)
+    ys = b.inputs(3)
+    kappa = _kappa(b, p, xs, ys, eps)
+    interp = _interpolation(b, kappa, c, max(1, ceil_fraction(1 / Fraction(eps))))
+    return b.build([b.mul(interp, discrete_metric(b, xs, ys))])
 
 
 def _smallness(x: Fraction) -> int:
@@ -418,9 +426,9 @@ def certify_constructed_metric(
     first = np.repeat(np.arange(3 * n), 3)  # pair row 9t+3i+j reads point 3t+i ...
     second = np.arange(3 * n).reshape(n, 1, 3).repeat(3, axis=1).ravel()  # ... and 3t+j
     ((d_num, d_den),) = on_one_scale(
-        artifacts.produced.d, [*coords[first].T, *coords[second].T], scale
+        artifacts.produced.d, [*coords[first].T, *coords[second].T], scale, 9 * n
     )
-    ((p_num, _),) = on_one_scale(artifacts.source.p, list(coords.T), scale)
+    ((p_num, _),) = on_one_scale(artifacts.source.p, list(coords.T), scale, 3 * n)
     dist = d_num.reshape(n, 3, 3)
     pot = p_num.reshape(n, 3)
     pts = coords.reshape(n, 3, 3)

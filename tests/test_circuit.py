@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contraction_kit.circuit import (
     DEN_BIT_BUDGET,
@@ -463,9 +463,14 @@ def test_on_one_scale_matches_evaluate_and_reference(case):
     # float puts that D past the bit budget, which sends the batch row by row
     # (x**8 allows 512 bits of D - 1: the example's middle row alone runs the reference)
     circuit, rows = case
-    assume(circuit.input_arity > 0)  # the batch size is read off the first column
     columns, d = scaled_columns(circuit, rows)
-    assert_columns_match(circuit, rows, on_one_scale(circuit, columns, d))
+    assert_columns_match(circuit, rows, on_one_scale(circuit, columns, d, len(rows)))
+
+
+def test_on_one_scale_takes_the_batch_size_from_the_caller():
+    # a circuit with no inputs has no column to read the size from
+    ((nums, den),) = on_one_scale(parse_circuit(CONST_HALF), [], 1, 3)
+    assert [F(v, den) for v in nums] == [F(1, 2)] * 3
 
 
 def test_on_one_scale_falls_back_per_row_past_bit_budget(monkeypatch):
@@ -489,7 +494,7 @@ def test_on_one_scale_falls_back_per_row_past_bit_budget(monkeypatch):
     c = b.build([b.mul(x, y)])
 
     def run(rows):
-        ((nums, den),) = on_one_scale(c, *scaled_columns(c, rows))
+        ((nums, den),) = on_one_scale(c, *scaled_columns(c, rows), len(rows))
         return list(nums), den
 
     # 997 and 991 each fit alone, their lcm 988027 does not: each row runs on

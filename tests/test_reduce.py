@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import iv
 
+from corpus import cls_local_corpus
 from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError, InputError
-from contraction_kit.cls import BanachInstance, CLSLocalInstance, Solution, verify, verify_banach
+from contraction_kit.cls import (
+    BanachInstance,
+    CLSLocalInstance,
+    Solution,
+    instance_to_text,
+    verify,
+    verify_banach,
+)
 from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
     affine_contraction_circuit,
@@ -153,6 +162,79 @@ def test_metric_circuit_gate_count_logarithmic_in_inv_eps():
     small = build_interpolated_metric_circuit(p, F(1, 4), F(9, 10))
     large = build_interpolated_metric_circuit(p, F(1, 4096), F(9, 10))
     assert large.gate_count <= small.gate_count + 12 * (4096 .bit_length() - 4 .bit_length())
+
+
+def inlined_metric_circuit(p, eps, c):
+    """The reference d: kappa, B and d_S each built as a circuit, then inlined into a third."""
+    kappa = build_kappa_circuit(p, eps)
+    interp = build_interpolation_circuit(c, max(1, ceil_fraction(1 / F(eps))))
+    b = CircuitBuilder()
+    pair = b.inputs(6)
+    interp_val = b.inline(interp, b.inline(kappa, pair))[0]
+    d_s = b.inline(discrete_metric_circuit(), pair)[0]
+    return b.build([b.mul(interp_val, d_s)])
+
+
+def assert_one_builder_matches_inlined(p, eps, c):
+    pushed = []
+    push = CircuitBuilder._push
+
+    def counting_push(self, gate):
+        pushed.append(gate)
+        return push(self, gate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CircuitBuilder, "_push", counting_push)
+        d = build_interpolated_metric_circuit(p, eps, c)
+    # each gate of d is pushed once: nothing is built to be inlined
+    assert len(pushed) == d.gate_count
+    assert d.to_text() == inlined_metric_circuit(p, eps, c).to_text()
+
+
+COORDINATES = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+@given(
+    st.tuples(COORDINATES, COORDINATES, COORDINATES),
+    st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
+    st.integers(1, 4096).map(lambda k: F(1, k)) | st.fractions(F(1, 64), 9, max_denominator=64),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda c: 0 < c < 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_builder_metric_circuit_matches_inlined_composition(target, scale, eps, c):
+    assert_one_builder_matches_inlined(l1_potential_circuit(target, scale), eps, c)
+
+
+@pytest.mark.parametrize("half_eps", [False, True])
+def test_one_builder_metric_circuit_matches_inlined_on_the_corpus(half_eps):
+    for inst in cls_local_corpus():
+        art = reduce_cls_local_to_banach(inst, half_eps=half_eps)
+        eps_r, c_prime = art.substitutions["eps_r"], art.substitutions["c_prime"]
+        assert art.produced.d.to_text() == inlined_metric_circuit(inst.p, eps_r, c_prime).to_text()
+        assert_one_builder_matches_inlined(inst.p, eps_r, c_prime)
+
+
+def test_hardness_corpus_targets_keep_their_bytes():
+    # sha256 of every produced instance text, without and with half_eps, as
+    # the build-then-inline construction wrote them; the reference above
+    # shares the builders' bodies, so this pins their gate and const order
+    digest = hashlib.sha256()
+    for inst in cls_local_corpus():
+        for half_eps in (False, True):
+            produced = reduce_cls_local_to_banach(inst, half_eps=half_eps).produced
+            digest.update(instance_to_text(produced).encode())
+    assert digest.hexdigest() == "c1398a2d9752342f762f4fbe43af69d021628cf420a4369d6c51b517c334ec03"
+
+
+def test_one_builder_metric_circuit_keeps_argument_errors():
+    p = coordinate_potential_circuit()
+    for eps, c, message in ((F(0), F(1, 2), "eps must be positive"),
+                            (F(-1), F(2), "eps must be positive"),
+                            (F(1, 2), F(1), "c must lie in \\(0,1\\)")):
+        with pytest.raises(CircuitError, match=message):
+            build_interpolated_metric_circuit(p, eps, c)
+    with pytest.raises(CircuitError, match="inline arity mismatch"):
+        build_interpolated_metric_circuit(discrete_metric_circuit(), F(1, 2), F(2))
 
 
 # ---------------------------------------------------------------- constants
