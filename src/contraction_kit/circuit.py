@@ -24,8 +24,12 @@ over numpy object columns of Python ints: it takes each input as a column
 of numerators over one ``D`` that the caller chose, and gives each output
 as a numerator column over its static denominator ``K*D**e``, or None when
 that ``D`` fails the budget check.  A caller that reads many rows built
-from few points scales each point once and gathers the columns by index;
-``library.on_one_scale`` wraps it with a row-by-row fallback past the budget.
+from few points scales each point once and gathers the columns by index.
+
+A circuit is called on points: ``circuit(x, y)`` reads its inputs from the
+coordinates of the points in order.  On rationals the call is ``evaluate``;
+on point columns (tuples of ``ScaledColumn``s, one row per point) it is one
+``evaluate_columns`` batch, run row by row past the budget.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -155,6 +159,85 @@ class Gate(NamedTuple):
     input_index: int | None = None      # input only
 
 
+def _times(num, k: int):
+    """num * k, without the copy a factor of 1 would make."""
+    return num if k == 1 else num * k
+
+
+class ScaledColumn:
+    """A column of rationals ``num[r] / den``: an object array of Python ints over one denominator.
+
+    The batch value type: a circuit called on columns takes and gives them,
+    and a clause predicate computes with them on a chunk of candidates.  It
+    has the operations the clauses use: ``+`` and ``-`` with a column or a
+    rational (an int or a ``Fraction``), ``abs``, multiplication by a
+    rational, ``**`` by a natural number, and comparisons with a column or a
+    rational, each of which gives a boolean mask with one entry per row.
+    ``den`` is positive; the numerators are not reduced.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _parts(other) -> tuple:
+        if isinstance(other, ScaledColumn):
+            return other.num, other.den
+        return other.numerator, other.denominator
+
+    def _lift(self, other) -> tuple:
+        """Both operands' numerators over the lcm of their denominators, and that lcm."""
+        num, den = self._parts(other)
+        common = lcm(self.den, den)
+        return _times(self.num, common // self.den), _times(num, common // den), common
+
+    def __add__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(a + b, den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(a - b, den)
+
+    def __rsub__(self, other) -> ScaledColumn:
+        a, b, den = self._lift(other)
+        return ScaledColumn(b - a, den)
+
+    def __abs__(self) -> ScaledColumn:
+        return ScaledColumn(np.abs(self.num), self.den)
+
+    def __mul__(self, other) -> ScaledColumn:
+        if isinstance(other, ScaledColumn):
+            return NotImplemented
+        return ScaledColumn(self.num * other.numerator, self.den * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> ScaledColumn:
+        return ScaledColumn(self.num ** k, self.den ** k)
+
+    def _compare(self, other, op) -> np.ndarray:
+        num, den = self._parts(other)  # denominators are positive: cross-multiply
+        return op(_times(self.num, den), _times(num, self.den))
+
+    def __lt__(self, other) -> np.ndarray:
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other) -> np.ndarray:
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other) -> np.ndarray:
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other) -> np.ndarray:
+        return self._compare(other, operator.ge)
+
+
 class Circuit:
     """Immutable gate list in topological order plus designated outputs."""
 
@@ -234,6 +317,34 @@ class Circuit:
                 f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(columns)}"
             )
         return self._program.run_many(columns, d, size)
+
+    def __call__(self, *points):
+        """The circuit on points, its inputs read from their coordinates in order.
+
+        Points of rationals go to ``evaluate``.  Point columns, tuples of
+        ``ScaledColumn``s, are brought to the lcm of their denominators and
+        run as one batch on ``evaluate_columns``; past the bit budget they
+        run row by row, and each output comes back over the lcm of its rows'
+        denominators.  One output comes back alone, several as a tuple.
+        """
+        flat = [c for p in points for c in p]
+        if flat and type(flat[0]) is ScaledColumn:
+            den = lcm(*(c.den for c in flat))
+            columns = [_times(c.num, den // c.den) for c in flat]
+            size = len(columns[0])
+            scaled = self.evaluate_columns(columns, den, size)
+            if scaled is None:
+                rows = zip(*(c.tolist() for c in columns))
+                values = [self.evaluate([Fraction(v, den) for v in row]) for row in rows]
+                scaled = []
+                for k in range(self.output_arity):
+                    d = lcm(*(row[k].denominator for row in values))
+                    nums = [row[k].numerator * (d // row[k].denominator) for row in values]
+                    scaled.append((np.array(nums, dtype=object).reshape(size), d))
+            out = [ScaledColumn(num, d) for num, d in scaled]
+        else:
+            out = self.evaluate(flat)
+        return out[0] if len(out) == 1 else tuple(out)
 
     def _evaluate_reference(self, qs: Sequence[Fraction]) -> list[Fraction]:
         """The ``Fraction`` interpreter: one exact rational op per gate.

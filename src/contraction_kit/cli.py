@@ -32,7 +32,7 @@ from .circuit import (
     parse_fraction,
     parse_number,
 )
-from .library import as_point, circuit_fn, l1, sq_l2
+from .library import as_point, l1, sq_l2
 
 INPUT_ERRORS = (
     CircuitError,
@@ -109,6 +109,8 @@ def cmd_reduce(args) -> int:
     if args.direction == "banach-to-cls-local":
         if not isinstance(inst, cls_mod.BanachInstance):
             raise cls_mod.InstanceError("source instance must be banach/banach-met")
+        if args.half_eps:
+            raise InputError("--half-eps applies only to --direction cls-local-to-banach")
         artifacts = reduce_mod.reduce_banach_to_cls_local(inst)
     else:
         if not isinstance(inst, cls_mod.CLSLocalInstance):
@@ -229,16 +231,15 @@ def _power_on_matrix(args) -> int:
 
 def _bip_on_circuit(args, text: str, input_line: str) -> int:
     inst = cls_mod.parse_instance(text)
-    f = circuit_fn(inst.f)
     eps = parse_fraction(args.eps)
     if isinstance(inst, cls_mod.ContractionMapInstance):
         dist, target = sq_l2, eps ** 2  # Euclidean compared in squared form
     elif isinstance(inst, cls_mod.BanachInstance):
-        dist, target = circuit_fn(inst.d), eps
+        dist, target = inst.d, eps
     else:
         dist, target = l1, eps
     x0 = as_point([parse_fraction(t) for t in args.x0.split(",")])
-    trace = iteration.run_bip(f, x0, dist, target, args.max_iters)
+    trace = iteration.run_bip(inst.f, x0, dist, target, args.max_iters)
     if args.csv:
         Path(args.csv).write_text(trace.to_csv(), encoding="utf-8")
     print(input_line)
@@ -249,27 +250,32 @@ def _bip_on_circuit(args, text: str, input_line: str) -> int:
 
 
 def _bip_on_selfmap(args, text: str, input_line: str) -> int:
+    """Every line is computed before the first is printed, so an input error prints none."""
     m = converse.parse_selfmap(text)
     eps = parse_fraction(args.eps)
     if args.start not in m.labels:
         raise converse.SelfMapError(f"unknown start label {args.start!r}")
+    if eps <= 0:
+        raise InputError("eps must be positive")
     start = m.labels.index(args.start)
     orbit = m.orbit(start)
     realized = next(
         (t for t, idx in enumerate(orbit) if m.d(idx, m.fixed_point) <= eps), len(orbit) - 1
     )
-    print(input_line)
-    print(f"realized_steps_to_eps {realized}")
+    lines = [input_line, f"realized_steps_to_eps {realized}"]
     if args.predict_c:
         c = parse_fraction(args.predict_c)
         synth = converse.synthesize(m, c, eps / 2)
         d_c, scale = synth.scaled[2]
         d0 = Fraction(int(d_c[start, m.map[start]]), scale)
         budget = iteration.predict_iterations(d0, c, eps)
-        print(f"d0 {format_fraction(d0)}")
-        # predicted_sound names the same budget; both keys stay for report readers
-        print(f"predicted {budget.predicted_steps!r} budget {budget.budget}")
-        print(f"predicted_sound {budget.predicted_steps!r} budget {budget.budget}")
+        lines += [
+            f"d0 {format_fraction(d0)}",
+            # predicted_sound names the same budget; both keys stay for report readers
+            f"predicted {budget.predicted_steps!r} budget {budget.budget}",
+            f"predicted_sound {budget.predicted_steps!r} budget {budget.budget}",
+        ]
+    print("\n".join(lines))
     return 0
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .circuit import Circuit, content_lines, format_fraction, parse_circuit, parse_fraction
-from .library import Point, as_point, circuit_columns, circuit_fn, in_unit_cube, l1, sq_l2
+from .library import Point, as_point, in_unit_cube, l1, sq_l2
 from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
 
 
@@ -52,8 +52,8 @@ class _Problem:
     """Validation shared by the problem classes, read from each class's declaration.
 
     ``circuits`` lists (name, inputs, outputs), the map f first; ``constants``
-    lists the instance file's constant keys in field order.  Parsing, printing
-    and the clause evaluators read the same declaration.
+    lists the instance file's constant keys in field order.  Parsing and
+    printing read the same declaration.
     """
 
     metric_promised = False
@@ -133,13 +133,13 @@ _PROBLEMS = {
 class Clause:
     """One solution kind: its witness count, its clause and its exact predicate.
 
-    ``holds(inst, f, g, *witnesses)`` returns ``(ok, lhs, rhs)``.  ``f``
-    evaluates the instance's map and ``g`` its second circuit: p for
-    cls-local, d for banach; contraction-map clauses use the Euclidean metric,
-    compared in squared form, and get ``g = None``.  Given the
-    ``column_evaluators`` and point columns for witnesses, every predicate but
-    Oe's decides a chunk of candidates at once: ``ok`` is then a boolean mask
-    and ``lhs`` and ``rhs`` are ``ScaledColumn``s.
+    ``holds(inst, *witnesses)`` returns ``(ok, lhs, rhs)``.  Each predicate
+    calls the instance's circuits itself: the map ``inst.f`` and ``inst.p``
+    for cls-local or ``inst.d`` for banach; contraction-map clauses use the
+    Euclidean metric, compared in squared form.  Given point columns for
+    witnesses, every predicate but Oe's decides a chunk of candidates at
+    once: ``ok`` is then a boolean mask and ``lhs`` and ``rhs`` are
+    ``ScaledColumn``s.
     """
 
     witnesses: range
@@ -147,8 +147,8 @@ class Clause:
     holds: Callable[..., tuple[bool, Fraction | None, Fraction | None]]
 
 
-def _co1(inst, f, p, x):
-    lhs, rhs = p(f(x)), p(x) - inst.eps
+def _co1(inst, x):
+    lhs, rhs = inst.p(inst.f(x)), inst.p(x) - inst.eps
     return lhs >= rhs, lhs, rhs
 
 
@@ -157,14 +157,14 @@ def _near_fixed(dist, eps: Fraction, f, x):
     return lhs <= eps, lhs, eps
 
 
-def _od(inst, f, d, x1, x2, y1, y2):
-    lhs = abs(d(x1, x2) - d(y1, y2))
+def _od(inst, x1, x2, y1, y2):
+    lhs = abs(inst.d(x1, x2) - inst.d(y1, y2))
     rhs = inst.lam * (l1(x1, y1) + l1(x2, y2))
     return lhs > rhs, lhs, rhs
 
 
-def _oe(inst, f, d, *witnesses):
-    violation = check_metric_axioms(d, witnesses)
+def _oe(inst, *witnesses):
+    violation = check_metric_axioms(inst.d, witnesses)
     if violation is None:
         return False, None, None
     return True, violation.lhs, violation.rhs
@@ -172,7 +172,7 @@ def _oe(inst, f, d, *witnesses):
 
 _LIPSCHITZ = Clause(
     range(2, 3), "|f(x)-f(x')|_1 > lam*|x-x'|_1",
-    lambda inst, f, g, x, y: lipschitz_violated(f, inst.lam, x, y),
+    lambda inst, x, y: lipschitz_violated(inst.f, inst.lam, x, y),
 )
 
 CLAUSES: dict[tuple[str, str], Clause] = {
@@ -180,15 +180,15 @@ CLAUSES: dict[tuple[str, str], Clause] = {
     ("cls-local", "CO2"): _LIPSCHITZ,
     ("cls-local", "CO3"): Clause(
         range(2, 3), "|p(x)-p(x')| > lam*|x-x'|_1",
-        lambda inst, f, p, x, y: lipschitz_violated(p, inst.lam, x, y),
+        lambda inst, x, y: lipschitz_violated(inst.p, inst.lam, x, y),
     ),
     ("banach", "Oa"): Clause(
         range(1, 2), "d(x,f(x)) <= eps",
-        lambda inst, f, d, x: _near_fixed(d, inst.eps, f, x),
+        lambda inst, x: _near_fixed(inst.d, inst.eps, inst.f, x),
     ),
     ("banach", "Ob"): Clause(
         range(2, 3), "d(f(x),f(x')) > c*d(x,x')",
-        lambda inst, f, d, x, y: contraction_violated(f, d, inst.c, x, y),
+        lambda inst, x, y: contraction_violated(inst.f, inst.d, inst.c, x, y),
     ),
     ("banach", "Oc"): _LIPSCHITZ,
     ("banach", "Od"): Clause(range(4, 5), "|d(x1,x2)-d(y1,y2)| > lam*(|x1-y1|_1+|x2-y2|_1)", _od),
@@ -197,11 +197,11 @@ CLAUSES: dict[tuple[str, str], Clause] = {
     # equivalence-preserving and keeps everything rational.
     ("contraction-map", "Oa"): Clause(
         range(1, 2), "d(x,f(x))^2 <= eps^2",
-        lambda inst, f, g, x: _near_fixed(sq_l2, inst.eps ** 2, f, x),
+        lambda inst, x: _near_fixed(sq_l2, inst.eps ** 2, inst.f, x),
     ),
     ("contraction-map", "Ob"): Clause(
         range(2, 3), "d(f(x),f(x'))^2 > c^2*d(x,x')^2",
-        lambda inst, f, g, x, y: contraction_violated(f, sq_l2, inst.c ** 2, x, y),
+        lambda inst, x, y: contraction_violated(inst.f, sq_l2, inst.c ** 2, x, y),
     ),
     ("contraction-map", "Oc"): _LIPSCHITZ,
 }
@@ -214,21 +214,6 @@ def accepted_kinds(inst: ProblemInstance) -> tuple[str, ...]:
         kind for namespace, kind in CLAUSES
         if namespace == inst.namespace and not (inst.metric_promised and kind == "Oe")
     )
-
-
-def _wrap_circuits(inst: ProblemInstance, wrap: Callable) -> tuple[Callable, Callable | None]:
-    f, *second = (wrap(getattr(inst, name)) for name, _, _ in inst.circuits)
-    return f, second[0] if second else None
-
-
-def evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
-    """Callables for the map f and for the second circuit the clauses read (p, d or None)."""
-    return _wrap_circuits(inst, circuit_fn)
-
-
-def column_evaluators(inst: ProblemInstance) -> tuple[Callable, Callable | None]:
-    """``evaluators`` on point columns (see ``Clause``)."""
-    return _wrap_circuits(inst, circuit_columns)
 
 
 @dataclass(frozen=True)
@@ -277,16 +262,15 @@ def _replay(inst: ProblemInstance, sol: Solution) -> Verdict:
             return Verdict(False, sol.kind, f"witness {w} outside [0,1]^3")
     if sol.kind == "Od" and (ws[0] == ws[1] or ws[2] == ws[3]):
         return Verdict(False, "Od", "side condition x1 != x2, y1 != y2 violated")
-    f, g = evaluators(inst)
     if sol.kind == "Oe":
         # the verdict names the failed axiom, which (ok, lhs, rhs) does not carry
-        violation = check_metric_axioms(g, ws)
+        violation = check_metric_axioms(inst.d, ws)
         if violation is None:
             return Verdict(False, "Oe", "no metric axiom fails at the given witnesses")
         reason = f"{violation.axiom} violated at {violation.witnesses}"
         return Verdict(True, "Oe", reason, violation.lhs, violation.rhs)
     clause = CLAUSES[(inst.namespace, sol.kind)]
-    ok, lhs, rhs = clause.holds(inst, f, g, *ws)
+    ok, lhs, rhs = clause.holds(inst, *ws)
     return Verdict(ok, sol.kind, f"{clause.text} is {ok}", lhs, rhs)
 
 

@@ -12,10 +12,10 @@ batch kernel.  Per resolution, the points the streams read are scaled once
 to one integer denominator, and the streams are kept as index arrays into
 them: the fine grid, the neighbour and coarse pairs, and the Od quads.  A
 chunk gathers each witness's point column by index and runs the clause's
-predicate on it with ``cls.column_evaluators``, whose circuits run through
-``Circuit.evaluate_columns`` (row by row when a batch passes the bit budget);
-the predicate gives a mask, and its first true row in stream order is the
-hit, the candidate the scalar scan ``_solve_instance_reference`` stops at.
+predicate on it; the instance's circuits, called on point columns, run
+through ``Circuit.evaluate_columns`` (row by row when a batch passes the bit
+budget).  The predicate gives a mask, and its first true row in stream order
+is the hit, the candidate the scalar scan ``_solve_instance_reference`` stops at.
 Oe's short scan stays scalar, through ``check_metric_axioms``.
 """
 
@@ -29,17 +29,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import InputError
-from .cls import (
-    CLAUSES,
-    ProblemInstance,
-    Solution,
-    accepted_kinds,
-    column_evaluators,
-    evaluators,
-    verify,
-)
-from .library import Point, ScaledColumn
+from .circuit import InputError, ScaledColumn
+from .cls import CLAUSES, ProblemInstance, Solution, accepted_kinds, verify
+from .library import Point
 from .metrics import check_metric_axioms, scale_to_integers
 
 COARSE_RESOLUTION = Fraction(1, 4)
@@ -163,11 +155,11 @@ def _metric_violations(d, fine: tuple[Point, ...]) -> Iterable[tuple[Point, ...]
         yield violation.witnesses
 
 
-def _first_hit(inst, clause, f, g, grid: _Grid, stream: np.ndarray) -> tuple[Point, ...] | None:
+def _first_hit(inst, clause, grid: _Grid, stream: np.ndarray) -> tuple[Point, ...] | None:
     """The first candidate of the stream whose clause holds, decided CHUNK rows at a time."""
     for start in range(0, len(stream), CHUNK):
         rows = stream[start:start + CHUNK]
-        ok = clause.holds(inst, f, g, *(grid.point_column(column) for column in rows.T))[0]
+        ok = clause.holds(inst, *(grid.point_column(column) for column in rows.T))[0]
         hits = np.flatnonzero(ok)
         if len(hits):
             return tuple(grid.points[k] for k in rows[hits[0]])
@@ -177,15 +169,13 @@ def _first_hit(inst, clause, f, g, grid: _Grid, stream: np.ndarray) -> tuple[Poi
 def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)) -> Solution | None:
     """First grid candidate, in kind priority order, whose clause holds."""
     grid = _grid(resolution)
-    f, g = column_evaluators(inst)
     for kind in accepted_kinds(inst):
         clause = CLAUSES[(inst.namespace, kind)]
         if kind == "Oe":
-            fx, d = evaluators(inst)
-            candidates = _metric_violations(d, grid_points(resolution))
-            hit = next((w for w in candidates if clause.holds(inst, fx, d, *w)[0]), None)
+            candidates = _metric_violations(inst.d, grid_points(resolution))
+            hit = next((w for w in candidates if clause.holds(inst, *w)[0]), None)
         else:
-            hit = _first_hit(inst, clause, f, g, grid, grid.streams[clause.witnesses[0]])
+            hit = _first_hit(inst, clause, grid, grid.streams[clause.witnesses[0]])
         if hit is not None:
             sol = Solution(kind, hit)
             return sol if verify(inst, sol) else None
@@ -196,7 +186,6 @@ def _solve_instance_reference(
     inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)
 ) -> Solution | None:
     """The scalar scan ``solve_instance`` must equal (tests only): one candidate at a time."""
-    f, g = evaluators(inst)
     fine = grid_points(resolution)
     pairs = functools.cache(lambda: list(_candidate_pairs(resolution)))
     # candidate streams by witness count; pairs are built only if a pair kind is reached
@@ -207,9 +196,9 @@ def _solve_instance_reference(
     }
     for kind in accepted_kinds(inst):
         clause = CLAUSES[(inst.namespace, kind)]
-        stream = _metric_violations(g, fine) if kind == "Oe" else streams[clause.witnesses[0]]()
+        stream = _metric_violations(inst.d, fine) if kind == "Oe" else streams[clause.witnesses[0]]()
         for witnesses in stream:
-            if clause.holds(inst, f, g, *witnesses)[0]:
+            if clause.holds(inst, *witnesses)[0]:
                 sol = Solution(kind, witnesses)
                 return sol if verify(inst, sol) else None
     return None

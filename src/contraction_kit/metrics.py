@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import Circuit
-from .library import Point, as_point, circuit_fn, l1
+from .library import Point, as_point, l1
 
 AXIOM_NONNEG = "NONNEG"
 AXIOM_IDENTITY = "IDENTITY"
@@ -62,10 +62,8 @@ class PointPair:
 
 
 def _as_distance(d) -> DistanceFn:
-    if isinstance(d, Circuit):
-        if d.input_arity != 6 or d.output_arity != 1:
-            raise ValueError("distance circuit must map 6 inputs to 1 output")
-        return circuit_fn(d)
+    if isinstance(d, Circuit) and (d.input_arity != 6 or d.output_arity != 1):
+        raise ValueError("distance circuit must map 6 inputs to 1 output")
     return d
 
 
@@ -117,7 +115,7 @@ def check_metric_axioms(d, points: Sequence[Sequence[Fraction]]) -> MetricViolat
     ``_first_failure``; the violation names the points themselves.
     """
     pts = [as_point(p) for p in points]
-    if isinstance(d, Circuit) or callable(d):
+    if callable(d):
         raw = _as_distance(d)
         d = [[raw(x, y) for y in pts] for x in pts]
     failure = _first_failure(d, pts)
@@ -160,9 +158,8 @@ def find_lipschitz_violation(
 ) -> LipschitzViolation | None:
     """First pair violating lambda-Lipschitz continuity of g in the l1 norm."""
     lam = Fraction(lam)
-    fn = circuit_fn(g) if isinstance(g, Circuit) else g
     for pair in pairs:
-        violated, lhs, rhs = lipschitz_violated(fn, lam, pair.x, pair.y)
+        violated, lhs, rhs = lipschitz_violated(g, lam, pair.x, pair.y)
         if violated:
             return LipschitzViolation(pair, lhs, rhs)
     return None
@@ -186,10 +183,9 @@ def find_contraction_violation(
     c = Fraction(c)
     if not 0 < c <= 1:
         raise ValueError("contraction constant must lie in (0,1]")
-    fn = circuit_fn(f) if isinstance(f, Circuit) else f
     dist = _as_distance(d)
     for pair in pairs:
-        violated, lhs, rhs = contraction_violated(fn, dist, c, pair.x, pair.y)
+        violated, lhs, rhs = contraction_violated(f, dist, c, pair.x, pair.y)
         if violated:
             return ContractionViolation(pair, lhs, rhs)
     return None

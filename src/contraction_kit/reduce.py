@@ -19,8 +19,9 @@ it they carry the construction's inherent 2*eps slack).
 
 certify_constructed_metric checks the constructed d on sampled triples on one
 integer scale: the points are scaled once to a common denominator, d and p
-run as batches over integer columns (Circuit.evaluate_columns), and every
-clause is decided on the numerators d's values share one denominator over.
+are called on point columns gathered from those integers (one
+Circuit.evaluate_columns batch each), and every clause is decided on the
+numerators d's values share one denominator over.
 The metric axioms go through metrics.metric_failure_mask, and only a flagged
 triple reaches the check_metric_axioms scan that names its failure.
 """
@@ -35,17 +36,23 @@ import mpmath
 import numpy as np
 from mpmath import iv
 
-from .circuit import Circuit, CircuitBuilder, CircuitError, InputError, format_fraction
+from .circuit import (
+    Circuit,
+    CircuitBuilder,
+    CircuitError,
+    InputError,
+    ScaledColumn,
+    format_fraction,
+)
 from .cls import (
     CLAUSES,
     BanachInstance,
     CLSLocalInstance,
     Solution,
-    evaluators,
     verify_banach,
     verify_cls_local,
 )
-from .library import as_point, discrete_metric, l1, on_one_scale
+from .library import as_point, discrete_metric, l1
 from .metrics import (
     check_metric_axioms,
     metric_failure_mask,
@@ -254,11 +261,11 @@ def map_cls_local_solution_to_banach(src: BanachInstance, sol: Solution) -> Solu
     pre = verify_cls_local(artifacts.produced, sol)
     if not pre:
         raise ReductionBug(f"solution does not verify against the reduced instance: {pre.reason}")
-    f, d = evaluators(src)
+    f, d = src.f, src.d
     if sol.kind == "CO1":
         (x,) = sol.witnesses
         fx = f(x)
-        if CLAUSES[("banach", "Ob")].holds(src, f, d, x, fx)[0]:
+        if CLAUSES[("banach", "Ob")].holds(src, x, fx)[0]:
             mapped = Solution("Ob", (x, fx))
         else:
             mapped = Solution("Oa", (x,))
@@ -318,7 +325,7 @@ def map_banach_solution_to_cls_local(
     pre = verify_banach(artifacts.produced, sol)
     if not pre:
         raise ReductionBug(f"solution does not verify against the reduced instance: {pre.reason}")
-    f, p = evaluators(src)
+    f, p = src.f, src.p
     eps_r = artifacts.substitutions["eps_r"]
     if sol.kind == "Oa":
         mapped = Solution("CO1", sol.witnesses)
@@ -336,7 +343,7 @@ def map_banach_solution_to_cls_local(
         mapped = Solution("CO2", sol.witnesses)
     elif sol.kind == "Od":
         x1, _, y1, _ = sol.witnesses
-        if not CLAUSES[("cls-local", "CO3")].holds(src, f, p, x1, y1)[0]:
+        if not CLAUSES[("cls-local", "CO3")].holds(src, x1, y1)[0]:
             raise ReductionBug(
                 "Od claim refuted by replay: |p(x1)-p(y1)| <= lambda*|x1-y1|_1; "
                 "the metric-circuit Lipschitz violation is not caused by p"
@@ -404,7 +411,7 @@ def certify_constructed_metric(
 
     Every point is scaled once to the batch's common denominator; d is
     evaluated once per ordered pair of each triple and p once per point,
-    each circuit in one batch over columns gathered from those integers.
+    each circuit called once on point columns gathered from those integers.
     Each clause is decided on the integer numerators that d's values (and
     p's) share one denominator over.  ``Fraction``s are built only for the
     report: each triple's two triangle sides, the smallest off-diagonal
@@ -425,12 +432,13 @@ def certify_constructed_metric(
     n = len(points)
     first = np.repeat(np.arange(3 * n), 3)  # pair row 9t+3i+j reads point 3t+i ...
     second = np.arange(3 * n).reshape(n, 1, 3).repeat(3, axis=1).ravel()  # ... and 3t+j
-    ((d_num, d_den),) = on_one_scale(
-        artifacts.produced.d, [*coords[first].T, *coords[second].T], scale, 9 * n
-    )
-    ((p_num, _),) = on_one_scale(artifacts.source.p, list(coords.T), scale, 3 * n)
-    dist = d_num.reshape(n, 3, 3)
-    pot = p_num.reshape(n, 3)
+
+    def point_column(rows: np.ndarray) -> tuple[ScaledColumn, ...]:
+        return tuple(ScaledColumn(column, scale) for column in rows.T)
+
+    d = artifacts.produced.d(point_column(coords[first]), point_column(coords[second]))
+    dist, d_den = d.num.reshape(n, 3, 3), d.den
+    pot = artifacts.source.p(point_column(coords)).num.reshape(n, 3)
     pts = coords.reshape(n, 3, 3)
     distinct = (pts[:, :, None, :] != pts[:, None, :, :]).any(axis=3)
 

@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from contraction_kit.circuit import (
     DEN_BIT_BUDGET,
@@ -14,11 +14,11 @@ from contraction_kit.circuit import (
     CircuitBuilder,
     CircuitError,
     CircuitParseError,
+    ScaledColumn,
     build_power_circuit,
     parse_circuit,
     parse_fraction,
 )
-from contraction_kit.library import on_one_scale
 
 CONST_HALF = "n0: const 1/2\noutputs: n0\n"
 
@@ -451,29 +451,58 @@ def test_evaluate_columns_none_past_bit_budget(monkeypatch):
     assert_columns_match(c, rows, c.evaluate_columns(*scaled_columns(c, rows), len(rows)))
 
 
-# ---------------------------------------------------------------- on_one_scale
+# ---------------------------------------------------------------- calls on points
+
+
+def test_call_on_points_is_evaluate():
+    # one output comes back as a scalar, several as a tuple; points flatten in order
+    mul_max = parse_circuit(MUL_MAX)
+    got = mul_max((F(1, 3), F(2, 5)))
+    assert type(got) is F and got == mul_max.evaluate([F(1, 3), F(2, 5)])[0]
+    assert mul_max((F(-7, 8),), (4,)) == mul_max.evaluate([F(-7, 8), 4])[0] == F(-7, 8)
+    b = CircuitBuilder()
+    x, y = b.inputs(2)
+    pair = b.build([b.add(x, y), b.gt(x, y), b.const(F(1, 3))])
+    assert pair((F(1, 2), F(1, 3))) == tuple(pair.evaluate([F(1, 2), F(1, 3)]))
+    assert pair((F(1, 2),), (F(1, 3),)) == (F(5, 6), 1, F(1, 3))
+    with pytest.raises(CircuitError, match="arity mismatch: circuit takes 2 inputs, got 3"):
+        pair((F(1), F(2), F(3)))
+
+
+def call_on_columns(circuit, columns, d):
+    """The circuit called on one point column of ``columns / d``, each output as (numerators, den)."""
+    out = circuit(tuple(ScaledColumn(column, d) for column in columns))
+    return [(col.num, col.den) for col in (out if isinstance(out, tuple) else (out,))]
 
 
 @given(random_batches())
 @example((squaring_chain(3), [[F(1, 3)], [2.0**-1000], [F(5, 7)]]))
 @settings(max_examples=200, deadline=None)
-def test_on_one_scale_matches_evaluate_and_reference(case):
+def test_call_on_point_columns_matches_evaluate_and_reference(case):
     # rows draw integers, floats, decimals and fractions over 40 denominators,
     # so most batches mix denominators and share a D no single row has; a tiny
     # float puts that D past the bit budget, which sends the batch row by row
     # (x**8 allows 512 bits of D - 1: the example's middle row alone runs the reference)
     circuit, rows = case
+    assume(circuit.input_arity > 0)  # a point column needs a coordinate to carry its rows
     columns, d = scaled_columns(circuit, rows)
-    assert_columns_match(circuit, rows, on_one_scale(circuit, columns, d, len(rows)))
+    assert_columns_match(circuit, rows, call_on_columns(circuit, columns, d))
 
 
-def test_on_one_scale_takes_the_batch_size_from_the_caller():
-    # a circuit with no inputs has no column to read the size from
-    ((nums, den),) = on_one_scale(parse_circuit(CONST_HALF), [], 1, 3)
-    assert [F(v, den) for v in nums] == [F(1, 2)] * 3
+def test_call_brings_point_columns_to_one_denominator():
+    # x over 4 and y over 6 run as one batch over D = 12: max(x*y, x) is over D**2
+    c = parse_circuit(MUL_MAX)
+    x = ScaledColumn(np.array([1, -3, 2], dtype=object), 4)
+    y = ScaledColumn(np.array([5, 1, -6], dtype=object), 6)
+    out = c((x, y))
+    assert out.den == 144
+    rows = [[F(1, 4), F(5, 6)], [F(-3, 4), F(1, 6)], [F(1, 2), F(-1)]]
+    assert [F(v, out.den) for v in out.num] == [c.evaluate1(r) for r in rows]
+    again = c((x,), (y,))
+    assert again.den == out.den and list(again.num) == list(out.num)
 
 
-def test_on_one_scale_falls_back_per_row_past_bit_budget(monkeypatch):
+def test_call_on_point_columns_falls_back_per_row_past_bit_budget(monkeypatch):
     # as in test_evaluate_columns_none_past_bit_budget: D - 1 may have at most 10 bits
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
     calls = []
@@ -494,7 +523,7 @@ def test_on_one_scale_falls_back_per_row_past_bit_budget(monkeypatch):
     c = b.build([b.mul(x, y)])
 
     def run(rows):
-        ((nums, den),) = on_one_scale(c, *scaled_columns(c, rows), len(rows))
+        ((nums, den),) = call_on_columns(c, *scaled_columns(c, rows))
         return list(nums), den
 
     # 997 and 991 each fit alone, their lcm 988027 does not: each row runs on

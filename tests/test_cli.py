@@ -106,6 +106,15 @@ def test_reduce_membership_sidecar(workdir, capsys):
     assert produced.tag == "cls-local"
 
 
+def test_reduce_membership_rejects_half_eps(workdir, capsys):
+    # the membership direction has no eps/2 construction to switch on
+    inst = write(workdir / "banach.txt", instance_to_text(halving_banach()))
+    out = workdir / "target.txt"
+    argv = ["reduce", "--direction", "banach-to-cls-local", "--half-eps", inst, str(out)]
+    assert_input_error(argv, capsys, "--half-eps")
+    assert not out.exists()
+
+
 def test_reduce_hardness_sidecar_constants(workdir):
     src = cls_local_corpus()[0]
     src_text = instance_to_text(src).replace(f"eps {src.eps}", "eps 1")
@@ -471,6 +480,20 @@ def test_power_bound_non_finite_eps_exits_two(workdir, capsys, eps):
     path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
     assert_input_error(["power", path, "bound", "--x0", "0.6,0.8", "--eps", eps], capsys,
                        f"--eps must be finite, got '{eps}'")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "0"], "eps must be positive"),
+    (["--eps", "-1"], "eps must be positive"),
+    (["--predict-c", "2"], "c must lie in (0,1)"),
+    (["--predict-c", "x"], "invalid literal for int()"),
+])
+def test_bip_selfmap_input_error_prints_no_line(workdir, capsys, flags, message):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP)
+    assert main(["bip", path, "--start", "c", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def two_point_selfmap(distance: str) -> str:

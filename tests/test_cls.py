@@ -216,21 +216,21 @@ def test_malformed_inputs_raise_instance_error():
 
 
 def test_accept_verdicts_replay_under_reevaluation():
-    from contraction_kit.library import circuit_fn, l1, sq_l2
+    from contraction_kit.library import sq_l2
 
     inst = banach_halving(c=F(1, 4))
     sol = Solution("Ob", (ORIGIN, E1))
     verdict = verify_banach(inst, sol)
     assert verdict.accepted
-    f = circuit_fn(inst.f)
-    d = circuit_fn(inst.d)
+    f = inst.f
+    d = inst.d
     assert verdict.lhs == d(f(ORIGIN), f(E1))
     assert verdict.rhs == inst.c * d(ORIGIN, E1)
     assert verdict.lhs > verdict.rhs
 
     cm = ContractionMapInstance(scaling_map_circuit(F(1, 2)), F(1, 100), F(1), F(1, 4))
     v2 = verify_contraction_map(cm, Solution("Ob", (ORIGIN, E1)))
-    fcm = circuit_fn(cm.f)
+    fcm = cm.f
     assert v2.lhs == sq_l2(fcm(ORIGIN), fcm(E1))
     assert v2.rhs == cm.c ** 2 * sq_l2(ORIGIN, E1)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import banach_corpus, cls_local_corpus
 from test_golden import solve_instances
-from contraction_kit.circuit import Circuit, CircuitBuilder, InputError
+from contraction_kit.circuit import Circuit, CircuitBuilder, InputError, ScaledColumn
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
 from contraction_kit.gridsearch import (
     CHUNK,
@@ -29,7 +29,6 @@ from contraction_kit.gridsearch import (
     solve_instance,
 )
 from contraction_kit.library import (
-    ScaledColumn,
     affine_contraction_circuit,
     coordinate_potential_circuit,
     l1_distance_circuit,

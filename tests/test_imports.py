@@ -1,11 +1,13 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+module-level function and class of the package is read somewhere in the repository."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "contraction_kit").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO / "src" / "contraction_kit").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,50 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+READERS = sorted(p for folder in ("src", "tests", "perfbench") for p in (REPO / folder).rglob("*.py"))
+
+
+def read_names(source: str) -> set[str]:
+    """The names ``source`` reads: identifiers, attributes, imported names and string constants.
+
+    A string counts whole and by its last dotted part, so ``setattr(cls,
+    "verify_banach", ...)`` and ``"contraction_kit.cli.main"`` both read a name.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update((node.value, node.value.rpartition(".")[2]))
+    return names
+
+
+def unread_definitions(source: str, read: set[str]) -> list[str]:
+    """The module-level functions and classes of ``source`` whose names are not in ``read``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, defs) and node.name not in read
+    ]
+
+
+def test_the_check_sees_an_unread_definition():
+    wrapper = "def orphan_wrapper(c):\n    return c\n\ndef used():\n    pass\n\nclass Kept: pass\n"
+    reader = "from m import used\nsetattr(x, 'Kept', None)\n"
+    assert unread_definitions(wrapper, read_names(reader)) == ["line 1: orphan_wrapper"]
+    # a definition is not a read of itself, nor is a docstring that names it
+    assert "orphan_wrapper" not in read_names(wrapper + '"""Wrap a circuit; see orphan_wrapper."""\n')
+    assert unread_definitions(wrapper, read_names("y.orphan_wrapper\nused()\nKept\n")) == []
+
+
+def test_every_definition_is_read():
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = {p.name: unread_definitions(p.read_text(encoding="utf-8"), read) for p in SOURCES}
+    assert {name: found for name, found in unread.items() if found} == {}

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contraction_kit.library import (
-    circuit_fn,
     discrete_metric_circuit,
     identity_map_circuit,
     l1,
@@ -46,7 +45,7 @@ def test_squared_l2_triangle_violation_with_midpoint():
     # d(0, e1) = 1 exceeds the chain through the midpoint: 1/4 + 1/4
     assert violation.lhs == 1
     assert violation.rhs == F(1, 2)
-    assert violation.replay(circuit_fn(sq_l2_distance_circuit()))
+    assert violation.replay(sq_l2_distance_circuit())
 
 
 def test_squared_l2_passes_without_midpoint():
@@ -145,7 +144,7 @@ def test_contraction_violation_monotone_in_c(c1, c2, raw_pairs):
 def test_violation_replay_reproduces_inequality():
     violation = check_metric_axioms(sq_l2_distance_circuit(), [ORIGIN, E1, MID])
     assert violation is not None
-    assert violation.replay(circuit_fn(sq_l2_distance_circuit()))
+    assert violation.replay(sq_l2_distance_circuit())
 
 
 def test_matrix_checker_accepts_and_rejects():

@@ -22,7 +22,6 @@ from contraction_kit.gridsearch import solve_instance
 from contraction_kit.library import (
     affine_contraction_circuit,
     as_point,
-    circuit_fn,
     constant_potential_circuit,
     coordinate_potential_circuit,
     discrete_metric_circuit,
@@ -321,7 +320,7 @@ def test_constructed_metric_lower_bound_on_samples():
         scaling_map_circuit(F(1, 2)), l1_potential_circuit(HALF, F(1, 3)), F(1, 2), F(1)
     )
     art = reduce_cls_local_to_banach(inst)
-    d = circuit_fn(art.produced.d)
+    d = art.produced.d
     c_prime = art.substitutions["c_prime"]
     rng = random.Random(3)
     for _ in range(64):
@@ -341,14 +340,14 @@ def test_membership_constants_and_potential():
     art = reduce_banach_to_cls_local(inst)
     assert art.substitutions["eps_prime"] == F(1, 8)
     assert art.substitutions["eps_prime"] < inst.eps
-    p = circuit_fn(art.produced.p)
+    p = art.produced.p
     assert p((F(1), F(1), F(1))) == F(3, 2)  # |x - x/2|_1
 
 
 def test_membership_identity_gives_zero_potential():
     inst = BanachInstance(identity_map_circuit(), l1_distance_circuit(), F(1, 4), F(1), F(1, 2))
     art = reduce_banach_to_cls_local(inst)
-    p = circuit_fn(art.produced.p)
+    p = art.produced.p
     assert p((F(1, 3), F(2, 3), F(1))) == 0
     assert verify(art.produced, Solution("CO1", (HALF,)))
 
@@ -521,8 +520,8 @@ def test_contraction_transfer_for_exact_eps_drops():
                       b.add(xs[1], zero), b.add(xs[2], zero)])
     inst = CLSLocalInstance(f_circ, coordinate_potential_circuit(), eps, F(1))
     art = reduce_cls_local_to_banach(inst)
-    d = circuit_fn(art.produced.d)
-    f = circuit_fn(f_circ)
+    d = art.produced.d
+    f = f_circ
     c_prime = art.substitutions["c_prime"]
     rng = random.Random(5)
     for _ in range(50):
@@ -541,7 +540,7 @@ def test_contraction_transfer_fails_when_potential_overshoots():
         coordinate_potential_circuit(), eps, F(1),
     )
     art = reduce_cls_local_to_banach(inst)
-    d = circuit_fn(art.produced.d)
+    d = art.produced.d
     c_prime = art.substitutions["c_prime"]
     x = (F(3, 5), F(0), F(0))   # potential 1.2*eps, dropping to 0 in one step
     y = (F(3, 5), F(1), F(0))
@@ -561,7 +560,7 @@ def test_certify_constant_potential_is_scaled_discrete():
     ]
     report = certify_constructed_metric(art, triples)
     assert report.all_pass
-    d = circuit_fn(art.produced.d)
+    d = art.produced.d
     value = d(ORIGIN, E1)
     assert value == d(E1, (F(0), F(1), F(0)))  # constant off the diagonal
 
@@ -581,9 +580,9 @@ def test_certify_reports_both_triangle_cases():
 
 
 def certify_pairwise(artifacts, triples):
-    """certify_constructed_metric as one circuit_fn call per pair and per point."""
-    d = circuit_fn(artifacts.produced.d)
-    p = circuit_fn(artifacts.source.p)
+    """certify_constructed_metric as one circuit call per pair and per point."""
+    d = artifacts.produced.d
+    p = artifacts.source.p
     c_prime = artifacts.substitutions["c_prime"]
     report = MetricCertification()
     for raw in triples:
