@@ -53,7 +53,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -134,17 +134,24 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(parse_number(int, text))
 
 
-def format_fraction(q: Fraction) -> str:
-    """Render a rational as ``num/den`` (integers as ``num/1``-free form).
+def format_ratio(num: int, den: int) -> str:
+    """Render ``num / den`` (den > 0) in lowest terms as ``num/den``, or ``num`` when whole.
 
     Raises InputError when a part has more digits than ``sys.get_int_max_str_digits()``.
     """
+    g = gcd(num, den)
+    num, den = num // g, den // g
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        if den == 1:
+            return str(num)
+        return f"{num}/{den}"
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def format_fraction(q: Fraction) -> str:
+    """Render a rational as ``format_ratio`` does its numerator and denominator."""
+    return format_ratio(q.numerator, q.denominator)
 
 
 class Gate(NamedTuple):

@@ -238,8 +238,10 @@ def _bip_on_circuit(args, text: str, input_line: str) -> int:
         dist, target = inst.d, eps
     else:
         dist, target = l1, eps
-    x0 = as_point([parse_fraction(t) for t in args.x0.split(",")])
-    trace = iteration.run_bip(inst.f, x0, dist, target, args.max_iters)
+    x0_text = "1,1,1" if args.x0 is None else args.x0
+    x0 = as_point([parse_fraction(t) for t in x0_text.split(",")])
+    max_iters = 1000 if args.max_iters is None else args.max_iters
+    trace = iteration.run_bip(inst.f, x0, dist, target, max_iters)
     if args.csv:
         Path(args.csv).write_text(trace.to_csv(), encoding="utf-8")
     print(input_line)
@@ -253,11 +255,12 @@ def _bip_on_selfmap(args, text: str, input_line: str) -> int:
     """Every line is computed before the first is printed, so an input error prints none."""
     m = converse.parse_selfmap(text)
     eps = parse_fraction(args.eps)
-    if args.start not in m.labels:
-        raise converse.SelfMapError(f"unknown start label {args.start!r}")
+    label = args.start or ""
+    if label not in m.labels:
+        raise converse.SelfMapError(f"unknown start label {label!r}")
     if eps <= 0:
         raise InputError("eps must be positive")
-    start = m.labels.index(args.start)
+    start = m.labels.index(label)
     orbit = m.orbit(start)
     realized = next(
         (t for t, idx in enumerate(orbit) if m.d(idx, m.fixed_point) <= eps), len(orbit) - 1
@@ -282,8 +285,13 @@ def _bip_on_selfmap(args, text: str, input_line: str) -> int:
 def cmd_bip(args) -> int:
     text, input_line = _read(args.instance)
     if next(iter(content_lines(text)), "").startswith("points"):
-        return _bip_on_selfmap(args, text, input_line)
-    return _bip_on_circuit(args, text, input_line)
+        run, other, flags = _bip_on_selfmap, "circuit instances", ("x0", "csv", "max_iters")
+    else:
+        run, other, flags = _bip_on_circuit, "self-map files", ("start", "predict_c")
+    for dest in flags:  # every bip flag but --eps defaults to None
+        if getattr(args, dest) is not None:
+            raise InputError(f"--{dest.replace('_', '-')} applies only to {other}")
+    return run(args, text, input_line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bip", help="run the basic iterative procedure")
     p.add_argument("instance", help="circuit instance file or finite self-map file")
-    p.add_argument("--x0", default="1,1,1", help="start point for circuit instances")
-    p.add_argument("--start", default="", help="start label for self-map files")
+    p.add_argument("--x0", help="start point for circuit instances")
+    p.add_argument("--start", help="start label for self-map files")
     p.add_argument("--eps", default="1/8")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--predict-c", default="",
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--predict-c",
                    help="also print global iteration budgets at this c (self-map files)")
     p.add_argument("--csv", help="write the trace as CSV")
     p.set_defaults(fn=cmd_bip)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import content_lines, format_fraction, parse_fraction, parse_number
+from .circuit import content_lines, format_fraction, format_ratio, parse_fraction, parse_number
 from .metrics import (
     _describe_first_failure,
     check_metric_matrix,
@@ -360,9 +360,10 @@ class SynthesizedMetric:
         ]
         for name, (d, scale) in zip(("d_M", "rho_c", "d_c"), self.scaled):
             lines.append(f"matrix {name}:")
-            rows = d.tolist()
-            text = {v: format_fraction(Fraction(v, scale)) for v in set().union(*rows)}
-            lines.extend("  " + " ".join(text[v] for v in row) for row in rows)
+            values, inverse = np.unique(d, return_inverse=True)
+            texts = np.array([format_ratio(v, scale) for v in values.tolist()], dtype=object)
+            rows = texts[inverse.reshape(d.shape)].tolist()
+            lines.extend("  " + " ".join(row) for row in rows)
         lines.append("certificate:")
         for entry in self.certificate:
             status = "PASS" if entry.ok else "FAIL"

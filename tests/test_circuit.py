@@ -16,6 +16,8 @@ from contraction_kit.circuit import (
     CircuitParseError,
     ScaledColumn,
     build_power_circuit,
+    format_fraction,
+    format_ratio,
     parse_circuit,
     parse_fraction,
 )
@@ -253,6 +255,14 @@ def test_power_circuit_argument_validation():
 def test_parse_fraction_roundtrip(num, den):
     q = F(num, den)
     assert parse_fraction(f"{q.numerator}/{q.denominator}") == q
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(1, 2**80))
+@settings(max_examples=60, deadline=None)
+def test_format_ratio_writes_the_ratio_in_lowest_terms(num, den):
+    q = F(num, den)
+    want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert format_ratio(num, den) == format_fraction(q) == want
 
 
 @given(

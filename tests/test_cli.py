@@ -211,6 +211,39 @@ def test_bip_selfmap_with_prediction(workdir, capsys):
     assert "predicted_sound" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--start", "a", "--x0", "garbage", "--csv", "t.csv", "--max-iters", "0"],
+     "--x0 applies only to circuit instances"),
+    (["--start", "a", "--csv", "t.csv"], "--csv applies only to circuit instances"),
+    (["--start", "a", "--max-iters", "5"], "--max-iters applies only to circuit instances"),
+    (["--start", "a", "--x0", "1,1,1"], "--x0 applies only to circuit instances"),
+])
+def test_bip_selfmap_refuses_circuit_flags(workdir, capsys, flags, message):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP)
+    assert main(["bip", path, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (workdir / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--predict-c", "1/2", "--start", "zz"], "--start applies only to self-map files"),
+    (["--predict-c", "1/2"], "--predict-c applies only to self-map files"),
+    (["--start", "a", "--csv", "t.csv"], "--start applies only to self-map files"),
+    (["--predict-c", ""], "--predict-c applies only to self-map files"),
+])
+def test_bip_circuit_refuses_selfmap_flags(workdir, capsys, flags, message):
+    inst = write(workdir / "inst.txt", instance_to_text(halving_banach()))
+    assert main(["bip", inst, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (workdir / "t.csv").exists()
+
+
+def test_bip_selfmap_without_start_names_the_empty_label(workdir, capsys):
+    path = write(workdir / "m.txt", CHAIN_SELFMAP)
+    assert main(["bip", path]) == 2
+    assert capsys.readouterr() == ("", "error: unknown start label ''\n")
+
+
 def test_power_bound_and_counterexample(workdir, capsys):
     path = write(workdir / "m.txt", "2\n2.0 0.0\n0.0 1.0\n")
     x0 = "0.4472135954999579,0.8944271909999159"

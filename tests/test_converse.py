@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_selfmap
+from contraction_kit.circuit import InputError, format_fraction
+from contraction_kit.cli import main
 from contraction_kit.converse import (
     FiniteSelfMap,
     SelfMapError,
@@ -302,6 +306,54 @@ def test_fraction_matrices_are_lazy_views_of_scaled():
     for k, name in enumerate(names):
         assert getattr(s, name) == scaled_to_fractions(*s.scaled[k])
         assert name in vars(s)
+
+
+@pytest.mark.parametrize("big", [F(1), F(2**70, 3)])  # 2^70/3 leaves int64
+@pytest.mark.parametrize("c", [F(1, 4), F(1, 2), F(9, 10), F(999, 1000), F(1, 1000)])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+def test_report_matrices_match_format_fraction(n, c, big):
+    m = random_selfmap(random.Random(n), n)
+    if big != 1:
+        d = [[v * big for v in row] for row in m.base_distance]
+        m = FiniteSelfMap(m.labels, m.coords, d, m.map, m.fixed_point)
+    s = synthesize(m, c, F(4) * big)  # eps = 4 puts more than x* in W from n = 2
+    lines = s.report_text().splitlines()
+    views = copy.copy(s)  # the Fraction views are read on a copy: s stays unconverted
+    for name, attr in (("d_M", "d_m"), ("rho_c", "rho"), ("d_c", "d_c")):
+        at = lines.index(f"matrix {name}:") + 1
+        want = ["  " + " ".join(map(format_fraction, row)) for row in getattr(views, attr)]
+        assert lines[at : at + n] == want
+    assert not {"d_m", "rho", "d_c"} & set(vars(s))
+    if big != 1 and n > 1:  # a one-point matrix is [[0]], which fits int64
+        assert all(d.dtype == object for d, _ in s.scaled)
+
+
+INT_LIMIT = ("Exceeds the limit (640 digits) for integer string conversion; "
+             "use sys.set_int_max_str_digits() to increase the limit")
+NEAR_ONE = F(10**50 - 1, 10**50)
+
+
+@pytest.fixture
+def int_digits_640():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_report_past_the_digit_limit_is_an_input_error(int_digits_640):
+    # levels run to 14 on a 16-point chain, so rho_c has denominators 10^700
+    s = synthesize(chain_selfmap((1,) * 15), NEAR_ONE, F(100))
+    with pytest.raises(InputError) as exc:
+        s.report_text()
+    assert str(exc.value) == INT_LIMIT
+
+
+def test_synthesize_past_the_digit_limit_exits_two(int_digits_640, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(chain_selfmap((1,) * 15).to_text(), encoding="utf-8")
+    assert main(["synthesize", str(path), f"{NEAR_ONE}", "100"]) == 2
+    assert capsys.readouterr() == ("", f"error: {INT_LIMIT}\n")
 
 
 def test_two_fixed_points_rejected_at_load():
