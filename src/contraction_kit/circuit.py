@@ -369,13 +369,6 @@ class Circuit:
                 values[node_id] = _OP_FUNCS[gate.kind](values[gate.args[0]], values[gate.args[1]])
         return [values[out] for out in self.outputs]
 
-    def evaluate1(self, inputs: Sequence[Fraction]) -> Fraction:
-        """Evaluate a single-output circuit and return the scalar."""
-        out = self.evaluate(inputs)
-        if len(out) != 1:
-            raise CircuitError(f"expected one output, circuit has {len(out)}")
-        return out[0]
-
     def to_text(self) -> str:
         lines = []
         for node_id in self._order:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     best: list[int] = [fp]
     for r in sorted(set(base[fp].tolist())):
         ball = np.flatnonzero(base[fp] <= r)
-        if near[np.ix_(ball, ball)].all():
+        if near[ball[:, None], ball].all():
             best = ball.tolist()
         else:
             break
@@ -206,7 +206,8 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     # an orbit shorter than k ends at x*, which U holds
     w = [x for x in range(m.size) if u_set.issuperset(m.orbit(x)[:k])]
     w_set = set(w)
-    if fp not in w_set or not image(w_set) <= w_set or not near[np.ix_(w, w)].all():
+    w_idx = np.array(w)
+    if fp not in w_set or not image(w_set) <= w_set or not near[w_idx[:, None], w_idx].all():
         return [fp]  # cannot happen on valid instances; singleton always qualifies
     return sorted(w)
 
@@ -223,7 +224,7 @@ def compute_orbit_metric(m: FiniteSelfMap) -> Scaled:
     d_m = base.copy()
     while (at != m.fixed_point).any():
         at = fmap[at]
-        np.maximum(d_m, base[np.ix_(at, at)], out=d_m)
+        np.maximum(d_m, base[at[:, None], at], out=d_m)
     return d_m, scale
 
 
@@ -372,6 +373,13 @@ class SynthesizedMetric:
         return "\n".join(lines) + "\n"
 
 
+def _first_hit(mask: np.ndarray, detail: Callable[..., str]) -> str | None:
+    """``detail`` of the row-major first True index of ``mask``, ``np.argwhere(mask)[0]``, or None."""
+    if not mask.any():
+        return None
+    return detail(*(int(i) for i in np.unravel_index(mask.argmax(), mask.shape)))
+
+
 def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: Scaled):
     """Exhaustive synthesis certificate; every entry must pass on valid inputs.
 
@@ -401,28 +409,24 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     def at(x, i, j):  # an entry of D, DM or DC as a Fraction, to word a failure
         return Fraction(int(x[i, j]), s)
 
-    def first(mask, detail):
-        hits = np.argwhere(mask)
-        return detail(*map(int, hits[0])) if len(hits) else None
-
     failures = [
-        ("d_M dominates d", first(
+        ("d_M dominates d", _first_hit(
             D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={at(DM, i, j)}")),
-        ("f non-expanding under d_M", first(
-            DM[np.ix_(f, f)] > DM, lambda i, j: f"pair ({i},{j})")),
+        ("f non-expanding under d_M", _first_hit(
+            DM[f[:, None], f] > DM, lambda i, j: f"pair ({i},{j})")),
         ("d_c metric axioms",
          None if closed else _describe_first_failure(scaled_to_fractions(*d_c))),
-        ("c-contraction of d_c", first(
-            q * DC[np.ix_(f, f)] > p * DC,
+        ("c-contraction of d_c", _first_hit(
+            q * DC[f[:, None], f] > p * DC,
             lambda i, j: f"pair ({i},{j}): {at(DC, f[i], f[j])} > c*{at(DC, i, j)}")),
-        ("small d_c implies base proximity", first(
+        ("small d_c implies base proximity", _first_hit(
             small & far & far[fp][:, None] & far[fp][None, :], lambda i, j: f"pair ({i},{j})")),
         # fixed-point form of the proximity transfer; this converts a d_c bound
         # at x* into a base-metric bound, which the global iteration budget needs
-        ("small d_c at the fixed point implies base proximity", first(
+        ("small d_c at the fixed point implies base proximity", _first_hit(
             small[:, fp] & far[:, fp],
             lambda i: f"point {i}: d_c={at(DC, i, fp)} <= eps but d={m.d(i, fp)} > 2*eps")),
-        ("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", first(
+        ("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", _first_hit(
             outside[:, None] & outside[None, :] & ~np.eye(n, dtype=bool)
             & (DC < np.minimum(DM, d_to_k0[:, None])),
             lambda i, j: f"pair ({i},{j})")),

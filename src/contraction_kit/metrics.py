@@ -251,9 +251,14 @@ def semimetric_failure(d: np.ndarray) -> str | None:
 
     A semimetric meets every metric axiom but the triangle inequality.  The scan runs
     row by row: the diagonal entry, then each column, symmetry before positivity.
+    Only a failing matrix runs that scan.
     """
-    codes = _semimetric_codes(d, ~np.eye(len(d), dtype=bool)).ravel()
-    return _SEMIMETRIC_FAILURES[codes[(codes != 0).argmax()]] if len(codes) else None
+    n = len(d)
+    # with a zero diagonal, n * (n - 1) positive entries are the whole off-diagonal part
+    if not d.diagonal().any() and np.count_nonzero(d > 0) == n * (n - 1) and (d == d.T).all():
+        return None
+    codes = _semimetric_codes(d, ~np.eye(n, dtype=bool)).ravel()
+    return _SEMIMETRIC_FAILURES[codes[(codes != 0).argmax()]]
 
 
 def metric_failure_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:

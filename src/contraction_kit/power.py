@@ -341,7 +341,7 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 turn[0, 1] = -s
                 turn[1, 0] = s
                 view = stack[p:q + 1:q - p]
-                np.matmul(turn, view, out=rows_pq)
+                np.dot(turn, view, out=rows_pq)
                 view[...] = rows_pq
                 if columns is not None:
                     if _has_negative_zero(rows_pq):
@@ -351,7 +351,7 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 rot[p, p] = rot[q, q] = c
                 rot[p, q] = s
                 rot[q, p] = -s
-                np.matmul(stack, rot, out=spare)
+                np.dot(stack, rot, out=spare)
                 rot[p, p] = rot[q, q] = 1.0
                 rot[p, q] = rot[q, p] = 0.0
                 if columns is not None and not columns.learn(stack, spare, p, q, c, s):

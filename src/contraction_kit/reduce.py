@@ -453,9 +453,10 @@ def certify_constructed_metric(
     if offdiag.size:
         report.min_offdiag = Fraction(int(offdiag.min()), d_den)
     below = distinct & (dist * c_prime.denominator < c_prime.numerator * d_den)
-    for k, i, j in np.argwhere(below):
-        u, v, val = points[k][i], points[k][j], Fraction(dist[k, i, j], d_den)
-        report.lower_bound_failures.append(f"d({u},{v}) = {val} < c' = {c_prime}")
+    if below.any():
+        for k, i, j in zip(*np.nonzero(below)):
+            u, v, val = points[k][i], points[k][j], Fraction(dist[k, i, j], d_den)
+            report.lower_bound_failures.append(f"d({u},{v}) = {val} < c' = {c_prime}")
 
     rows = np.arange(n)
     x = np.where(pot[:, 0] < pot[:, 1], 1, 0)  # x, y = 0, 1 ordered so that p(x) >= p(y)

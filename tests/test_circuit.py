@@ -54,19 +54,19 @@ def test_const_circuit():
 
 def test_doubler():
     c = parse_circuit(DOUBLER)
-    assert c.evaluate1([F(3, 7)]) == F(6, 7)
+    assert c([F(3, 7)]) == F(6, 7)
 
 
 def test_gt_semantics():
     c = parse_circuit(GT)
-    assert c.evaluate1([F(1, 3), F(1, 2)]) == 0
-    assert c.evaluate1([F(1, 2), F(1, 3)]) == 1
-    assert c.evaluate1([F(1, 2), F(1, 2)]) == 0
+    assert c([F(1, 3), F(1, 2)]) == 0
+    assert c([F(1, 2), F(1, 3)]) == 1
+    assert c([F(1, 2), F(1, 2)]) == 0
 
 
 def test_mul_then_max():
     c = parse_circuit(MUL_MAX)
-    assert c.evaluate1([F(1, 2), F(1, 3)]) == F(1, 2)
+    assert c([F(1, 2), F(1, 3)]) == F(1, 2)
 
 
 def test_forward_reference_rejected():
@@ -223,17 +223,17 @@ def naive_power(c: F, e: int) -> F:
 
 def test_power_circuit_simple_values():
     c = build_power_circuit(F(1, 2), 8)
-    assert c.evaluate1([F(3)]) == F(1, 8)
+    assert c([F(3)]) == F(1, 8)
     c910 = build_power_circuit(F(9, 10), 16)
-    assert c910.evaluate1([F(0)]) == 1
-    assert c910.evaluate1([F(10)]) == F(3486784401, 10000000000)
+    assert c910([F(0)]) == 1
+    assert c910([F(10)]) == F(3486784401, 10000000000)
 
 
 @pytest.mark.parametrize("c", [F(1, 2), F(9, 10)])
 def test_power_circuit_matches_naive_loop(c):
     circ = build_power_circuit(c, 20)
     for e in range(21):
-        assert circ.evaluate1([F(e)]) == naive_power(c, e)
+        assert circ([F(e)]) == naive_power(c, e)
 
 
 def test_power_circuit_gate_count_logarithmic():
@@ -507,7 +507,7 @@ def test_call_brings_point_columns_to_one_denominator():
     out = c((x, y))
     assert out.den == 144
     rows = [[F(1, 4), F(5, 6)], [F(-3, 4), F(1, 6)], [F(1, 2), F(-1)]]
-    assert [F(v, out.den) for v in out.num] == [c.evaluate1(r) for r in rows]
+    assert [F(v, out.den) for v in out.num] == [c(r) for r in rows]
     again = c((x,), (y,))
     assert again.den == out.den and list(again.num) == list(out.num)
 

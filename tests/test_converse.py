@@ -19,6 +19,7 @@ from contraction_kit.converse import (
     SelfMapError,
     _certify,
     _compute_rho_reference,
+    _first_hit,
     _geodesic_closure_reference,
     compute_levels,
     compute_orbit_metric,
@@ -477,6 +478,18 @@ def test_certificate_failures_match_pins():
     assert got == pins
     failing = {name for case in pins for name, ok, _ in case if not ok}
     assert failing == {name for name, _, _ in pins[0]}  # every entry fails somewhere
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_first_hit_is_the_first_argwhere_row(shape, data):
+    cells = math.prod(shape)
+    # sparse masks put the first hit anywhere, including past the first row
+    bits = data.draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells))
+    mask = np.array([b == 0 for b in bits], dtype=bool).reshape(shape)
+    hits = np.argwhere(mask)
+    expected = tuple(int(i) for i in hits[0]) if len(hits) else None
+    assert _first_hit(mask, lambda *index: index) == expected
 
 
 @pytest.mark.parametrize("entries, message", [

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and every
-module-level function and class of the package is read somewhere in the repository."""
+"""Every name a module of the package imports is used in that module, every
+module-level function and class of the package is read somewhere in the repository,
+and no module of the package calls ``np.ix_`` or ``np.argwhere``."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,33 @@ def test_every_definition_is_read():
     read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
     unread = {p.name: unread_definitions(p.read_text(encoding="utf-8"), read) for p in SOURCES}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+# np.ix_(a, b) is x[a[:, None], b] through a dtype check and a reshape per axis,
+# and np.argwhere builds every hit where a caller wants the first or none
+SLOW_HELPERS = {"ix_", "argwhere"}
+
+
+def slow_helper_calls(source: str) -> list[str]:
+    """The calls of ``np.ix_`` or ``np.argwhere`` in ``source``."""
+    return [
+        f"line {node.lineno}: np.{node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.func.attr in SLOW_HELPERS
+    ]
+
+
+def test_the_check_sees_a_slow_helper_call():
+    source = "import numpy as np\nx[np.ix_(a, a)]\nnp.argwhere(m)[0]\nx[a[:, None], a]\n"
+    assert slow_helper_calls(source) == ["line 2: np.ix_", "line 3: np.argwhere"]
+    # a docstring or comment that names a helper is no call of it
+    assert slow_helper_calls('"""As np.argwhere(mask)[0] gives it."""\n# np.ix_(a, b)\n') == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_slow_helper_calls(path):
+    assert slow_helper_calls(path.read_text(encoding="utf-8")) == []

@@ -221,19 +221,25 @@ def semimetric_scan(rho):
     return None
 
 
-@given(st.integers(1, 6), st.sampled_from(["raw", "symmetric"]), st.booleans(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_semimetric_failure_matches_entry_scan(n, shape, huge, data):
+@given(st.integers(1, 6), st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_semimetric_failure_matches_entry_scan(n, zero_diagonal, positive, symmetric, huge, data):
+    # each semimetric property can be forced on the drawn matrix; with all three nothing fails
     entries = data.draw(st.lists(st.integers(-1, 3), min_size=n * n, max_size=n * n))
     rho = [[F(v, 2) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
-    if shape == "symmetric":  # zero diagonal and symmetric, so only positivity can fail
-        for i in range(n):
+    for i in range(n):
+        if zero_diagonal:
             rho[i][i] = F(0)
+        if positive:
+            rho[i] = [v if j == i else abs(v) + F(1, 2) for j, v in enumerate(rho[i])]
+    if symmetric:
+        for i in range(n):
             for j in range(i):
                 rho[j][i] = rho[i][j]
     if huge:
         rho = [[v * 2**64 for v in r] for r in rho]
     expected = semimetric_scan(rho)
+    assert expected is None or not (zero_diagonal and positive and symmetric)
     ints, _ = scale_to_integers(rho)
     assert ints.dtype == (object if huge and any(map(any, rho)) else np.int64)
     assert semimetric_failure(ints) == expected

@@ -73,8 +73,8 @@ def test_interpolation_circuit_matches_reference():
     circ = build_interpolation_circuit(c, 10)
     for num in range(0, 101, 7):
         w = -F(num, 10)
-        assert circ.evaluate1([w]) == smooth_interpolation(w, c)
-    assert circ.evaluate1([F(-3, 2)]) == F(19, 18)
+        assert circ([w]) == smooth_interpolation(w, c)
+    assert circ([F(-3, 2)]) == F(19, 18)
 
 
 @given(st.fractions(min_value=-10, max_value=0, max_denominator=64),
@@ -110,7 +110,7 @@ def test_interpolation_circuit_equals_reference_on_its_range(data, max_abs, c):
     # the peeled remainder is the mixing weight t = ceil(w) - w at every w in range
     w = data.draw(st.fractions(min_value=-max_abs, max_value=0, max_denominator=64))
     circ = build_interpolation_circuit(c, max_abs)
-    assert circ.evaluate1([w]) == smooth_interpolation(w, c)
+    assert circ([w]) == smooth_interpolation(w, c)
 
 
 def test_interpolation_circuit_rejects_bad_args():
@@ -125,12 +125,12 @@ def test_interpolation_circuit_rejects_bad_args():
 
 def test_kappa_constant_zero_potential():
     circ = build_kappa_circuit(constant_potential_circuit(0), F(1, 2))
-    assert circ.evaluate1([F(1, 3)] * 6) == 0
+    assert circ([F(1, 3)] * 6) == 0
 
 
 def test_kappa_coordinate_example():
     circ = build_kappa_circuit(coordinate_potential_circuit(), F(1, 2))
-    assert circ.evaluate1(list(E1) + [F(1, 2), F(0), F(0)]) == -2
+    assert circ(E1, (F(1, 2), F(0), F(0))) == -2
 
 
 @given(st.tuples(*[st.fractions(min_value=0, max_value=1, max_denominator=8)] * 3),
@@ -138,14 +138,14 @@ def test_kappa_coordinate_example():
 @settings(max_examples=40, deadline=None)
 def test_kappa_symmetric(x, y):
     circ = build_kappa_circuit(l1_potential_circuit(HALF, F(1, 3)), F(1, 2))
-    assert circ.evaluate1(list(x) + list(y)) == circ.evaluate1(list(y) + list(x))
+    assert circ(x, y) == circ(y, x)
 
 
 def test_metric_circuit_zero_on_diagonal_and_one_at_zero_potential():
     d = build_interpolated_metric_circuit(constant_potential_circuit(0), F(1, 2), F(9, 10))
     x = (F(1, 3), F(0), F(1))
-    assert d.evaluate1(list(x) + list(x)) == 0
-    assert d.evaluate1(list(x) + list(ORIGIN)) == 1
+    assert d(x, x) == 0
+    assert d(x, ORIGIN) == 1
 
 
 def test_metric_circuit_integer_kappa_example():
@@ -153,7 +153,7 @@ def test_metric_circuit_integer_kappa_example():
     d = build_interpolated_metric_circuit(coordinate_potential_circuit(), F(1, 4), F(9, 10))
     x = (F(3, 8), F(0), F(0))
     y = (F(1, 2), F(0), F(0))
-    assert d.evaluate1(list(x) + list(y)) == F(100, 81)
+    assert d(x, y) == F(100, 81)
 
 
 def test_metric_circuit_gate_count_logarithmic_in_inv_eps():
