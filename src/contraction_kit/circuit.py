@@ -61,20 +61,13 @@ import numpy as np
 BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
 T = TypeVar("T")
 
-_OP_FUNCS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "max": lambda a, b: a if a >= b else b,
-    "min": lambda a, b: a if a <= b else b,
-    "gt": lambda a, b: Fraction(1) if a > b else Fraction(0),
-}
-
 # Largest static denominator K*D**e, in bits, that the integer path carries;
 # a call that would pass it at any node runs the Fraction interpreter.
 DEN_BIT_BUDGET = 4096
 
-_INT_OPS: dict[str, Callable[[int, int], int]] = {
+# one exact op per gate kind, on Python ints and Fractions alike: the integer
+# program runs it on scaled numerators, the Fraction interpreter on values
+_SCALAR_OPS: dict[str, Callable] = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
@@ -366,8 +359,8 @@ class Circuit:
             elif gate.kind == "const":
                 values[node_id] = gate.value
             else:
-                values[node_id] = _OP_FUNCS[gate.kind](values[gate.args[0]], values[gate.args[1]])
-        return [values[out] for out in self.outputs]
+                values[node_id] = _SCALAR_OPS[gate.kind](values[gate.args[0]], values[gate.args[1]])
+        return [Fraction(values[out]) for out in self.outputs]
 
     def to_text(self) -> str:
         lines = []
@@ -432,7 +425,7 @@ class _Program:
             if kind == "gt":
                 k, e = 1, 0
             node[node_id] = (slot, k, e)
-            self.steps.append((_INT_OPS[kind], a, sa, b, sb))
+            self.steps.append((_SCALAR_OPS[kind], a, sa, b, sb))
         self.column_ops = [_COLUMN_OPS[kind] for _, kind, _ in gates]
         self.scales = list(scale_index)
         self.outputs = [node[out] for out in circuit.outputs]

@@ -131,10 +131,7 @@ def cmd_solve(args) -> int:
     if sol is None:
         print("no solution found on the grid", file=sys.stderr)
         return 1
-    text = sol.to_text()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    _emit(sol.to_text(), args.out)
     return 0
 
 

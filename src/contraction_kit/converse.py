@@ -68,6 +68,8 @@ class FiniteSelfMap:
     base_distance: tuple[tuple[Fraction, ...], ...]
     map: tuple[int, ...]
     fixed_point: int
+    # iterates[t] is f^[t] of every point, for t up to the first row that is all x*
+    iterates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("labels", "map"):
@@ -89,28 +91,28 @@ class FiniteSelfMap:
             raise SelfMapError(f"fixed point index {self.fixed_point} out of range")
         if self.map[self.fixed_point] != self.fixed_point:
             raise SelfMapError("declared fixed point is not fixed")
-        for i in range(n):
-            if i != self.fixed_point and self.map[i] == i:
-                raise SelfMapError(f"second fixed point at index {i}")
-        for i in range(n):
-            x = i
-            for _ in range(n):
-                if x == self.fixed_point:
-                    break
-                x = self.map[x]
-            if x != self.fixed_point:
-                raise SelfMapError(f"orbit of index {i} does not reach the fixed point")
+        fmap, rows = np.array(self.map), [np.arange(n)]
+        fixed = np.flatnonzero(fmap == rows[0])
+        if len(fixed) > 1:
+            raise SelfMapError(f"second fixed point at index {fixed[fixed != self.fixed_point][0]}")
+        # an orbit that reaches x* does so within n - 1 steps
+        while len(rows) < n and (rows[-1] != self.fixed_point).any():
+            rows.append(fmap[rows[-1]])
+        stuck = rows[-1] != self.fixed_point
+        if stuck.any():
+            raise SelfMapError(f"orbit of index {stuck.argmax()} does not reach the fixed point")
+        table = np.array(rows)
+        table.flags.writeable = False
+        object.__setattr__(self, "iterates", table)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def orbit(self, i: int) -> list[int]:
-        """Indices i, f(i), ..., ending at the fixed point."""
-        out = [i]
-        while out[-1] != self.fixed_point:
-            out.append(self.map[out[-1]])
-        return out
+        """Indices i, f(i), ..., ending at the fixed point: column i of ``iterates``, cut at x*."""
+        column = self.iterates[:, i]
+        return column[: (column == self.fixed_point).argmax() + 1].tolist()
 
     def d(self, i: int, j: int) -> Fraction:
         return self.base_distance[i][j]
@@ -193,37 +195,27 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
             best = ball.tolist()
         else:
             break
-    u_set = set(best)
-
-    def image(s: set[int]) -> set[int]:
-        return {m.map[x] for x in s}
-
-    k = 1
-    img = image(u_set)
-    while not img <= u_set:
-        img = image(img)
-        k += 1
-    # an orbit shorter than k ends at x*, which U holds
-    w = [x for x in range(m.size) if u_set.issuperset(m.orbit(x)[:k])]
-    w_set = set(w)
-    w_idx = np.array(w)
-    if fp not in w_set or not image(w_set) <= w_set or not near[w_idx[:, None], w_idx].all():
+    in_u = np.zeros(m.size, dtype=bool)
+    in_u[best] = True
+    it = m.iterates
+    # the first t >= 1 with f^[t](U) inside U; past the table's end every row is x*, in U
+    k = next((t for t in range(1, len(it)) if in_u[it[t, in_u]].all()), len(it))
+    in_w = in_u[it[:k]].all(axis=0)
+    w = np.flatnonzero(in_w)
+    if not in_w[fp] or not in_w[np.array(m.map)[w]].all() or not near[w[:, None], w].all():
         return [fp]  # cannot happen on valid instances; singleton always qualifies
-    return sorted(w)
+    return w.tolist()
 
 
 def compute_orbit_metric(m: FiniteSelfMap) -> Scaled:
     """d_M(x,y) = max over t >= 0 of d(f^[t](x), f^[t](y)), on the base metric's scale.
 
-    Runs on the base metric scaled to integers.  ``at`` holds f^[t] of every
-    point; f fixes x* and every orbit reaches it, so t stops once all have.
+    A running max over the rows of ``iterates``, on the base metric scaled to
+    integers; every row past the table's end is x*, where d is 0.
     """
     base, scale = m.scaled_distance
-    fmap = np.array(m.map)
-    at = np.arange(m.size)
     d_m = base.copy()
-    while (at != m.fixed_point).any():
-        at = fmap[at]
+    for at in m.iterates[1:]:
         np.maximum(d_m, base[at[:, None], at], out=d_m)
     return d_m, scale
 
@@ -232,21 +224,18 @@ def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], lis
     """Level n(x) of each point and the nested image sets K_t of W.
 
     n(x*) is +inf; for x in K_0 \\ {x*} it is the deepest K_t containing x;
-    for x outside K_0 it is minus the number of steps to enter K_0.
+    for x outside K_0 it is minus the number of steps to enter K_0.  K_t is
+    f^[t](W), read from the rows of ``iterates`` up to the first that maps W to x*.
     """
-    fp = m.fixed_point
-    k_sets: list[set[int]] = [set(w)]
-    while k_sets[-1] != {fp}:
-        k_sets.append({m.map[x] for x in k_sets[-1]})
-    levels: list[float] = [0.0] * m.size
-    for x in range(m.size):
-        if x == fp:
-            levels[x] = math.inf
-        elif x in k_sets[0]:
-            levels[x] = max(t for t, ks in enumerate(k_sets) if x in ks)
-        else:
-            levels[x] = -next(t for t, y in enumerate(m.orbit(x)) if y in k_sets[0])
-    return levels, [sorted(ks) for ks in k_sets]
+    fp, it = m.fixed_point, m.iterates
+    images = it[:, w]
+    t_end = (images == fp).all(axis=1).argmax() + 1
+    in_k = np.zeros((t_end, m.size), dtype=bool)
+    in_k[np.arange(t_end)[:, None], images[:t_end]] = True
+    # the K_t are nested, since f(W) lies in W, so x lies in K_0 .. K_n(x)
+    levels = np.where(in_k[0], in_k.sum(axis=0) - 1, -in_k[0][it].argmax(axis=0)).tolist()
+    levels[fp] = math.inf
+    return levels, [np.flatnonzero(row).tolist() for row in in_k]
 
 
 def compute_rho(d_m: Scaled, levels: Sequence[float], c: Fraction) -> Scaled:

@@ -170,6 +170,3 @@ def _least_steps(lo: int, hi: int, d0: Fraction, c: Fraction, eps: Fraction) -> 
     return hi
 
 
-# The earlier name of the same budget, kept for callers that use it.
-predict_iterations_sound = predict_iterations
-

@@ -4,8 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Criterion 5 checks that the global iteration budget of predict_iterations,
 the least n with c^n*d0/(1-c) <= eps/2, is never below the steps a start
 actually needs; any counterexamples are dumped to
-tests/criterion5_counterexamples.csv.  The companion test runs the same
-check through the predict_iterations_sound name.
+tests/criterion5_counterexamples.csv.
 """
 
 import math
@@ -22,10 +21,7 @@ from contraction_kit.circuit import build_power_circuit
 from contraction_kit.cls import verify
 from contraction_kit.converse import synthesize
 from contraction_kit.gridsearch import solve_instance
-from contraction_kit.iteration import (
-    predict_iterations,
-    predict_iterations_sound,
-)
+from contraction_kit.iteration import predict_iterations
 from contraction_kit.power import (
     PAPER_PAIR_X,
     eigen_metric,
@@ -233,18 +229,6 @@ def test_criterion_5_budget_validity(corpus):
         f"{len(failures)} budget violations: predict_iterations is below the realized "
         f"steps to eps, so it does not force c^n*d0/(1-c) below eps/2"
     )
-
-
-def test_criterion_5_companion_sound_budget(corpus):
-    failures = 0
-    total = 0
-    for m, c, eps, x0, realized, d0 in budget_cases(corpus):
-        total += 1
-        if realized > predict_iterations_sound(d0, c, eps).budget:
-            failures += 1
-    ok = failures == 0
-    report(5, ok, f"(companion) predict_iterations_sound budget valid in {total - failures}/{total} cases")
-    assert ok
 
 
 # ------------------------------------------------------------ criterion 6

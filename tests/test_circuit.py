@@ -64,6 +64,15 @@ def test_gt_semantics():
     assert c([F(1, 2), F(1, 2)]) == 0
 
 
+def test_reference_gives_a_fraction_for_a_gt_output():
+    # the reference runs the int ops, whose gt gives a plain int; outputs come back as Fractions
+    c = parse_circuit(GT)
+    for args in ([F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)], [F(1, 2), F(1, 2)]):
+        got = c._evaluate_reference(args)
+        assert [type(v) for v in got] == [F]
+        assert got == c.evaluate(args)
+
+
 def test_mul_then_max():
     c = parse_circuit(MUL_MAX)
     assert c([F(1, 2), F(1, 3)]) == F(1, 2)

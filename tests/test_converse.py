@@ -169,6 +169,85 @@ def orbit_metric_brute_force(m):
             for i in range(n)]
 
 
+def orbit_walk(m, i):
+    """i, f(i), ..., ending at the fixed point, one step of ``m.map`` at a time."""
+    out = [i]
+    while out[-1] != m.fixed_point:
+        out.append(m.map[out[-1]])
+    return out
+
+
+def set_walk_construction(m, eps):
+    """W, the levels and the K_t by set images and list orbits, on the Fraction metric.
+
+    U is grown ball by ball around x* while its diameter stays <= eps; the
+    rest follows ``find_invariant_neighborhood`` and ``compute_levels`` step
+    for step, one point and one image set at a time.
+    """
+    fp, points = m.fixed_point, range(m.size)
+    u = {fp}
+    for r in sorted({m.d(fp, x) for x in points}):
+        ball = {x for x in points if m.d(fp, x) <= r}
+        if any(m.d(a, b) > eps for a in ball for b in ball):
+            break
+        u = ball
+
+    def image(s):
+        return {m.map[x] for x in s}
+
+    k, img = 1, image(u)
+    while not img <= u:
+        k, img = k + 1, image(img)
+    w = {x for x in points if u.issuperset(orbit_walk(m, x)[:k])}
+    if fp not in w or not image(w) <= w or any(m.d(a, b) > eps for a in w for b in w):
+        w = {fp}
+    k_sets = [w]
+    while k_sets[-1] != {fp}:
+        k_sets.append(image(k_sets[-1]))
+    levels = [
+        math.inf if x == fp
+        else max(t for t, ks in enumerate(k_sets) if x in ks) if x in w
+        else -next(t for t, y in enumerate(orbit_walk(m, x)) if y in w)
+        for x in points
+    ]
+    return sorted(w), levels, [sorted(ks) for ks in k_sets]
+
+
+def one_point_selfmap() -> FiniteSelfMap:
+    return FiniteSelfMap(["star"], [(F(0), F(0), F(0))], [[F(0)]], [0], 0)
+
+
+def test_iterate_table_stages_match_set_walks():
+    rng = random.Random(22)
+    chain = chain_selfmap((1,) * 11)
+    # a 12-point chain is the longest table there is: 12 rows of 12 points
+    assert chain.iterates.shape == (12, 12)
+    assert one_point_selfmap().iterates.tolist() == [[0]]
+    for m in [one_point_selfmap(), chain] + [random_selfmap(rng) for _ in range(40)]:
+        orbits = [orbit_walk(m, i) for i in range(m.size)]
+        assert len(m.iterates) == max(map(len, orbits))
+        assert [m.orbit(i) for i in range(m.size)] == orbits
+        assert all(type(x) is int for i in range(m.size) for x in m.orbit(i))
+        assert scaled_to_fractions(*compute_orbit_metric(m)) == orbit_metric_brute_force(m)
+        for eps in (F(1, 8), F(1, 2), F(1), F(3)):
+            w_ref, levels_ref, k_sets_ref = set_walk_construction(m, eps)
+            w = find_invariant_neighborhood(m, eps)
+            levels, k_sets = compute_levels(m, w)
+            assert (w, levels, k_sets) == (w_ref, levels_ref, k_sets_ref)
+            assert levels[m.fixed_point] is math.inf
+            assert all(type(v) is int for i, v in enumerate(levels) if i != m.fixed_point)
+            assert all(type(x) is int for x in w + [x for ks in k_sets for x in ks])
+
+
+@pytest.mark.parametrize("fmap, stuck", [([1, 0, 3, 2, 4], 0), ([4, 2, 1, 4, 4], 1)])
+def test_load_error_names_the_smallest_stuck_index(fmap, stuck):
+    # [1, 0, 3, 2, 4] holds two 2-cycles, each away from the fixed point 4
+    dist = [[abs(F(i - j)) for j in range(5)] for i in range(5)]
+    coords = [(F(i), F(0), F(0)) for i in range(5)]
+    with pytest.raises(SelfMapError, match=f"orbit of index {stuck} does not reach"):
+        FiniteSelfMap([f"p{i}" for i in range(5)], coords, dist, fmap, 4)
+
+
 @pytest.mark.parametrize("scale", [F(1), F(2**70, 3)])  # 2^70/3 leaves int64
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=30, deadline=None)
@@ -396,6 +475,8 @@ def test_selfmap_cannot_be_edited_after_construction():
         m.base_distance[0] = (F(0),) * 4
     with pytest.raises(TypeError):
         m.map[0] = 0
+    with pytest.raises(ValueError):
+        m.iterates[0, 0] = 3
     assert m.scaled_distance is scaled
     assert m.base_distance[0][1] == 1 and m.map == (1, 2, 3, 3)
 

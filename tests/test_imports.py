@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, every
 module-level function and class of the package is read somewhere in the repository,
-and no module of the package calls ``np.ix_`` or ``np.argwhere``."""
+and no module of the package calls ``np.ix_``, ``np.argwhere`` or ``np.isin``."""
 
 import ast
 from pathlib import Path
@@ -86,12 +86,15 @@ def test_every_definition_is_read():
 
 
 # np.ix_(a, b) is x[a[:, None], b] through a dtype check and a reshape per axis,
-# and np.argwhere builds every hit where a caller wants the first or none
-SLOW_HELPERS = {"ix_", "argwhere"}
+# np.argwhere builds every hit where a caller wants the first or none, and
+# np.isin(x, s) sorts where a boolean mask over the points gathers: on a 12 x 40
+# table of iterates, np.isin(t, u).all(axis=0) takes about 40 us against 4.5 us
+# for in_u[t].all(axis=0) (2-vCPU Xeon, NumPy 2.4)
+SLOW_HELPERS = {"ix_", "argwhere", "isin"}
 
 
 def slow_helper_calls(source: str) -> list[str]:
-    """The calls of ``np.ix_`` or ``np.argwhere`` in ``source``."""
+    """The calls of ``np.ix_``, ``np.argwhere`` or ``np.isin`` in ``source``."""
     return [
         f"line {node.lineno}: np.{node.func.attr}"
         for node in ast.walk(ast.parse(source))
@@ -104,8 +107,8 @@ def slow_helper_calls(source: str) -> list[str]:
 
 
 def test_the_check_sees_a_slow_helper_call():
-    source = "import numpy as np\nx[np.ix_(a, a)]\nnp.argwhere(m)[0]\nx[a[:, None], a]\n"
-    assert slow_helper_calls(source) == ["line 2: np.ix_", "line 3: np.argwhere"]
+    source = "import numpy as np\nx[np.ix_(a, a)]\nnp.argwhere(m)[0]\nx[a[:, None], a]\nnp.isin(t, u)\n"
+    assert sorted(slow_helper_calls(source)) == ["line 2: np.ix_", "line 3: np.argwhere", "line 5: np.isin"]
     # a docstring or comment that names a helper is no call of it
     assert slow_helper_calls('"""As np.argwhere(mask)[0] gives it."""\n# np.ix_(a, b)\n') == []
 

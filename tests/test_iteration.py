@@ -7,7 +7,6 @@ from contraction_kit import iteration
 from contraction_kit.iteration import (
     StopReason,
     predict_iterations,
-    predict_iterations_sound,
     run_bip,
 )
 from contraction_kit.library import l1
@@ -150,14 +149,11 @@ def test_global_budget_zero_d0():
 
 
 def test_sound_budget_dominates_classic_form():
-    # the sound budget solves c^n d0/(1-c) <= eps/2 and is never smaller
+    # the budget n meets c^n d0/(1-c) <= eps/2
     for d0 in (F(1, 4), F(1), F(7, 2)):
         for c in (F(1, 4), F(1, 2), F(9, 10)):
             for eps in (F(1, 8), F(1, 2)):
-                classic = predict_iterations(d0, c, eps)
-                sound = predict_iterations_sound(d0, c, eps)
-                assert sound.predicted_steps >= classic.predicted_steps
-                n = sound.budget
+                n = predict_iterations(d0, c, eps).budget
                 assert float(c) ** n * float(d0) / (1 - float(c)) <= float(eps) / 2 + 1e-12
 
 
