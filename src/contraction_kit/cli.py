@@ -40,7 +40,7 @@ INPUT_ERRORS = (
     converse.SelfMapError,
     power.SpectralError,
     InputError,
-    FileNotFoundError,
+    OSError,  # a path to read or write that is missing, a directory or not permitted
 )
 
 

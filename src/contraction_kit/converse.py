@@ -33,14 +33,16 @@ import numpy as np
 
 from .circuit import content_lines, format_fraction, format_ratio, parse_fraction, parse_number
 from .metrics import (
+    AXIOM_TRIANGLE,
     _describe_first_failure,
+    _first_failure,
     check_metric_matrix,
     int_dtype,
     min_plus_closure,
     ragged_row,
     scale_to_integers,
     scaled_to_fractions,
-    semimetric_failure,
+    semimetric_mask,
 )
 
 Matrix = list[list[Fraction]]
@@ -79,6 +81,9 @@ class FiniteSelfMap:
         n = len(self.labels)
         if not (len(self.coords) == len(self.map) == len(self.base_distance) == n):
             raise SelfMapError("inconsistent field lengths")
+        if len(set(self.labels)) < n:
+            label = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
+            raise SelfMapError(f"repeated label {label!r}")
         # the ragged-row check runs before the one conversion to integers
         bad = ragged_row(self.base_distance)
         if bad is None:
@@ -161,17 +166,16 @@ def parse_selfmap(text: str) -> FiniteSelfMap:
     fixed = parse_number(int, fixed_line[len("fixed:"):].strip(), SelfMapError)
     if lines[n + 3] != "distances:":
         raise SelfMapError("expected 'distances:' line")
-    dist = [[Fraction(0)] * n for _ in range(n)]
     rows = lines[n + 4 :]
     if len(rows) != n - 1:
         raise SelfMapError(f"expected {n - 1} distance rows, got {len(rows)}")
+    lower: Matrix = [[]]  # lower[i] holds d(i, j) for j < i
     for i, row in enumerate(rows, start=1):
-        vals = [parse_fraction(t) for t in row.split()]
-        if len(vals) != i:
+        lower.append([parse_fraction(t) for t in row.split()])
+        if len(lower[i]) != i:
             raise SelfMapError(f"distance row {i} must have {i} entries")
-        for j, v in enumerate(vals):
-            dist[i][j] = v
-            dist[j][i] = v
+    # built only from checked rows, so a short file cannot make it allocate n x n
+    dist = [lower[i] + [Fraction(0)] + [lower[j][i] for j in range(i + 1, n)] for i in range(n)]
     return FiniteSelfMap(labels, coords, dist, fmap, fixed)
 
 
@@ -273,23 +277,28 @@ def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) ->
     return rho
 
 
+def _not_semimetric(rho: Matrix) -> str:
+    return f"rho is not a semimetric: {_describe_first_failure(rho)}"
+
+
 def geodesic_closure(rho: Scaled) -> Scaled:
     """All-pairs shortest chain lengths over rho; enforces the triangle inequality.
 
     Floyd-Warshall runs on a copy of rho's scaled integers, whose dtype leaves
     room for every sum, so the result is exact, on rho's scale, and equals
-    ``_geodesic_closure_reference``.
+    ``_geodesic_closure_reference``.  A rho that fails an axiom before the
+    triangle inequality raises ValueError, worded by ``_first_failure``.
     """
     d, scale = rho
-    if (bad := semimetric_failure(d)) is not None:
-        raise ValueError(bad)
+    if semimetric_mask(d, ~np.eye(len(d), dtype=bool)):
+        raise ValueError(_not_semimetric(scaled_to_fractions(d, scale)))
     return min_plus_closure(d.copy()), scale
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
     """The Fraction triple loop that ``geodesic_closure`` must equal (tests only)."""
-    if (bad := semimetric_failure(np.array(rho, dtype=object))) is not None:
-        raise ValueError(bad)
+    if (failure := _first_failure(rho, range(len(rho)))) and failure[0] != AXIOM_TRIANGLE:
+        raise ValueError(_not_semimetric(rho))
     n = len(rho)
     dist = [row[:] for row in rho]
     for k in range(n):

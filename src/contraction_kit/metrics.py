@@ -230,47 +230,28 @@ def min_plus_closure(d: np.ndarray) -> np.ndarray:
     return d
 
 
-# semimetric_failure's answer per code; the messages name rho, the converse closure's weights
-_SEMIMETRIC_FAILURES = (None, "rho must have a zero diagonal", "rho must be symmetric",
-                        "rho must be positive off the diagonal")
+def semimetric_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Per scaled integer matrix of a stack, or for one, whether an axiom before TRIANGLE fails.
 
-
-def _semimetric_codes(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-    """Failure codes per row of each square matrix in a stack: diagonal entry, then each column.
-
-    1 is a nonzero diagonal entry, 2 an entry that differs from its mirror,
-    3 an entry below zero or a zero between indices that ``distinct`` marks.
+    That is a nonzero diagonal entry, an entry unequal to its mirror, or an
+    entry below 1 where ``distinct`` marks the pair and below 0 elsewhere:
+    exactly the matrices on which ``_first_failure`` finds a failure other
+    than TRIANGLE, when ``distinct[..., i, j]`` is ``keys[i] != keys[j]``.
     """
-    off = np.where(d != np.swapaxes(d, -1, -2), 2, np.where((d < 0) | ((d == 0) & distinct), 3, 0))
-    diagonal = np.where(np.diagonal(d, axis1=-2, axis2=-1) != 0, 1, 0)
-    return np.concatenate([diagonal[..., None], off], axis=-1)
-
-
-def semimetric_failure(d: np.ndarray) -> str | None:
-    """First way a square matrix of ints or Fractions fails to be a semimetric, or None.
-
-    A semimetric meets every metric axiom but the triangle inequality.  The scan runs
-    row by row: the diagonal entry, then each column, symmetry before positivity.
-    Only a failing matrix runs that scan.
-    """
-    n = len(d)
-    # with a zero diagonal, n * (n - 1) positive entries are the whole off-diagonal part
-    if not d.diagonal().any() and np.count_nonzero(d > 0) == n * (n - 1) and (d == d.T).all():
-        return None
-    codes = _semimetric_codes(d, ~np.eye(n, dtype=bool)).ravel()
-    return _SEMIMETRIC_FAILURES[codes[(codes != 0).argmax()]]
+    # comparing with the bools reads them as 1 and 0
+    bad = (d != np.swapaxes(d, -1, -2)) | (d < distinct)
+    return bad.any(axis=(-2, -1)) | np.diagonal(d, axis1=-2, axis2=-1).any(axis=-1)
 
 
 def metric_failure_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """Per matrix of a (T, k, k) stack of scaled matrices, whether ``_first_failure`` fails it.
 
     ``distinct[t, i, j]`` is ``keys[i] != keys[j]`` for matrix t.  A matrix
-    that passes the semimetric codes (which cover nonnegativity, identity
-    of indiscernibles and symmetry) meets the triangle inequality iff no
+    that passes ``semimetric_mask`` meets the triangle inequality iff no
     chain is shorter than the direct entry, i.e. iff its closure is itself;
     only those matrices are closed, so no sum sees a negative entry.
     """
-    failed = _semimetric_codes(d, distinct).any(axis=(-2, -1))
+    failed = semimetric_mask(d, distinct)
     keep = ~failed
     failed[keep] = (min_plus_closure(d[keep]) != d[keep]).any(axis=(-2, -1))  # d[keep] is a copy
     return failed

@@ -193,6 +193,13 @@ def test_synthesize_rejects_bad_selfmap(workdir, capsys):
     assert main(["synthesize", path, "1/2", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["synthesize", "m.txt", "1/2", "1"],
+                                  ["bip", "m.txt", "--start", "a"]])
+def test_repeated_label_exits_two(workdir, capsys, argv):
+    write(workdir / "m.txt", CHAIN_SELFMAP.replace("b 1 0 0", "a 1 0 0"))
+    assert run_main(argv, capsys) == (2, "", "error: repeated label 'a'\n")
+
+
 def test_bip_circuit_instance(workdir, capsys):
     inst = write(workdir / "inst.txt", instance_to_text(halving_banach()))
     csv = str(workdir / "trace.csv")
@@ -633,6 +640,45 @@ def test_bare_value_error_is_not_an_input_error(workdir, monkeypatch):
     monkeypatch.setattr(cli, "parse_circuit", bug)
     with pytest.raises(ValueError, match="a program bug"):
         main(["eval", path, "0"])
+
+
+# ---------------------------------------------------------------- directories as paths
+
+UNIT_X0 = "0.4472135954999579,0.8944271909999159"
+REDUCE = ["reduce", "--direction", "banach-to-cls-local"]
+
+
+# every input and output path of every subcommand, in turn a directory ("dir"); the
+# reduce sidecar is the directory "t.provenance"
+@pytest.mark.parametrize("argv", [
+    ["eval", "dir"],
+    ["verify", "dir", "sol.txt"],
+    ["verify", "inst.txt", "dir"],
+    ["verify", "inst.txt", "sol.txt", "--report", "dir"],
+    [*REDUCE, "dir", "out.txt"],
+    [*REDUCE, "inst.txt", "dir"],
+    [*REDUCE, "inst.txt", "t"],
+    ["solve", "dir"],
+    ["solve", "inst.txt", "--out", "dir"],
+    ["synthesize", "dir", "1/2", "1"],
+    ["synthesize", "sm.txt", "1/2", "1", "--out", "dir"],
+    ["power", "dir", "analyze"],
+    ["power", "dir", "bound", "--x0", UNIT_X0],
+    ["power", "m.txt", "analyze", "--pairs", "3", "--report", "dir"],
+    ["--format", "csv", "power", "m.txt", "analyze", "--pairs", "3", "--report", "dir"],
+    ["power", "m.txt", "bound", "--x0", UNIT_X0, "--report", "dir"],
+    ["power", "m.txt", "counterexample", "--report", "dir"],
+    ["bip", "dir"],
+    ["bip", "inst.txt", "--csv", "dir"],
+], ids=" ".join)
+def test_directory_as_path_exits_two(input_files, capsys, argv):
+    write(input_files / "sol.txt", "Oa\n0 0 0\n")
+    write(input_files / "sm.txt", CHAIN_SELFMAP)
+    (input_files / "dir").mkdir()
+    (input_files / "t.provenance").mkdir()
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
 
 
 # ---------------------------------------------------------------- one read per input file

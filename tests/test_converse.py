@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -316,16 +317,44 @@ def test_geodesic_closure_direct_and_shortcut():
 
 def test_geodesic_closure_validates_input():
     cases = [
-        ([[F(1)]], "zero diagonal"),
-        ([[F(0), F(1)], [F(2), F(0)]], "symmetric"),
-        ([[F(0), F(0)], [F(0), F(0)]], "positive off the diagonal"),
-        # several entries are bad: both closures name the first in row order
-        ([[F(0), F(-1), F(2)], [F(-1), F(0), F(1)], [F(3), F(1), F(5)]], "positive off"),
+        ([[F(1)]], "IDENTITY: d(0,0) = 1 != 0"),
+        ([[F(0), F(1)], [F(2), F(0)]], "SYMMETRY: d(0,1) != d(1,0)"),
+        ([[F(0), F(0)], [F(0), F(0)]], "IDENTITY: d(0,1) = 0 for distinct indices"),
+        # several axioms fail: both closures name the first in the scan of _first_failure
+        ([[F(0), F(-1), F(2)], [F(-1), F(0), F(1)], [F(3), F(1), F(5)]],
+         "NONNEG: d(0,1) = -1 < 0"),
     ]
     for rho, message in cases:
         for closure in (closure_of_fractions, _geodesic_closure_reference):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as info:
                 closure(rho)
+            assert str(info.value) == f"rho is not a semimetric: {message}"
+
+
+@given(st.integers(1, 5), st.booleans(), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_both_closures_refuse_the_same_rho_in_the_same_words(n, zero_diagonal, positive,
+                                                            symmetric, data):
+    # each semimetric property can be forced; with all three both closures close rho
+    entries = data.draw(st.lists(st.integers(-1, 3), min_size=n * n, max_size=n * n))
+    rho = [[F(v, 2) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
+    for i in range(n):
+        if zero_diagonal:
+            rho[i][i] = F(0)
+        if positive:
+            rho[i] = [v if j == i else abs(v) + F(1, 2) for j, v in enumerate(rho[i])]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                rho[j][i] = rho[i][j]
+    outcomes = []
+    for closure in (closure_of_fractions, _geodesic_closure_reference):
+        try:
+            outcomes.append(closure(rho))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], list) or not (zero_diagonal and positive and symmetric)
 
 
 @pytest.mark.parametrize("huge", [False, True])
@@ -461,6 +490,14 @@ def test_non_metric_base_rejected_at_load():
         FiniteSelfMap(["a", "b", "star"], coords, dist, [2, 2, 2], 2)
 
 
+def test_repeated_label_rejected_at_load():
+    dist = [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]
+    coords = [(F(i), F(0), F(0)) for i in range(3)]
+    with pytest.raises(SelfMapError) as info:
+        FiniteSelfMap(["b", "a", "a"], coords, dist, [1, 2, 2], 2)
+    assert str(info.value) == "repeated label 'a'"
+
+
 def test_selfmap_cannot_be_edited_after_construction():
     # an edit would leave scaled_distance stale and skip the checks
     m = chain_selfmap((1, 1, 1))
@@ -496,6 +533,21 @@ def test_selfmap_parse_errors():
         parse_selfmap("points 2\na 0 0 0\nb 1 0 0\nmap: 1 1\nfixed: 1\ndistances:\n")
     with pytest.raises(SelfMapError):
         parse_selfmap("nope\n")
+
+
+def test_short_distance_block_is_refused_before_the_matrix_is_built():
+    # the n x n matrix would hold n^2 references of 8 bytes each
+    n = 3000
+    text = (f"points {n}\n" + "".join(f"p{i} 0 0 0\n" for i in range(n))
+            + "map: " + " ".join(["0"] * n) + "\nfixed: 0\ndistances:\n1\n1 1\n1 1 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SelfMapError, match="expected 2999 distance rows, got 3"):
+            parse_selfmap(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_synthesis_certificate_on_random_corpus_sample():
@@ -574,13 +626,14 @@ def test_first_hit_is_the_first_argwhere_row(shape, data):
 
 
 @pytest.mark.parametrize("entries, message", [
-    ({(0, 1): F(0), (1, 0): F(0)}, "positive off the diagonal"),
-    ({(1, 0): F(100)}, "symmetric"),
-    ({(2, 2): F(1)}, "zero diagonal"),
-])
+    ({(0, 1): F(0), (1, 0): F(0)}, "IDENTITY: d(0,1) = 0 for distinct indices"),
+    ({(1, 0): F(100)}, "SYMMETRY: d(0,1) != d(1,0)"),
+    ({(2, 2): F(1)}, "IDENTITY: d(2,2) = 1 != 0"),
+], ids=["zero off the diagonal", "asymmetric", "nonzero diagonal"])
 def test_certify_rejects_non_semimetric_d_c(entries, message):
     m, c, eps, w, d_m, d_c = corrupted_certificate_cases()[2]
     for (i, j), value in entries.items():
         d_c[i][j] = value
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as info:
         certify_fractions(m, c, eps, w, d_m, d_c)
+    assert str(info.value) == f"rho is not a semimetric: {message}"

@@ -26,7 +26,7 @@ from contraction_kit.metrics import (
     find_lipschitz_violation,
     metric_failure_mask,
     scale_to_integers,
-    semimetric_failure,
+    semimetric_mask,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -206,44 +206,43 @@ def test_matrix_checker_matches_reference_scan(n, shape, huge, data):
     assert check_metric_matrix(dist) == _describe_first_failure(dist)
 
 
-def semimetric_scan(rho):
-    """The entry-by-entry scan ``semimetric_failure`` must equal: for each row,
-    its diagonal entry, then each column, symmetry before positivity."""
-    n = len(rho)
-    for i in range(n):
-        if rho[i][i] != 0:
-            return "rho must have a zero diagonal"
-        for j in range(n):
-            if rho[i][j] != rho[j][i]:
-                return "rho must be symmetric"
-            if i != j and rho[i][j] <= 0:
-                return "rho must be positive off the diagonal"
-    return None
-
-
-@given(st.integers(1, 6), st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.data())
+@given(st.integers(1, 5), st.integers(0, 4), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_semimetric_failure_matches_entry_scan(n, zero_diagonal, positive, symmetric, huge, data):
-    # each semimetric property can be forced on the drawn matrix; with all three nothing fails
-    entries = data.draw(st.lists(st.integers(-1, 3), min_size=n * n, max_size=n * n))
-    rho = [[F(v, 2) for v in entries[i * n : (i + 1) * n]] for i in range(n)]
-    for i in range(n):
-        if zero_diagonal:
-            rho[i][i] = F(0)
-        if positive:
-            rho[i] = [v if j == i else abs(v) + F(1, 2) for j, v in enumerate(rho[i])]
-    if symmetric:
-        for i in range(n):
-            for j in range(i):
-                rho[j][i] = rho[i][j]
-    if huge:
-        rho = [[v * 2**64 for v in r] for r in rho]
-    expected = semimetric_scan(rho)
-    assert expected is None or not (zero_diagonal and positive and symmetric)
-    ints, _ = scale_to_integers(rho)
-    assert ints.dtype == (object if huge and any(map(any, rho)) else np.int64)
-    assert semimetric_failure(ints) == expected
-    assert semimetric_failure(np.array(rho, dtype=object)) == expected
+def test_semimetric_failure_matches_entry_scan(k, count, zero_diagonal, positive, symmetric, huge,
+                                               data):
+    # each semimetric property can be forced on the drawn matrices; with all three nothing
+    # fails.  Keys from three values put repeated points, where a zero off the diagonal is
+    # no failure
+    mats, keys = [], []
+    for _ in range(count):
+        entries = data.draw(st.lists(st.integers(-1, 3), min_size=k * k, max_size=k * k))
+        rho = [[F(v, 2) for v in entries[i * k : (i + 1) * k]] for i in range(k)]
+        for i in range(k):
+            if zero_diagonal:
+                rho[i][i] = F(0)
+            if positive:
+                rho[i] = [v if j == i else abs(v) + F(1, 2) for j, v in enumerate(rho[i])]
+        if symmetric:
+            for i in range(k):
+                for j in range(i):
+                    rho[j][i] = rho[i][j]
+        if huge:
+            rho = [[v * 2**64 for v in r] for r in rho]
+        mats.append(rho)
+        keys.append(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    failures = [_first_failure(rho, key) for rho, key in zip(mats, keys)]
+    expected = [f is not None and f[0] != AXIOM_TRIANGLE for f in failures]
+    assert not any(expected) or not (zero_diagonal and positive and symmetric)
+    stack = scale_to_integers([row for rho in mats for row in rho])[0].reshape(count, k, k)
+    nonzero = any(v for rho in mats for row in rho for v in row)
+    assert stack.dtype == (object if huge and nonzero else np.int64)
+    distinct = np.array([[[a != b for b in key] for a in key] for key in keys], dtype=bool)
+    distinct = distinct.reshape(count, k, k)
+    assert semimetric_mask(stack, distinct).tolist() == expected
+    assert semimetric_mask(stack.astype(object), distinct).tolist() == expected
+    # one matrix at a time, as geodesic_closure calls it
+    assert [bool(semimetric_mask(d, m)) for d, m in zip(stack, distinct)] == expected
 
 
 @given(st.integers(1, 4), st.integers(0, 5), st.sampled_from(["raw", "semimetric"]),
