@@ -19,17 +19,16 @@ becomes one ``Fraction(num, K*D**e)``.  Where some ``K*D**e`` of a call
 would pass ``DEN_BIT_BUDGET`` bits (deep ``mul`` chains such as repeated
 squaring), that call runs the ``Fraction`` interpreter instead, which stays
 as the reference.  Both give the same canonical fractions.
-``evaluate_columns`` runs each step of the same program once for a batch,
-over numpy object columns of Python ints: it takes each input as a column
-of numerators over one ``D`` that the caller chose, and gives each output
-as a numerator column over its static denominator ``K*D**e``, or None when
-that ``D`` fails the budget check.  A caller that reads many rows built
-from few points scales each point once and gathers the columns by index.
 
 A circuit is called on points: ``circuit(x, y)`` reads its inputs from the
-coordinates of the points in order.  On rationals the call is ``evaluate``;
-on point columns (tuples of ``ScaledColumn``s, one row per point) it is one
-``evaluate_columns`` batch, run row by row past the budget.
+coordinates of the points in order.  On rationals the call is ``evaluate``.
+On point columns (tuples of ``ScaledColumn``s, one row per point) it is the
+one batch entry: the columns are brought to one ``D`` and each step of the
+same program runs once for the whole batch over numpy object columns of
+Python ints, each output a ``ScaledColumn`` over its static ``K*D**e``;
+past the budget the rows run one by one.  A caller that reads many rows
+built from few points scales each point once and gathers the columns by
+index.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -239,19 +238,17 @@ class ScaledColumn:
 
 
 class Circuit:
-    """Immutable gate list in topological order plus designated outputs."""
+    """Immutable gates, keyed by node id in topological order, plus designated outputs."""
 
-    def __init__(self, gates: dict[int, Gate], order: Sequence[int], outputs: Sequence[int]):
-        self._gates = dict(gates)
-        self._order = list(order)
+    def __init__(self, gates: dict[int, Gate], outputs: Sequence[int]):
+        self._gates = dict(gates)  # insertion order is the evaluation order
         self.outputs = list(outputs)
-        self._inputs = [i for i in self._order if self._gates[i].kind == "input"]
+        self.input_arity = sum(gate.kind == "input" for gate in self._gates.values())
         self._validate()
 
     def _validate(self) -> None:
         seen: set[int] = set()
-        for node_id in self._order:
-            gate = self._gates[node_id]
+        for node_id, gate in self._gates.items():
             for ref in gate.args:
                 if ref not in self._gates:
                     raise CircuitError(f"dangling node id n{ref}")
@@ -265,20 +262,15 @@ class Circuit:
             raise CircuitError("circuit declares no outputs")
 
     @property
-    def input_arity(self) -> int:
-        return len(self._inputs)
-
-    @property
     def output_arity(self) -> int:
         return len(self.outputs)
 
     @property
     def gate_count(self) -> int:
-        return len(self._order)
+        return len(self._gates)
 
     def nodes(self) -> Iterable[tuple[int, Gate]]:
-        for node_id in self._order:
-            yield node_id, self._gates[node_id]
+        return self._gates.items()
 
     @cached_property
     def _program(self) -> _Program:
@@ -293,55 +285,39 @@ class Circuit:
         denominators would pass ``DEN_BIT_BUDGET`` bits.
         """
         if len(inputs) != self.input_arity:
-            raise CircuitError(
-                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(inputs)}"
-            )
+            raise self._arity_error(len(inputs))
         qs = [q if type(q) is Fraction else Fraction(q) for q in inputs]
         out = self._program.run(qs)
         return self._evaluate_reference(qs) if out is None else out
 
-    def evaluate_columns(
-        self, columns: Sequence[np.ndarray], d: int, size: int
-    ) -> list[tuple[np.ndarray, int]] | None:
-        """Exactly evaluate a batch of ``size`` rows given as scaled input columns.
-
-        ``columns[i][r] / d`` is input ``i`` of row ``r``: one numpy object
-        array of Python ints per input, all over the one denominator ``d``.
-        Each output comes back as ``(numerators, den)``, an object column of
-        ``size`` Python ints over its static denominator ``den = K*D**e``,
-        not reduced to lowest terms.  None when ``d`` would put some static
-        denominator past ``DEN_BIT_BUDGET`` bits.
-        """
-        if len(columns) != self.input_arity:
-            raise CircuitError(
-                f"arity mismatch: circuit takes {self.input_arity} inputs, got {len(columns)}"
-            )
-        return self._program.run_many(columns, d, size)
+    def _arity_error(self, got: int) -> CircuitError:
+        return CircuitError(f"arity mismatch: circuit takes {self.input_arity} inputs, got {got}")
 
     def __call__(self, *points):
         """The circuit on points, its inputs read from their coordinates in order.
 
         Points of rationals go to ``evaluate``.  Point columns, tuples of
         ``ScaledColumn``s, are brought to the lcm of their denominators and
-        run as one batch on ``evaluate_columns``; past the bit budget they
+        run as one batch on the integer program; past the bit budget they
         run row by row, and each output comes back over the lcm of its rows'
         denominators.  One output comes back alone, several as a tuple.
         """
         flat = [c for p in points for c in p]
         if flat and type(flat[0]) is ScaledColumn:
+            if len(flat) != self.input_arity:
+                raise self._arity_error(len(flat))
             den = lcm(*(c.den for c in flat))
             columns = [_times(c.num, den // c.den) for c in flat]
             size = len(columns[0])
-            scaled = self.evaluate_columns(columns, den, size)
-            if scaled is None:
+            out = self._program.run_many(columns, den, size)
+            if out is None:
                 rows = zip(*(c.tolist() for c in columns))
                 values = [self.evaluate([Fraction(v, den) for v in row]) for row in rows]
-                scaled = []
+                out = []
                 for k in range(self.output_arity):
                     d = lcm(*(row[k].denominator for row in values))
                     nums = [row[k].numerator * (d // row[k].denominator) for row in values]
-                    scaled.append((np.array(nums, dtype=object).reshape(size), d))
-            out = [ScaledColumn(num, d) for num, d in scaled]
+                    out.append(ScaledColumn(np.array(nums, dtype=object).reshape(size), d))
         else:
             out = self.evaluate(flat)
         return out[0] if len(out) == 1 else tuple(out)
@@ -352,8 +328,7 @@ class Circuit:
         Takes one ``Fraction`` per input, as ``evaluate`` passes them.
         """
         values: dict[int, Fraction] = {}
-        for node_id in self._order:
-            gate = self._gates[node_id]
+        for node_id, gate in self._gates.items():
             if gate.kind == "input":
                 values[node_id] = qs[gate.input_index]
             elif gate.kind == "const":
@@ -364,8 +339,7 @@ class Circuit:
 
     def to_text(self) -> str:
         lines = []
-        for node_id in self._order:
-            gate = self._gates[node_id]
+        for node_id, gate in self._gates.items():
             if gate.kind == "input":
                 lines.append(f"input {node_id}")
             elif gate.kind == "const":
@@ -461,15 +435,19 @@ class _Program:
             v.append(op(x, y))
         return [Fraction(v[i], k * d**e) for i, k, e in self.outputs]
 
-    def run_many(
-        self, columns: Sequence[np.ndarray], d: int, size: int
-    ) -> list[tuple[np.ndarray, int]] | None:
-        """``run`` on ``size`` rows of input columns scaled to ``d``; None when over budget.
+    def run_many(self, columns: Sequence[np.ndarray], d: int, size: int) -> list[ScaledColumn] | None:
+        """``run`` on a batch of ``size`` rows; None when over budget.
 
-        A slot that depends on an input holds an object array with one
-        Python int per row; one fixed by the consts alone holds a plain
-        Python int, which every column op broadcasts.  Each output is its
-        numerator column and its static denominator ``K*d**e``.
+        ``columns[i][r] / d`` is input ``i`` of row ``r``: one numpy object
+        array of Python ints per input, all over the one denominator ``d``;
+        ``size`` gives the row count for a circuit with no inputs.  None
+        when ``d`` would put some static denominator ``K*d**e`` past
+        ``DEN_BIT_BUDGET`` bits.  A slot that depends on an input holds an
+        object array with one Python int per row; one fixed by the consts
+        alone holds a plain Python int, which every column op broadcasts,
+        so a const output comes back as ``size`` equal rows.  Each output is
+        a ``ScaledColumn`` over its static denominator ``K*d**e``, not
+        reduced to lowest terms.
         """
         if (d - 1).bit_length() > self.max_d_bits:
             return None
@@ -487,7 +465,7 @@ class _Program:
             for slot in release:
                 v[slot] = None
         return [
-            (np.broadcast_to(np.asarray(v[i], dtype=object), size), k * d**e)
+            ScaledColumn(np.broadcast_to(np.asarray(v[i], dtype=object), size), k * d**e)
             for i, k, e in self.outputs
         ]
 
@@ -525,7 +503,6 @@ def parse_circuit(text: str) -> Circuit:
     line, so the order of the tests changes no message.
     """
     gates: dict[int, Gate] = {}
-    order: list[int] = []
     outputs: list[int] | None = None
     n_inputs = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -551,7 +528,6 @@ def parse_circuit(text: str) -> Circuit:
                     raise CircuitParseError(line_no, f"cycle detected: n{node_id} references itself")
                 raise CircuitParseError(line_no, f"forward reference to n{ref}")
             gates[node_id] = Gate(op, (a, b))
-            order.append(node_id)
             continue
         if line.startswith("input"):
             token = line[len("input"):].strip()
@@ -559,7 +535,6 @@ def parse_circuit(text: str) -> Circuit:
             if node_id in gates:
                 raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
             gates[node_id] = Gate("input", input_index=n_inputs)
-            order.append(node_id)
             n_inputs += 1
             continue
         if line.startswith("outputs:"):
@@ -588,10 +563,9 @@ def parse_circuit(text: str) -> Circuit:
         except InputError as exc:
             raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
         gates[node_id] = Gate("const", value=value)
-        order.append(node_id)
     if outputs is None:
         raise CircuitParseError(len(text.splitlines()) or 1, "missing outputs line")
-    return Circuit(gates, order, outputs)
+    return Circuit(gates, outputs)
 
 
 class CircuitBuilder:
@@ -599,14 +573,12 @@ class CircuitBuilder:
 
     def __init__(self) -> None:
         self._gates: dict[int, Gate] = {}
-        self._order: list[int] = []
         self._n_inputs = 0
         self._const_cache: dict[tuple[int, int], int] = {}
 
     def _push(self, gate: Gate) -> int:
-        node_id = len(self._order)
+        node_id = len(self._gates)
         self._gates[node_id] = gate
-        self._order.append(node_id)
         return node_id
 
     def input(self) -> int:
@@ -700,7 +672,7 @@ class CircuitBuilder:
         return [mapping[out] for out in circuit.outputs]
 
     def build(self, outputs: Sequence[int]) -> Circuit:
-        return Circuit(self._gates, self._order, outputs)
+        return Circuit(self._gates, outputs)
 
 
 def build_power_circuit(c: Fraction, max_exponent: int) -> Circuit:

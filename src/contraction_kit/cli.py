@@ -116,10 +116,19 @@ def cmd_reduce(args) -> int:
         if not isinstance(inst, cls_mod.CLSLocalInstance):
             raise cls_mod.InstanceError("source instance must be cls-local")
         artifacts = reduce_mod.reduce_cls_local_to_banach(inst, half_eps=args.half_eps)
-    Path(args.out).write_text(cls_mod.instance_to_text(artifacts.produced), encoding="utf-8")
+    produced = cls_mod.instance_to_text(artifacts.produced)
     sidecar = args.out + ".provenance"
     provenance = "command reduce\n" + input_line + "\n" + artifacts.provenance_text()
-    Path(sidecar).write_text(provenance, encoding="utf-8")
+    opened: list[str] = []  # both files or neither: a failed write removes what this run opened
+    try:
+        for path, body in ((args.out, produced), (sidecar, provenance)):
+            with open(path, "w", encoding="utf-8") as f:
+                opened.append(path)
+                f.write(body)
+    except BaseException:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
     print(f"wrote {args.out} and {sidecar}")
     sys.stdout.write(provenance)
     return 0
@@ -364,8 +373,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*INPUT_ERRORS, MemoryError) as exc:  # MemoryError: an input too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

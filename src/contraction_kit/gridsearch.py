@@ -12,9 +12,8 @@ batch kernel.  Per resolution, the points the streams read are scaled once
 to one integer denominator, and the streams are kept as index arrays into
 them: the fine grid, the neighbour and coarse pairs, and the Od quads.  A
 chunk gathers each witness's point column by index and runs the clause's
-predicate on it; the instance's circuits, called on point columns, run
-through ``Circuit.evaluate_columns`` (row by row when a batch passes the bit
-budget).  The predicate gives a mask, and its first true row in stream order
+predicate on it; the instance's circuits are called on point columns, their
+one batch entry (row by row when a batch passes the bit budget).  The predicate gives a mask, and its first true row in stream order
 is the hit, the candidate the scalar scan ``_solve_instance_reference`` stops at.
 Oe's short scan stays scalar, through ``check_metric_axioms``.
 """

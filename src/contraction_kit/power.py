@@ -481,10 +481,13 @@ def sample_pairs(sys: SpectralSystem, count: int, seed: int) -> list[tuple[np.nd
     A pair is skipped when either draw is zero or nearly perpendicular to
     v1.  Each round draws every pair still missing in one `rng.normal` call:
     the same stream, and the same float bits, as `_sample_pairs_reference`,
-    which draws one vector at a time.
+    which draws one vector at a time.  A count below 0, or one whose first
+    draw is past numpy's array size, is a SpectralError.
     """
     if count < 0:
         raise SpectralError(f"pair count must be nonnegative, got {count}")
+    if 2 * count * sys.dimension * 8 > np.iinfo(np.intp).max:  # float64 bytes of the first draw
+        raise SpectralError(f"pair count {count} is too large: its draws exceed numpy's array size")
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < count:

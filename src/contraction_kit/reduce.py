@@ -19,8 +19,8 @@ it they carry the construction's inherent 2*eps slack).
 
 certify_constructed_metric checks the constructed d on sampled triples on one
 integer scale: the points are scaled once to a common denominator, d and p
-are called on point columns gathered from those integers (one
-Circuit.evaluate_columns batch each), and every clause is decided on the
+are called on point columns gathered from those integers (one batch
+each, the circuits' one batch entry), and every clause is decided on the
 numerators d's values share one denominator over.
 The metric axioms go through metrics.metric_failure_mask, and only a flagged
 triple reaches the check_metric_axioms scan that names its failure.

@@ -14,6 +14,7 @@ from contraction_kit.circuit import (
     CircuitBuilder,
     CircuitError,
     CircuitParseError,
+    Gate,
     ScaledColumn,
     build_power_circuit,
     format_fraction,
@@ -81,6 +82,30 @@ def test_mul_then_max():
 def test_forward_reference_rejected():
     with pytest.raises(CircuitParseError, match="forward reference"):
         parse_circuit("input 0\nn1: add n0 n2\nn2: const 1\noutputs: n1\n")
+
+
+def test_ids_out_of_numeric_order_keep_their_declaration_order():
+    # the gate dict's insertion order is the one stored order: n7 comes before n3
+    text = "input 5\nn7: const 2/3\nn3: mul n5 n7\nn1: sub n3 n5\noutputs: n1 n3\n"
+    c = parse_circuit(text)
+    assert [node_id for node_id, _ in c.nodes()] == [5, 7, 3, 1]
+    assert c.to_text() == text
+    again = parse_circuit(c.to_text())
+    xs = [F(3, 4), F(-5), F(0)]
+    for x in xs:
+        want = [F(2, 3) * x - x, F(2, 3) * x]
+        assert c.evaluate([x]) == again.evaluate([x]) == c._evaluate_reference([x]) == want
+    column = ScaledColumn(np.array([3, -20, 0], dtype=object), 4)
+    diff, prod = c((column,))
+    assert [F(v, diff.den) for v in diff.num] == [c([x])[0] for x in xs]
+    assert [F(v, prod.den) for v in prod.num] == [c([x])[1] for x in xs]
+
+
+def test_gate_dict_order_is_checked_for_forward_references():
+    # a Circuit evaluates its gates in the dict's insertion order, so n2 may not read n1 here
+    gates = {0: Gate("input", input_index=0), 2: Gate("add", (0, 1)), 1: Gate("const", value=F(1))}
+    with pytest.raises(CircuitError, match=r"^forward reference to n1 from n2$"):
+        Circuit(gates, [2])
 
 
 def test_self_reference_rejected():
@@ -376,7 +401,7 @@ def random_batches(draw):
     return circuit, rows
 
 
-# ---------------------------------------------------------------- evaluate_columns
+# ---------------------------------------------------------------- the batch kernel
 
 
 def scaled_columns(circuit, rows, extra=1):
@@ -388,14 +413,20 @@ def scaled_columns(circuit, rows, extra=1):
     return columns, d
 
 
+def run_many(circuit, columns, d, size):
+    """The circuit's integer program on a batch of input columns over ``d``."""
+    return circuit._program.run_many(columns, d, size)
+
+
 def assert_columns_match(circuit, rows, out):
-    """Each (numerators, den) output column read as Fractions equals evaluate and the reference."""
+    """Each output ``ScaledColumn`` read as Fractions equals evaluate and the reference."""
     assert len(out) == circuit.output_arity
-    for nums, den in out:
-        assert type(den) is int and den > 0
-        assert len(nums) == len(rows)
-        assert all(type(v) is int for v in nums)
-    got = [[F(nums[r], den) for nums, den in out] for r in range(len(rows))]
+    for col in out:
+        assert type(col) is ScaledColumn
+        assert type(col.den) is int and col.den > 0
+        assert len(col.num) == len(rows)
+        assert all(type(v) is int for v in col.num)
+    got = [[F(col.num[r], col.den) for col in out] for r in range(len(rows))]
     assert got == [circuit.evaluate(r) for r in rows]
     assert got == [circuit._evaluate_reference([F(a) for a in r]) for r in rows]
 
@@ -406,7 +437,7 @@ def test_evaluate_columns_matches_evaluate_and_reference(case, extra):
     # extra = 6 puts the inputs over a denominator larger than their lcm
     circuit, rows = case
     columns, d = scaled_columns(circuit, rows, extra)
-    out = circuit.evaluate_columns(columns, d, len(rows))
+    out = run_many(circuit, columns, d, len(rows))
     if out is None:  # tiny floats carry denominators past the bit budget
         assert (d - 1).bit_length() > circuit._program.max_d_bits
     else:
@@ -422,7 +453,7 @@ def test_evaluate_columns_existing_cases():
     for text, rows in cases:
         c = parse_circuit(text)
         columns, d = scaled_columns(c, rows)
-        assert_columns_match(c, rows, c.evaluate_columns(columns, d, len(rows)))
+        assert_columns_match(c, rows, run_many(c, columns, d, len(rows)))
 
 
 def test_evaluate_columns_broadcasts_constant_outputs():
@@ -433,28 +464,27 @@ def test_evaluate_columns_broadcasts_constant_outputs():
     c = b.build([third, b.mul(x, third), fixed])
     rows = [[F(1, 2)], [F(3, 7)], [2]]
     columns, d = scaled_columns(c, rows)
-    out = c.evaluate_columns(columns, d, len(rows))
+    out = run_many(c, columns, d, len(rows))
     assert_columns_match(c, rows, out)
-    assert [F(v, out[0][1]) for v in out[0][0]] == [F(1, 3)] * 3
+    assert [F(v, out[0].den) for v in out[0].num] == [F(1, 3)] * 3
     # a circuit with no inputs has no columns: the size alone sets the batch
-    const = parse_circuit(CONST_HALF)
-    ((nums, den),) = const.evaluate_columns([], 1, 4)
-    assert [F(v, den) for v in nums] == [F(1, 2)] * 4
+    (half,) = run_many(parse_circuit(CONST_HALF), [], 1, 4)
+    assert [F(v, half.den) for v in half.num] == [F(1, 2)] * 4
 
 
 def test_evaluate_columns_empty_batch():
     c = parse_circuit(MUL_MAX)
     empty = np.array([], dtype=object)
-    ((nums, den),) = c.evaluate_columns([empty, empty], 1, 0)
-    assert len(nums) == 0 and den == 1
-    ((nums, _),) = parse_circuit(CONST_HALF).evaluate_columns([], 1, 0)
-    assert len(nums) == 0
+    (out,) = run_many(c, [empty, empty], 1, 0)
+    assert len(out.num) == 0 and out.den == 1
+    (half,) = run_many(parse_circuit(CONST_HALF), [], 1, 0)
+    assert len(half.num) == 0
 
 
 def test_evaluate_columns_arity_checked():
     c = parse_circuit(MUL_MAX)
     with pytest.raises(CircuitError, match="arity mismatch: circuit takes 2 inputs, got 1"):
-        c.evaluate_columns([np.array([1], dtype=object)], 1, 1)
+        c((ScaledColumn(np.array([1], dtype=object), 1),))
 
 
 def test_evaluate_columns_none_past_bit_budget(monkeypatch):
@@ -465,9 +495,9 @@ def test_evaluate_columns_none_past_bit_budget(monkeypatch):
     x, y = b.inputs(2)
     c = b.build([b.mul(x, y)])
     rows = [[F(1, 997), F(3)], [F(2, 991), F(5)]]
-    assert c.evaluate_columns(*scaled_columns(c, rows), len(rows)) is None
+    assert run_many(c, *scaled_columns(c, rows), len(rows)) is None
     rows = [[F(1, 4), F(3)], [F(1, 8), F(1, 2)]]
-    assert_columns_match(c, rows, c.evaluate_columns(*scaled_columns(c, rows), len(rows)))
+    assert_columns_match(c, rows, run_many(c, *scaled_columns(c, rows), len(rows)))
 
 
 # ---------------------------------------------------------------- calls on points
@@ -489,9 +519,9 @@ def test_call_on_points_is_evaluate():
 
 
 def call_on_columns(circuit, columns, d):
-    """The circuit called on one point column of ``columns / d``, each output as (numerators, den)."""
+    """The circuit called on one point column of ``columns / d``, its outputs as a list."""
     out = circuit(tuple(ScaledColumn(column, d) for column in columns))
-    return [(col.num, col.den) for col in (out if isinstance(out, tuple) else (out,))]
+    return list(out) if isinstance(out, tuple) else [out]
 
 
 @given(random_batches())
@@ -542,8 +572,8 @@ def test_call_on_point_columns_falls_back_per_row_past_bit_budget(monkeypatch):
     c = b.build([b.mul(x, y)])
 
     def run(rows):
-        ((nums, den),) = call_on_columns(c, *scaled_columns(c, rows))
-        return list(nums), den
+        (out,) = call_on_columns(c, *scaled_columns(c, rows))
+        return list(out.num), out.den
 
     # 997 and 991 each fit alone, their lcm 988027 does not: each row runs on
     # its own, and the output comes back over the lcm of the rows' denominators

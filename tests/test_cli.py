@@ -679,6 +679,48 @@ def test_directory_as_path_exits_two(input_files, capsys, argv):
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+    if argv[0] == "reduce":  # both output files or neither
+        written = input_files / argv[-1]
+        assert not written.is_file() and not Path(f"{written}.provenance").is_file()
+
+
+# ---------------------------------------------------------------- flag values
+
+# every numeric flag or argument, with "{}" where the value goes, on tiny valid inputs;
+# the halving map converges, so a huge --max-iters ends at once
+FLAG_CASES = {
+    "power --pairs": ["power", "m.txt", "analyze", "--pairs", "{}"],
+    "power --eps": ["power", "m.txt", "bound", "--x0", UNIT_X0, "--eps", "{}"],
+    "power --x0": ["power", "m.txt", "bound", "--x0", "{}"],
+    "--grid": ["--grid", "{}", "solve", "inst.txt"],
+    "bip --eps": ["bip", "inst.txt", "--eps", "{}"],
+    "bip --x0": ["bip", "inst.txt", "--x0", "{}"],
+    "bip --max-iters": ["bip", "inst.txt", "--max-iters", "{}"],
+    "bip --predict-c": ["bip", "sm.txt", "--start", "a", "--predict-c", "{}"],
+    "synthesize c": ["synthesize", "sm.txt", "{}", "1"],
+    "synthesize eps": ["synthesize", "sm.txt", "1/2", "{}"],
+    "eval inputs": ["eval", "double.txt", "{}"],
+}
+FLAG_VALUES = {
+    "0": "0", "-1": "-1", "1/0": "1/0", "x": "x", "nan": "nan", "inf": "inf", "1e309": "1e309",
+    "10**15": str(10**15), "2**63": str(2**63), "5000 digits": "9" * 5000,
+}
+
+
+@pytest.mark.parametrize("value", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+def test_flag_values_exit_cleanly(input_files, capsys, flag, value):
+    # a value too large to allocate for, such as --pairs 10**15, is an input error too
+    write(input_files / "sm.txt", CHAIN_SELFMAP)
+    write(input_files / "double.txt", "input 0\nn1: add n0 n0\noutputs: n1\n")
+    argv = [FLAG_VALUES[value] if arg == "{}" else arg for arg in FLAG_CASES[flag]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        assert exc.code == 2 and ": error: " in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1)
 
 
 # ---------------------------------------------------------------- one read per input file

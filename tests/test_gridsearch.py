@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import banach_corpus, cls_local_corpus
 from test_golden import solve_instances
-from contraction_kit.circuit import Circuit, CircuitBuilder, InputError, ScaledColumn
+from contraction_kit.circuit import CircuitBuilder, InputError, ScaledColumn, _Program
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
 from contraction_kit.gridsearch import (
     CHUNK,
@@ -153,13 +153,13 @@ def test_over_budget_chunks_run_row_by_row(monkeypatch):
     # brought to their own lcm may still fit
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 2)
     batches = []
-    evaluate_columns = Circuit.evaluate_columns
+    run_many = _Program.run_many
 
     def spy(self, columns, d, size):
-        batches.append(evaluate_columns(self, columns, d, size))
+        batches.append(run_many(self, columns, d, size))
         return batches[-1]
 
-    monkeypatch.setattr(Circuit, "evaluate_columns", spy)
+    monkeypatch.setattr(_Program, "run_many", spy)
     insts = [cls_local_corpus()[3], banach_corpus()[1],
              reduce_cls_local_to_banach(cls_local_corpus()[0], half_eps=True).produced]
     # the Fraction interpreter runs every row here, on both sides

@@ -573,6 +573,17 @@ def test_negative_pair_count_is_an_input_error(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "-3" in err
 
 
+def test_pair_count_past_numpy_array_size_is_an_input_error():
+    # the first draw of count pairs in dimension 2 is 2 * count * 2 float64s; numpy
+    # sizes an array of up to intp max bytes, an 8 EiB one that no host can hold
+    sys_ = paper_counterexample_system()
+    largest = np.iinfo(np.intp).max // 32
+    with pytest.raises(MemoryError):
+        power.sample_pairs(sys_, largest, seed=0)
+    with pytest.raises(SpectralError, match=f"pair count {largest + 1} is too large"):
+        power.sample_pairs(sys_, largest + 1, seed=0)
+
+
 def replay_pair_mp_per_entry_norm(sys_, x, y, precision=power.REPLAY_PRECISION):
     """The replay as first written, recomputing ||A x|| for every entry."""
     old = mp.prec

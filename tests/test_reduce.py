@@ -9,7 +9,7 @@ import mpmath
 from mpmath import iv
 
 from corpus import cls_local_corpus
-from contraction_kit.circuit import Circuit, CircuitBuilder, CircuitError, InputError
+from contraction_kit.circuit import CircuitBuilder, CircuitError, InputError, _Program
 from contraction_kit.cls import (
     BanachInstance,
     CLSLocalInstance,
@@ -772,13 +772,13 @@ def test_batched_certificate_matches_pairwise_past_bit_budget(monkeypatch, broke
     triples = random_triples(random.Random(3), 12, [3, 7, 16]) + [(ORIGIN, E1, HALF_E1)]
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 8)
     batches = []
-    evaluate_columns = Circuit.evaluate_columns
+    run_many = _Program.run_many
 
     def spy(self, columns, d, size):
-        batches.append(evaluate_columns(self, columns, d, size))
+        batches.append(run_many(self, columns, d, size))
         return batches[-1]
 
-    monkeypatch.setattr(Circuit, "evaluate_columns", spy)
+    monkeypatch.setattr(_Program, "run_many", spy)
     report = assert_same_certification(art, triples)
     assert batches == [None, None]
     assert report.all_pass != broken
