@@ -89,19 +89,20 @@ _COLUMN_OPS: dict[str, Callable] = {
 
 
 class InputError(ValueError):
-    """Malformed or out-of-range input text or argument, where no module's own error fits."""
+    """Malformed or out-of-range input text or argument; each module's input error subclasses it."""
 
 
-class CircuitError(ValueError):
+class CircuitError(InputError):
     """Structural problem in a circuit (bad reference, arity, ...)."""
 
 
 class CircuitParseError(CircuitError):
-    """Parse failure; carries the 1-based offending line number."""
+    """Parse failure; carries the 1-based offending line number and the message without it."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 def parse_number(convert: Callable[[str], T], text: str, error: type[ValueError] = InputError) -> T:

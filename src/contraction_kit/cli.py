@@ -24,7 +24,6 @@ import numpy as np
 from . import cls as cls_mod
 from . import converse, gridsearch, iteration, power, reduce as reduce_mod
 from .circuit import (
-    CircuitError,
     InputError,
     content_lines,
     format_fraction,
@@ -34,14 +33,9 @@ from .circuit import (
 )
 from .library import as_point, l1, sq_l2
 
-INPUT_ERRORS = (
-    CircuitError,
-    cls_mod.InstanceError,
-    converse.SelfMapError,
-    power.SpectralError,
-    InputError,
-    OSError,  # a path to read or write that is missing, a directory or not permitted
-)
+# every module's input error subclasses InputError; OSError is a path to read or
+# write that is missing, a directory or not permitted
+INPUT_ERRORS = (InputError, OSError)
 
 
 def _read(path: str) -> tuple[str, str]:

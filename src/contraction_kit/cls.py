@@ -28,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .circuit import Circuit, content_lines, format_fraction, parse_circuit, parse_fraction
+from .circuit import Circuit, CircuitParseError, InputError, content_lines, format_fraction
+from .circuit import parse_circuit, parse_fraction
 from .library import Point, as_point, in_unit_cube, l1, sq_l2
 from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
 
 
-class InstanceError(ValueError):
+class InstanceError(InputError):
     """Malformed problem instance or solution."""
 
 
@@ -308,8 +309,11 @@ def instance_to_text(inst: ProblemInstance) -> str:
 
 
 def parse_instance(text: str) -> ProblemInstance:
-    lines = iter(content_lines(text))
-    tag = next(lines, None)
+    """The instance in ``text``; a circuit's parse error names the line of the file."""
+    # content_lines, each with its line number in the file
+    splits = enumerate(text.splitlines(), 1)
+    lines = iter([(no, ln) for no, raw in splits if (ln := raw.split("#", 1)[0].strip())])
+    _, tag = next(lines, (0, None))
     if tag is None:
         raise InstanceError("unexpected end of instance file")
     if tag not in _PROBLEMS:
@@ -318,7 +322,7 @@ def parse_instance(text: str) -> ProblemInstance:
     names = [name for name, _, _ in problem.circuits]
     constants: dict[str, Fraction] = {}
     circuits: dict[str, Circuit] = {}
-    for ln in lines:
+    for _, ln in lines:
         if ln.startswith("circuit"):
             parts = ln.split()
             if len(parts) != 2:
@@ -329,13 +333,19 @@ def parse_instance(text: str) -> ProblemInstance:
             if name in circuits:
                 raise InstanceError(f"repeated circuit {name!r}")
             body: list[str] = []
-            for raw in lines:
+            file_lines: list[int] = []  # of the body's lines, then of ``end``
+            for no, raw in lines:
+                file_lines.append(no)
                 if raw == "end":
                     break
                 body.append(raw)
             else:
                 raise InstanceError("unexpected end of instance file")
-            circuits[name] = parse_circuit("\n".join(body) + "\n")
+            # ``end`` goes in as a comment line, so a missing outputs line names it
+            try:
+                circuits[name] = parse_circuit("\n".join(body + ["#"]))
+            except CircuitParseError as exc:
+                raise CircuitParseError(file_lines[exc.line_no - 1], exc.message) from None
         else:
             key, _, val = ln.partition(" ")
             if key not in problem.constants:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import content_lines, format_fraction, format_ratio, parse_fraction, parse_number
+from .circuit import InputError, content_lines, format_fraction, format_ratio, parse_fraction, parse_number
 from .metrics import (
     AXIOM_TRIANGLE,
     _describe_first_failure,
@@ -49,7 +49,7 @@ Matrix = list[list[Fraction]]
 Scaled = tuple[np.ndarray, int]  # (D, s): the matrix D / s, as ``scale_to_integers`` gives it
 
 
-class SelfMapError(ValueError):
+class SelfMapError(InputError):
     """Invalid finite self-map instance."""
 
 
@@ -327,7 +327,8 @@ class SynthesizedMetric:
     levels: list[float]
     k_sets: list[list[int]]
     certificate: list[CertificateEntry]
-    # d_M, rho_c and d_c as (D, s), the one form the stages hand on and report_text renders
+    # d_M, rho_c and d_c as (D, s), the one form the stages hand on and report_text renders;
+    # d_m, rho and d_c below are Fraction views of it, built on first read
     scaled: tuple[Scaled, Scaled, Scaled] = field(repr=False, compare=False)
 
     @cached_property
@@ -347,6 +348,8 @@ class SynthesizedMetric:
         return all(e.ok for e in self.certificate)
 
     def report_text(self) -> str:
+        """The report; one ``np.unique`` sort gives the distinct entries of each scaled matrix,
+        ``format_ratio`` writes each once, and the sort's inverse gathers the texts into rows."""
         m = self.selfmap
         lines = [
             f"synthesized contraction metric: n={m.size} c={format_fraction(self.c)} "

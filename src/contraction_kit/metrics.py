@@ -1,9 +1,12 @@
 """Exact deciders for metric axioms, Lipschitz continuity, and contraction.
 
 All checks are over caller-supplied finite point sets and decide strict
-inequalities exactly on rationals; no epsilon slack is ever added.  Returned
-violations carry the witnesses and both sides of the failed inequality so
-they replay bit-for-bit through re-evaluation.
+inequalities exactly on rationals; no epsilon slack is ever added.
+``check_metric_axioms`` names the first failed axiom with its witnessing
+points and both sides; ``lipschitz_violated`` and ``contraction_violated``
+decide one pair and return both sides, and the verifiers' clauses call them
+pair by pair.  The matrix checks decide acceptance on the matrix scaled to
+integers and word a failure from the ``_first_failure`` scan.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +26,6 @@ AXIOM_IDENTITY = "IDENTITY"
 AXIOM_SYMMETRY = "SYMMETRY"
 AXIOM_TRIANGLE = "TRIANGLE"
 
-DistanceFn = Callable[[Sequence[Fraction], Sequence[Fraction]], Fraction]
-
-
 @dataclass(frozen=True)
 class MetricViolation:
     """A failed metric axiom with the witnessing points and both sides."""
@@ -34,37 +34,6 @@ class MetricViolation:
     witnesses: tuple[Point, ...]
     lhs: Fraction
     rhs: Fraction
-
-    def replay(self, d: DistanceFn) -> bool:
-        """Re-derive the violation from scratch; True iff it still holds."""
-        w = self.witnesses
-        if self.axiom == AXIOM_NONNEG:
-            return d(w[0], w[1]) < 0
-        if self.axiom == AXIOM_IDENTITY:
-            if len(w) == 1:
-                return d(w[0], w[0]) != 0
-            return w[0] != w[1] and d(w[0], w[1]) == 0
-        if self.axiom == AXIOM_SYMMETRY:
-            return d(w[0], w[1]) != d(w[1], w[0])
-        if self.axiom == AXIOM_TRIANGLE:
-            return d(w[0], w[1]) > d(w[0], w[2]) + d(w[2], w[1])
-        raise ValueError(f"unknown axiom {self.axiom!r}")
-
-
-@dataclass(frozen=True)
-class PointPair:
-    x: Point
-    y: Point
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_point(self.x))
-        object.__setattr__(self, "y", as_point(self.y))
-
-
-def _as_distance(d) -> DistanceFn:
-    if isinstance(d, Circuit) and (d.input_arity != 6 or d.output_arity != 1):
-        raise ValueError("distance circuit must map 6 inputs to 1 output")
-    return d
 
 
 def _first_failure(dist: Sequence[Sequence[Fraction]], keys: Sequence):
@@ -116,20 +85,14 @@ def check_metric_axioms(d, points: Sequence[Sequence[Fraction]]) -> MetricViolat
     """
     pts = [as_point(p) for p in points]
     if callable(d):
-        raw = _as_distance(d)
-        d = [[raw(x, y) for y in pts] for x in pts]
+        if isinstance(d, Circuit) and (d.input_arity != 6 or d.output_arity != 1):
+            raise ValueError("distance circuit must map 6 inputs to 1 output")
+        d = [[d(x, y) for y in pts] for x in pts]
     failure = _first_failure(d, pts)
     if failure is None:
         return None
     axiom, idx, lhs, rhs = failure
     return MetricViolation(axiom, tuple(pts[i] for i in idx), lhs, rhs)
-
-
-@dataclass(frozen=True)
-class LipschitzViolation:
-    pair: PointPair
-    lhs: Fraction  # |g(x) - g(y)|_1
-    rhs: Fraction  # lam * |x - y|_1
 
 
 def lipschitz_violated(g, lam: Fraction, x: Point, y: Point) -> tuple[bool, Fraction, Fraction]:
@@ -151,44 +114,6 @@ def contraction_violated(f, dist, c: Fraction, x: Point, y: Point) -> tuple[bool
     lhs = dist(f(x), f(y))
     rhs = c * dist(x, y)
     return lhs > rhs, lhs, rhs
-
-
-def find_lipschitz_violation(
-    g, lam: Fraction, pairs: Sequence[PointPair]
-) -> LipschitzViolation | None:
-    """First pair violating lambda-Lipschitz continuity of g in the l1 norm."""
-    lam = Fraction(lam)
-    for pair in pairs:
-        violated, lhs, rhs = lipschitz_violated(g, lam, pair.x, pair.y)
-        if violated:
-            return LipschitzViolation(pair, lhs, rhs)
-    return None
-
-
-@dataclass(frozen=True)
-class ContractionViolation:
-    pair: PointPair
-    lhs: Fraction  # d(f(x), f(y))
-    rhs: Fraction  # c * d(x, y)
-
-
-def find_contraction_violation(
-    f, d, c: Fraction, pairs: Sequence[PointPair]
-) -> ContractionViolation | None:
-    """First pair with d(f(x), f(y)) > c * d(x, y), decided exactly.
-
-    c = 1 is admitted so non-expansion can be refuted (the power-iteration
-    counterexample needs it); contraction proper means c < 1.
-    """
-    c = Fraction(c)
-    if not 0 < c <= 1:
-        raise ValueError("contraction constant must lie in (0,1]")
-    dist = _as_distance(d)
-    for pair in pairs:
-        violated, lhs, rhs = contraction_violated(f, dist, c, pair.x, pair.y)
-        if violated:
-            return ContractionViolation(pair, lhs, rhs)
-    return None
 
 
 def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:

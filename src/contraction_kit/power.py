@@ -44,7 +44,7 @@ import numpy as np
 from mpmath import mp, mpf, sqrt as mp_sqrt
 from mpmath.libmp import from_man_exp
 
-from .circuit import content_lines, parse_number
+from .circuit import InputError, content_lines, parse_number
 
 RESIDUAL_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -61,7 +61,7 @@ MAX_POWER_STEPS = 10_000  # most power steps iteration_bound plans and runs
 _TAU_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
-class SpectralError(ValueError):
+class SpectralError(InputError):
     """Matrix or vector fails a module precondition."""
 
 
@@ -407,20 +407,7 @@ def power_step(sys: SpectralSystem, x: Sequence[float]) -> np.ndarray:
     return out
 
 
-@dataclass
-class EigenMetricValue:
-    """d(x,y) with the v1-normalized points and their difference kept for audit."""
-
-    value: float
-    normalized_x: np.ndarray
-    normalized_y: np.ndarray
-    residual: np.ndarray
-
-    def orthogonality_defect(self, sys: SpectralSystem) -> float:
-        return abs(float(self.residual @ sys.v1))
-
-
-def eigen_metric(sys: SpectralSystem, x: Sequence[float], y: Sequence[float]) -> EigenMetricValue:
+def eigen_metric(sys: SpectralSystem, x: Sequence[float], y: Sequence[float]) -> float:
     """d(x,y) = || x/<x,v1> - y/<y,v1> ||_2; undefined near <.,v1> = 0."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -428,10 +415,7 @@ def eigen_metric(sys: SpectralSystem, x: Sequence[float], y: Sequence[float]) ->
     oy = float(yv @ sys.v1)
     if abs(ox) < OVERLAP_MIN or abs(oy) < OVERLAP_MIN:
         raise SpectralError("metric undefined: vector nearly perpendicular to v1")
-    nx = xv / ox
-    ny = yv / oy
-    residual = nx - ny
-    return EigenMetricValue(float(np.linalg.norm(residual)), nx, ny, residual)
+    return float(np.linalg.norm(xv / ox - yv / oy))
 
 
 @dataclass
@@ -449,7 +433,6 @@ class RatePair:
 
 @dataclass
 class RateCertificate:
-    rate_bound: float
     pairs: list[RatePair] = field(default_factory=list)
     violations: list[int] = field(default_factory=list)
 
@@ -552,14 +535,13 @@ def _rate_chunk(sys: SpectralSystem, chunk) -> list[tuple[float, float]]:
 
 def _rate_pairs_scalar(sys: SpectralSystem, pairs) -> list[tuple[float, float]]:
     return [
-        (eigen_metric(sys, x, y).value,
-         eigen_metric(sys, power_step(sys, x), power_step(sys, y)).value)
+        (eigen_metric(sys, x, y), eigen_metric(sys, power_step(sys, x), power_step(sys, y)))
         for x, y in pairs
     ]
 
 
 def _rate_certificate(sys: SpectralSystem, values: list[tuple[float, float]]) -> RateCertificate:
-    cert = RateCertificate(rate_bound=sys.rate)
+    cert = RateCertificate()
     for idx, (before, after) in enumerate(values):
         cert.pairs.append(RatePair(idx, before, after))
         if after > sys.rate * before + RATE_SLACK:
@@ -818,7 +800,7 @@ def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> Ite
     if eps <= 0:
         raise SpectralError("eps must be positive")
     x = np.asarray(x0, dtype=float)
-    d0 = eigen_metric(sys, x, sys.v1).value
+    d0 = eigen_metric(sys, x, sys.v1)
     if d0 <= eps:
         predicted = 0
     elif sys.rate == 0:  # every other eigenvalue is 0, so A x lies on the line of v1
@@ -835,7 +817,7 @@ def iteration_bound(sys: SpectralSystem, x0: Sequence[float], eps: float) -> Ite
     distances = [d0]
     for _ in range(predicted):
         x = power_step(sys, x)
-        distances.append(eigen_metric(sys, x, sys.v1).value)
+        distances.append(eigen_metric(sys, x, sys.v1))
     final_l2 = float(np.linalg.norm(x - sys.v1))
     return IterationBoundReport(predicted, distances, distances[-1], final_l2, float(eps))
 

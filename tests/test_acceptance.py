@@ -96,8 +96,8 @@ def test_criterion_1_power_contraction_rate():
             y /= np.linalg.norm(y)
             if abs(x @ sys_.v1) < 1e-10 or abs(y @ sys_.v1) < 1e-10:
                 continue
-            before = eigen_metric(sys_, x, y).value
-            after = eigen_metric(sys_, power_step(sys_, x), power_step(sys_, y)).value
+            before = eigen_metric(sys_, x, y)
+            after = eigen_metric(sys_, power_step(sys_, x), power_step(sys_, y))
             if before > 0:
                 ratio = after / before
                 worst = max(worst, ratio - sys_.rate)

@@ -433,7 +433,7 @@ def assert_columns_match(circuit, rows, out):
 
 @given(random_batches(), st.sampled_from([1, 6]))
 @settings(max_examples=200, deadline=None)
-def test_evaluate_columns_matches_evaluate_and_reference(case, extra):
+def test_run_many_matches_evaluate_and_reference(case, extra):
     # extra = 6 puts the inputs over a denominator larger than their lcm
     circuit, rows = case
     columns, d = scaled_columns(circuit, rows, extra)
@@ -444,7 +444,7 @@ def test_evaluate_columns_matches_evaluate_and_reference(case, extra):
         assert_columns_match(circuit, rows, out)
 
 
-def test_evaluate_columns_existing_cases():
+def test_run_many_existing_cases():
     cases = [
         (MUL_MAX, [[F(1, 3), F(2, 5)], [F(-7, 8), 4], [F(1, 9), F(-5, 7)], [0, 0]]),
         (GT, [[F(1, 3), F(2, 5)], [F(-7, 8), 4], [F(1, 9), F(-5, 7)], [0, 0]]),
@@ -456,7 +456,7 @@ def test_evaluate_columns_existing_cases():
         assert_columns_match(c, rows, run_many(c, columns, d, len(rows)))
 
 
-def test_evaluate_columns_broadcasts_constant_outputs():
+def test_run_many_broadcasts_constant_outputs():
     b = CircuitBuilder()
     x = b.input()
     third = b.const(F(1, 3))
@@ -472,7 +472,7 @@ def test_evaluate_columns_broadcasts_constant_outputs():
     assert [F(v, half.den) for v in half.num] == [F(1, 2)] * 4
 
 
-def test_evaluate_columns_empty_batch():
+def test_run_many_empty_batch():
     c = parse_circuit(MUL_MAX)
     empty = np.array([], dtype=object)
     (out,) = run_many(c, [empty, empty], 1, 0)
@@ -481,13 +481,13 @@ def test_evaluate_columns_empty_batch():
     assert len(half.num) == 0
 
 
-def test_evaluate_columns_arity_checked():
+def test_run_many_arity_checked():
     c = parse_circuit(MUL_MAX)
     with pytest.raises(CircuitError, match="arity mismatch: circuit takes 2 inputs, got 1"):
         c((ScaledColumn(np.array([1], dtype=object), 1),))
 
 
-def test_evaluate_columns_none_past_bit_budget(monkeypatch):
+def test_run_many_none_past_bit_budget(monkeypatch):
     # x*y has static denominator D**2, counted as 1 + 2*(D-1).bit_length()
     # bits: with a 21-bit budget, D - 1 may have at most 10 bits
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
@@ -552,7 +552,7 @@ def test_call_brings_point_columns_to_one_denominator():
 
 
 def test_call_on_point_columns_falls_back_per_row_past_bit_budget(monkeypatch):
-    # as in test_evaluate_columns_none_past_bit_budget: D - 1 may have at most 10 bits
+    # as in test_run_many_none_past_bit_budget: D - 1 may have at most 10 bits
     monkeypatch.setattr("contraction_kit.circuit.DEN_BIT_BUDGET", 21)
     calls = []
     evaluate, reference = Circuit.evaluate, Circuit._evaluate_reference

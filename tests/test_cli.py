@@ -10,15 +10,18 @@ import pytest
 from corpus import banach_corpus, cls_local_corpus
 from contraction_kit import cli, power
 from contraction_kit.cli import main
+from contraction_kit.circuit import CircuitError, InputError
 from contraction_kit.cls import (
     BanachInstance,
+    InstanceError,
     Solution,
     instance_to_text,
     parse_instance,
     parse_solution,
 )
 from contraction_kit.library import l1_distance_circuit, scaling_map_circuit
-from contraction_kit.reduce import build_interpolation_circuit
+from contraction_kit.converse import CertificateError, SelfMapError
+from contraction_kit.reduce import ReductionBug, build_interpolation_circuit
 
 CONST_HALF = "n0: const 1/2\noutputs: n0\n"
 
@@ -364,6 +367,20 @@ def test_circuit_line_with_trailing_token_exits_two(workdir, capsys):
     assert_input_error(["verify", inst, sol], capsys, "'circuit <name>'")
 
 
+def test_instance_circuit_error_names_the_file_line(workdir, capsys):
+    # the comment and the blank line count: the bogus gate is on file line 14,
+    # line 7 of its circuit block
+    text = "# the halving map\n\n" + instance_to_text(halving_banach())
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    bogus = write(workdir / "bogus.txt", text.replace("n6: mul n2 n3", "n6: bogus n2 n3"))
+    assert_input_error(["verify", bogus, sol], capsys, "error: line 14: unknown gate 'bogus'")
+    # a block without an outputs line names its end line
+    no_outputs = text.replace("outputs: n4 n5 n6\n", "")
+    assert no_outputs.splitlines()[14] == "end"
+    path = write(workdir / "no-outputs.txt", no_outputs)
+    assert_input_error(["verify", path, sol], capsys, "error: line 15: missing outputs line")
+
+
 @pytest.mark.parametrize("entry", ["1e400", "inf", "nan"])
 def test_non_finite_matrix_entry_exits_two(workdir, capsys, entry):
     path = write(workdir / "m.txt", f"2\n2.0 0.0\n0.0 {entry}\n")
@@ -632,7 +649,14 @@ def test_bad_seed_exits_two(input_files, capsys, monkeypatch, seed, message):
 
 
 def test_bare_value_error_is_not_an_input_error(workdir, monkeypatch):
-    # a ValueError from a program bug must surface, not pass as exit 2
+    # each module's input error is an InputError, which exit 2 answers; a ValueError
+    # from a program bug must surface, not pass as exit 2, and so must a failed check
+    assert issubclass(CircuitError, InputError)
+    assert issubclass(InstanceError, InputError)
+    assert issubclass(SelfMapError, InputError)
+    assert issubclass(power.SpectralError, InputError)
+    assert not issubclass(CertificateError, InputError)
+    assert not issubclass(ReductionBug, InputError)
     def bug(text):
         raise ValueError("a program bug")
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-module-level function and class of the package is read somewhere in the repository,
-and no module of the package calls ``np.ix_``, ``np.argwhere`` or ``np.isin``."""
+module-level function and class of the package, and every member of its classes, is
+read somewhere in the repository, and no module of the package calls ``np.ix_``,
+``np.argwhere`` or ``np.isin``."""
 
 import ast
 from pathlib import Path
@@ -79,9 +80,49 @@ def test_the_check_sees_an_unread_definition():
     assert unread_definitions(wrapper, read_names("y.orphan_wrapper\nused()\nKept\n")) == []
 
 
+def unread_members(source: str, read: set[str]) -> list[str]:
+    """The methods, properties, fields and class attributes of the classes of ``source``
+    whose names are not in ``read``; dunder names are left out."""
+    unread = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"line {node.lineno}: {cls.name}.{name}"
+                for name in names
+                if not (name.startswith("__") and name.endswith("__")) and name not in read
+            ]
+    return unread
+
+
+def test_the_check_sees_an_unread_member():
+    source = (
+        "@dataclass\nclass Record:\n    kept: int\n    audit: float\n    LIMIT = 3\n\n"
+        "    def __repr__(self):\n        return ''\n\n    @property\n    def ratio(self):\n"
+        "        return self.kept\n\n    def replay(self):\n        pass\n"
+    )
+    reader = "r = Record(1, audit=2.0)\nr.replay()\n"
+    assert unread_members(source, read_names(source + reader)) == [
+        "line 4: Record.audit", "line 5: Record.LIMIT", "line 11: Record.ratio"
+    ]
+    # a keyword argument names a field without reading it; an attribute or string reads it
+    assert unread_members(source, read_names("x.audit\ngetattr(x, 'LIMIT')\nx.ratio\n")) == [
+        "line 3: Record.kept", "line 14: Record.replay"
+    ]
+
+
 def test_every_definition_is_read():
     read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
-    unread = {p.name: unread_definitions(p.read_text(encoding="utf-8"), read) for p in SOURCES}
+    texts = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    unread = {name: unread_definitions(t, read) + unread_members(t, read) for name, t in texts.items()}
     assert {name: found for name, found in unread.items() if found} == {}
 
 

@@ -17,13 +17,12 @@ from contraction_kit.library import (
 )
 from contraction_kit.metrics import (
     AXIOM_TRIANGLE,
-    PointPair,
     _describe_first_failure,
     _first_failure,
     check_metric_axioms,
     check_metric_matrix,
-    find_contraction_violation,
-    find_lipschitz_violation,
+    contraction_violated,
+    lipschitz_violated,
     metric_failure_mask,
     scale_to_integers,
     semimetric_mask,
@@ -45,7 +44,14 @@ def test_squared_l2_triangle_violation_with_midpoint():
     # d(0, e1) = 1 exceeds the chain through the midpoint: 1/4 + 1/4
     assert violation.lhs == 1
     assert violation.rhs == F(1, 2)
-    assert violation.replay(sq_l2_distance_circuit())
+    assert_triangle_fails(violation)
+
+
+def assert_triangle_fails(violation):
+    assert violation.axiom == AXIOM_TRIANGLE
+    d = sq_l2_distance_circuit()
+    x, y, z = violation.witnesses
+    assert d(x, y) > d(x, z) + d(z, y)
 
 
 def test_squared_l2_passes_without_midpoint():
@@ -68,39 +74,30 @@ def test_true_metrics_pass_on_random_point_sets(pts):
 
 
 def test_identity_map_is_one_lipschitz():
-    pairs = [PointPair(ORIGIN, E1), PointPair(E1, E2), PointPair(MID, E2)]
-    assert find_lipschitz_violation(identity_map_circuit(), F(1), pairs) is None
+    f = identity_map_circuit()
+    for x, y in [(ORIGIN, E1), (E1, E2), (MID, E2)]:
+        assert not lipschitz_violated(f, F(1), x, y)[0]
 
 
 def test_step_circuit_lipschitz_violation():
-    pair = PointPair((F(49, 100), F(0), F(0)), (F(51, 100), F(0), F(0)))
-    violation = find_lipschitz_violation(step_map_circuit(), F(1), [pair])
-    assert violation is not None
-    assert violation.lhs == 1
-    assert violation.rhs == F(2, 100)
+    x, y = (F(49, 100), F(0), F(0)), (F(51, 100), F(0), F(0))
+    assert lipschitz_violated(step_map_circuit(), F(1), x, y) == (True, 1, F(2, 100))
 
 
 def test_halving_map_quarter_lipschitz_violation():
-    violation = find_lipschitz_violation(
-        scaling_map_circuit(F(1, 2)), F(1, 4), [PointPair(ORIGIN, E1)]
-    )
-    assert violation is not None
-    assert violation.lhs == F(1, 2)
-    assert violation.rhs == F(1, 4)
+    f = scaling_map_circuit(F(1, 2))
+    assert lipschitz_violated(f, F(1, 4), ORIGIN, E1) == (True, F(1, 2), F(1, 4))
 
 
 def test_halving_contracts_at_one_half():
-    pairs = [PointPair(ORIGIN, E1), PointPair(E1, E2)]
-    assert find_contraction_violation(scaling_map_circuit(F(1, 2)), l1, F(1, 2), pairs) is None
+    f = scaling_map_circuit(F(1, 2))
+    for x, y in [(ORIGIN, E1), (E1, E2)]:
+        assert not contraction_violated(f, l1, F(1, 2), x, y)[0]
 
 
 def test_halving_violates_one_quarter():
-    violation = find_contraction_violation(
-        scaling_map_circuit(F(1, 2)), l1, F(1, 4), [PointPair(ORIGIN, E1)]
-    )
-    assert violation is not None
-    assert violation.lhs == F(1, 2)
-    assert violation.rhs == F(1, 4)
+    f = scaling_map_circuit(F(1, 2))
+    assert contraction_violated(f, l1, F(1, 4), ORIGIN, E1) == (True, F(1, 2), F(1, 4))
 
 
 def test_power_iteration_expands_l2_at_c_one():
@@ -117,14 +114,9 @@ def test_power_iteration_expands_l2_at_c_one():
     def dist(u, v):
         return F(math.hypot(float(u[0] - v[0]), float(u[1] - v[1])))
 
-    class Pair:
-        pass
-
-    pair = Pair()
-    pair.x, pair.y = x, y
-    violation = find_contraction_violation(f, dist, F(1), [pair])
-    assert violation is not None
-    assert float(violation.lhs) > float(violation.rhs)
+    violated, lhs, rhs = contraction_violated(f, dist, F(1), x, y)
+    assert violated
+    assert float(lhs) > float(rhs)
 
 
 @given(
@@ -135,16 +127,16 @@ def test_power_iteration_expands_l2_at_c_one():
 @settings(max_examples=40, deadline=None)
 def test_contraction_violation_monotone_in_c(c1, c2, raw_pairs):
     lo, hi = min(c1, c2), max(c1, c2)
-    pairs = [PointPair(a, b) for a, b in raw_pairs]
     f = scaling_map_circuit(F(3, 4))
-    if find_contraction_violation(f, l1, lo, pairs) is None:
-        assert find_contraction_violation(f, l1, hi, pairs) is None
+    for x, y in raw_pairs:
+        if contraction_violated(f, l1, hi, x, y)[0]:
+            assert contraction_violated(f, l1, lo, x, y)[0]
 
 
 def test_violation_replay_reproduces_inequality():
     violation = check_metric_axioms(sq_l2_distance_circuit(), [ORIGIN, E1, MID])
     assert violation is not None
-    assert violation.replay(sq_l2_distance_circuit())
+    assert_triangle_fails(violation)
 
 
 def test_matrix_checker_accepts_and_rejects():
