@@ -9,14 +9,18 @@ Main arithmetic is float64; certificates can be replayed through a 128-bit
 mpmath oracle.
 
 The fast paths give the float bits of their references.  A Jacobi rotation
-turns rows p and q 2-wide.  Columns p and q of the working matrix stacked on
-the eigenvectors turn in one dense product until that product has taught the
-process which of two O(n) forms gives its bits at (n, p, q, column): a
-product narrowed to two columns rounds differently from the dense one at
-some places, and which way is the BLAS kernel's, not the values'.  From
-dimension FAST_COLUMNS_MIN up, a learnt step then turns the two columns in
-O(n) (`_ColumnTurn`); `_jacobi_eigensolve_reference` keeps three dense
-products per rotation.  The rate certificate runs chunks of pairs through
+takes its angle from three entries and turns rows p and q 2-wide.  Columns
+p and q of the working matrix stacked on the eigenvectors turn in one dense
+product until that product has taught the process which of two O(n) forms
+gives its bits at (n, p, q, column): a product narrowed to two columns
+rounds differently from the dense one at some places, and which way is the
+BLAS kernel's, not the values'.  From dimension FAST_COLUMNS_MIN up, a
+learnt step then turns the two columns in O(n) (`_ColumnTurn`): it copies
+them out, turns them in one 2-wide product and writes them back, and makes
+further calls only for a turned entry that is a zero.  Per rotation that is
+a fixed handful of NumPy calls on 2n x 2 arrays in place of a (2n) x n x n
+product; `_jacobi_eigensolve_reference` keeps three dense products per
+rotation.  The rate certificate runs chunks of pairs through
 stacked `np.matmul`, which makes the same ddot and gemv calls per row as
 `eigen_metric` and `power_step`.
 
@@ -187,9 +191,11 @@ class _ColumnTurn:
     def __init__(self, n: int, forms: np.ndarray):
         self.forms = forms  # forms[p, q] for column p, forms[q, p] for column q; 0 = unlearnt
         self.w = np.empty((2, 2))
+        self.flat_w = _flat(self.w)
         self.pair = np.empty((2 * n, 2))  # x and y
         self.turned = np.empty((2 * n, 2))
         self.magnitudes = np.empty((2 * n, 2))
+        self.below = np.empty((2 * n, 2), dtype=bool)
         # laid out so that each ufunc runs along 2n entries
         self.products = np.empty((2, 2, 2 * n))  # products[j, k] = w[k, j] * (x, y)[k]
         self.summed = np.empty((2, 2 * n))  # SUM of column j in row j
@@ -197,31 +203,38 @@ class _ColumnTurn:
 
     def _load(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> None:
         self.pair[...] = stack[:, p:q + 1:q - p]
-        w = self.w
-        w[0, 0] = w[1, 1] = c
-        w[0, 1] = s
-        w[1, 0] = -s
+        w = self.flat_w
+        w[0] = w[3] = c
+        w[1] = s
+        w[2] = -s
 
     def _sums(self) -> None:
         np.multiply(self.w.T[:, :, None], self.pair.T, out=self.products)
         np.add(self.products[:, 0], self.products[:, 1], out=self.summed)
 
-    def _zeros_decided(self, turned: np.ndarray, s: float) -> bool:
-        """Whether each zero of `turned` is +0.0 under the dense product too.
+    def _zeros_decided(self, s: float) -> bool:
+        """Whether every zero the loaded step can turn out is +0.0 under the dense product too.
 
         A zero where x and y are both +0.0, or where two products cancel
         exactly, is +0.0 whatever zero terms the dense product adds.  Only a
         product that underflows to zero leaves the sign to those terms, and
-        none does when |s * e| >= 2^-968 for every nonzero entry e (and
-        c >= |s|): each product is then a multiple of 2^-1074.
+        none does when |s * e| >= 2^-968 for every nonzero loaded entry e
+        (and c >= |s|): each product is then a multiple of 2^-1074.  So the
+        step is decided exactly when every loaded entry below `least`, the
+        least double whose float product with |s| reaches 2^-968, is a zero.
+        A step with s = 0.0 (or a non-finite s) is refused.
         """
-        if np.count_nonzero(turned) == turned.size:
-            return True
-        least = np.abs(self.pair, out=self.magnitudes).min()
-        if not least:
-            nonzero = self.magnitudes[self.magnitudes != 0]
-            least = nonzero.min() if nonzero.size else math.inf
-        return abs(s) * least >= _UNDERFLOW_FREE
+        scale = abs(s)
+        if not 0.0 < scale < math.inf:
+            return False
+        least = _UNDERFLOW_FREE / scale
+        while scale * least >= _UNDERFLOW_FREE:  # the quotient rounds to either side
+            least = math.nextafter(least, 0.0)
+        while scale * least < _UNDERFLOW_FREE:
+            least = math.nextafter(least, math.inf)
+        pair = self.pair
+        small = np.count_nonzero(np.less(np.abs(pair, out=self.magnitudes), least, out=self.below))
+        return small == pair.size - np.count_nonzero(pair)
 
     def turn(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
         """Turn columns p and q of `stack` in place; False, touching nothing, when the
@@ -229,19 +242,24 @@ class _ColumnTurn:
         fp, fq = self.forms.item(p, q), self.forms.item(q, p)
         if not (fp and fq):
             return False
-        self._load(stack, p, q, c, s)
-        turned = self.turned
+        # `_load`, written out: this runs once a rotation, where a call costs a few percent
+        columns = stack[:, p:q + 1:q - p]
+        pair, turned, w = self.pair, self.turned, self.flat_w
+        pair[...] = columns
+        w[0] = w[3] = c
+        w[1] = s
+        w[2] = -s
         if fp == self.PRODUCT or fq == self.PRODUCT:
-            np.dot(self.pair, self.w, out=turned)
+            np.dot(pair, self.w, out=turned)
         if fp == self.SUM or fq == self.SUM:
             self._sums()
             if fp == self.SUM:
                 turned[:, 0] = self.summed[0]
             if fq == self.SUM:
                 turned[:, 1] = self.summed[1]
-        if not self._zeros_decided(turned, s):
+        if np.count_nonzero(turned) < turned.size and not self._zeros_decided(s):
             return False
-        stack[:, p:q + 1:q - p] = turned
+        columns[...] = turned
         return True
 
     def learn(self, stack: np.ndarray, dense: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
@@ -258,7 +276,7 @@ class _ColumnTurn:
         if _has_negative_zero(got):
             return False
         self._load(stack, p, q, c, s)
-        if not self._zeros_decided(got, s):
+        if np.count_nonzero(got) < got.size and not self._zeros_decided(s):
             return True
         np.dot(self.pair, self.w, out=self.turned)
         self._sums()
@@ -273,10 +291,13 @@ class _ColumnTurn:
 
 # learnt column forms, one int8 table per dimension, taught only by the dense product
 _COLUMN_FORMS: dict[int, np.ndarray] = {}
-# the least dimension whose columns turn in O(n) once learnt, the crossover of a
-# solve that still has to learn its forms: with one OpenBLAS thread on a Xeon
-# core, the median cold solve cost 1.02x a dense one at n = 52 and 0.88x at 53,
-# and a warm one 0.78x and 0.63x (11 gapped matrices each)
+# the least dimension whose columns turn in O(n) once learnt.  It was set at the
+# crossover of a solve that still has to learn its forms, which the cheaper
+# rotation has since moved down: with one OpenBLAS thread on a Xeon core, the
+# median cold solve cost 0.98x a dense one at n = 51, 0.97x at 52, 0.90x at 53,
+# 0.87x at 54 and 0.79x at 55, and a warm one 0.71x, 0.71x, 0.65x, 0.62x and
+# 0.57x (33 gapped matrices each); cold solves broke even near n = 44-48.  No
+# benchmark workload runs a dimension from 33 to 63, so the gate stays here.
 FAST_COLUMNS_MIN = 53
 _FAST_NORM_MAX = 2.0 ** 1000  # a bound on the Frobenius norm that keeps every product finite
 _UNDERFLOW_FREE = 2.0 ** -968  # no product of doubles this large rounds to zero
@@ -303,20 +324,35 @@ def _has_negative_zero(a: np.ndarray) -> bool:
     return np.count_nonzero(a) < a.size and bool(np.signbit(a[a == 0]).any())
 
 
+def _flat(a: np.ndarray) -> memoryview:
+    """The C-contiguous float64 `a` as a flat memoryview: a scalar write through it
+    costs about half a 2-D index assignment."""
+    return memoryview(a).cast("B").cast("d")
+
+
 def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass is < 1e-14.
 
     Gives the float bits of `_jacobi_eigensolve_reference` without building a
-    rotation matrix per step.  Rows p and q of the working matrix turn in one
-    2x2 @ 2xn product.  The columns turn in one dense product of the working
-    matrix stacked on the eigenvectors, by an identity whose four entries are
-    set for the step, below FAST_COLUMNS_MIN and for an input `_column_turn`
-    refuses.  Otherwise the dense product also teaches this process the O(n)
-    form of each column it turns (`_ColumnTurn`), and a step whose forms are
-    learnt turns columns p and q in O(n) instead, with the same bits.  That
-    holds only while the stack has no -0.0, so the first step that leaves one
-    in rows p and q or in columns p and q hands the rest of the solve to the
-    dense product.
+    rotation matrix per step.  Every rotation calls `_jacobi_angle` once,
+    writes the four entries of its 2x2 through a flat view, and turns rows p
+    and q of the working matrix in one 2x2 @ 2xn product that it stores back.
+    The columns then turn on one of two paths:
+
+    - Dense, below FAST_COLUMNS_MIN, for an input `_column_turn` refuses, and
+      on a step whose forms are not learnt yet: four entries of an identity
+      are set for the step through a flat view, one product turns the whole
+      working matrix stacked on the eigenvectors, and the four entries are
+      reset.  From FAST_COLUMNS_MIN up, that product also teaches this
+      process the O(n) form of each column it turned (`_ColumnTurn.learn`).
+    - O(n), on a step whose forms are learnt: one count shows whether rows p
+      and q hold a zero, and `_ColumnTurn.turn` turns columns p and q with
+      the same bits (one load, one 2-wide product, one count of zeros, one
+      store).  A zero costs more calls only where it occurs.
+
+    The O(n) path holds only while the stack has no -0.0, so the first step
+    that leaves one in rows p and q or in columns p and q hands the rest of
+    the solve to the dense product.
     """
     a0 = np.asarray(a, dtype=float)
     _check_matrix(a0)
@@ -326,6 +362,8 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     rot = np.eye(n)
     turn = np.empty((2, 2))
     rows_pq = np.empty((2, n))
+    width = rows_pq.size
+    flat_rot, flat_turn = _flat(rot), _flat(turn)
     skip = _jacobi_skip(n)
     columns = _column_turn(a0)
     for _ in range(100):
@@ -337,23 +375,24 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 if angle is None:
                     continue
                 c, s = angle
-                turn[0, 0] = turn[1, 1] = c
-                turn[0, 1] = -s
-                turn[1, 0] = s
+                flat_turn[0] = flat_turn[3] = c
+                flat_turn[1] = -s
+                flat_turn[2] = s
                 view = stack[p:q + 1:q - p]
                 np.dot(turn, view, out=rows_pq)
                 view[...] = rows_pq
                 if columns is not None:
-                    if _has_negative_zero(rows_pq):
+                    if np.count_nonzero(rows_pq) < width and _has_negative_zero(rows_pq):
                         columns = None
                     elif columns.turn(stack, p, q, c, s):
                         continue
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
+                pp, qq, pq, qp = p * (n + 1), q * (n + 1), p * n + q, q * n + p
+                flat_rot[pp] = flat_rot[qq] = c
+                flat_rot[pq] = s
+                flat_rot[qp] = -s
                 np.dot(stack, rot, out=spare)
-                rot[p, p] = rot[q, q] = 1.0
-                rot[p, q] = rot[q, p] = 0.0
+                flat_rot[pp] = flat_rot[qq] = 1.0
+                flat_rot[pq] = flat_rot[qp] = 0.0
                 if columns is not None and not columns.learn(stack, spare, p, q, c, s):
                     columns = None
                 stack, spare = spare, stack

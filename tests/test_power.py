@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
 from contraction_kit import power
@@ -402,13 +402,13 @@ def test_jacobi_matches_reference_bit_for_bit(n, seed, kind):
     assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(power._jacobi_eigensolve_reference, a)
 
 
-@pytest.mark.parametrize("n", [32, 33, 47, 64])
-def test_jacobi_matches_reference_at_large_dimensions(n):
+@pytest.mark.parametrize("n", [16, 32, 33, 47, 64])
+def test_jacobi_matches_reference_at_large_dimensions(column_forms, n):
     a = dict(pinned_matrices()).get(f"gapped-{n}")
     if a is None:
         a = np.random.default_rng(n).normal(size=(n, n))
         a = a + a.T
-    assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(power._jacobi_eigensolve_reference, a)
+    solve_twice_like_reference(a)  # cold, then on the forms the first solve taught
 
 
 def test_jacobi_non_convergence_matches_reference():
@@ -778,12 +778,16 @@ def zero_cases(n):
 
 
 def test_learnt_column_turns_keep_zeros_like_reference(column_forms):
-    n = 57  # both forms occur at 57 with OpenBLAS on a Xeon core
-    jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
-    assert set(np.unique(column_forms[n])) == {0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
-    for _, a in zero_cases(n):  # each solve turns on the taught forms from its first sweep
-        assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(
-            power._jacobi_eigensolve_reference, a)
+    # both forms occur at 57 with OpenBLAS on a Xeon core; at the gate and at 64 every
+    # learnt form is PRODUCT there
+    for n in (power.FAST_COLUMNS_MIN, 57, 64):
+        jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
+        if n == 57:
+            assert set(np.unique(column_forms[n])) == {
+                0, power._ColumnTurn.PRODUCT, power._ColumnTurn.SUM}
+        for _, a in zero_cases(n):  # each solve turns on the taught forms from its first sweep
+            assert eigen_outcome(jacobi_eigensolve, a) == eigen_outcome(
+                power._jacobi_eigensolve_reference, a)
 
 
 class _EnoughPivots(Exception):
@@ -853,6 +857,57 @@ def test_inputs_past_the_guards_solve_dense(column_forms, fast_turns):
             power._jacobi_eigensolve_reference, refused)
     assert fast_turns == []
     assert power._column_turn(a) is not None
+
+
+def zeros_decided_by_least_magnitude(pair, turned, s):
+    """The zero-sign check as the least-magnitude scan states it: the reference for
+    `_ColumnTurn._zeros_decided`."""
+    if np.count_nonzero(turned) == turned.size:
+        return True
+    magnitudes = np.abs(pair)
+    least = magnitudes.min()
+    if not least:
+        nonzero = magnitudes[magnitudes != 0]
+        least = nonzero.min() if nonzero.size else math.inf
+    return abs(s) * least >= power._UNDERFLOW_FREE
+
+
+@st.composite
+def loaded_steps(draw):
+    """(pair, s): a step sine s and loaded columns whose least nonzero magnitude is 0.0,
+    a subnormal, or within a few ulps of 2^-968 / |s|, where |s * e| meets the bound."""
+    s = draw(st.sampled_from([0.0]) | st.floats(2.0 ** -60, 1 / math.sqrt(2))
+             | st.builds(math.ldexp, st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-112, -54)))
+    s *= draw(st.sampled_from([1.0, -1.0]))
+    near = [power._UNDERFLOW_FREE / abs(s) if s else power._UNDERFLOW_FREE]
+    for _ in range(2):
+        near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
+    least = draw(st.sampled_from(near) | st.sampled_from([5e-324, 1e-310, 2.0 ** -1022])
+                 | st.floats(1e-300, 1e-250))
+    rows = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.sampled_from([0.0, least]) | st.floats(1.0, 2.0),
+                            min_size=4 * rows, max_size=4 * rows))
+    pair = np.array(entries).reshape(2 * rows, 2)
+    pair[draw(st.lists(st.integers(0, 2 * rows - 1), max_size=rows))] = 0.0  # +0.0 rows
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=pair.size, max_size=pair.size))
+    return pair * np.reshape(signs, pair.shape), s
+
+
+# |s| * 0x1.49b67cda5b235p-962 rounds to just below 2^-968, although the quotient
+# 2^-968 / |s| rounds to that entry: a threshold taken as the quotient would pass it
+ROUNDED_QUOTIENT = (np.array([[float.fromhex("0x1.49b67cda5b235p-962"), 1.0], [0.0, 0.0]]),
+                    float.fromhex("0x1.8d88a7451b32dp-7"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_steps())
+@example(ROUNDED_QUOTIENT)
+def test_zeros_decided_refuses_where_the_least_magnitude_scan_refuses(step):
+    pair, s = step
+    columns = power._ColumnTurn(len(pair) // 2, np.zeros((1, 1), dtype=np.int8))
+    columns.pair[...] = pair
+    turned = np.zeros(1)  # the check is reached only when a turned entry is a zero
+    assert columns._zeros_decided(s) == zeros_decided_by_least_magnitude(pair, turned, s)
 
 
 def test_column_turn_leaves_undecided_zeros_to_the_dense_product():
