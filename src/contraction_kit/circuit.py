@@ -22,13 +22,13 @@ as the reference.  Both give the same canonical fractions.
 
 A circuit is called on points: ``circuit(x, y)`` reads its inputs from the
 coordinates of the points in order.  On rationals the call is ``evaluate``.
-On point columns (tuples of ``ScaledColumn``s, one row per point) it is the
-one batch entry: the columns are brought to one ``D`` and each step of the
-same program runs once for the whole batch over numpy object columns of
-Python ints, each output a ``ScaledColumn`` over its static ``K*D**e``;
-past the budget the rows run one by one.  A caller that reads many rows
-built from few points scales each point once and gathers the columns by
-index.
+On point columns (tuples of 1-D ``Scaled``s, one row per point) it is
+the one batch entry: ``Scaled.common`` brings the columns to one ``D`` and
+each step of the same program runs once for the whole batch over numpy
+object columns of Python ints, each output a ``Scaled`` over its static
+``K*D**e``; past the budget the rows run one by one.  A caller that reads
+many rows built from few points scales the points once with ``Scaled.of``
+and gathers their columns by index.
 
 Text format (UTF-8, one node per line, ``#`` starts a comment):
 
@@ -159,21 +159,27 @@ class Gate(NamedTuple):
     input_index: int | None = None      # input only
 
 
+def int_dtype(bound: int):
+    """int64 if the sum of two entries of magnitude <= bound fits, else object (Python ints)."""
+    return np.int64 if 2 * bound < 1 << 63 else object
+
+
 def _times(num, k: int):
     """num * k, without the copy a factor of 1 would make."""
     return num if k == 1 else num * k
 
 
-class ScaledColumn:
-    """A column of rationals ``num[r] / den``: an object array of Python ints over one denominator.
+class Scaled:
+    """Rationals ``num / den``: an integer array ``num`` of any shape over one ``den > 0``.
 
-    The batch value type: a circuit called on columns takes and gives them,
-    and a clause predicate computes with them on a chunk of candidates.  It
-    has the operations the clauses use: ``+`` and ``-`` with a column or a
-    rational (an int or a ``Fraction``), ``abs``, multiplication by a
-    rational, ``**`` by a natural number, and comparisons with a column or a
-    rational, each of which gives a boolean mask with one entry per row.
-    ``den`` is positive; the numerators are not reduced.
+    The one place that scales, lifts, reads back and prints exact rational
+    arrays: point columns, which circuits and clause predicates take and
+    give, and the converse matrices.  ``num`` is int64 where ``int_dtype``
+    allows it, else Python ints in an object array, and is not reduced.
+    The operators are the clauses': ``+``, ``-`` and comparisons (a boolean
+    mask) with a ``Scaled`` or a rational, ``abs``, ``*`` by a rational and
+    ``**`` by a natural number.  They lift an int64 ``num`` to Python ints
+    first, so none of them wraps.
     """
 
     __slots__ = ("num", "den")
@@ -183,47 +189,98 @@ class ScaledColumn:
         self.den = den
 
     @staticmethod
-    def _parts(other) -> tuple:
-        if isinstance(other, ScaledColumn):
-            return other.num, other.den
-        return other.numerator, other.denominator
+    def of(values: Sequence) -> Scaled:
+        """``values``, ints and Fractions nested in lists or tuples, over the lcm of their denominators.
 
-    def _lift(self, other) -> tuple:
-        """Both operands' numerators over the lcm of their denominators, and that lcm."""
-        num, den = self._parts(other)
-        common = lcm(self.den, den)
-        return _times(self.num, common // self.den), _times(num, common // den), common
+        Each distinct denominator is divided into the lcm once, and ``num``
+        has the dtype ``int_dtype`` picks; ``[]`` gives an empty column.
+        """
+        shape, flat = [len(values)], list(values)
+        while flat and isinstance(flat[0], (list, tuple)):
+            shape.append(len(flat[0]))
+            flat = [x for row in flat for x in row]
+        factor = {q: 1 for q in {x.denominator for x in flat}}
+        den = lcm(*factor)
+        for q in factor:
+            factor[q] = den // q
+        ints = [x.numerator * factor[x.denominator] for x in flat]
+        dtype = int_dtype(max(map(abs, ints), default=0))
+        return Scaled(np.array(ints, dtype=dtype).reshape(shape), den)
 
-    def __add__(self, other) -> ScaledColumn:
-        a, b, den = self._lift(other)
-        return ScaledColumn(a + b, den)
+    @staticmethod
+    def common(values: Sequence, headroom: Callable | None = None) -> tuple[list, int]:
+        """``(nums, s)``: ``values`` (``Scaled``s or rationals) over the lcm ``s`` of their denominators.
+
+        Without ``headroom`` they are Python ints.  A caller that computes on
+        int64 passes ``headroom(top, s)``, a bound on every number it forms
+        from them when ``top`` bounds every lifted |numerator|; they then
+        have the dtype ``int_dtype`` picks for it.
+        """
+        parts = [(v.num, v.den) if type(v) is Scaled else (v.numerator, v.denominator) for v in values]
+        s = lcm(*(den for _, den in parts))
+        dtype = object
+        if headroom is not None:
+            top = max(max(1, int(abs(num).max())) * (s // den) for num, den in parts)
+            dtype = int_dtype(headroom(top, s))
+        return [_times(np.asarray(num, dtype=dtype), s // den) for num, den in parts], s
+
+    def wide(self) -> Scaled:
+        """The same values with ``num`` as Python ints, on which no arithmetic wraps."""
+        return self if self.num.dtype == object else Scaled(self.num.astype(object), self.den)
+
+    def __getitem__(self, index):
+        """``num[index]`` over ``den``; an entry, picked by one integer per axis, as a Fraction."""
+        num = self.num[index]
+        if isinstance(num, np.ndarray):
+            return Scaled(num, self.den)
+        return Fraction(int(num), self.den)
+
+    def columns(self) -> tuple[Scaled, ...]:
+        """The columns of a 2-D ``Scaled``: a block of points, one per row, gives its point columns."""
+        return tuple(Scaled(column, self.den) for column in self.num.T)
+
+    def fractions(self) -> list:
+        """The values as Fractions in nested lists (the inverse of ``of``), each computed once."""
+        value = {v: Fraction(v, self.den) for v in set(self.num.ravel().tolist())}
+        return np.frompyfunc(value.__getitem__, 1, 1)(self.num).tolist()
+
+    def texts(self) -> list:
+        """The values as ``format_ratio`` writes them, in nested lists: one ``np.unique`` sort
+        gives the distinct numerators, each is written once, and the sort's inverse gathers them."""
+        values, inverse = np.unique(self.num, return_inverse=True)
+        texts = np.array([format_ratio(v, self.den) for v in values.tolist()], dtype=object)
+        return texts[inverse.reshape(self.num.shape)].tolist()
+
+    def __add__(self, other) -> Scaled:
+        (a, b), den = Scaled.common((self, other))
+        return Scaled(a + b, den)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> ScaledColumn:
-        a, b, den = self._lift(other)
-        return ScaledColumn(a - b, den)
+    def __sub__(self, other) -> Scaled:
+        (a, b), den = Scaled.common((self, other))
+        return Scaled(a - b, den)
 
-    def __rsub__(self, other) -> ScaledColumn:
-        a, b, den = self._lift(other)
-        return ScaledColumn(b - a, den)
+    def __rsub__(self, other) -> Scaled:
+        (a, b), den = Scaled.common((self, other))
+        return Scaled(b - a, den)
 
-    def __abs__(self) -> ScaledColumn:
-        return ScaledColumn(np.abs(self.num), self.den)
+    def __abs__(self) -> Scaled:
+        return Scaled(np.abs(self.wide().num), self.den)
 
-    def __mul__(self, other) -> ScaledColumn:
-        if isinstance(other, ScaledColumn):
+    def __mul__(self, other) -> Scaled:
+        if isinstance(other, Scaled):
             return NotImplemented
-        return ScaledColumn(self.num * other.numerator, self.den * other.denominator)
+        return Scaled(self.wide().num * other.numerator, self.den * other.denominator)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> ScaledColumn:
-        return ScaledColumn(self.num ** k, self.den ** k)
+    def __pow__(self, k: int) -> Scaled:
+        return Scaled(self.wide().num ** k, self.den ** k)
 
     def _compare(self, other, op) -> np.ndarray:
-        num, den = self._parts(other)  # denominators are positive: cross-multiply
-        return op(_times(self.num, den), _times(num, self.den))
+        (a, b), _ = Scaled.common((self, other))
+        return op(a, b)
 
     def __lt__(self, other) -> np.ndarray:
         return self._compare(other, operator.lt)
@@ -298,27 +355,21 @@ class Circuit:
         """The circuit on points, its inputs read from their coordinates in order.
 
         Points of rationals go to ``evaluate``.  Point columns, tuples of
-        ``ScaledColumn``s, are brought to the lcm of their denominators and
+        1-D ``Scaled``s, are brought to the lcm of their denominators and
         run as one batch on the integer program; past the bit budget they
-        run row by row, and each output comes back over the lcm of its rows'
-        denominators.  One output comes back alone, several as a tuple.
+        run row by row, and each output is ``Scaled.of`` its rows' values,
+        over Python ints.  One output comes back alone, several as a tuple.
         """
         flat = [c for p in points for c in p]
-        if flat and type(flat[0]) is ScaledColumn:
+        if flat and type(flat[0]) is Scaled:
             if len(flat) != self.input_arity:
                 raise self._arity_error(len(flat))
-            den = lcm(*(c.den for c in flat))
-            columns = [_times(c.num, den // c.den) for c in flat]
-            size = len(columns[0])
-            out = self._program.run_many(columns, den, size)
+            columns, den = Scaled.common(flat)
+            out = self._program.run_many(columns, den, len(columns[0]))
             if out is None:
                 rows = zip(*(c.tolist() for c in columns))
                 values = [self.evaluate([Fraction(v, den) for v in row]) for row in rows]
-                out = []
-                for k in range(self.output_arity):
-                    d = lcm(*(row[k].denominator for row in values))
-                    nums = [row[k].numerator * (d // row[k].denominator) for row in values]
-                    out.append(ScaledColumn(np.array(nums, dtype=object).reshape(size), d))
+                out = [Scaled.of([row[k] for row in values]).wide() for k in range(self.output_arity)]
         else:
             out = self.evaluate(flat)
         return out[0] if len(out) == 1 else tuple(out)
@@ -436,7 +487,7 @@ class _Program:
             v.append(op(x, y))
         return [Fraction(v[i], k * d**e) for i, k, e in self.outputs]
 
-    def run_many(self, columns: Sequence[np.ndarray], d: int, size: int) -> list[ScaledColumn] | None:
+    def run_many(self, columns: Sequence[np.ndarray], d: int, size: int) -> list[Scaled] | None:
         """``run`` on a batch of ``size`` rows; None when over budget.
 
         ``columns[i][r] / d`` is input ``i`` of row ``r``: one numpy object
@@ -447,7 +498,7 @@ class _Program:
         object array with one Python int per row; one fixed by the consts
         alone holds a plain Python int, which every column op broadcasts,
         so a const output comes back as ``size`` equal rows.  Each output is
-        a ``ScaledColumn`` over its static denominator ``K*d**e``, not
+        a ``Scaled`` over its static denominator ``K*d**e``, not
         reduced to lowest terms.
         """
         if (d - 1).bit_length() > self.max_d_bits:
@@ -466,7 +517,7 @@ class _Program:
             for slot in release:
                 v[slot] = None
         return [
-            ScaledColumn(np.broadcast_to(np.asarray(v[i], dtype=object), size), k * d**e)
+            Scaled(np.broadcast_to(np.asarray(v[i], dtype=object), size), k * d**e)
             for i, k, e in self.outputs
         ]
 

@@ -16,7 +16,6 @@ import hashlib
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +268,7 @@ def _bip_on_selfmap(args, text: str, input_line: str) -> int:
     if args.predict_c:
         c = parse_fraction(args.predict_c)
         synth = converse.synthesize(m, c, eps / 2)
-        d_c, scale = synth.scaled[2]
-        d0 = Fraction(int(d_c[start, m.map[start]]), scale)
+        d0 = synth.scaled[2][start, m.map[start]]
         budget = iteration.predict_iterations(d0, c, eps)
         lines += [
             f"d0 {format_fraction(d0)}",

@@ -140,7 +140,7 @@ class Clause:
     Euclidean metric, compared in squared form.  Given point columns for
     witnesses, every predicate but Oe's decides a chunk of candidates at
     once: ``ok`` is then a boolean mask and ``lhs`` and ``rhs`` are
-    ``ScaledColumn``s.
+    ``circuit.Scaled`` columns.
     """
 
     witnesses: range

@@ -31,22 +31,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import InputError, content_lines, format_fraction, format_ratio, parse_fraction, parse_number
+from .circuit import (
+    InputError, Scaled, content_lines, format_fraction, int_dtype, parse_fraction, parse_number
+)
 from .metrics import (
     AXIOM_TRIANGLE,
     _describe_first_failure,
     _first_failure,
     check_metric_matrix,
-    int_dtype,
     min_plus_closure,
     ragged_row,
-    scale_to_integers,
-    scaled_to_fractions,
     semimetric_mask,
 )
 
 Matrix = list[list[Fraction]]
-Scaled = tuple[np.ndarray, int]  # (D, s): the matrix D / s, as ``scale_to_integers`` gives it
 
 
 class SelfMapError(InputError):
@@ -87,7 +85,7 @@ class FiniteSelfMap:
         # the ragged-row check runs before the one conversion to integers
         bad = ragged_row(self.base_distance)
         if bad is None:
-            bad = check_metric_matrix(self.base_distance, self.scaled_distance[0])
+            bad = check_metric_matrix(self.base_distance, self.scaled_distance)
         if bad is not None:
             raise SelfMapError(f"base distance is not a metric: {bad}")
         if any(not 0 <= i < n for i in self.map):
@@ -125,7 +123,7 @@ class FiniteSelfMap:
     @cached_property
     def scaled_distance(self) -> Scaled:
         """The base metric scaled to integers, converted once per self-map."""
-        return scale_to_integers(self.base_distance)
+        return Scaled.of(self.base_distance)
 
     def to_text(self) -> str:
         lines = [f"points {self.size}"]
@@ -190,8 +188,8 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     if eps <= 0:
         raise SelfMapError("eps must be positive")
     fp = m.fixed_point
-    base, scale = m.scaled_distance
-    near = base <= math.floor(eps * scale)  # d <= eps, on the integer scale
+    base = m.scaled_distance.num
+    near = base <= math.floor(eps * m.scaled_distance.den)  # d <= eps, on the integer scale
     best: list[int] = [fp]
     for r in sorted(set(base[fp].tolist())):
         ball = np.flatnonzero(base[fp] <= r)
@@ -217,11 +215,11 @@ def compute_orbit_metric(m: FiniteSelfMap) -> Scaled:
     A running max over the rows of ``iterates``, on the base metric scaled to
     integers; every row past the table's end is x*, where d is 0.
     """
-    base, scale = m.scaled_distance
+    base = m.scaled_distance.num
     d_m = base.copy()
     for at in m.iterates[1:]:
         np.maximum(d_m, base[at[:, None], at], out=d_m)
-    return d_m, scale
+    return Scaled(d_m, m.scaled_distance.den)
 
 
 def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], list[list[int]]]:
@@ -249,7 +247,7 @@ def compute_rho(d_m: Scaled, levels: Sequence[float], c: Fraction) -> Scaled:
     integer p^(kappa-lo) * q^(hi-kappa) over p^(-lo) * q^hi, which joins d_M's scale.
     x*'s +inf level counts as hi: the min pairs it with a finite level, or d_M is 0.
     """
-    d, scale = d_m
+    d = d_m.num
     p, q = Fraction(c).as_integer_ratio()
     finite = [int(v) for v in levels if not math.isinf(v)]
     lo, hi = min([0, *finite]), max([0, *finite])
@@ -257,7 +255,7 @@ def compute_rho(d_m: Scaled, levels: Sequence[float], c: Fraction) -> Scaled:
     dtype = int_dtype(max(weights) * max(1, int(abs(d).max(initial=0))))
     kappa = np.array([hi if math.isinf(v) else int(v) for v in levels]) - lo
     rho = d.astype(dtype) * np.array(weights, dtype=dtype)[np.minimum.outer(kappa, kappa)]
-    return rho, scale * p ** -lo * q ** hi
+    return Scaled(rho, d_m.den * p ** -lo * q ** hi)
 
 
 def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) -> Matrix:
@@ -289,10 +287,10 @@ def geodesic_closure(rho: Scaled) -> Scaled:
     ``_geodesic_closure_reference``.  A rho that fails an axiom before the
     triangle inequality raises ValueError, worded by ``_first_failure``.
     """
-    d, scale = rho
+    d = rho.num
     if semimetric_mask(d, ~np.eye(len(d), dtype=bool)):
-        raise ValueError(_not_semimetric(scaled_to_fractions(d, scale)))
-    return min_plus_closure(d.copy()), scale
+        raise ValueError(_not_semimetric(rho.fractions()))
+    return Scaled(min_plus_closure(d.copy()), rho.den)
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
@@ -327,29 +325,28 @@ class SynthesizedMetric:
     levels: list[float]
     k_sets: list[list[int]]
     certificate: list[CertificateEntry]
-    # d_M, rho_c and d_c as (D, s), the one form the stages hand on and report_text renders;
-    # d_m, rho and d_c below are Fraction views of it, built on first read
+    # d_M, rho_c and d_c as ``Scaled`` matrices, the one form the stages hand on and
+    # report_text renders; d_m, rho and d_c below are Fraction views of them, built on first read
     scaled: tuple[Scaled, Scaled, Scaled] = field(repr=False, compare=False)
 
     @cached_property
     def d_m(self) -> Matrix:
-        return scaled_to_fractions(*self.scaled[0])
+        return self.scaled[0].fractions()
 
     @cached_property
     def rho(self) -> Matrix:
-        return scaled_to_fractions(*self.scaled[1])
+        return self.scaled[1].fractions()
 
     @cached_property
     def d_c(self) -> Matrix:
-        return scaled_to_fractions(*self.scaled[2])
+        return self.scaled[2].fractions()
 
     @property
     def certified(self) -> bool:
         return all(e.ok for e in self.certificate)
 
     def report_text(self) -> str:
-        """The report; one ``np.unique`` sort gives the distinct entries of each scaled matrix,
-        ``format_ratio`` writes each once, and the sort's inverse gathers the texts into rows."""
+        """The report; ``Scaled.texts`` writes each distinct entry of a matrix once."""
         m = self.selfmap
         lines = [
             f"synthesized contraction metric: n={m.size} c={format_fraction(self.c)} "
@@ -360,12 +357,9 @@ class SynthesizedMetric:
                 for i, lv in enumerate(self.levels)
             ),
         ]
-        for name, (d, scale) in zip(("d_M", "rho_c", "d_c"), self.scaled):
+        for name, matrix in zip(("d_M", "rho_c", "d_c"), self.scaled):
             lines.append(f"matrix {name}:")
-            values, inverse = np.unique(d, return_inverse=True)
-            texts = np.array([format_ratio(v, scale) for v in values.tolist()], dtype=object)
-            rows = texts[inverse.reshape(d.shape)].tolist()
-            lines.extend("  " + " ".join(row) for row in rows)
+            lines.extend("  " + " ".join(row) for row in matrix.texts())
         lines.append("certificate:")
         for entry in self.certificate:
             status = "PASS" if entry.ok else "FAIL"
@@ -390,14 +384,12 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     row-major order, with the Fraction values.
     """
     n, fp, f = m.size, m.fixed_point, np.array(m.map)
-    scaled = (m.scaled_distance, d_m, d_c)
-    s = math.lcm(*(scale for _, scale in scaled))
     p, q = c.numerator, c.denominator
     a, b = eps.numerator, eps.denominator
-    # each product below is at most max(q, b) * max|entry| or 2 * a * s
-    top = max(max(1, int(abs(x).max())) * (s // scale) for x, scale in scaled)
-    dtype = int_dtype(max(max(q, b) * top, a * s))
-    D, DM, DC = (x.astype(dtype) * (s // scale) for x, scale in scaled)
+    # each product below is at most max(q, b) * top or 2 * a * s, top the largest lifted |entry|
+    (D, DM, DC), s = Scaled.common(
+        (m.scaled_distance, d_m, d_c), lambda top, s: max(max(q, b) * top, a * s)
+    )
     small = b * DC <= a * s  # d_c <= eps
     far = b * D > 2 * a * s  # d > 2 eps
     outside = np.ones(n, dtype=bool)
@@ -405,28 +397,24 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     d_to_k0 = DM[:, w].min(axis=1)
     # for a semimetric, which the closure demands, the closure is d_c itself
     # iff the triangle inequality holds, i.e. iff d_c is a metric
-    closed = np.array_equal(geodesic_closure(d_c)[0], d_c[0])
-
-    def at(x, i, j):  # an entry of D, DM or DC as a Fraction, to word a failure
-        return Fraction(int(x[i, j]), s)
-
+    closed = np.array_equal(geodesic_closure(d_c).num, d_c.num)
     failures = [
         ("d_M dominates d", _first_hit(
-            D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={at(DM, i, j)}")),
+            D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i, j]}")),
         ("f non-expanding under d_M", _first_hit(
             DM[f[:, None], f] > DM, lambda i, j: f"pair ({i},{j})")),
         ("d_c metric axioms",
-         None if closed else _describe_first_failure(scaled_to_fractions(*d_c))),
+         None if closed else _describe_first_failure(d_c.fractions())),
         ("c-contraction of d_c", _first_hit(
             q * DC[f[:, None], f] > p * DC,
-            lambda i, j: f"pair ({i},{j}): {at(DC, f[i], f[j])} > c*{at(DC, i, j)}")),
+            lambda i, j: f"pair ({i},{j}): {d_c[f[i], f[j]]} > c*{d_c[i, j]}")),
         ("small d_c implies base proximity", _first_hit(
             small & far & far[fp][:, None] & far[fp][None, :], lambda i, j: f"pair ({i},{j})")),
         # fixed-point form of the proximity transfer; this converts a d_c bound
         # at x* into a base-metric bound, which the global iteration budget needs
         ("small d_c at the fixed point implies base proximity", _first_hit(
             small[:, fp] & far[:, fp],
-            lambda i: f"point {i}: d_c={at(DC, i, fp)} <= eps but d={m.d(i, fp)} > 2*eps")),
+            lambda i: f"point {i}: d_c={d_c[i, fp]} <= eps but d={m.d(i, fp)} > 2*eps")),
         ("lower bound d_c >= min(d_M, d_M(., K0)) outside K0", _first_hit(
             outside[:, None] & outside[None, :] & ~np.eye(n, dtype=bool)
             & (DC < np.minimum(DM, d_to_k0[:, None])),

@@ -28,10 +28,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circuit import InputError, ScaledColumn
+from .circuit import InputError, Scaled
 from .cls import CLAUSES, ProblemInstance, Solution, accepted_kinds, verify
 from .library import Point
-from .metrics import check_metric_axioms, scale_to_integers
+from .metrics import check_metric_axioms
 
 COARSE_RESOLUTION = Fraction(1, 4)
 MAX_PAIRS = 4000
@@ -94,17 +94,13 @@ def _quads(pairs: list[tuple[Point, Point]]) -> Iterable[tuple[Point, ...]]:
 class _Grid:
     """A resolution's candidate streams as rows of indices into its points.
 
-    ``columns[i][k] / den`` is coordinate i of ``points[k]``, and
-    ``streams[w]`` holds the w-witness candidates in scan order.
+    Row k of ``scaled`` is ``points[k]`` over Python ints, and ``streams[w]``
+    holds the w-witness candidates in scan order.
     """
 
     points: tuple[Point, ...]
-    columns: tuple[np.ndarray, ...]
-    den: int
+    scaled: Scaled
     streams: dict[int, np.ndarray]
-
-    def point_column(self, index: np.ndarray) -> tuple[ScaledColumn, ...]:
-        return tuple(ScaledColumn(column[index], self.den) for column in self.columns)
 
 
 @functools.cache
@@ -130,16 +126,14 @@ def _grid(resolution: Fraction) -> _Grid:
     # the first MAX_QUADS of itertools.product(distinct, distinct), as _quads takes them
     k = np.arange(min(MAX_QUADS, len(distinct) ** 2))
     quads = np.hstack([distinct[k // len(distinct)], distinct[k % len(distinct)]])
-    scaled, den = scale_to_integers([axis + [q for pt in extra for q in pt]])
-    ints = scaled[0].astype(object)  # Python ints: the axis, then the extra points' coordinates
-    on_axis, off = ints[:n], ints[n:].reshape(-1, 3)
-    # coordinate i of the fine grid, in itertools.product order, then of the extra points
-    columns = tuple(
-        np.concatenate([np.tile(np.repeat(on_axis, n ** (2 - i)), n ** i), off[:, i]])
-        for i in range(3)
-    )
+    # the axis, then the extra points' coordinates, over Python ints
+    scaled = Scaled.of(axis + [q for pt in extra for q in pt]).wide()
+    coords = np.empty((len(fine) + len(extra), 3), dtype=object)
+    for i in range(3):  # coordinate i of the fine grid, in itertools.product order
+        coords[: len(fine), i] = np.tile(np.repeat(scaled.num[:n], n ** (2 - i)), n ** i)
+    coords[len(fine):] = scaled.num[n:].reshape(-1, 3)
     streams = {1: np.arange(len(fine), dtype=np.int32)[:, None], 2: pair_rows, 4: quads}
-    return _Grid(fine + tuple(extra), columns, den, streams)
+    return _Grid(fine + tuple(extra), Scaled(coords, scaled.den), streams)
 
 
 def _metric_violations(d, fine: tuple[Point, ...]) -> Iterable[tuple[Point, ...]]:
@@ -158,7 +152,7 @@ def _first_hit(inst, clause, grid: _Grid, stream: np.ndarray) -> tuple[Point, ..
     """The first candidate of the stream whose clause holds, decided CHUNK rows at a time."""
     for start in range(0, len(stream), CHUNK):
         rows = stream[start:start + CHUNK]
-        ok = clause.holds(inst, *(grid.point_column(column) for column in rows.T))[0]
+        ok = clause.holds(inst, *(grid.scaled[column].columns() for column in rows.T))[0]
         hits = np.flatnonzero(ok)
         if len(hits):
             return tuple(grid.points[k] for k in rows[hits[0]])

@@ -3,7 +3,7 @@
 Maps are 3->3 circuits over [0,1]^3, potentials 3->1, distances 6->1 with the
 first point in inputs 0..2 and the second in inputs 3..5.
 
-A point is three rationals.  A point column is three ``circuit.ScaledColumn``s,
+A point is three rationals.  A point column is three 1-D ``circuit.Scaled``s,
 one chunk of points with each coordinate over one denominator.  A circuit is
 called directly on either: ``d(x, y)``, ``f(x)``.
 """

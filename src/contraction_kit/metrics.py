@@ -11,14 +11,13 @@ integers and word a failure from the ``_first_failure`` scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Scaled
 from .library import Point, as_point, l1
 
 AXIOM_NONNEG = "NONNEG"
@@ -116,39 +115,11 @@ def contraction_violated(f, dist, c: Fraction, x: Point, y: Point) -> tuple[bool
     return lhs > rhs, lhs, rhs
 
 
-def scale_to_integers(mat: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
-    """(D, L) with D[i, j] = mat[i][j] * L exactly, L the lcm of the denominators.
-
-    Entries are ints or Fractions, in rows of one length.  D has the dtype
-    ``int_dtype`` picks for max|D|.
-    """
-    flat = [x for row in mat for x in row]
-    factor = {q: 1 for q in {x.denominator for x in flat}}
-    scale = math.lcm(*factor)
-    for q in factor:
-        factor[q] = scale // q
-    ints = [x.numerator * factor[x.denominator] for x in flat]
-    dtype = int_dtype(max(map(abs, ints), default=0))
-    return np.array(ints, dtype=dtype).reshape(len(mat), len(mat[0]) if mat else 0), scale
-
-
-def int_dtype(bound: int):
-    """int64 if the sum of two entries of magnitude <= bound fits, else object (Python ints)."""
-    return np.int64 if 2 * bound < 1 << 63 else object
-
-
-def scaled_to_fractions(d: np.ndarray, scale: int) -> list[list[Fraction]]:
-    """The Fraction matrix d / scale, the inverse of ``scale_to_integers``."""
-    rows = d.tolist()
-    value = {v: Fraction(v, scale) for v in {v for row in rows for v in row}}
-    return [[value[v] for v in row] for row in rows]
-
-
 def min_plus_closure(d: np.ndarray) -> np.ndarray:
     """Floyd-Warshall in place on a scaled matrix (or a stack) with entries >= 0; returns d.
 
-    Entries only fall, and each sum adds two of them, so a scaled matrix
-    from ``scale_to_integers`` cannot overflow.
+    Entries only fall, and each sum adds two of them, so the numerators of
+    a ``Scaled.of`` matrix cannot overflow.
     """
     for k in range(d.shape[-1]):
         np.minimum(d, d[..., :, k, None] + d[..., None, k, :], out=d)
@@ -191,23 +162,23 @@ def ragged_row(dist: Sequence[Sequence[Fraction]]) -> str | None:
     return None
 
 
-def check_metric_matrix(
-    dist: Sequence[Sequence[Fraction]], scaled: np.ndarray | None = None
-) -> str | None:
+def check_metric_matrix(dist: Sequence[Sequence[Fraction]], scaled: Scaled | None = None) -> str | None:
     """Exhaustive metric-axiom check for a square distance matrix.
 
     Returns None on pass or a short description of the first failure, in the
-    scan order of ``_first_failure``; used to vet finite-space base metrics
-    and synthesized matrices.  Acceptance is decided on the matrix scaled to
-    integers, ``scaled`` when the caller holds ``scale_to_integers(dist)[0]``
+    scan order of ``_first_failure``; used to vet the base metric of a finite
+    self-map (synthesis words a failure of ``d_c`` through
+    ``_describe_first_failure`` itself).  Acceptance is decided on the matrix
+    scaled to integers, ``scaled`` when the caller holds ``Scaled.of(dist)``
     already; only a failing matrix runs the scan, in ``_describe_first_failure``.
     """
     bad = ragged_row(dist)
     if bad is not None:
         return bad
     if scaled is None:
-        scaled = scale_to_integers(dist)[0]
-    if not metric_failure_mask(scaled[None], ~np.eye(len(dist), dtype=bool))[0]:
+        scaled = Scaled.of(dist)
+    n = len(dist)  # Scaled.of reads an empty matrix as an empty column
+    if not metric_failure_mask(scaled.num.reshape(1, n, n), ~np.eye(n, dtype=bool))[0]:
         return None
     return _describe_first_failure(dist)
 

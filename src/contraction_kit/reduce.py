@@ -18,10 +18,10 @@ the back-mapping lands CO1 witnesses that verify at the source eps (without
 it they carry the construction's inherent 2*eps slack).
 
 certify_constructed_metric checks the constructed d on sampled triples on one
-integer scale: the points are scaled once to a common denominator, d and p
-are called on point columns gathered from those integers (one batch
-each, the circuits' one batch entry), and every clause is decided on the
-numerators d's values share one denominator over.
+integer scale: the points are scaled once, as one ``circuit.Scaled`` block,
+d and p are called on point columns gathered from it (one batch each, the
+circuits' one batch entry), and every clause is decided on the ``Scaled``
+values d gives, which share one denominator.
 The metric axioms go through metrics.metric_failure_mask, and only a flagged
 triple reaches the check_metric_axioms scan that names its failure.
 """
@@ -41,7 +41,7 @@ from .circuit import (
     CircuitBuilder,
     CircuitError,
     InputError,
-    ScaledColumn,
+    Scaled,
     format_fraction,
 )
 from .cls import (
@@ -53,12 +53,7 @@ from .cls import (
     verify_cls_local,
 )
 from .library import as_point, discrete_metric, l1
-from .metrics import (
-    check_metric_axioms,
-    metric_failure_mask,
-    scale_to_integers,
-    scaled_to_fractions,
-)
+from .metrics import check_metric_axioms, metric_failure_mask
 
 # bits past which certified_lambda_prime refuses the ceiling: far above the
 # ~14,300 bits of the 4,300 digits format_fraction can write, far below an
@@ -409,14 +404,14 @@ def certify_constructed_metric(
     """Check metric axioms, the d >= c' lower bound, and the two-case triangle
     argument of the constructed metric over sampled triples.
 
-    Every point is scaled once to the batch's common denominator; d is
-    evaluated once per ordered pair of each triple and p once per point,
-    each circuit called once on point columns gathered from those integers.
-    Each clause is decided on the integer numerators that d's values (and
-    p's) share one denominator over.  ``Fraction``s are built only for the
-    report: each triple's two triangle sides, the smallest off-diagonal
-    distance, and the detail strings of failures.  A triple flagged by the
-    axiom mask is described by ``check_metric_axioms``.
+    Every point is scaled once, by ``Scaled.of``; d is evaluated once per
+    ordered pair of each triple and p once per point, each circuit called
+    once on point columns gathered from that block.  Each clause is decided
+    on the ``Scaled`` values d (and p) give, over one denominator each.
+    ``Fraction``s are built only for the report: each triple's two triangle
+    sides, the smallest off-diagonal distance, and the detail strings of
+    failures.  A triple flagged by the axiom mask is described by
+    ``check_metric_axioms``.
     """
     if artifacts.direction != CLSLOCAL_TO_BANACH:
         raise ReductionBug("artifacts are not from the hardness direction")
@@ -427,35 +422,30 @@ def certify_constructed_metric(
     report = MetricCertification()
     if not points:
         return report
-    scaled, scale = scale_to_integers([pt for triple in points for pt in triple])
-    coords = scaled.astype(object)  # (3T, 3) Python ints: row 3t+i is point i of triple t
+    coords = Scaled.of([pt for triple in points for pt in triple])  # row 3t+i is point i of triple t
     n = len(points)
     first = np.repeat(np.arange(3 * n), 3)  # pair row 9t+3i+j reads point 3t+i ...
     second = np.arange(3 * n).reshape(n, 1, 3).repeat(3, axis=1).ravel()  # ... and 3t+j
-
-    def point_column(rows: np.ndarray) -> tuple[ScaledColumn, ...]:
-        return tuple(ScaledColumn(column, scale) for column in rows.T)
-
-    d = artifacts.produced.d(point_column(coords[first]), point_column(coords[second]))
-    dist, d_den = d.num.reshape(n, 3, 3), d.den
-    pot = artifacts.source.p(point_column(coords)).num.reshape(n, 3)
-    pts = coords.reshape(n, 3, 3)
+    d = artifacts.produced.d(coords[first].columns(), coords[second].columns())
+    dist = Scaled(d.num.reshape(n, 3, 3), d.den)
+    pot = artifacts.source.p(coords.columns()).num.reshape(n, 3)
+    pts = coords.num.reshape(n, 3, 3)
     distinct = (pts[:, :, None, :] != pts[:, None, :, :]).any(axis=3)
 
-    for k in np.flatnonzero(metric_failure_mask(dist, distinct)):
-        violation = check_metric_axioms(scaled_to_fractions(dist[k], d_den), points[k])
+    for k in np.flatnonzero(metric_failure_mask(dist.num, distinct)):
+        violation = check_metric_axioms(dist[k].fractions(), points[k])
         if violation is not None:
             report.axiom_failures.append(
                 f"{violation.axiom} at {violation.witnesses}: "
                 f"lhs={violation.lhs} rhs={violation.rhs}"
             )
     offdiag = dist[distinct]
-    if offdiag.size:
-        report.min_offdiag = Fraction(int(offdiag.min()), d_den)
-    below = distinct & (dist * c_prime.denominator < c_prime.numerator * d_den)
+    if offdiag.num.size:
+        report.min_offdiag = offdiag[offdiag.num.argmin()]
+    below = distinct & (dist < c_prime)
     if below.any():
         for k, i, j in zip(*np.nonzero(below)):
-            u, v, val = points[k][i], points[k][j], Fraction(dist[k, i, j], d_den)
+            u, v, val = points[k][i], points[k][j], dist[k, i, j]
             report.lower_bound_failures.append(f"d({u},{v}) = {val} < c' = {c_prime}")
 
     rows = np.arange(n)
@@ -464,8 +454,8 @@ def certify_constructed_metric(
     ge = (pot[rows, x] >= pot[:, 2]).tolist()
     lhs = dist[rows, x, y]
     rhs = dist[rows, x, 2] + dist[rows, 2, y]
-    for case_ge, ok, a, b in zip(ge, (lhs <= rhs).tolist(), lhs.tolist(), rhs.tolist()):
-        report.case_verdicts.append(TriangleCaseVerdict(
-            "p(x)>=p(z)" if case_ge else "p(x)<p(z)", ok, Fraction(a, d_den), Fraction(b, d_den)
-        ))
+    for case_ge, ok, a, b in zip(ge, (lhs <= rhs).tolist(), lhs.fractions(), rhs.fractions()):
+        report.case_verdicts.append(
+            TriangleCaseVerdict("p(x)>=p(z)" if case_ge else "p(x)<p(z)", ok, a, b)
+        )
     return report

@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from contraction_kit.circuit import (
     CircuitError,
     CircuitParseError,
     Gate,
-    ScaledColumn,
+    Scaled,
     build_power_circuit,
     format_fraction,
     format_ratio,
@@ -95,7 +96,7 @@ def test_ids_out_of_numeric_order_keep_their_declaration_order():
     for x in xs:
         want = [F(2, 3) * x - x, F(2, 3) * x]
         assert c.evaluate([x]) == again.evaluate([x]) == c._evaluate_reference([x]) == want
-    column = ScaledColumn(np.array([3, -20, 0], dtype=object), 4)
+    column = Scaled(np.array([3, -20, 0], dtype=object), 4)
     diff, prod = c((column,))
     assert [F(v, diff.den) for v in diff.num] == [c([x])[0] for x in xs]
     assert [F(v, prod.den) for v in prod.num] == [c([x])[1] for x in xs]
@@ -404,6 +405,47 @@ def random_batches(draw):
 # ---------------------------------------------------------------- the batch kernel
 
 
+# numerators below 2^62 in magnitude, which Scaled.of keeps as int64: a lift to
+# another denominator, a product with a rational or a square of one passes 2^63
+INT64_NUMS = st.integers(-(2**62) + 1, 2**62 - 1)
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(INT64_NUMS, min_size=n, max_size=n), st.lists(INT64_NUMS, min_size=n, max_size=n))),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.builds(F, INT64_NUMS, st.integers(1, 12)),
+)
+@example(([2**62 - 1, -(2**62) + 1], [2**62 - 1, 1]), 1, 7, F(2**62 - 1, 5))
+@settings(max_examples=100, deadline=None)
+def test_operators_on_int64_numerators_match_fraction_arithmetic(pair, den_a, den_b, q):
+    # each numerator over den is k * lcm / den with |k| < 2^62, so it fits int64
+    xs = [F(k, den_a) for k in pair[0]]
+    ys = [F(k, den_b) for k in pair[1]]
+    a, b = Scaled.of(xs), Scaled.of(ys)
+    assert a.num.dtype == b.num.dtype == np.int64
+    elementwise = [
+        (a + b, [x + y for x, y in zip(xs, ys)]),
+        (a - b, [x - y for x, y in zip(xs, ys)]),
+        (a + q, [x + q for x in xs]),
+        (q - a, [q - x for x in xs]),
+        (abs(a - b), [abs(x - y) for x, y in zip(xs, ys)]),
+        (abs(a), [abs(x) for x in xs]),
+        (a * q, [x * q for x in xs]),
+        (q * b, [q * y for y in ys]),
+        (a ** 2, [x ** 2 for x in xs]),
+    ]
+    for got, want in elementwise:
+        assert got.fractions() == want
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(a, b).tolist() == [op(x, y) for x, y in zip(xs, ys)]
+        assert op(a, q).tolist() == [op(x, q) for x in xs]
+        assert op(q, b).tolist() == [op(q, y) for y in ys]
+    # the operands keep their int64 numerators: no operator lifts in place
+    assert a.num.dtype == np.int64 and a.fractions() == xs
+
+
 def scaled_columns(circuit, rows, extra=1):
     """The rows as input columns of numerators over extra * (the lcm of their denominators)."""
     qss = [[F(a) for a in row] for row in rows]
@@ -419,10 +461,10 @@ def run_many(circuit, columns, d, size):
 
 
 def assert_columns_match(circuit, rows, out):
-    """Each output ``ScaledColumn`` read as Fractions equals evaluate and the reference."""
+    """Each output ``Scaled`` read as Fractions equals evaluate and the reference."""
     assert len(out) == circuit.output_arity
     for col in out:
-        assert type(col) is ScaledColumn
+        assert type(col) is Scaled
         assert type(col.den) is int and col.den > 0
         assert len(col.num) == len(rows)
         assert all(type(v) is int for v in col.num)
@@ -484,7 +526,7 @@ def test_run_many_empty_batch():
 def test_run_many_arity_checked():
     c = parse_circuit(MUL_MAX)
     with pytest.raises(CircuitError, match="arity mismatch: circuit takes 2 inputs, got 1"):
-        c((ScaledColumn(np.array([1], dtype=object), 1),))
+        c((Scaled(np.array([1], dtype=object), 1),))
 
 
 def test_run_many_none_past_bit_budget(monkeypatch):
@@ -520,7 +562,7 @@ def test_call_on_points_is_evaluate():
 
 def call_on_columns(circuit, columns, d):
     """The circuit called on one point column of ``columns / d``, its outputs as a list."""
-    out = circuit(tuple(ScaledColumn(column, d) for column in columns))
+    out = circuit(tuple(Scaled(column, d) for column in columns))
     return list(out) if isinstance(out, tuple) else [out]
 
 
@@ -541,8 +583,8 @@ def test_call_on_point_columns_matches_evaluate_and_reference(case):
 def test_call_brings_point_columns_to_one_denominator():
     # x over 4 and y over 6 run as one batch over D = 12: max(x*y, x) is over D**2
     c = parse_circuit(MUL_MAX)
-    x = ScaledColumn(np.array([1, -3, 2], dtype=object), 4)
-    y = ScaledColumn(np.array([5, 1, -6], dtype=object), 6)
+    x = Scaled(np.array([1, -3, 2], dtype=object), 4)
+    y = Scaled(np.array([5, 1, -6], dtype=object), 6)
     out = c((x, y))
     assert out.den == 144
     rows = [[F(1, 4), F(5, 6)], [F(-3, 4), F(1, 6)], [F(1, 2), F(-1)]]

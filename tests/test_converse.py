@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_selfmap
-from contraction_kit.circuit import InputError, format_fraction
+from contraction_kit.circuit import InputError, Scaled, format_fraction
 from contraction_kit.cli import main
 from contraction_kit.converse import (
     FiniteSelfMap,
@@ -30,7 +30,6 @@ from contraction_kit.converse import (
     parse_selfmap,
     synthesize,
 )
-from contraction_kit.metrics import scale_to_integers, scaled_to_fractions
 
 CERTIFICATE_PINS = Path(__file__).parent / "certificate_pins.json"
 
@@ -77,12 +76,12 @@ def shortest_simple_path_oracle(weights):
 
 def closure_of_fractions(rho):
     """geodesic_closure on a Fraction matrix, through its scaled-integer form."""
-    return scaled_to_fractions(*geodesic_closure(scale_to_integers(rho)))
+    return geodesic_closure(Scaled.of(rho)).fractions()
 
 
 def certify_fractions(m, c, eps, w, d_m, d_c):
     """_certify on Fraction matrices d_M and d_c, through their scaled-integer form."""
-    return _certify(m, c, eps, w, scale_to_integers(d_m), scale_to_integers(d_c))
+    return _certify(m, c, eps, w, Scaled.of(d_m), Scaled.of(d_c))
 
 
 def test_neighborhood_singleton_when_eps_small():
@@ -137,7 +136,7 @@ def test_levels_with_two_point_neighborhood():
 
 def test_orbit_metric_examples():
     m = chain_selfmap((1, 2, 1))
-    d_m = scaled_to_fractions(*compute_orbit_metric(m))
+    d_m = compute_orbit_metric(m).fractions()
     for i in range(m.size):
         assert d_m[i][i] == 0
     # d_M dominates d and f is non-expanding
@@ -155,7 +154,7 @@ def test_orbit_metric_constant_map_equals_base():
     coords = [(F(i), F(0), F(0)) for i in range(n)]
     dist = [[abs(F(i) - F(j)) for j in range(n)] for i in range(n)]
     m = FiniteSelfMap([f"p{i}" for i in range(n)], coords, dist, [3, 3, 3, 3], 3)
-    assert scaled_to_fractions(*compute_orbit_metric(m)) == dist
+    assert compute_orbit_metric(m).fractions() == dist
 
 
 def orbit_metric_brute_force(m):
@@ -229,7 +228,7 @@ def test_iterate_table_stages_match_set_walks():
         assert len(m.iterates) == max(map(len, orbits))
         assert [m.orbit(i) for i in range(m.size)] == orbits
         assert all(type(x) is int for i in range(m.size) for x in m.orbit(i))
-        assert scaled_to_fractions(*compute_orbit_metric(m)) == orbit_metric_brute_force(m)
+        assert compute_orbit_metric(m).fractions() == orbit_metric_brute_force(m)
         for eps in (F(1, 8), F(1, 2), F(1), F(3)):
             w_ref, levels_ref, k_sets_ref = set_walk_construction(m, eps)
             w = find_invariant_neighborhood(m, eps)
@@ -264,7 +263,7 @@ def test_orbit_metric_matches_brute_force(scale, n, data):
         reached.append(i)
     coords = [(p, F(0), F(0)) for p in pos]
     m = FiniteSelfMap([f"p{i}" for i in range(n)], coords, dist, fmap, fixed)
-    d_m = scaled_to_fractions(*compute_orbit_metric(m))
+    d_m = compute_orbit_metric(m).fractions()
     assert d_m == orbit_metric_brute_force(m)
     assert all(isinstance(v, F) for row in d_m for v in row)
 
@@ -272,11 +271,11 @@ def test_orbit_metric_matches_brute_force(scale, n, data):
 def test_rho_examples():
     levels = [-2, -1, math.inf]
     d_m = [[F(0), F(3), F(4)], [F(3), F(0), F(2)], [F(4), F(2), F(0)]]
-    rho = scaled_to_fractions(*compute_rho(scale_to_integers(d_m), levels, F(1, 2)))
+    rho = compute_rho(Scaled.of(d_m), levels, F(1, 2)).fractions()
     assert rho[0][0] == 0
     assert rho[0][1] == 12  # c^-2 * 3
     assert rho[1][2] == 4   # kappa = min(-1, inf) = -1
-    same_level = scaled_to_fractions(*compute_rho(scale_to_integers(d_m), [0, 0, math.inf], F(1, 2)))
+    same_level = compute_rho(Scaled.of(d_m), [0, 0, math.inf], F(1, 2)).fractions()
     assert same_level[0][1] == d_m[0][1]  # c^0 = 1
 
 
@@ -294,17 +293,17 @@ def test_compute_rho_matches_reference(huge, level_range, n, c, data):
     levels = data.draw(st.lists(st.integers(*level_range), min_size=n, max_size=n))
     if data.draw(st.booleans()):  # the fixed point's level
         levels[data.draw(st.integers(0, n - 1))] = math.inf
-    rho, scale = compute_rho(scale_to_integers(d_m), levels, c)
+    rho = compute_rho(Scaled.of(d_m), levels, c)
     if n > 1:
-        assert rho.dtype == (object if huge else np.int64)
-    assert scaled_to_fractions(rho, scale) == _compute_rho_reference(d_m, levels, c)
+        assert rho.num.dtype == (object if huge else np.int64)
+    assert rho.fractions() == _compute_rho_reference(d_m, levels, c)
 
 
 @pytest.mark.parametrize("c", [F(1, 4), F(1, 2), F(9, 10)])
 @pytest.mark.parametrize("level", [math.inf, -3, 0, 4])
 def test_compute_rho_single_point(c, level):
-    rho = compute_rho(scale_to_integers([[F(0)]]), [level], c)
-    assert scaled_to_fractions(*rho) == _compute_rho_reference([[F(0)]], [level], c) == [[0]]
+    rho = compute_rho(Scaled.of([[F(0)]]), [level], c)
+    assert rho.fractions() == _compute_rho_reference([[F(0)]], [level], c) == [[0]]
 
 
 def test_geodesic_closure_direct_and_shortcut():
@@ -368,9 +367,15 @@ def test_geodesic_closure_matches_reference(huge, n, data):
         for j in range(i + 1, n):
             w = F(data.draw(num), data.draw(st.integers(1, 12)))
             weights[i][j] = weights[j][i] = w
+    # the same entries as a 1-D column and a (k, 3) block of points read back too, as does 0 x 0
+    entries = [w for row in weights for w in row]
+    points = [entries[i : i + 3] for i in range(0, len(entries) - 2, 3)]
+    for values in (entries, points, []):
+        assert Scaled.of(values).fractions() == values
     if n > 1:
         expected = object if huge else np.int64
-        assert scale_to_integers(weights)[0].dtype == expected
+        assert Scaled.of(weights).num.dtype == expected
+        assert Scaled.of(entries).num.dtype == Scaled.of(points).num.dtype == expected
     closure = closure_of_fractions(weights)
     assert closure == _geodesic_closure_reference(weights)
     assert all(isinstance(v, F) for row in closure for v in row)
@@ -413,7 +418,7 @@ def test_fraction_matrices_are_lazy_views_of_scaled():
     names = ("d_m", "rho", "d_c")
     assert not set(names) & set(vars(s))
     for k, name in enumerate(names):
-        assert getattr(s, name) == scaled_to_fractions(*s.scaled[k])
+        assert getattr(s, name) == s.scaled[k].fractions()
         assert name in vars(s)
 
 
@@ -434,7 +439,7 @@ def test_report_matrices_match_format_fraction(n, c, big):
         assert lines[at : at + n] == want
     assert not {"d_m", "rho", "d_c"} & set(vars(s))
     if big != 1 and n > 1:  # a one-point matrix is [[0]], which fits int64
-        assert all(d.dtype == object for d, _ in s.scaled)
+        assert all(d.num.dtype == object for d in s.scaled)
 
 
 INT_LIMIT = ("Exceeds the limit (640 digits) for integer string conversion; "
@@ -590,8 +595,8 @@ def corrupted_certificate_cases():
         w = find_invariant_neighborhood(m, eps)
         d_m = compute_orbit_metric(m)
         levels, _ = compute_levels(m, w)
-        d_c = scaled_to_fractions(*geodesic_closure(compute_rho(d_m, levels, c)))
-        d_m = scaled_to_fractions(*d_m)
+        d_c = geodesic_closure(compute_rho(d_m, levels, c)).fractions()
+        d_m = d_m.fractions()
         for mat in (d_m, d_c):
             for _ in range(rng.randint(0, 3)):
                 i, j = rng.sample(range(m.size), 2)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import banach_corpus, cls_local_corpus
 from test_golden import solve_instances
-from contraction_kit.circuit import CircuitBuilder, InputError, ScaledColumn, _Program
+from contraction_kit.circuit import CircuitBuilder, InputError, Scaled, _Program
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
 from contraction_kit.gridsearch import (
     CHUNK,
@@ -129,8 +129,8 @@ def test_index_streams_list_the_reference_candidates(grid):
     assert listed(1) == [(x,) for x in fine]
     assert listed(2) == pairs
     assert listed(4) == list(_quads(pairs))
-    scaled = zip(*(column.tolist() for column in table.columns))
-    assert [tuple(F(q, table.den) for q in row) for row in scaled] == list(table.points)
+    scaled = table.scaled.num.tolist()
+    assert [tuple(F(q, table.scaled.den) for q in row) for row in scaled] == list(table.points)
 
 
 @pytest.mark.parametrize("position", [0, CHUNK - 1, CHUNK, CHUNK + 1])
@@ -173,9 +173,9 @@ RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
 def column(values, extra=1):
-    """values as a ScaledColumn over extra times the lcm of their denominators."""
+    """values as a Scaled column over extra times the lcm of their denominators."""
     den = lcm(*(q.denominator for q in values)) * extra
-    return ScaledColumn(np.array([int(q * den) for q in values], dtype=object), den)
+    return Scaled(np.array([int(q * den) for q in values], dtype=object), den)
 
 
 def as_fractions(col):

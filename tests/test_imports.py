@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 module-level function and class of the package, and every member of its classes, is
-read somewhere in the repository, and no module of the package calls ``np.ix_``,
-``np.argwhere`` or ``np.isin``."""
+read somewhere in the repository, no module of the package calls ``np.ix_``,
+``np.argwhere`` or ``np.isin``, and only ``circuit`` calls ``lcm``."""
 
 import ast
 from pathlib import Path
@@ -157,3 +157,36 @@ def test_the_check_sees_a_slow_helper_call():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_slow_helper_calls(path):
     assert slow_helper_calls(path.read_text(encoding="utf-8")) == []
+
+
+# circuit.Scaled is the one place that brings rationals to a common denominator
+LCM_HOME = "circuit.py"
+
+
+def lcm_calls(source: str) -> list[str]:
+    """The calls of ``math.lcm`` and the imports of ``lcm`` from ``math`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: from math import lcm" for a in node.names if a.name == "lcm"]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math"
+            and node.func.attr == "lcm"
+        ):
+            found.append(f"line {node.lineno}: math.lcm")
+    return found
+
+
+def test_the_check_sees_an_lcm_call():
+    source = "import math\nfrom math import gcd, lcm\ns = math.lcm(a, b)\nt = lcm(a, b)\nnp.lcm(a, b)\n"
+    assert lcm_calls(source) == ["line 2: from math import lcm", "line 3: math.lcm"]
+    # a docstring or comment that names lcm is no call of it
+    assert lcm_calls('"""Over the lcm, as math.lcm(a, b) gives it."""\n# lcm(a, b)\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != LCM_HOME], ids=lambda p: p.name)
+def test_only_circuit_calls_lcm(path):
+    assert lcm_calls(path.read_text(encoding="utf-8")) == []

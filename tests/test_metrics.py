@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contraction_kit.circuit import Scaled
 from contraction_kit.library import (
     discrete_metric_circuit,
     identity_map_circuit,
@@ -24,7 +25,6 @@ from contraction_kit.metrics import (
     contraction_violated,
     lipschitz_violated,
     metric_failure_mask,
-    scale_to_integers,
     semimetric_mask,
 )
 
@@ -173,7 +173,7 @@ def test_matrix_checker_matches_reference_on_each_axiom(scale, cells, prefix):
     for (i, j), value in cells.items():
         dist[i][j] = value
     dist = [[v * scale for v in r] for r in dist]
-    assert scale_to_integers(dist)[0].dtype == (object if scale > 1 else np.int64)
+    assert Scaled.of(dist).num.dtype == (object if scale > 1 else np.int64)
     message = check_metric_matrix(dist)
     assert message == _describe_first_failure(dist)
     assert message.startswith(prefix)
@@ -226,7 +226,7 @@ def test_semimetric_failure_matches_entry_scan(k, count, zero_diagonal, positive
     failures = [_first_failure(rho, key) for rho, key in zip(mats, keys)]
     expected = [f is not None and f[0] != AXIOM_TRIANGLE for f in failures]
     assert not any(expected) or not (zero_diagonal and positive and symmetric)
-    stack = scale_to_integers([row for rho in mats for row in rho])[0].reshape(count, k, k)
+    stack = Scaled.of([row for rho in mats for row in rho]).num.reshape(count, k, k)
     nonzero = any(v for rho in mats for row in rho for v in row)
     assert stack.dtype == (object if huge and nonzero else np.int64)
     distinct = np.array([[[a != b for b in key] for a in key] for key in keys], dtype=bool)
@@ -256,7 +256,7 @@ def test_metric_failure_mask_matches_first_failure(k, count, shape, huge, data):
         mats.append(dist)
         keys.append(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
     expected = [_first_failure(dist, key) is not None for dist, key in zip(mats, keys)]
-    stack = scale_to_integers([row for dist in mats for row in dist])[0].reshape(count, k, k)
+    stack = Scaled.of([row for dist in mats for row in dist]).num.reshape(count, k, k)
     distinct = np.array([[[a != b for b in key] for a in key] for key in keys], dtype=bool)
     distinct = distinct.reshape(count, k, k)
     assert metric_failure_mask(stack, distinct).tolist() == expected
