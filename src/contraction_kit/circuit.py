@@ -97,12 +97,11 @@ class CircuitError(InputError):
 
 
 class CircuitParseError(CircuitError):
-    """Parse failure; carries the 1-based offending line number and the message without it."""
+    """Parse failure; carries the 1-based offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-        self.message = message
 
 
 def parse_number(convert: Callable[[str], T], text: str, error: type[ValueError] = InputError) -> T:
@@ -542,25 +541,35 @@ def _parse_node_ref(token: str, line_no: int) -> int:
     return _parse_node_id(digits, line_no, "bad node reference", token)
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The content lines of an input file, ``#`` comments, surrounding space and blank
+    lines dropped, each with its 1-based line number in the file."""
+    splits = enumerate(text.splitlines(), 1)
+    return [(no, ln) for no, raw in splits if (ln := raw.split("#", 1)[0].strip())]
+
+
 def content_lines(text: str) -> list[str]:
     """The lines of an input file with ``#`` comments, surrounding space and blank lines dropped."""
-    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    return [ln for _, ln in numbered_lines(text)]
 
 
-def parse_circuit(text: str) -> Circuit:
+def parse_circuit(text: str | list[tuple[int, str]], end: int | None = None) -> Circuit:
     """Parse the textual circuit format; raises CircuitParseError with line info.
 
-    A gate line ``n<id>: <op> n<i> n<j>`` is tested first, since almost every
-    line is one; a line that starts with ``n`` cannot be an input or outputs
-    line, so the order of the tests changes no message.
+    ``text`` is a circuit's text, or a block of a larger file: its
+    ``numbered_lines``, with ``end`` the number of the line that closes the
+    block, which a missing outputs line names.  A gate line ``n<id>: <op>
+    n<i> n<j>`` is tested first, since almost every line is one; a line that
+    starts with ``n`` cannot be an input or outputs line, so the order of the
+    tests changes no message.
     """
+    lines = text
+    if isinstance(text, str):
+        lines, end = numbered_lines(text), len(text.splitlines()) or 1
     gates: dict[int, Gate] = {}
     outputs: list[int] | None = None
     n_inputs = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in lines:
         if outputs is not None:
             raise CircuitParseError(line_no, "content after outputs line")
         head, _, rest = line.partition(":")
@@ -616,7 +625,7 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError(line_no, f"bad rational {parts[1]!r}: {exc}") from exc
         gates[node_id] = Gate("const", value=value)
     if outputs is None:
-        raise CircuitParseError(len(text.splitlines()) or 1, "missing outputs line")
+        raise CircuitParseError(end, "missing outputs line")
     return Circuit(gates, outputs)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .circuit import Circuit, CircuitParseError, InputError, content_lines, format_fraction
+from .circuit import Circuit, InputError, content_lines, format_fraction, numbered_lines
 from .circuit import parse_circuit, parse_fraction
 from .library import Point, as_point, in_unit_cube, l1, sq_l2
 from .metrics import check_metric_axioms, contraction_violated, lipschitz_violated
@@ -310,9 +310,7 @@ def instance_to_text(inst: ProblemInstance) -> str:
 
 def parse_instance(text: str) -> ProblemInstance:
     """The instance in ``text``; a circuit's parse error names the line of the file."""
-    # content_lines, each with its line number in the file
-    splits = enumerate(text.splitlines(), 1)
-    lines = iter([(no, ln) for no, raw in splits if (ln := raw.split("#", 1)[0].strip())])
+    lines = iter(numbered_lines(text))
     _, tag = next(lines, (0, None))
     if tag is None:
         raise InstanceError("unexpected end of instance file")
@@ -332,20 +330,14 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise InstanceError(f"{tag} instance takes no circuit {name!r}")
             if name in circuits:
                 raise InstanceError(f"repeated circuit {name!r}")
-            body: list[str] = []
-            file_lines: list[int] = []  # of the body's lines, then of ``end``
+            body: list[tuple[int, str]] = []
             for no, raw in lines:
-                file_lines.append(no)
                 if raw == "end":
                     break
-                body.append(raw)
+                body.append((no, raw))
             else:
                 raise InstanceError("unexpected end of instance file")
-            # ``end`` goes in as a comment line, so a missing outputs line names it
-            try:
-                circuits[name] = parse_circuit("\n".join(body + ["#"]))
-            except CircuitParseError as exc:
-                raise CircuitParseError(file_lines[exc.line_no - 1], exc.message) from None
+            circuits[name] = parse_circuit(body, no)
         else:
             key, _, val = ln.partition(" ")
             if key not in problem.constants:

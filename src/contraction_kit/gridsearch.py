@@ -8,14 +8,16 @@ clause predicates (``cls.CLAUSES``), every returned solution is re-verified
 before it is handed back, and the scan order is deterministic.
 
 Each candidate stream is decided ``CHUNK`` candidates at a time on the exact
-batch kernel.  Per resolution, the points the streams read are scaled once
-to one integer denominator, and the streams are kept as index arrays into
-them: the fine grid, the neighbour and coarse pairs, and the Od quads.  A
-chunk gathers each witness's point column by index and runs the clause's
-predicate on it; the instance's circuits are called on point columns, their
-one batch entry (row by row when a batch passes the bit budget).  The predicate gives a mask, and its first true row in stream order
-is the hit, the candidate the scalar scan ``_solve_instance_reference`` stops at.
-Oe's short scan stays scalar, through ``check_metric_axioms``.
+batch kernel.  Per resolution, the grid is held once, as a scaled block: the
+points the streams read over one integer denominator, with the streams kept
+as index arrays into it (the fine grid, the neighbour and coarse pairs, and
+the Od quads).  A chunk gathers each witness's point column by index and
+runs the clause's predicate on it; the instance's circuits are called on
+point columns, their one batch entry (row by row when a batch passes the bit
+budget).  The predicate gives a mask, and its first true row in stream order
+is the hit, the candidate the scalar scan ``_solve_instance_reference`` stops
+at; only the hit's witnesses are read back as Fractions.  Oe's short scan
+stays scalar, through ``check_metric_axioms``, on fine points built lazily.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ MAX_PAIRS = 4000
 MAX_QUADS = 4000
 MAX_TRIANGLE_POINTS = 24
 CHUNK = 64  # candidates decided per batch
-# most steps per axis: the grid and its columns are built whole, about 1.8 GB at
-# 260 steps, the finest that ran in a 2 GB address space; past it, a MemoryError
+# most steps per axis: the scaled grid is built whole, a solve peaks near
+# 0.74 GB at 260 steps
 MAX_GRID_STEPS = 260
 
 
@@ -59,9 +61,8 @@ def _axis(resolution: Fraction) -> list[Fraction]:
     return axis
 
 
-@functools.cache
 def grid_points(resolution: Fraction) -> tuple[Point, ...]:
-    """The grid over [0,1]^3 in scan order, built once per resolution."""
+    """The grid over [0,1]^3 in scan order: the coarse points and the scalar reference's grid."""
     return tuple(itertools.product(_axis(resolution), repeat=3))
 
 
@@ -94,11 +95,11 @@ def _quads(pairs: list[tuple[Point, Point]]) -> Iterable[tuple[Point, ...]]:
 class _Grid:
     """A resolution's candidate streams as rows of indices into its points.
 
-    Row k of ``scaled`` is ``points[k]`` over Python ints, and ``streams[w]``
-    holds the w-witness candidates in scan order.
+    Row k of ``scaled`` is point k over Python ints: the fine grid in scan
+    order, then the pair points off it.  ``streams[w]`` holds the w-witness
+    candidates in scan order.
     """
 
-    points: tuple[Point, ...]
     scaled: Scaled
     streams: dict[int, np.ndarray]
 
@@ -110,15 +111,16 @@ def _grid(resolution: Fraction) -> _Grid:
     A fine point's index follows from its coordinates' places on the axis, so
     only pair points off the grid are looked up in a table.
     """
-    axis, fine = _axis(resolution), grid_points(resolution)
+    axis = _axis(resolution)
     n = len(axis)
+    size = n ** 3  # of the fine grid
     place = {q: k for k, q in enumerate(axis)}
     extra: dict[Point, int] = {}
 
     def index(pt: Point) -> int:
         if all(q in place for q in pt):
             return (place[pt[0]] * n + place[pt[1]]) * n + place[pt[2]]
-        return extra.setdefault(pt, len(fine) + len(extra))
+        return extra.setdefault(pt, size + len(extra))
 
     flat = (index(pt) for pair in _candidate_pairs(resolution) for pt in pair)
     pair_rows = np.fromiter(flat, dtype=np.int32).reshape(-1, 2)
@@ -128,15 +130,15 @@ def _grid(resolution: Fraction) -> _Grid:
     quads = np.hstack([distinct[k // len(distinct)], distinct[k % len(distinct)]])
     # the axis, then the extra points' coordinates, over Python ints
     scaled = Scaled.of(axis + [q for pt in extra for q in pt]).wide()
-    coords = np.empty((len(fine) + len(extra), 3), dtype=object)
+    coords = np.empty((size + len(extra), 3), dtype=object)
     for i in range(3):  # coordinate i of the fine grid, in itertools.product order
-        coords[: len(fine), i] = np.tile(np.repeat(scaled.num[:n], n ** (2 - i)), n ** i)
-    coords[len(fine):] = scaled.num[n:].reshape(-1, 3)
-    streams = {1: np.arange(len(fine), dtype=np.int32)[:, None], 2: pair_rows, 4: quads}
-    return _Grid(fine + tuple(extra), Scaled(coords, scaled.den), streams)
+        coords[:size, i] = np.tile(np.repeat(scaled.num[:n], n ** (2 - i)), n ** i)
+    coords[size:] = scaled.num[n:].reshape(-1, 3)
+    streams = {1: np.arange(size, dtype=np.int32)[:, None], 2: pair_rows, 4: quads}
+    return _Grid(Scaled(coords, scaled.den), streams)
 
 
-def _metric_violations(d, fine: tuple[Point, ...]) -> Iterable[tuple[Point, ...]]:
+def _metric_violations(d, fine: Iterable[Point]) -> Iterable[tuple[Point, ...]]:
     """Oe candidates: fine-grid points, pairs of coarse points, then the first
     failure of the metric scan over the coarse points.  Every coarse pair has
     passed by then, so that failure is a triangle violation."""
@@ -155,7 +157,7 @@ def _first_hit(inst, clause, grid: _Grid, stream: np.ndarray) -> tuple[Point, ..
         ok = clause.holds(inst, *(grid.scaled[column].columns() for column in rows.T))[0]
         hits = np.flatnonzero(ok)
         if len(hits):
-            return tuple(grid.points[k] for k in rows[hits[0]])
+            return tuple(tuple(grid.scaled[k, i] for i in range(3)) for k in rows[hits[0]])
     return None
 
 
@@ -165,7 +167,7 @@ def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)
     for kind in accepted_kinds(inst):
         clause = CLAUSES[(inst.namespace, kind)]
         if kind == "Oe":
-            candidates = _metric_violations(inst.d, grid_points(resolution))
+            candidates = _metric_violations(inst.d, itertools.product(_axis(resolution), repeat=3))
             hit = next((w for w in candidates if clause.holds(inst, *w)[0]), None)
         else:
             hit = _first_hit(inst, clause, grid, grid.streams[clause.witnesses[0]])

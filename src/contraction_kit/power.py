@@ -38,6 +38,7 @@ Matrix file format: a dimension line, then one row of decimal reals per line.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -780,7 +781,7 @@ def lp_counterexample(p: float) -> LpCounterexample:
     sys = paper_counterexample_system()
 
     def norm_p(v: np.ndarray) -> float:
-        return float(np.linalg.norm(v, ord=(np.inf if p == math.inf else p)))
+        return float(np.linalg.norm(v, ord=p))
 
     def step(v: np.ndarray) -> np.ndarray:
         return power_step(sys, v)
@@ -793,25 +794,13 @@ def lp_counterexample(p: float) -> LpCounterexample:
         )
     if p not in (1, math.inf):
         raise SpectralError("supported norms: p in {1, 2, inf}")
-    grid = []
-    for k in range(101):
-        t = k / 100.0
-        v = np.array([t, 1.0 - t])
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            continue
-        v = v / n
-        if abs(v[0]) >= OVERLAP_MIN:
-            grid.append(v)
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            x, y = grid[i], grid[j]
-            before = norm_p(x - y)
-            if before == 0.0:
-                continue
-            after = norm_p(step(x) - step(y))
-            if after > before:
-                return LpCounterexample(p, tuple(x), tuple(y), before, after)
+    # k = 0 is the direction v2, which the power step cannot take
+    ts = (k / 100.0 for k in range(1, 101))
+    grid = [v / np.linalg.norm(v) for v in (np.array([t, 1.0 - t]) for t in ts)]
+    for x, y in itertools.combinations(grid, 2):
+        before, after = norm_p(x - y), norm_p(step(x) - step(y))
+        if after > before:
+            return LpCounterexample(p, tuple(x), tuple(y), before, after)
     raise SpectralError(f"no expanding pair found on the grid for p={p}")
 
 

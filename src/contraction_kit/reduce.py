@@ -28,6 +28,7 @@ triple reaches the check_metric_axioms scan that names its failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -73,16 +74,12 @@ class ReductionBug(AssertionError):
     """A back-mapped solution failed re-verification; carries the replay."""
 
 
-def ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def smooth_interpolation(w: Fraction, c: Fraction) -> Fraction:
     """B(w) = (1-(ceil(w)-w))*c^ceil(w) + (ceil(w)-w)*c^(ceil(w)+1), w <= 0."""
     w, c = Fraction(w), Fraction(c)
     if w > 0:
         raise ValueError("B is defined for w <= 0")
-    cw = ceil_fraction(w)
+    cw = math.ceil(w)
     t = Fraction(cw) - w
     return (1 - t) * c ** cw + t * c ** (cw + 1)
 
@@ -146,7 +143,7 @@ def build_interpolated_metric_circuit(p: Circuit, eps: Fraction, c: Fraction) ->
     xs = b.inputs(3)
     ys = b.inputs(3)
     kappa = _kappa(b, p, xs, ys, eps)
-    interp = _interpolation(b, kappa, c, max(1, ceil_fraction(1 / Fraction(eps))))
+    interp = _interpolation(b, kappa, c, max(1, math.ceil(1 / Fraction(eps))))
     return b.build([b.mul(interp, discrete_metric(b, xs, ys))])
 
 

@@ -32,7 +32,6 @@ from contraction_kit.power import (
     power_step,
 )
 from contraction_kit.reduce import (
-    ceil_fraction,
     certify_constructed_metric,
     map_banach_solution_to_cls_local,
     map_cls_local_solution_to_banach,
@@ -302,7 +301,7 @@ def test_criterion_8_power_circuits_and_interpolation_bracketing():
         for k in range(0, 1001):
             w = -F(k, 100)
             value = smooth_interpolation(w, c)
-            n = ceil_fraction(w)
+            n = math.ceil(w)
             if not (c ** (n + 1) <= value <= c ** n):
                 ok = False
     report(8, ok, "power circuits exact for e in 0..64 at c in {1/2, 9/10}; "

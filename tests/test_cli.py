@@ -367,18 +367,33 @@ def test_circuit_line_with_trailing_token_exits_two(workdir, capsys):
     assert_input_error(["verify", inst, sol], capsys, "'circuit <name>'")
 
 
-def test_instance_circuit_error_names_the_file_line(workdir, capsys):
-    # the comment and the blank line count: the bogus gate is on file line 14,
-    # line 7 of its circuit block
-    text = "# the halving map\n\n" + instance_to_text(halving_banach())
-    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
-    bogus = write(workdir / "bogus.txt", text.replace("n6: mul n2 n3", "n6: bogus n2 n3"))
-    assert_input_error(["verify", bogus, sol], capsys, "error: line 14: unknown gate 'bogus'")
+# (text replaced, its replacement, the error): the file opens with a comment
+# and a blank line, which count, so circuit f's block spans file lines 8-16
+# ("end") and circuit d's lines 18-36
+FILE_LINE_CASES = [
+    pytest.param("n6: mul n2 n3", "n6: bogus n2 n3", "line 14: unknown gate 'bogus'", id="unknown-gate"),
     # a block without an outputs line names its end line
-    no_outputs = text.replace("outputs: n4 n5 n6\n", "")
-    assert no_outputs.splitlines()[14] == "end"
-    path = write(workdir / "no-outputs.txt", no_outputs)
-    assert_input_error(["verify", path, sol], capsys, "error: line 15: missing outputs line")
+    pytest.param("outputs: n4 n5 n6\n", "", "line 15: missing outputs line", id="missing-outputs"),
+    pytest.param("n16: add n15 n14", "n16: add n15 n99", "line 34: forward reference to n99",
+                 id="second-block"),
+    pytest.param("circuit f\ninput 0", "circuit f\ninput x", "line 8: bad input declaration 'input x'",
+                 id="first-line-of-block"),
+    pytest.param("n4: mul n0 n3\nn5: mul n1 n3", "# x1 halved\n\nn4: mul n0 n3  # n0 / 2\nn5: mul n1",
+                 "line 15: mul takes exactly two node references", id="after-comment-and-blank-lines"),
+    pytest.param("n4 n5 n6\nend", "n4 n5 n6\nn7: add n4 n5\nend", "line 16: content after outputs line",
+                 id="content-after-outputs"),
+    pytest.param("n6: mul n2 n3", "n5: mul n2 n3", "line 14: duplicate node id n5", id="duplicate-id"),
+    pytest.param("n3: const 1/2", "n3: const 1/0", "line 11: bad rational '1/0'", id="bad-const"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", FILE_LINE_CASES)
+def test_instance_circuit_error_names_the_file_line(workdir, capsys, old, new, message):
+    text = "# the halving map\n\n" + instance_to_text(halving_banach())
+    assert text.count(old) == 1
+    sol = write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    path = write(workdir / "inst.txt", text.replace(old, new))
+    assert_input_error(["verify", path, sol], capsys, f"error: {message}")
 
 
 @pytest.mark.parametrize("entry", ["1e400", "inf", "nan"])

@@ -17,8 +17,10 @@ from corpus import banach_corpus, cls_local_corpus
 from test_golden import solve_instances
 from contraction_kit.circuit import CircuitBuilder, InputError, Scaled, _Program
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
+from contraction_kit import gridsearch
 from contraction_kit.gridsearch import (
     CHUNK,
+    COARSE_RESOLUTION,
     MAX_GRID_STEPS,
     _axis,
     _candidate_pairs,
@@ -123,14 +125,37 @@ def test_index_streams_list_the_reference_candidates(grid):
     pairs = list(_candidate_pairs(grid))
     fine = grid_points(grid)
 
-    def listed(width):
-        return [tuple(table.points[k] for k in row) for row in table.streams[width]]
+    def listed(width):  # each row's points read from the scaled block, entry by entry
+        return [tuple(tuple(table.scaled[k, i] for i in range(3)) for k in row) for row in table.streams[width]]
 
     assert listed(1) == [(x,) for x in fine]
     assert listed(2) == pairs
     assert listed(4) == list(_quads(pairs))
+    # the rows hold the fine grid in scan order, then the pair points off it as the pairs name them
+    on_grid = set(fine)
+    off_grid = dict.fromkeys(pt for pair in pairs for pt in pair if pt not in on_grid)
     scaled = table.scaled.num.tolist()
-    assert [tuple(F(q, table.scaled.den) for q in row) for row in scaled] == list(table.points)
+    assert [tuple(F(q, table.scaled.den) for q in row) for row in scaled] == list(fine) + list(off_grid)
+
+
+@pytest.mark.parametrize("kind, inst", [case for case in kind_cases() if case[0] in ("CO1", "Oa", "Od")],
+                         ids=lambda v: getattr(v, "tag", v))
+def test_solve_builds_no_fine_point_tuple(kind, inst, monkeypatch):
+    # the chunked solver reads the fine grid from its scaled block only; the
+    # coarse pairs still come from grid_points
+    resolution = F(1, 20)
+    want = _solve_instance_reference(inst, resolution)
+    coarse_only = grid_points
+
+    def refuse(res):
+        if res != COARSE_RESOLUTION:
+            raise AssertionError(f"grid_points({res}) called")
+        return coarse_only(res)
+
+    monkeypatch.setattr(gridsearch, "grid_points", refuse)
+    _grid.cache_clear()
+    got = solve_instance(inst, resolution)
+    assert got.kind == kind and got == want
 
 
 @pytest.mark.parametrize("position", [0, CHUNK - 1, CHUNK, CHUNK + 1])

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 module-level function and class of the package, and every member of its classes, is
 read somewhere in the repository, no module of the package calls ``np.ix_``,
-``np.argwhere`` or ``np.isin``, and only ``circuit`` calls ``lcm``."""
+``np.argwhere`` or ``np.isin``, and only ``circuit`` calls ``lcm`` or splits a line
+on ``"#"``."""
 
 import ast
 from pathlib import Path
@@ -190,3 +191,34 @@ def test_the_check_sees_an_lcm_call():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != LCM_HOME], ids=lambda p: p.name)
 def test_only_circuit_calls_lcm(path):
     assert lcm_calls(path.read_text(encoding="utf-8")) == []
+
+
+# circuit.numbered_lines is the one reader that drops "#" comments
+COMMENT_HOME = "circuit.py"
+SPLITS = {"split", "rsplit", "partition", "rpartition"}
+
+
+def comment_splits(source: str) -> list[str]:
+    """The calls in ``source`` that split a string on ``"#"``."""
+    return [
+        f"line {node.lineno}: {node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SPLITS
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "#"
+    ]
+
+
+def test_the_check_sees_a_comment_split():
+    source = 'a = raw.split("#", 1)[0]\nb = ln.partition("#")\nc = ln.split(",")\nd = ln.split()\n'
+    assert sorted(comment_splits(source)) == ["line 1: split", "line 2: partition"]
+    # a docstring or comment that names the split is no call of it
+    assert comment_splits('"""Drops what raw.split("#", 1) drops."""\n# ln.partition("#")\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != COMMENT_HOME], ids=lambda p: p.name)
+def test_only_circuit_splits_on_comments(path):
+    assert comment_splits(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -42,7 +43,6 @@ from contraction_kit.reduce import (
     build_interpolated_metric_circuit,
     build_interpolation_circuit,
     build_kappa_circuit,
-    ceil_fraction,
     certified_lambda_prime,
     certify_constructed_metric,
     map_banach_solution_to_cls_local,
@@ -82,7 +82,7 @@ def test_interpolation_circuit_matches_reference():
 @settings(max_examples=80, deadline=None)
 def test_interpolation_bracketing(w, c):
     value = smooth_interpolation(w, c)
-    n = ceil_fraction(w)
+    n = math.ceil(w)
     assert c ** (n + 1) <= value <= c ** n
 
 
@@ -166,7 +166,7 @@ def test_metric_circuit_gate_count_logarithmic_in_inv_eps():
 def inlined_metric_circuit(p, eps, c):
     """The reference d: kappa, B and d_S each built as a circuit, then inlined into a third."""
     kappa = build_kappa_circuit(p, eps)
-    interp = build_interpolation_circuit(c, max(1, ceil_fraction(1 / F(eps))))
+    interp = build_interpolation_circuit(c, max(1, math.ceil(1 / F(eps))))
     b = CircuitBuilder()
     pair = b.inputs(6)
     interp_val = b.inline(interp, b.inline(kappa, pair))[0]
