@@ -8,16 +8,17 @@ clause predicates (``cls.CLAUSES``), every returned solution is re-verified
 before it is handed back, and the scan order is deterministic.
 
 Each candidate stream is decided ``CHUNK`` candidates at a time on the exact
-batch kernel.  Per resolution, the grid is held once, as a scaled block: the
-points the streams read over one integer denominator, with the streams kept
-as index arrays into it (the fine grid, the neighbour and coarse pairs, and
-the Od quads).  A chunk gathers each witness's point column by index and
-runs the clause's predicate on it; the instance's circuits are called on
-point columns, their one batch entry (row by row when a batch passes the bit
-budget).  The predicate gives a mask, and its first true row in stream order
-is the hit, the candidate the scalar scan ``_solve_instance_reference`` stops
-at; only the hit's witnesses are read back as Fractions.  Oe's short scan
-stays scalar, through ``check_metric_axioms``, on fine points built lazily.
+batch kernel.  Per resolution, each coordinate a candidate uses is held once,
+in a table over one integer denominator (the axis, then the pair points' few
+off-axis coordinates), and each stream (the fine grid, the neighbour and
+coarse pairs, the Od quads) is an array of 2-byte index triples into it.  A
+chunk gathers each witness's point column from the table and runs the
+clause's predicate on it; the instance's circuits are called on point
+columns, their one batch entry (row by row when a batch passes the bit
+budget).  The mask's first true row in stream order is the hit, the candidate
+the scalar scan ``_solve_instance_reference`` stops at; only the hit's
+witnesses are read back as Fractions.  Oe's short scan stays scalar, through
+``check_metric_axioms``, on fine points built lazily.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ MAX_PAIRS = 4000
 MAX_QUADS = 4000
 MAX_TRIANGLE_POINTS = 24
 CHUNK = 64  # candidates decided per batch
-# most steps per axis: the scaled grid is built whole, a solve peaks near
-# 0.74 GB at 260 steps
+# most steps per axis; it keeps --grid past 260 steps an input error (exit 2),
+# and a solve at 260 steps peaks near 130 MB
 MAX_GRID_STEPS = 260
 
 
@@ -93,49 +94,32 @@ def _quads(pairs: list[tuple[Point, Point]]) -> Iterable[tuple[Point, ...]]:
 
 @dataclass(frozen=True)
 class _Grid:
-    """A resolution's candidate streams as rows of indices into its points.
+    """A resolution's candidate streams as index triples into one coordinate table.
 
-    Row k of ``scaled`` is point k over Python ints: the fine grid in scan
-    order, then the pair points off it.  ``streams[w]`` holds the w-witness
-    candidates in scan order.
+    ``values`` holds each coordinate a candidate uses once, over Python ints:
+    the axis, then the pair points' off-axis coordinates in the order they
+    are first named.  ``streams[w]`` holds the w-witness candidates in scan
+    order, one ``(w, 3)`` block of indices into ``values`` per candidate.
     """
 
-    scaled: Scaled
+    values: Scaled
     streams: dict[int, np.ndarray]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _grid(resolution: Fraction) -> _Grid:
-    """The fine grid, then the pair points off it, and the streams over them.
-
-    A fine point's index follows from its coordinates' places on the axis, so
-    only pair points off the grid are looked up in a table.
-    """
+    """The coordinate table and the fine, pair and quad streams over it."""
     axis = _axis(resolution)
-    n = len(axis)
-    size = n ** 3  # of the fine grid
     place = {q: k for k, q in enumerate(axis)}
-    extra: dict[Point, int] = {}
-
-    def index(pt: Point) -> int:
-        if all(q in place for q in pt):
-            return (place[pt[0]] * n + place[pt[1]]) * n + place[pt[2]]
-        return extra.setdefault(pt, size + len(extra))
-
-    flat = (index(pt) for pair in _candidate_pairs(resolution) for pt in pair)
-    pair_rows = np.fromiter(flat, dtype=np.int32).reshape(-1, 2)
-    distinct = pair_rows[pair_rows[:, 0] != pair_rows[:, 1]]
+    coords = (q for pair in _candidate_pairs(resolution) for pt in pair for q in pt)
+    pairs = np.fromiter((place.setdefault(q, len(place)) for q in coords), dtype=np.uint16).reshape(-1, 2, 3)
+    distinct = pairs[(pairs[:, 0] != pairs[:, 1]).any(axis=1)]  # triples are equal iff the points are
     # the first MAX_QUADS of itertools.product(distinct, distinct), as _quads takes them
     k = np.arange(min(MAX_QUADS, len(distinct) ** 2))
-    quads = np.hstack([distinct[k // len(distinct)], distinct[k % len(distinct)]])
-    # the axis, then the extra points' coordinates, over Python ints
-    scaled = Scaled.of(axis + [q for pt in extra for q in pt]).wide()
-    coords = np.empty((size + len(extra), 3), dtype=object)
-    for i in range(3):  # coordinate i of the fine grid, in itertools.product order
-        coords[:size, i] = np.tile(np.repeat(scaled.num[:n], n ** (2 - i)), n ** i)
-    coords[size:] = scaled.num[n:].reshape(-1, 3)
-    streams = {1: np.arange(size, dtype=np.int32)[:, None], 2: pair_rows, 4: quads}
-    return _Grid(Scaled(coords, scaled.den), streams)
+    quads = np.concatenate([distinct[k // len(distinct)], distinct[k % len(distinct)]], axis=1)
+    # each fine point's axis places, in itertools.product order
+    fine = np.indices((len(axis),) * 3, dtype=np.uint16).reshape(3, -1).T[:, None]
+    return _Grid(Scaled.of(list(place)).wide(), {1: fine, 2: pairs, 4: quads})
 
 
 def _metric_violations(d, fine: Iterable[Point]) -> Iterable[tuple[Point, ...]]:
@@ -154,10 +138,10 @@ def _first_hit(inst, clause, grid: _Grid, stream: np.ndarray) -> tuple[Point, ..
     """The first candidate of the stream whose clause holds, decided CHUNK rows at a time."""
     for start in range(0, len(stream), CHUNK):
         rows = stream[start:start + CHUNK]
-        ok = clause.holds(inst, *(grid.scaled[column].columns() for column in rows.T))[0]
+        ok = clause.holds(inst, *(grid.values[witness].columns() for witness in rows.swapaxes(0, 1)))[0]
         hits = np.flatnonzero(ok)
         if len(hits):
-            return tuple(tuple(grid.scaled[k, i] for i in range(3)) for k in rows[hits[0]])
+            return tuple(tuple(grid.values[int(i)] for i in triple) for triple in rows[hits[0]])
     return None
 
 

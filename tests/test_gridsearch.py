@@ -6,6 +6,7 @@ Every case requires the two to return equal solutions, or None on both sides.
 """
 
 import operator
+import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 
@@ -110,6 +111,16 @@ def test_coarser_grids_match_reference(grid, kind, inst):
     assert assert_same_solution(inst, grid).kind == kind
 
 
+# at 2/5 the 1/4 coarse points fall off the axis, so pair and quad rows read
+# off-axis entries of the coordinate table
+@pytest.mark.parametrize(
+    "kind, inst", [case for case in kind_cases() if case[0] in ("CO3", "Oc", "Od")],
+    ids=lambda v: getattr(v, "tag", v),
+)
+def test_off_axis_candidates_match_reference(kind, inst):
+    assert assert_same_solution(inst, F(2, 5)).kind == kind
+
+
 # a pair kind on the 1/32 grid comes after 35,937 one-witness candidates
 @pytest.mark.parametrize(
     "kind, inst", [case for case in early_cases() if case[0] in ("CO1", "Oa")],
@@ -125,24 +136,43 @@ def test_index_streams_list_the_reference_candidates(grid):
     pairs = list(_candidate_pairs(grid))
     fine = grid_points(grid)
 
-    def listed(width):  # each row's points read from the scaled block, entry by entry
-        return [tuple(tuple(table.scaled[k, i] for i in range(3)) for k in row) for row in table.streams[width]]
+    def listed(width):  # each row's points read from the coordinate table, entry by entry
+        return [tuple(tuple(table.values[int(i)] for i in triple) for triple in row) for row in table.streams[width]]
 
     assert listed(1) == [(x,) for x in fine]
     assert listed(2) == pairs
     assert listed(4) == list(_quads(pairs))
-    # the rows hold the fine grid in scan order, then the pair points off it as the pairs name them
-    on_grid = set(fine)
-    off_grid = dict.fromkeys(pt for pair in pairs for pt in pair if pt not in on_grid)
-    scaled = table.scaled.num.tolist()
-    assert [tuple(F(q, table.scaled.den) for q in row) for row in scaled] == list(fine) + list(off_grid)
+    # the table holds the axis, then the pair points' off-axis coordinates as the pairs name them
+    axis = _axis(grid)
+    off_axis = dict.fromkeys(q for pair in pairs for pt in pair for q in pt if q not in axis)
+    assert [F(q, table.values.den) for q in table.values.num.tolist()] == axis + list(off_axis)
+
+
+def test_grid_holds_no_block_per_fine_point():
+    # the fine stream takes 6 bytes a point, 6.2 MB at 101^3 points; three object
+    # references a point would take 24 MB more
+    _grid.cache_clear()
+    tracemalloc.start()
+    try:
+        _grid(F(1, 100))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8_000_000
+
+
+def test_grid_cache_keeps_only_the_last_resolution():
+    inst = banach_corpus()[0]
+    solve_instance(inst, F(1, 20))
+    solve_instance(inst, SIXTEENTH)
+    assert _grid.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("kind, inst", [case for case in kind_cases() if case[0] in ("CO1", "Oa", "Od")],
                          ids=lambda v: getattr(v, "tag", v))
 def test_solve_builds_no_fine_point_tuple(kind, inst, monkeypatch):
-    # the chunked solver reads the fine grid from its scaled block only; the
-    # coarse pairs still come from grid_points
+    # the chunked solver reads the fine grid as axis places into its coordinate
+    # table; the coarse pairs still come from grid_points
     resolution = F(1, 20)
     want = _solve_instance_reference(inst, resolution)
     coarse_only = grid_points
