@@ -16,13 +16,19 @@ gives its bits at (n, p, q, column): a product narrowed to two columns
 rounds differently from the dense one at some places, and which way is the
 BLAS kernel's, not the values'.  From dimension FAST_COLUMNS_MIN up, a
 learnt step then turns the two columns in O(n) (`_ColumnTurn`): it copies
-them out, turns them in one 2-wide product and writes them back, and makes
-further calls only for a turned entry that is a zero.  Per rotation that is
-a fixed handful of NumPy calls on 2n x 2 arrays in place of a (2n) x n x n
-product; `_jacobi_eigensolve_reference` keeps three dense products per
-rotation.  The rate certificate runs chunks of pairs through
-stacked `np.matmul`, which makes the same ddot and gemv calls per row as
-`eigen_metric` and `power_step`.
+them out, turns them in one 2-wide product and writes them back.  Each
+column keeps a bitmask, its fill, of the eigenvector rows that may be
+nonzero; every other row holds +0.0, which every path turns to +0.0, and a
+turn gives both columns the union of their fills.  One count of zeros over
+rows p and q and the turned columns then makes further calls only for a
+zero the fill does not account for.  Per rotation that is a fixed handful
+of NumPy calls on 2n x 2 arrays in place of a (2n) x n x n product;
+`_jacobi_eigensolve_reference` keeps three dense products per rotation.
+Each product of the solve is `ndarray.dot` with `out`: the BLAS call of
+`np.dot` without its `__array_function__` dispatch, which is about a
+quarter of what a 2-wide `np.dot` costs.  The rate certificate runs chunks
+of pairs through stacked `np.matmul`, which makes the same ddot and gemv
+calls per row as `eigen_metric` and `power_step`.
 
 The replay gives the mpf values of `_replay_pair_mp_reference`, which runs
 every entry through mpf.  A dot product whose operands are all float64, a
@@ -70,15 +76,19 @@ class SpectralError(InputError):
     """Matrix or vector fails a module precondition."""
 
 
-def _check_matrix(a: np.ndarray) -> None:
-    """The matrix must be square, of dimension 2..MAX_DIMENSION, and symmetric."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SpectralError("matrix must be square")
-    n = a.shape[0]
+def _check_dimension(n: int) -> None:
+    """The dimension must lie in 2..MAX_DIMENSION."""
     if n < 2:
         raise SpectralError(f"dimension {n} is below 2: the eigen-metric needs a second eigenvalue")
     if n > MAX_DIMENSION:
         raise SpectralError(f"dimension {n} exceeds {MAX_DIMENSION}")
+
+
+def _check_matrix(a: np.ndarray) -> None:
+    """The matrix must be square, of dimension 2..MAX_DIMENSION, and symmetric."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise SpectralError("matrix must be square")
+    _check_dimension(a.shape[0])
     if not np.allclose(a, a.T, atol=1e-12, rtol=0):
         raise SpectralError("matrix is not symmetric")
 
@@ -189,12 +199,19 @@ class _ColumnTurn:
 
     PRODUCT, SUM = 1, 2
 
-    def __init__(self, n: int, forms: np.ndarray):
+    def __init__(self, n: int, forms: np.ndarray, fill: list[int] | None = None):
         self.forms = forms  # forms[p, q] for column p, forms[q, p] for column q; 0 = unlearnt
+        # fill[j]: bit i set where eigenvector row i of column j may be nonzero; every
+        # other row of the column holds +0.0.  Without a solve behind it every row may be.
+        self.fill = [(1 << n) - 1] * n if fill is None else fill
         self.w = np.empty((2, 2))
         self.flat_w = _flat(self.w)
         self.pair = np.empty((2 * n, 2))  # x and y
-        self.turned = np.empty((2 * n, 2))
+        # rows p and q of the stack, which the solve turns into `rows`, then the turned
+        # columns: one count covers both.  Ones until then, so they count as nonzero.
+        self.counted = np.ones(6 * n)
+        self.rows = self.counted[:2 * n].reshape(2, n)
+        self.turned = self.counted[2 * n:].reshape(2 * n, 2)
         self.magnitudes = np.empty((2 * n, 2))
         self.below = np.empty((2 * n, 2), dtype=bool)
         # laid out so that each ufunc runs along 2n entries
@@ -237,9 +254,51 @@ class _ColumnTurn:
         small = np.count_nonzero(np.less(np.abs(pair, out=self.magnitudes), least, out=self.below))
         return small == pair.size - np.count_nonzero(pair)
 
+    def _annihilated_decided(self, p: int, q: int, s: float) -> bool:
+        """`_zeros_decided` on the four loaded entries of rows p and q alone.
+
+        A turned entry takes its sign from the loaded entries of its own row,
+        so a zero in row p or q is decided when each of those four entries is
+        a zero or reaches `least`; |s * e| >= 2^-968 says the same of e
+        without the search for `least`.
+        """
+        if not 0.0 < abs(s) < math.inf:
+            return False
+        pair = self.pair
+        for e in (pair.item(p, 0), pair.item(p, 1), pair.item(q, 0), pair.item(q, 1)):
+            if e and abs(s * e) < _UNDERFLOW_FREE:
+                return False
+        return True
+
+    def _short_count_decided(self, p: int, q: int, s: float, missing: int) -> bool:
+        """Whether a turn whose count came `missing` nonzeros short of the fill's may be stored.
+
+        It may not when rows p and q hold a -0.0: the solve then hands the
+        step to the dense product.  A zero of rows p and q is the row turn's,
+        the same on every path.  When the turned columns' other zeros are the
+        annihilated entries (p, q) and (q, p), rows p and q decide them
+        (`_annihilated_decided`); any other zero takes the whole-pair scan.
+        """
+        rows = self.rows
+        in_rows = rows.size - np.count_nonzero(rows)
+        if in_rows and _has_negative_zero(rows):
+            return False
+        turned = self.turned
+        annihilated = (turned.item(p, 1) == 0.0) + (turned.item(q, 0) == 0.0)
+        if missing - in_rows == annihilated:
+            return not annihilated or self._annihilated_decided(p, q, s)
+        return self._zeros_decided(s)
+
     def turn(self, stack: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
         """Turn columns p and q of `stack` in place; False, touching nothing, when the
-        forms are unlearnt or a turned entry is a zero whose sign they do not decide."""
+        forms are unlearnt, `rows` holds a -0.0, or a turned entry is a zero whose sign
+        they do not decide.
+
+        One count over `counted` finds every zero of rows p and q and of the
+        turned columns.  The 2 (n - popcount) turned entries outside the
+        columns' joint fill are +0.0 on every path (x = y = +0.0 and c > 0),
+        so only a count short of the rest reaches `_short_count_decided`.
+        """
         fp, fq = self.forms.item(p, q), self.forms.item(q, p)
         if not (fp and fq):
             return False
@@ -251,16 +310,20 @@ class _ColumnTurn:
         w[1] = s
         w[2] = -s
         if fp == self.PRODUCT or fq == self.PRODUCT:
-            np.dot(pair, self.w, out=turned)
+            pair.dot(self.w, out=turned)
         if fp == self.SUM or fq == self.SUM:
             self._sums()
             if fp == self.SUM:
                 turned[:, 0] = self.summed[0]
             if fq == self.SUM:
                 turned[:, 1] = self.summed[1]
-        if np.count_nonzero(turned) < turned.size and not self._zeros_decided(s):
+        fill = self.fill
+        union = fill[p] | fill[q]
+        missing = 4 * len(fill) + 2 * union.bit_count() - np.count_nonzero(self.counted)
+        if missing and not self._short_count_decided(p, q, s, missing):
             return False
         columns[...] = turned
+        fill[p] = fill[q] = union
         return True
 
     def learn(self, stack: np.ndarray, dense: np.ndarray, p: int, q: int, c: float, s: float) -> bool:
@@ -270,16 +333,20 @@ class _ColumnTurn:
         byte, on a step with no zero that the forms leave undecided.  Returns
         False when a turned column holds a -0.0: the O(n) turn leaves a -0.0
         in place where the dense product would make it +0.0, so it no longer
-        gives the dense bits on this stack.
+        gives the dense bits on this stack.  Columns p and q get the union of
+        their fills, as on the O(n) path.
         """
+        fill = self.fill
+        union = fill[p] = fill[q] = fill[p] | fill[q]
         got = self.dense
         got[...] = dense[:, p:q + 1:q - p].T
         if _has_negative_zero(got):
             return False
         self._load(stack, p, q, c, s)
-        if np.count_nonzero(got) < got.size and not self._zeros_decided(s):
+        filled = 2 * (len(fill) + union.bit_count())  # the count with no zero past the fill's
+        if np.count_nonzero(got) < filled and not self._zeros_decided(s):
             return True
-        np.dot(self.pair, self.w, out=self.turned)
+        self.pair.dot(self.w, out=self.turned)
         self._sums()
         for j, entry in ((0, (p, q)), (1, (q, p))):
             want = got[j].tobytes()
@@ -293,12 +360,13 @@ class _ColumnTurn:
 # learnt column forms, one int8 table per dimension, taught only by the dense product
 _COLUMN_FORMS: dict[int, np.ndarray] = {}
 # the least dimension whose columns turn in O(n) once learnt.  It was set at the
-# crossover of a solve that still has to learn its forms, which the cheaper
-# rotation has since moved down: with one OpenBLAS thread on a Xeon core, the
-# median cold solve cost 0.98x a dense one at n = 51, 0.97x at 52, 0.90x at 53,
-# 0.87x at 54 and 0.79x at 55, and a warm one 0.71x, 0.71x, 0.65x, 0.62x and
-# 0.57x (33 gapped matrices each); cold solves broke even near n = 44-48.  No
-# benchmark workload runs a dimension from 33 to 63, so the gate stays here.
+# crossover of a solve that still has to learn its forms, which cheaper pivots
+# have since moved down: with one OpenBLAS thread on a Xeon core, the median
+# cold solve cost 1.03x a dense one at n = 44, 0.87x at 46, 0.91x at 48, 0.85x
+# at 50, 0.83x at 51 and 52, 0.72x at 53 and 0.68x at 56, and a warm one 0.74x,
+# 0.59x, 0.62x, 0.58x, 0.56x, 0.58x, 0.48x and 0.45x (33 gapped matrices
+# each); cold solves break even near n = 44.  No benchmark workload runs a
+# dimension from 33 to 63, so the gate stays here.
 FAST_COLUMNS_MIN = 53
 _FAST_NORM_MAX = 2.0 ** 1000  # a bound on the Frobenius norm that keeps every product finite
 _UNDERFLOW_FREE = 2.0 ** -968  # no product of doubles this large rounds to zero
@@ -318,7 +386,8 @@ def _column_turn(a0: np.ndarray) -> _ColumnTurn | None:
         return None
     if np.signbit(a0[a0 == 0]).any():
         return None
-    return _ColumnTurn(n, _COLUMN_FORMS.setdefault(n, np.zeros((n, n), dtype=np.int8)))
+    forms = _COLUMN_FORMS.setdefault(n, np.zeros((n, n), dtype=np.int8))
+    return _ColumnTurn(n, forms, [1 << j for j in range(n)])  # the identity's fill
 
 
 def _has_negative_zero(a: np.ndarray) -> bool:
@@ -346,14 +415,22 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
       working matrix stacked on the eigenvectors, and the four entries are
       reset.  From FAST_COLUMNS_MIN up, that product also teaches this
       process the O(n) form of each column it turned (`_ColumnTurn.learn`).
-    - O(n), on a step whose forms are learnt: one count shows whether rows p
-      and q hold a zero, and `_ColumnTurn.turn` turns columns p and q with
-      the same bits (one load, one 2-wide product, one count of zeros, one
-      store).  A zero costs more calls only where it occurs.
+    - O(n), on a step whose forms are learnt: `_ColumnTurn.turn` turns
+      columns p and q with the same bits (one load, one 2-wide product, one
+      count of zeros, one store).  The row product writes rows p and q into
+      the buffer that holds the turned columns, so one count covers both.
+      It falls short of the buffer's size by the 2 (n - popcount)
+      eigenvector entries outside the columns' joint fill, which are +0.0
+      on every path, and by any other zero.  Only such a zero costs more
+      calls: an annihilated (p, q) or (q, p) entry is decided from the four
+      loaded entries of rows p and q, any other by the whole-pair scan.
 
-    The O(n) path holds only while the stack has no -0.0, so the first step
-    that leaves one in rows p and q or in columns p and q hands the rest of
-    the solve to the dense product.
+    Every product is `ndarray.dot` with `out`, the same BLAS call as
+    `np.dot` without its dispatch.  The O(n) path holds only while the stack
+    has no -0.0, so the first step that leaves one in rows p and q or in
+    columns p and q hands the rest of the solve to the dense product; rows p
+    and q are searched for one only when the count is short or the turn is
+    refused.
     """
     a0 = np.asarray(a, dtype=float)
     _check_matrix(a0)
@@ -362,11 +439,10 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
     spare = np.empty_like(stack)
     rot = np.eye(n)
     turn = np.empty((2, 2))
-    rows_pq = np.empty((2, n))
-    width = rows_pq.size
     flat_rot, flat_turn = _flat(rot), _flat(turn)
     skip = _jacobi_skip(n)
     columns = _column_turn(a0)
+    rows_pq = np.empty((2, n)) if columns is None else columns.rows
     for _ in range(100):
         if _off_diagonal_mass(stack[:n]) < JACOBI_TARGET:
             break
@@ -380,18 +456,18 @@ def jacobi_eigensolve(a: Sequence[Sequence[float]]) -> SpectralSystem:
                 flat_turn[1] = -s
                 flat_turn[2] = s
                 view = stack[p:q + 1:q - p]
-                np.dot(turn, view, out=rows_pq)
+                turn.dot(view, out=rows_pq)
                 view[...] = rows_pq
                 if columns is not None:
-                    if np.count_nonzero(rows_pq) < width and _has_negative_zero(rows_pq):
-                        columns = None
-                    elif columns.turn(stack, p, q, c, s):
+                    if columns.turn(stack, p, q, c, s):
                         continue
+                    if _has_negative_zero(rows_pq):
+                        columns = None
                 pp, qq, pq, qp = p * (n + 1), q * (n + 1), p * n + q, q * n + p
                 flat_rot[pp] = flat_rot[qq] = c
                 flat_rot[pq] = s
                 flat_rot[qp] = -s
-                np.dot(stack, rot, out=spare)
+                stack.dot(rot, out=spare)
                 flat_rot[pp] = flat_rot[qq] = 1.0
                 flat_rot[pq] = flat_rot[qp] = 0.0
                 if columns is not None and not columns.learn(stack, spare, p, q, c, s):
@@ -855,6 +931,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if not lines:
         raise SpectralError("empty matrix file")
     n = parse_number(int, lines[0], SpectralError)
+    _check_dimension(n)
     if len(lines) != n + 1:
         raise SpectralError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []

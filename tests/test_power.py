@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -308,6 +309,15 @@ def test_matrix_parse_errors():
         parse_matrix("2\n1.0 2.0\n")
     with pytest.raises(SpectralError):
         parse_matrix("")
+    # the dimension line is checked, in the words of the matrix check, before any row
+    # is read: the rows below would each fail to parse
+    below = "is below 2: the eigen-metric needs a second eigenvalue"
+    for n, message in ((-1, f"dimension -1 {below}"), (0, f"dimension 0 {below}"),
+                       (1, f"dimension 1 {below}"), (65, "dimension 65 exceeds 64")):
+        for rows in ("", "bad\n" * max(n, 0)):
+            with pytest.raises(SpectralError) as raised:
+                parse_matrix(f"{n}\n{rows}")
+            assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------- pinned float bits
@@ -910,6 +920,57 @@ def test_zeros_decided_refuses_where_the_least_magnitude_scan_refuses(step):
     assert columns._zeros_decided(s) == zeros_decided_by_least_magnitude(pair, turned, s)
 
 
+@settings(max_examples=300, deadline=None)
+@given(loaded_steps())
+@example(ROUNDED_QUOTIENT)
+def test_annihilated_zeros_are_decided_where_the_scan_of_their_rows_decides(step):
+    # the turn reaches this check for the (p, q) and (q, p) entries, whose zeros lie in
+    # rows p and q
+    pair, s = step
+    columns = power._ColumnTurn(len(pair) // 2, np.zeros((1, 1), dtype=np.int8))
+    columns.pair[...] = pair
+    turned = np.zeros(1)
+    for p, q in itertools.combinations(range(len(pair)), 2):
+        assert columns._annihilated_decided(p, q, s) == zeros_decided_by_least_magnitude(
+            pair[[p, q]], turned, s)
+
+
+@pytest.mark.parametrize("n", [power.FAST_COLUMNS_MIN, 64])
+def test_eigenvector_entries_outside_the_fill_are_positive_zeros(column_forms, fast_turns, monkeypatch, n):
+    """At every pivot of a solve on the O(n) path, each eigenvector entry of column j
+    outside the fill mask fill[j] is +0.0."""
+    made, handed_off, outside = [], [], []
+    column_turn, angle, has_negative_zero = (
+        power._column_turn, power._jacobi_angle, power._has_negative_zero)
+
+    def new_solve(a0):
+        made.append(column_turn(a0))
+        handed_off.clear()
+        return made[-1]
+
+    def hand_off(a):
+        found = has_negative_zero(a)
+        if found:  # the solve hands its rest to the dense product and leaves the fill
+            handed_off.append(True)
+        return found
+
+    def traced(stack, p, q, skip):
+        if made[-1] is not None and not handed_off:
+            rows = np.arange(n, dtype=np.uint64)[:, None]
+            absent = (np.array(made[-1].fill, dtype=np.uint64)[None, :] >> rows) & np.uint64(1) == 0
+            assert not stack[n:].view(np.uint64)[absent].any()
+            outside.append(np.count_nonzero(absent))
+        return angle(stack, p, q, skip)
+
+    monkeypatch.setattr(power, "_column_turn", new_solve)
+    monkeypatch.setattr(power, "_has_negative_zero", hand_off)
+    monkeypatch.setattr(power, "_jacobi_angle", traced)
+    jacobi_eigensolve(gapped_matrix(np.random.default_rng([16, n]), n))  # teach every pair
+    for _, a in zero_cases(n):
+        jacobi_eigensolve(a)
+    assert sum(fast_turns) > len(fast_turns) // 2 and max(outside) > 0
+
+
 def test_column_turn_leaves_undecided_zeros_to_the_dense_product():
     n, p, q = power.FAST_COLUMNS_MIN, 3, 17
     rng = np.random.default_rng(20)
@@ -942,3 +1003,31 @@ def test_column_turn_leaves_undecided_zeros_to_the_dense_product():
     dense = stack @ rot
     assert columns.turn(stack, p, q, c, s)
     assert stack.tobytes() == dense.tobytes()
+
+
+def test_column_turn_leaves_annihilated_and_row_zeros_to_the_dense_product():
+    n, p, q = power.FAST_COLUMNS_MIN, 3, 17
+    rng = np.random.default_rng(21)
+    c, s = math.sqrt(1 - 0.4 ** 2), 0.4
+    rot = np.eye(n)
+    rot[p, p] = rot[q, q] = c
+    rot[p, q] = s
+    rot[q, p] = -s
+    columns = power._ColumnTurn(n, np.zeros((n, n), dtype=np.int8))
+    stack = rng.normal(size=(2 * n, n))
+    columns.learn(stack, stack @ rot, p, q, c, s)
+    assert columns.forms[p, q] and columns.forms[q, p]
+    # s * 5e-324 + c * 0 underflows at (p, q): the sign of that annihilated zero is the
+    # dense product's to decide
+    stack[p, p], stack[p, q] = 5e-324, 0.0
+    before = stack.tobytes()
+    assert not columns.turn(stack, p, q, c, s)
+    assert stack.tobytes() == before
+    # a -0.0 that the row turn left in row q: the dense product makes it +0.0
+    stack = rng.normal(size=(2 * n, n))
+    stack[q, 5] = -0.0
+    columns.rows[...] = stack[[p, q]]
+    before = stack.tobytes()
+    assert not columns.turn(stack, p, q, c, s)
+    assert stack.tobytes() == before
+    assert not np.signbit((stack @ rot)[q, 5])
