@@ -7,7 +7,9 @@ level-weighted rho_c = c^kappa * d_M (makes f c-contracting but may break the
 triangle inequality), and the geodesic closure of rho_c (restores it).  Every
 theoretical property becomes an exhaustive, exact check recorded in a
 certificate; a certificate failure is an implementation-bug detector and
-raises.
+raises.  The closure runs once, in the construction: the certificate decides
+d_c's triangle inequality with ``metrics.triangle_mask``, one min-plus
+product, instead of closing d_c again.
 
 Self-map file format (UTF-8, ``#`` comments):
 
@@ -42,6 +44,7 @@ from .metrics import (
     min_plus_closure,
     ragged_row,
     semimetric_mask,
+    triangle_mask,
 )
 
 Matrix = list[list[Fraction]]
@@ -279,18 +282,22 @@ def _not_semimetric(rho: Matrix) -> str:
     return f"rho is not a semimetric: {_describe_first_failure(rho)}"
 
 
+def _require_semimetric(rho: Scaled) -> None:
+    """Raise ValueError, worded by ``_first_failure``, if rho fails an axiom before the triangle inequality."""
+    if semimetric_mask(rho.num, ~np.eye(len(rho.num), dtype=bool)):
+        raise ValueError(_not_semimetric(rho.fractions()))
+
+
 def geodesic_closure(rho: Scaled) -> Scaled:
     """All-pairs shortest chain lengths over rho; enforces the triangle inequality.
 
     Floyd-Warshall runs on a copy of rho's scaled integers, whose dtype leaves
     room for every sum, so the result is exact, on rho's scale, and equals
     ``_geodesic_closure_reference``.  A rho that fails an axiom before the
-    triangle inequality raises ValueError, worded by ``_first_failure``.
+    triangle inequality raises ValueError, through ``_require_semimetric``.
     """
-    d = rho.num
-    if semimetric_mask(d, ~np.eye(len(d), dtype=bool)):
-        raise ValueError(_not_semimetric(rho.fractions()))
-    return Scaled(min_plus_closure(d.copy()), rho.den)
+    _require_semimetric(rho)
+    return Scaled(min_plus_closure(rho.num.copy()), rho.den)
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
@@ -381,7 +388,10 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     d, d_M and d_c are decided on one integer scale s, the lcm of their
     scales, reached by integer multiplies; c = p/q and eps = a/b enter by
     cross-multiplication.  A failing entry names its first failing pair in
-    row-major order, with the Fraction values.
+    row-major order, with the Fraction values.  The closure is not run again:
+    d_c must be a semimetric, as ``geodesic_closure`` demands of rho (the same
+    ValueError otherwise), and a semimetric is its own closure iff
+    ``triangle_mask`` passes it, one min-plus product.
     """
     n, fp, f = m.size, m.fixed_point, np.array(m.map)
     p, q = c.numerator, c.denominator
@@ -395,9 +405,10 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     outside = np.ones(n, dtype=bool)
     outside[w] = False
     d_to_k0 = DM[:, w].min(axis=1)
-    # for a semimetric, which the closure demands, the closure is d_c itself
-    # iff the triangle inequality holds, i.e. iff d_c is a metric
-    closed = np.array_equal(geodesic_closure(d_c).num, d_c.num)
+    # for a semimetric the closure is d_c itself iff the triangle inequality
+    # holds, i.e. iff d_c is a metric
+    _require_semimetric(d_c)
+    closed = triangle_mask(d_c.num)
     failures = [
         ("d_M dominates d", _first_hit(
             D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i, j]}")),

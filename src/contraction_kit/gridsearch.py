@@ -17,8 +17,12 @@ clause's predicate on it; the instance's circuits are called on point
 columns, their one batch entry (row by row when a batch passes the bit
 budget).  The mask's first true row in stream order is the hit, the candidate
 the scalar scan ``_solve_instance_reference`` stops at; only the hit's
-witnesses are read back as Fractions.  Oe's short scan stays scalar, through
-``check_metric_axioms``, on fine points built lazily.
+witnesses are read back as Fractions.  Oe's scan is decided the same way: a
+fine point fails when d(x, x) is nonzero, CHUNK points at a time, and one d
+call fills the coarse points' matrix, whose 2 x 2 blocks
+``metrics.metric_failure_mask`` decides in pair order and whose triangle
+inequality ``metrics.triangle_mask`` decides; ``check_metric_axioms`` only
+words a triangle failure.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .circuit import InputError, Scaled
 from .cls import CLAUSES, ProblemInstance, Solution, accepted_kinds, verify
 from .library import Point
-from .metrics import check_metric_axioms
+from .metrics import check_metric_axioms, metric_failure_mask, triangle_mask
 
 COARSE_RESOLUTION = Fraction(1, 4)
 MAX_PAIRS = 4000
@@ -134,12 +138,36 @@ def _metric_violations(d, fine: Iterable[Point]) -> Iterable[tuple[Point, ...]]:
         yield violation.witnesses
 
 
-def _first_hit(inst, clause, grid: _Grid, stream: np.ndarray) -> tuple[Point, ...] | None:
-    """The first candidate of the stream whose clause holds, decided CHUNK rows at a time."""
+def _coarse_violation(d) -> tuple[Point, ...] | None:
+    """The first of ``_metric_violations``'s candidates after the fine points, decided on one matrix.
+
+    One d call on the coarse points' ordered pairs fills their matrix; its
+    2 x 2 blocks, diagonals included, are the coarse pairs in
+    ``itertools.combinations`` order.  If every pair passes, the matrix is a
+    semimetric and only the triangle inequality can fail it.
+    """
+    coarse = grid_points(COARSE_RESOLUTION)[:MAX_TRIANGLE_POINTS]
+    points = Scaled.of(coarse)
+    x, y = np.indices((len(coarse),) * 2).reshape(2, -1)
+    dist = d(points[x].columns(), points[y].columns())
+    matrix = dist.num.reshape(len(coarse), len(coarse))
+    pairs = np.array(list(itertools.combinations(range(len(coarse)), 2)))
+    failed = metric_failure_mask(matrix[pairs[:, :, None], pairs[:, None, :]], ~np.eye(2, dtype=bool))
+    if failed.any():
+        return tuple(coarse[i] for i in pairs[failed.argmax()])
+    if triangle_mask(matrix):
+        return None
+    return check_metric_axioms(Scaled(matrix, dist.den).fractions(), coarse).witnesses
+
+
+def _first_hit(holds, grid: _Grid, stream: np.ndarray) -> tuple[Point, ...] | None:
+    """The first candidate of the stream that ``holds`` flags, decided CHUNK rows at a time.
+
+    ``holds`` takes one point column per witness and gives a boolean mask.
+    """
     for start in range(0, len(stream), CHUNK):
         rows = stream[start:start + CHUNK]
-        ok = clause.holds(inst, *(grid.values[witness].columns() for witness in rows.swapaxes(0, 1)))[0]
-        hits = np.flatnonzero(ok)
+        hits = np.flatnonzero(holds(*(grid.values[witness].columns() for witness in rows.swapaxes(0, 1))))
         if len(hits):
             return tuple(tuple(grid.values[int(i)] for i in triple) for triple in rows[hits[0]])
     return None
@@ -150,11 +178,11 @@ def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)
     grid = _grid(resolution)
     for kind in accepted_kinds(inst):
         clause = CLAUSES[(inst.namespace, kind)]
-        if kind == "Oe":
-            candidates = _metric_violations(inst.d, itertools.product(_axis(resolution), repeat=3))
-            hit = next((w for w in candidates if clause.holds(inst, *w)[0]), None)
+        if kind == "Oe":  # a fine point's 1 x 1 matrix fails exactly when its entry is nonzero
+            hit = _first_hit(lambda x: inst.d(x, x).num != 0, grid, grid.streams[1])
+            hit = hit or _coarse_violation(inst.d)
         else:
-            hit = _first_hit(inst, clause, grid, grid.streams[clause.witnesses[0]])
+            hit = _first_hit(lambda *ws: clause.holds(inst, *ws)[0], grid, grid.streams[clause.witnesses[0]])
         if hit is not None:
             sol = Solution(kind, hit)
             return sol if verify(inst, sol) else None

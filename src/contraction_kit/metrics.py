@@ -6,7 +6,10 @@ inequalities exactly on rationals; no epsilon slack is ever added.
 points and both sides; ``lipschitz_violated`` and ``contraction_violated``
 decide one pair and return both sides, and the verifiers' clauses call them
 pair by pair.  The matrix checks decide acceptance on the matrix scaled to
-integers and word a failure from the ``_first_failure`` scan.
+integers, a stack of them at a time: ``semimetric_mask`` decides every axiom
+before the triangle inequality and ``triangle_mask`` the triangle inequality
+itself, and only a failing matrix runs the ``_first_failure`` scan, which
+words the failure.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ def contraction_violated(f, dist, c: Fraction, x: Point, y: Point) -> tuple[bool
     return lhs > rhs, lhs, rhs
 
 
+TRIANGLE_BLOCK = 1 << 15  # most sums triangle_mask holds at once, unless one row k gives more
+
+
 def min_plus_closure(d: np.ndarray) -> np.ndarray:
     """Floyd-Warshall in place on a scaled matrix (or a stack) with entries >= 0; returns d.
 
@@ -139,17 +145,46 @@ def semimetric_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     return bad.any(axis=(-2, -1)) | np.diagonal(d, axis1=-2, axis2=-1).any(axis=-1)
 
 
+def triangle_mask(d: np.ndarray) -> np.ndarray:
+    """Per symmetric scaled matrix of a stack, or for one, whether every d[i,j] <= d[i,k] + d[k,j].
+
+    By symmetry d[i,k] + d[k,j] is d[k,i] + d[k,j], two entries of row k, so
+    the shortest one-stop path is a minimum over the leading axis: one
+    min-plus product, summed ``TRIANGLE_BLOCK`` entries at a time over blocks
+    of matrices and of k.  Each sum adds two entries, for which ``int_dtype``
+    leaves room on int64, and Python ints never wrap, so the answer is exact.
+    A 0 x 0 or 1 x 1 matrix has no triangle and passes.
+    """
+    n = d.shape[-1]
+    if n < 2:
+        return np.ones(d.shape[:-2], dtype=bool)[()]
+    stack = d.reshape(-1, n, n)
+    k_step = min(n, max(1, TRIANGLE_BLOCK // (n * n)))
+    t_step = max(1, TRIANGLE_BLOCK // (k_step * n * n))
+    ok = np.empty(len(stack), dtype=bool)
+    for t in range(0, len(stack), t_step):
+        block = stack[t:t + t_step]
+        low = None
+        for k in range(0, n, k_step):
+            rows = block[:, k:k + k_step]
+            via = (rows[..., :, None] + rows[..., None, :]).min(axis=1)
+            low = via if low is None else np.minimum(low, via, out=low)
+        ok[t:t + t_step] = (block <= low).all(axis=(-2, -1))
+    return ok.reshape(d.shape[:-2])[()]
+
+
 def metric_failure_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """Per matrix of a (T, k, k) stack of scaled matrices, whether ``_first_failure`` fails it.
 
     ``distinct[t, i, j]`` is ``keys[i] != keys[j]`` for matrix t.  A matrix
-    that passes ``semimetric_mask`` meets the triangle inequality iff no
-    chain is shorter than the direct entry, i.e. iff its closure is itself;
-    only those matrices are closed, so no sum sees a negative entry.
+    that passes ``semimetric_mask`` is symmetric, with a zero diagonal and no
+    negative entry, so ``triangle_mask`` decides the triangle inequality on
+    it: the triples with a repeated index, which ``_first_failure`` skips,
+    hold on every such matrix.
     """
     failed = semimetric_mask(d, distinct)
     keep = ~failed
-    failed[keep] = (min_plus_closure(d[keep]) != d[keep]).any(axis=(-2, -1))  # d[keep] is a copy
+    failed[keep] = ~triangle_mask(d[keep])
     return failed
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_selfmap
+from contraction_kit import converse, metrics
 from contraction_kit.circuit import InputError, Scaled, format_fraction
 from contraction_kit.cli import main
 from contraction_kit.converse import (
@@ -569,6 +570,22 @@ def test_synthesis_certificate_on_random_corpus_sample():
                     assert m.d(i, j) <= s.d_m[i][j]
                 if s.d_c[i][fp] <= s.eps:
                     assert m.d(i, fp) <= 2 * s.eps
+
+
+def test_synthesis_runs_the_closure_once(monkeypatch):
+    # the certificate decides d_c's triangle inequality with one min-plus
+    # product, so the construction's closure is the only one; at 40 points
+    # that product takes its k rows in two blocks
+    calls, closure = [], metrics.min_plus_closure
+
+    def spy(d):
+        calls.append(d.shape)
+        return closure(d)
+
+    monkeypatch.setattr(converse, "min_plus_closure", spy)
+    monkeypatch.setattr(metrics, "min_plus_closure", spy)
+    assert synthesize(random_selfmap(random.Random(7), 40), F(1, 2), F(1, 4)).certified
+    assert calls == [(40, 40)]
 
 
 CORRUPTION_FACTORS = (F(1, 64), F(1, 4), F(1, 2), F(3, 4), F(3, 2), F(2), F(8))

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import banach_corpus, cls_local_corpus
-from test_golden import solve_instances
+from test_golden import distance, solve_instances
 from contraction_kit.circuit import CircuitBuilder, InputError, Scaled, _Program
 from contraction_kit.cls import BanachInstance, CLSLocalInstance, ContractionMapInstance
-from contraction_kit import gridsearch
+from contraction_kit import cls, gridsearch, metrics
 from contraction_kit.gridsearch import (
     CHUNK,
     COARSE_RESOLUTION,
@@ -186,6 +186,49 @@ def test_solve_builds_no_fine_point_tuple(kind, inst, monkeypatch):
     _grid.cache_clear()
     got = solve_instance(inst, resolution)
     assert got.kind == kind and got == want
+
+
+def lopsided_third_axis():
+    """lopsided_l1 without its first two axes: 0 between points apart only off the third."""
+    def build(b, xs, ys):
+        zero = b.const(0)
+        return b.sum([b.mul(b.max(b.sub(xs[2], ys[2]), zero), b.const(2)), b.max(b.sub(ys[2], xs[2]), zero)])
+    return distance(build)
+
+
+# the instances that reach Oe, by the witness count of their hit: the golden
+# ones, and one whose first failing coarse pair is asymmetric while a scan of
+# the coarse points' whole matrix would name a later pair at 0 first
+OE_WITNESSES = {"oe-singleton": 1, "oe-pair": 2, "oe-triangle": 3, "no-solution": None, "pair-order": 2}
+OE_INSTANCES = {name: inst for name, inst, _ in solve_instances() if name in OE_WITNESSES}
+OE_INSTANCES["pair-order"] = BanachInstance(
+    constant_map((F(1, 32),) * 3), lopsided_third_axis(), F(1, 1000), F(4), F(1, 2))
+
+
+# at 2/7 the coarse points, multiples of 1/4, fall off the fine grid
+@pytest.mark.parametrize("grid", [SIXTEENTH, F(2, 7)], ids=str)
+@pytest.mark.parametrize("name", OE_WITNESSES)
+def test_batched_oe_scan_matches_reference(name, grid):
+    got = assert_same_solution(OE_INSTANCES[name], grid)
+    assert (None if got is None else len(got.witnesses)) == OE_WITNESSES[name]
+    assert got is None or got.kind == "Oe"
+
+
+@pytest.mark.parametrize("name", ["oe-pair", "oe-triangle"])
+def test_oe_scan_words_only_its_hit(name, monkeypatch):
+    # one call per candidate would make 4,915 on oe-pair (4,913 grid points, the
+    # hit and verify); the batched scan words only a triangle failure, and verify
+    # replays the hit
+    calls, check = [], metrics.check_metric_axioms
+
+    def spy(d, points):
+        calls.append(len(points))
+        return check(d, points)
+
+    monkeypatch.setattr(gridsearch, "check_metric_axioms", spy)
+    monkeypatch.setattr(cls, "check_metric_axioms", spy)
+    assert solve_instance(OE_INSTANCES[name]).kind == "Oe"
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("position", [0, CHUNK - 1, CHUNK, CHUNK + 1])

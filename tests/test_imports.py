@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 module-level function and class of the package, and every member of its classes, is
 read somewhere in the repository, no module of the package calls ``np.ix_``,
-``np.argwhere``, ``np.isin`` or ``np.dot``, and only ``circuit`` calls ``lcm`` or
-splits a line on ``"#"``."""
+``np.argwhere``, ``np.isin`` or ``np.dot``, only ``circuit`` calls ``lcm`` or
+splits a line on ``"#"``, and only ``metrics`` and ``converse.geodesic_closure``
+call ``min_plus_closure``."""
 
 import ast
 from pathlib import Path
@@ -195,6 +196,44 @@ def test_the_check_sees_an_lcm_call():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != LCM_HOME], ids=lambda p: p.name)
 def test_only_circuit_calls_lcm(path):
     assert lcm_calls(path.read_text(encoding="utf-8")) == []
+
+
+# the closure runs in metrics and in converse.geodesic_closure alone, so a
+# certificate cannot quietly close its matrix again
+CLOSURE_HOME = "metrics.py"
+CLOSURE_CALLERS = {"converse.py": "geodesic_closure"}
+
+
+def closure_calls(source: str, home: str | None = None) -> list[str]:
+    """The calls of ``min_plus_closure`` in ``source`` outside its top-level function ``home``."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == home:
+            continue
+        found += [
+            f"line {node.lineno}: min_plus_closure"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and "min_plus_closure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    return found
+
+
+def test_the_check_sees_a_closure_call():
+    source = (
+        "from .metrics import min_plus_closure\n"
+        "def geodesic_closure(rho):\n    return min_plus_closure(rho.copy())\n"
+        "def _certify(d_c):\n    return metrics.min_plus_closure(d_c.copy())\n"
+    )
+    assert closure_calls(source, "geodesic_closure") == ["line 5: min_plus_closure"]
+    assert closure_calls(source) == ["line 3: min_plus_closure", "line 5: min_plus_closure"]
+    # a docstring or comment that names the closure is no call of it
+    assert closure_calls('"""Closes d by min_plus_closure(d)."""\n# min_plus_closure(d)\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != CLOSURE_HOME], ids=lambda p: p.name)
+def test_only_geodesic_closure_runs_the_closure(path):
+    assert closure_calls(path.read_text(encoding="utf-8"), CLOSURE_CALLERS.get(path.name)) == []
 
 
 # circuit.numbered_lines is the one reader that drops "#" comments

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contraction_kit.circuit import Scaled
+from contraction_kit import metrics
+from contraction_kit.circuit import Scaled, int_dtype
 from contraction_kit.library import (
     discrete_metric_circuit,
     identity_map_circuit,
@@ -18,6 +20,7 @@ from contraction_kit.library import (
 )
 from contraction_kit.metrics import (
     AXIOM_TRIANGLE,
+    TRIANGLE_BLOCK,
     _describe_first_failure,
     _first_failure,
     check_metric_axioms,
@@ -26,6 +29,7 @@ from contraction_kit.metrics import (
     lipschitz_violated,
     metric_failure_mask,
     semimetric_mask,
+    triangle_mask,
 )
 
 ORIGIN = (F(0), F(0), F(0))
@@ -237,10 +241,10 @@ def test_semimetric_failure_matches_entry_scan(k, count, zero_diagonal, positive
     assert [bool(semimetric_mask(d, m)) for d, m in zip(stack, distinct)] == expected
 
 
-@given(st.integers(1, 4), st.integers(0, 5), st.sampled_from(["raw", "semimetric"]),
-       st.booleans(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_metric_failure_mask_matches_first_failure(k, count, shape, huge, data):
+@given(st.integers(0, 4), st.integers(0, 5), st.sampled_from(["raw", "semimetric", "line"]),
+       st.sampled_from(["plain", "edge", "huge"]), st.sampled_from(["one", "cross", "small"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_metric_failure_mask_matches_first_failure(k, count, shape, scale, blocks, data):
     # keys from two values put repeated points, where a zero off the diagonal is no failure
     mats, keys = [], []
     for _ in range(count):
@@ -251,13 +255,36 @@ def test_metric_failure_mask_matches_first_failure(k, count, shape, huge, data):
                 dist[i][i] = F(0)
                 for j in range(i):
                     dist[j][i] = dist[i][j] = abs(dist[i][j])
-        if huge:
-            dist = [[v * 2**64 for v in r] for r in dist]
+        if shape == "line" and k > 1:
+            # points on a line: each point between i and j gives a path that ties
+            # with d[i,j]; one pair moved by 1/3 then keeps or breaks those ties
+            dist = [[abs(x - y) for y in entries[:k]] for x in entries[:k]]
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            dist[i][j] = dist[j][i] = dist[i][j] + data.draw(st.sampled_from([F(-1, 3), F(0), F(1, 3)]))
         mats.append(dist)
         keys.append(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    # a positive factor keeps every failure, so the answers are read before scaling
     expected = [_first_failure(dist, key) is not None for dist, key in zip(mats, keys)]
     stack = Scaled.of([row for dist in mats for row in dist]).num.reshape(count, k, k)
+    top = int(abs(stack).max(initial=0))
+    if scale == "edge" and top:  # as close to int_dtype's int64 bound 2**62 - 1 as a factor gets
+        stack = stack * ((2**62 - 1) // top)
+        assert 2**62 - top <= abs(stack).max() and int_dtype(int(abs(stack).max())) is np.int64
+    elif scale == "huge" and top:  # entries past 2**63, held as Python ints
+        stack = stack.astype(object) * 2**64
     distinct = np.array([[[a != b for b in key] for a in key] for key in keys], dtype=bool)
     distinct = distinct.reshape(count, k, k)
-    assert metric_failure_mask(stack, distinct).tolist() == expected
-    assert metric_failure_mask(stack.astype(object), distinct).tolist() == expected
+    # one matrix at a time, as _certify calls triangle_mask
+    semimetric = ~semimetric_mask(stack, distinct)
+    assert [bool(triangle_mask(d)) for d in stack[semimetric]] == [
+        not failed for failed, kept in zip(expected, semimetric) if kept
+    ]
+    block = TRIANGLE_BLOCK
+    if blocks == "cross" and count and k > 1:  # three blocks of matrices, each drawn one many times
+        picks = np.arange(2 * TRIANGLE_BLOCK // k**3 + 1) % count
+        stack, distinct, expected = stack[picks], distinct[picks], [expected[t] for t in picks]
+    elif blocks == "small":  # blocks of k rows and of matrices that split unevenly
+        block = data.draw(st.sampled_from([1, 20, 40]))
+    with mock.patch.object(metrics, "TRIANGLE_BLOCK", block):
+        assert metric_failure_mask(stack, distinct).tolist() == expected
+        assert metric_failure_mask(stack.astype(object), distinct).tolist() == expected
