@@ -9,7 +9,8 @@ theoretical property becomes an exhaustive, exact check recorded in a
 certificate; a certificate failure is an implementation-bug detector and
 raises.  The closure runs once, in the construction: the certificate decides
 d_c's triangle inequality with ``metrics.triangle_mask``, one min-plus
-product, instead of closing d_c again.
+product, instead of closing d_c again.  ``metrics.check_metric_matrix``
+words every metric-axiom failure of the base metric, rho and d_c.
 
 Self-map file format (UTF-8, ``#`` comments):
 
@@ -38,7 +39,6 @@ from .circuit import (
 )
 from .metrics import (
     AXIOM_TRIANGLE,
-    _describe_first_failure,
     _first_failure,
     check_metric_matrix,
     min_plus_closure,
@@ -86,9 +86,7 @@ class FiniteSelfMap:
             label = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
             raise SelfMapError(f"repeated label {label!r}")
         # the ragged-row check runs before the one conversion to integers
-        bad = ragged_row(self.base_distance)
-        if bad is None:
-            bad = check_metric_matrix(self.base_distance, self.scaled_distance)
+        bad = ragged_row(self.base_distance) or check_metric_matrix(self.scaled_distance)
         if bad is not None:
             raise SelfMapError(f"base distance is not a metric: {bad}")
         if any(not 0 <= i < n for i in self.map):
@@ -278,32 +276,23 @@ def _compute_rho_reference(d_m: Matrix, levels: Sequence[float], c: Fraction) ->
     return rho
 
 
-def _not_semimetric(rho: Matrix) -> str:
-    return f"rho is not a semimetric: {_describe_first_failure(rho)}"
-
-
-def _require_semimetric(rho: Scaled) -> None:
-    """Raise ValueError, worded by ``_first_failure``, if rho fails an axiom before the triangle inequality."""
-    if semimetric_mask(rho.num, ~np.eye(len(rho.num), dtype=bool)):
-        raise ValueError(_not_semimetric(rho.fractions()))
-
-
 def geodesic_closure(rho: Scaled) -> Scaled:
     """All-pairs shortest chain lengths over rho; enforces the triangle inequality.
 
     Floyd-Warshall runs on a copy of rho's scaled integers, whose dtype leaves
     room for every sum, so the result is exact, on rho's scale, and equals
     ``_geodesic_closure_reference``.  A rho that fails an axiom before the
-    triangle inequality raises ValueError, through ``_require_semimetric``.
+    triangle inequality raises ValueError, worded by ``check_metric_matrix``.
     """
-    _require_semimetric(rho)
+    if semimetric_mask(rho.num, ~np.eye(len(rho.num), dtype=bool)):
+        raise ValueError(f"rho is not a semimetric: {check_metric_matrix(rho)}")
     return Scaled(min_plus_closure(rho.num.copy()), rho.den)
 
 
 def _geodesic_closure_reference(rho: Matrix) -> Matrix:
     """The Fraction triple loop that ``geodesic_closure`` must equal (tests only)."""
     if (failure := _first_failure(rho, range(len(rho)))) and failure[0] != AXIOM_TRIANGLE:
-        raise ValueError(_not_semimetric(rho))
+        raise ValueError(f"rho is not a semimetric: {check_metric_matrix(Scaled.of(rho))}")
     n = len(rho)
     dist = [row[:] for row in rho]
     for k in range(n):
@@ -389,9 +378,10 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     scales, reached by integer multiplies; c = p/q and eps = a/b enter by
     cross-multiplication.  A failing entry names its first failing pair in
     row-major order, with the Fraction values.  The closure is not run again:
-    d_c must be a semimetric, as ``geodesic_closure`` demands of rho (the same
-    ValueError otherwise), and a semimetric is its own closure iff
-    ``triangle_mask`` passes it, one min-plus product.
+    d_c is its own closure iff it is a semimetric that ``triangle_mask``
+    passes, one min-plus product.  That one decision, ``closed``, gives the
+    "d_c metric axioms" and "geodesic closure idempotent" entries, and a d_c
+    that fails an axiom fails both, worded by ``check_metric_matrix``.
     """
     n, fp, f = m.size, m.fixed_point, np.array(m.map)
     p, q = c.numerator, c.denominator
@@ -405,17 +395,15 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     outside = np.ones(n, dtype=bool)
     outside[w] = False
     d_to_k0 = DM[:, w].min(axis=1)
-    # for a semimetric the closure is d_c itself iff the triangle inequality
-    # holds, i.e. iff d_c is a metric
-    _require_semimetric(d_c)
-    closed = triangle_mask(d_c.num)
+    # a semimetric is its own closure iff the triangle inequality holds, i.e.
+    # iff it is a metric; triangle_mask decides it only on a symmetric matrix
+    closed = not semimetric_mask(d_c.num, ~np.eye(n, dtype=bool)) and triangle_mask(d_c.num)
     failures = [
         ("d_M dominates d", _first_hit(
             D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i, j]}")),
         ("f non-expanding under d_M", _first_hit(
             DM[f[:, None], f] > DM, lambda i, j: f"pair ({i},{j})")),
-        ("d_c metric axioms",
-         None if closed else _describe_first_failure(d_c.fractions())),
+        ("d_c metric axioms", None if closed else check_metric_matrix(d_c)),
         ("c-contraction of d_c", _first_hit(
             q * DC[f[:, None], f] > p * DC,
             lambda i, j: f"pair ({i},{j}): {d_c[f[i], f[j]]} > c*{d_c[i, j]}")),

@@ -9,7 +9,9 @@ pair by pair.  The matrix checks decide acceptance on the matrix scaled to
 integers, a stack of them at a time: ``semimetric_mask`` decides every axiom
 before the triangle inequality and ``triangle_mask`` the triangle inequality
 itself, and only a failing matrix runs the ``_first_failure`` scan, which
-words the failure.
+words the failure.  ``check_metric_matrix`` is the one check that words a
+failure of a distance matrix by its indices; ``converse`` words every failure
+of its matrices through it.
 """
 
 from __future__ import annotations
@@ -197,33 +199,22 @@ def ragged_row(dist: Sequence[Sequence[Fraction]]) -> str | None:
     return None
 
 
-def check_metric_matrix(dist: Sequence[Sequence[Fraction]], scaled: Scaled | None = None) -> str | None:
-    """Exhaustive metric-axiom check for a square distance matrix.
+def check_metric_matrix(d: Scaled) -> str | None:
+    """The first metric-axiom failure of a square scaled matrix, described by its indices, or None.
 
-    Returns None on pass or a short description of the first failure, in the
-    scan order of ``_first_failure``; used to vet the base metric of a finite
-    self-map (synthesis words a failure of ``d_c`` through
-    ``_describe_first_failure`` itself).  Acceptance is decided on the matrix
-    scaled to integers, ``scaled`` when the caller holds ``Scaled.of(dist)``
-    already; only a failing matrix runs the scan, in ``_describe_first_failure``.
+    Acceptance is decided on the scaled integers by ``metric_failure_mask``.
+    Only a failing matrix is read back as Fractions, and its first failure in
+    the scan order of ``_first_failure`` is worded by ``_describe_first_failure``.
     """
-    bad = ragged_row(dist)
-    if bad is not None:
-        return bad
-    if scaled is None:
-        scaled = Scaled.of(dist)
-    n = len(dist)  # Scaled.of reads an empty matrix as an empty column
-    if not metric_failure_mask(scaled.num.reshape(1, n, n), ~np.eye(n, dtype=bool))[0]:
+    n = len(d.num)  # Scaled.of reads an empty matrix as an empty column
+    if not metric_failure_mask(d.num.reshape(1, n, n), ~np.eye(n, dtype=bool))[0]:
         return None
-    return _describe_first_failure(dist)
+    return _describe_first_failure(d.fractions())
 
 
-def _describe_first_failure(dist: Sequence[Sequence[Fraction]]) -> str | None:
-    """``check_metric_matrix``'s answer for a square matrix, from the ``_first_failure`` scan."""
-    failure = _first_failure(dist, range(len(dist)))
-    if failure is None:
-        return None
-    axiom, idx, lhs, rhs = failure
+def _describe_first_failure(dist: Sequence[Sequence[Fraction]]) -> str:
+    """``check_metric_matrix``'s answer for a square matrix that fails, from the ``_first_failure`` scan."""
+    axiom, idx, lhs, rhs = _first_failure(dist, range(len(dist)))
     i, j = idx[0], idx[-1]
     if axiom == AXIOM_NONNEG:
         return f"NONNEG: d({i},{j}) = {lhs} < 0"

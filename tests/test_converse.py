@@ -17,6 +17,7 @@ from contraction_kit import converse, metrics
 from contraction_kit.circuit import InputError, Scaled, format_fraction
 from contraction_kit.cli import main
 from contraction_kit.converse import (
+    CertificateError,
     FiniteSelfMap,
     SelfMapError,
     _certify,
@@ -496,6 +497,22 @@ def test_non_metric_base_rejected_at_load():
         FiniteSelfMap(["a", "b", "star"], coords, dist, [2, 2, 2], 2)
 
 
+def test_ragged_base_distance_rejected_before_scaling(monkeypatch):
+    # the one ragged-row check runs before the base metric is scaled to integers
+    calls, of = [], Scaled.of
+
+    def spy(values):
+        calls.append(values)
+        return of(values)
+
+    monkeypatch.setattr(Scaled, "of", staticmethod(spy))
+    coords = [(F(i), F(0), F(0)) for i in range(2)]
+    with pytest.raises(SelfMapError) as info:
+        FiniteSelfMap(["a", "b"], coords, [[F(0)], [F(0)]], [1, 1], 1)
+    assert str(info.value) == "base distance is not a metric: row 0 has length 1, expected 2"
+    assert calls == []
+
+
 def test_repeated_label_rejected_at_load():
     dist = [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]
     coords = [(F(i), F(0), F(0)) for i in range(3)]
@@ -656,6 +673,22 @@ def test_certify_rejects_non_semimetric_d_c(entries, message):
     m, c, eps, w, d_m, d_c = corrupted_certificate_cases()[2]
     for (i, j), value in entries.items():
         d_c[i][j] = value
-    with pytest.raises(ValueError) as info:
-        certify_fractions(m, c, eps, w, d_m, d_c)
-    assert str(info.value) == f"rho is not a semimetric: {message}"
+    entries = {e.name: e for e in certify_fractions(m, c, eps, w, d_m, d_c)}
+    axioms = entries["d_c metric axioms"]
+    assert (axioms.ok, axioms.detail) == (False, message)
+    assert not entries["geodesic closure idempotent"].ok
+
+
+def test_synthesize_raises_certificate_error_on_non_semimetric_d_c(monkeypatch):
+    # a closure that broke symmetry fails the certificate like any other entry
+    closure = converse.geodesic_closure
+
+    def asymmetric(rho):
+        d_c = closure(rho)
+        d_c.num[0, 1] += 1
+        return d_c
+
+    monkeypatch.setattr(converse, "geodesic_closure", asymmetric)
+    with pytest.raises(CertificateError) as info:
+        synthesize(chain_selfmap((1, 1, 1)), F(1, 2), F(1, 4))
+    assert str(info.value) == "d_c metric axioms: SYMMETRY: d(0,1) != d(1,0)"

@@ -2,8 +2,9 @@
 module-level function and class of the package, and every member of its classes, is
 read somewhere in the repository, no module of the package calls ``np.ix_``,
 ``np.argwhere``, ``np.isin`` or ``np.dot``, only ``circuit`` calls ``lcm`` or
-splits a line on ``"#"``, and only ``metrics`` and ``converse.geodesic_closure``
-call ``min_plus_closure``."""
+splits a line on ``"#"``, only ``metrics`` and ``converse.geodesic_closure``
+call ``min_plus_closure``, only ``metrics`` calls ``_describe_first_failure``,
+and only ``metrics`` and functions named ``*_reference`` call ``_first_failure``."""
 
 import ast
 from pathlib import Path
@@ -204,17 +205,17 @@ CLOSURE_HOME = "metrics.py"
 CLOSURE_CALLERS = {"converse.py": "geodesic_closure"}
 
 
-def closure_calls(source: str, home: str | None = None) -> list[str]:
-    """The calls of ``min_plus_closure`` in ``source`` outside its top-level function ``home``."""
+def calls_of(source: str, callee: str, exempt=lambda name: False) -> list[str]:
+    """The calls of ``callee`` in ``source`` outside the top-level functions whose names ``exempt`` accepts."""
     found = []
     for top in ast.parse(source).body:
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == home:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and exempt(top.name):
             continue
         found += [
-            f"line {node.lineno}: min_plus_closure"
+            f"line {node.lineno}: {callee}"
             for node in ast.walk(top)
             if isinstance(node, ast.Call)
-            and "min_plus_closure" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
     return found
 
@@ -225,15 +226,47 @@ def test_the_check_sees_a_closure_call():
         "def geodesic_closure(rho):\n    return min_plus_closure(rho.copy())\n"
         "def _certify(d_c):\n    return metrics.min_plus_closure(d_c.copy())\n"
     )
-    assert closure_calls(source, "geodesic_closure") == ["line 5: min_plus_closure"]
-    assert closure_calls(source) == ["line 3: min_plus_closure", "line 5: min_plus_closure"]
+    exempt = lambda name: name == "geodesic_closure"
+    assert calls_of(source, "min_plus_closure", exempt) == ["line 5: min_plus_closure"]
+    assert calls_of(source, "min_plus_closure") == ["line 3: min_plus_closure", "line 5: min_plus_closure"]
     # a docstring or comment that names the closure is no call of it
-    assert closure_calls('"""Closes d by min_plus_closure(d)."""\n# min_plus_closure(d)\n') == []
+    docs = '"""Closes d by min_plus_closure(d)."""\n# min_plus_closure(d)\n'
+    assert calls_of(docs, "min_plus_closure") == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != CLOSURE_HOME], ids=lambda p: p.name)
 def test_only_geodesic_closure_runs_the_closure(path):
-    assert closure_calls(path.read_text(encoding="utf-8"), CLOSURE_CALLERS.get(path.name)) == []
+    home = CLOSURE_CALLERS.get(path.name)
+    assert calls_of(path.read_text(encoding="utf-8"), "min_plus_closure", lambda name: name == home) == []
+
+
+# metrics words every metric-axiom failure, through check_metric_matrix or
+# check_metric_axioms; elsewhere only the Fraction references run the scan
+SCAN_HOME = "metrics.py"
+
+
+def scan_calls(source: str) -> list[str]:
+    """The calls of ``_describe_first_failure`` in ``source``, and of ``_first_failure``
+    outside its top-level functions named ``*_reference``."""
+    return calls_of(source, "_describe_first_failure") + calls_of(
+        source, "_first_failure", lambda name: name.endswith("_reference")
+    )
+
+
+def test_the_check_sees_a_scan_call():
+    source = (
+        "from .metrics import _describe_first_failure, _first_failure\n"
+        "def _geodesic_closure_reference(rho):\n    return _first_failure(rho, keys)\n"
+        "def _certify(d_c):\n    return metrics._first_failure(d_c, keys) or _describe_first_failure(d_c)\n"
+    )
+    assert scan_calls(source) == ["line 5: _describe_first_failure", "line 5: _first_failure"]
+    # a docstring or comment that names the scan is no call of it
+    assert scan_calls('"""Words it by _describe_first_failure(d)."""\n# _first_failure(d, keys)\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != SCAN_HOME], ids=lambda p: p.name)
+def test_only_metrics_words_an_axiom_failure(path):
+    assert scan_calls(path.read_text(encoding="utf-8")) == []
 
 
 # circuit.numbered_lines is the one reader that drops "#" comments

@@ -145,18 +145,17 @@ def test_violation_replay_reproduces_inequality():
 
 def test_matrix_checker_accepts_and_rejects():
     good = [[F(0), F(1)], [F(1), F(0)]]
-    assert check_metric_matrix(good) is None
+    assert check_metric_matrix(Scaled.of(good)) is None
     asym = [[F(0), F(1)], [F(2), F(0)]]
-    assert "SYMMETRY" in check_metric_matrix(asym)
+    assert "SYMMETRY" in check_metric_matrix(Scaled.of(asym))
     bad_triangle = [
         [F(0), F(1), F(3)],
         [F(1), F(0), F(1)],
         [F(3), F(1), F(0)],
     ]
-    assert "TRIANGLE" in check_metric_matrix(bad_triangle)
+    assert "TRIANGLE" in check_metric_matrix(Scaled.of(bad_triangle))
     # two axioms fail: the report names the first in axiom order
-    assert check_metric_matrix([[F(1), F(-1)], [F(-1), F(0)]]) == "NONNEG: d(0,1) = -1 < 0"
-    assert check_metric_matrix([[F(0)], [F(0)]]) == "row 0 has length 1, expected 2"
+    assert check_metric_matrix(Scaled.of([[F(1), F(-1)], [F(-1), F(0)]])) == "NONNEG: d(0,1) = -1 < 0"
 
 
 METRIC_3 = [[F(0), F(1), F(3, 2)], [F(1), F(0), F(1)], [F(3, 2), F(1), F(0)]]
@@ -178,10 +177,10 @@ def test_matrix_checker_matches_reference_on_each_axiom(scale, cells, prefix):
         dist[i][j] = value
     dist = [[v * scale for v in r] for r in dist]
     assert Scaled.of(dist).num.dtype == (object if scale > 1 else np.int64)
-    message = check_metric_matrix(dist)
+    message = check_metric_matrix(Scaled.of(dist))
     assert message == _describe_first_failure(dist)
     assert message.startswith(prefix)
-    assert check_metric_matrix([[v * scale for v in r] for r in METRIC_3]) is None
+    assert check_metric_matrix(Scaled.of([[v * scale for v in r] for r in METRIC_3])) is None
 
 
 @given(st.integers(1, 7), st.sampled_from(["raw", "symmetric"]), st.booleans(), st.data())
@@ -199,7 +198,8 @@ def test_matrix_checker_matches_reference_scan(n, shape, huge, data):
                 dist[j][i] = dist[i][j]
     if huge:
         dist = [[v * 2**64 for v in r] for r in dist]
-    assert check_metric_matrix(dist) == _describe_first_failure(dist)
+    failed = _first_failure(dist, range(n)) is not None
+    assert check_metric_matrix(Scaled.of(dist)) == (_describe_first_failure(dist) if failed else None)
 
 
 @given(st.integers(1, 5), st.integers(0, 4), st.booleans(), st.booleans(), st.booleans(),

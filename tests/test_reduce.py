@@ -786,8 +786,12 @@ def test_batched_certificate_matches_pairwise_past_bit_budget(monkeypatch, broke
 
 def test_passing_certificate_makes_no_axiom_scan(monkeypatch):
     calls = []
-    monkeypatch.setattr("contraction_kit.reduce.check_metric_axioms",
-                        lambda *args: calls.append(args))
+
+    def spy(*args):
+        calls.append(args)
+        return check_metric_axioms(*args)
+
+    monkeypatch.setattr("contraction_kit.reduce.check_metric_axioms", spy)
     art = reduce_cls_local_to_banach(hardness_instance(), half_eps=True)
     # repeated points are not failures, so the axiom mask does not flag them
     triples = random_triples(random.Random(4), 30, [8, 16]) + [(HALF, HALF, ORIGIN), (E1, E1, E1)]
