@@ -207,20 +207,20 @@ class Scaled:
         return Scaled(np.array(ints, dtype=dtype).reshape(shape), den)
 
     @staticmethod
-    def common(values: Sequence, headroom: Callable | None = None) -> tuple[list, int]:
+    def common(values: Sequence, factor: int | None = None) -> tuple[list, int]:
         """``(nums, s)``: ``values`` (``Scaled``s or rationals) over the lcm ``s`` of their denominators.
 
-        Without ``headroom`` they are Python ints.  A caller that computes on
-        int64 passes ``headroom(top, s)``, a bound on every number it forms
-        from them when ``top`` bounds every lifted |numerator|; they then
-        have the dtype ``int_dtype`` picks for it.
+        Without ``factor`` they are Python ints.  A caller that computes on
+        int64 passes the largest ``factor`` it multiplies them by; they then
+        have the dtype ``int_dtype`` picks for ``factor`` times the largest
+        lifted |numerator|.
         """
         parts = [(v.num, v.den) if type(v) is Scaled else (v.numerator, v.denominator) for v in values]
         s = lcm(*(den for _, den in parts))
         dtype = object
-        if headroom is not None:
+        if factor is not None:
             top = max(max(1, int(abs(num).max())) * (s // den) for num, den in parts)
-            dtype = int_dtype(headroom(top, s))
+            dtype = int_dtype(factor * top)
         return [_times(np.asarray(num, dtype=dtype), s // den) for num, den in parts], s
 
     def wide(self) -> Scaled:

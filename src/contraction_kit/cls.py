@@ -134,13 +134,14 @@ _PROBLEMS = {
 class Clause:
     """One solution kind: its witness count, its clause and its exact predicate.
 
-    ``holds(inst, *witnesses)`` returns ``(ok, lhs, rhs)``.  Each predicate
-    calls the instance's circuits itself: the map ``inst.f`` and ``inst.p``
-    for cls-local or ``inst.d`` for banach; contraction-map clauses use the
-    Euclidean metric, compared in squared form.  Given point columns for
-    witnesses, every predicate but Oe's decides a chunk of candidates at
-    once: ``ok`` is then a boolean mask and ``lhs`` and ``rhs`` are
-    ``circuit.Scaled`` columns.
+    ``holds(inst, *witnesses)`` returns ``(ok, lhs, rhs)``; Oe's ``ok`` is the
+    ``metrics.MetricViolation`` found, or None, so its verdict can name the
+    failed axiom.  Each predicate calls the instance's circuits itself: the
+    map ``inst.f`` and ``inst.p`` for cls-local or ``inst.d`` for banach;
+    contraction-map clauses use the Euclidean metric, compared in squared
+    form.  Given point columns for witnesses, every predicate but Oe's
+    decides a chunk of candidates at once: ``ok`` is then a boolean mask and
+    ``lhs`` and ``rhs`` are ``circuit.Scaled`` columns.
     """
 
     witnesses: range
@@ -167,8 +168,8 @@ def _od(inst, x1, x2, y1, y2):
 def _oe(inst, *witnesses):
     violation = check_metric_axioms(inst.d, witnesses)
     if violation is None:
-        return False, None, None
-    return True, violation.lhs, violation.rhs
+        return None, None, None
+    return violation, violation.lhs, violation.rhs
 
 
 _LIPSCHITZ = Clause(
@@ -263,16 +264,13 @@ def _replay(inst: ProblemInstance, sol: Solution) -> Verdict:
             return Verdict(False, sol.kind, f"witness {w} outside [0,1]^3")
     if sol.kind == "Od" and (ws[0] == ws[1] or ws[2] == ws[3]):
         return Verdict(False, "Od", "side condition x1 != x2, y1 != y2 violated")
-    if sol.kind == "Oe":
-        # the verdict names the failed axiom, which (ok, lhs, rhs) does not carry
-        violation = check_metric_axioms(inst.d, ws)
-        if violation is None:
-            return Verdict(False, "Oe", "no metric axiom fails at the given witnesses")
-        reason = f"{violation.axiom} violated at {violation.witnesses}"
-        return Verdict(True, "Oe", reason, violation.lhs, violation.rhs)
     clause = CLAUSES[(inst.namespace, sol.kind)]
     ok, lhs, rhs = clause.holds(inst, *ws)
-    return Verdict(ok, sol.kind, f"{clause.text} is {ok}", lhs, rhs)
+    if sol.kind != "Oe":
+        return Verdict(ok, sol.kind, f"{clause.text} is {ok}", lhs, rhs)
+    if ok is None:
+        return Verdict(False, "Oe", "no metric axiom fails at the given witnesses")
+    return Verdict(True, "Oe", f"{ok.axiom} violated at {ok.witnesses}", lhs, rhs)
 
 
 def verify_cls_local(inst: CLSLocalInstance, sol: Solution) -> Verdict:

@@ -7,10 +7,10 @@ level-weighted rho_c = c^kappa * d_M (makes f c-contracting but may break the
 triangle inequality), and the geodesic closure of rho_c (restores it).  Every
 theoretical property becomes an exhaustive, exact check recorded in a
 certificate; a certificate failure is an implementation-bug detector and
-raises.  The closure runs once, in the construction: the certificate decides
-d_c's triangle inequality with ``metrics.triangle_mask``, one min-plus
-product, instead of closing d_c again.  ``metrics.check_metric_matrix``
-words every metric-axiom failure of the base metric, rho and d_c.
+raises.  The closure runs once, in the construction: the certificate asks
+``metrics.check_metric_matrix`` whether d_c is a metric, one min-plus
+product, instead of closing d_c again.  That check also words every
+metric-axiom failure of the base metric, rho and d_c.
 
 Self-map file format (UTF-8, ``#`` comments):
 
@@ -44,7 +44,6 @@ from .metrics import (
     min_plus_closure,
     ragged_row,
     semimetric_mask,
-    triangle_mask,
 )
 
 Matrix = list[list[Fraction]]
@@ -190,7 +189,7 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
         raise SelfMapError("eps must be positive")
     fp = m.fixed_point
     base = m.scaled_distance.num
-    near = base <= math.floor(eps * m.scaled_distance.den)  # d <= eps, on the integer scale
+    near = base <= eps.numerator * m.scaled_distance.den // eps.denominator  # floor(eps * den)
     best: list[int] = [fp]
     for r in sorted(set(base[fp].tolist())):
         ball = np.flatnonzero(base[fp] <= r)
@@ -206,7 +205,7 @@ def find_invariant_neighborhood(m: FiniteSelfMap, eps: Fraction) -> list[int]:
     in_w = in_u[it[:k]].all(axis=0)
     w = np.flatnonzero(in_w)
     if not in_w[fp] or not in_w[np.array(m.map)[w]].all() or not near[w[:, None], w].all():
-        return [fp]  # cannot happen on valid instances; singleton always qualifies
+        raise CertificateError(f"W = {w.tolist()} is not an eps-small f-invariant set around x*")
     return w.tolist()
 
 
@@ -319,7 +318,6 @@ class SynthesizedMetric:
     eps: Fraction
     w: list[int]
     levels: list[float]
-    k_sets: list[list[int]]
     certificate: list[CertificateEntry]
     # d_M, rho_c and d_c as ``Scaled`` matrices, the one form the stages hand on and
     # report_text renders; d_m, rho and d_c below are Fraction views of them, built on first read
@@ -375,35 +373,29 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
     """Exhaustive synthesis certificate; every entry must pass on valid inputs.
 
     d, d_M and d_c are decided on one integer scale s, the lcm of their
-    scales, reached by integer multiplies; c = p/q and eps = a/b enter by
-    cross-multiplication.  A failing entry names its first failing pair in
-    row-major order, with the Fraction values.  The closure is not run again:
-    d_c is its own closure iff it is a semimetric that ``triangle_mask``
-    passes, one min-plus product.  That one decision, ``closed``, gives the
-    "d_c metric axioms" and "geodesic closure idempotent" entries, and a d_c
-    that fails an axiom fails both, worded by ``check_metric_matrix``.
+    scales, reached by integer multiplies; c = p/q enters by cross-multiplying
+    and eps as floor(eps * s), as in ``find_invariant_neighborhood``.  A
+    failing entry names its first failing pair in row-major order, with the
+    Fraction values.  The closure is not run again: d_c is its own closure
+    iff it is a metric, so one ``check_metric_matrix`` answer gives both the
+    "d_c metric axioms" and the "geodesic closure idempotent" entries.
     """
     n, fp, f = m.size, m.fixed_point, np.array(m.map)
     p, q = c.numerator, c.denominator
-    a, b = eps.numerator, eps.denominator
-    # each product below is at most max(q, b) * top or 2 * a * s, top the largest lifted |entry|
-    (D, DM, DC), s = Scaled.common(
-        (m.scaled_distance, d_m, d_c), lambda top, s: max(max(q, b) * top, a * s)
-    )
-    small = b * DC <= a * s  # d_c <= eps
-    far = b * D > 2 * a * s  # d > 2 eps
+    # q * DC is the largest number formed: at most q * top, top the largest lifted |entry|
+    (D, DM, DC), s = Scaled.common((m.scaled_distance, d_m, d_c), q)
+    small = DC <= eps.numerator * s // eps.denominator  # d_c <= eps
+    far = D > 2 * eps.numerator * s // eps.denominator  # d > 2 eps
     outside = np.ones(n, dtype=bool)
     outside[w] = False
     d_to_k0 = DM[:, w].min(axis=1)
-    # a semimetric is its own closure iff the triangle inequality holds, i.e.
-    # iff it is a metric; triangle_mask decides it only on a symmetric matrix
-    closed = not semimetric_mask(d_c.num, ~np.eye(n, dtype=bool)) and triangle_mask(d_c.num)
+    metric_failure = check_metric_matrix(d_c)
     failures = [
         ("d_M dominates d", _first_hit(
             D > DM, lambda i, j: f"d({i},{j})={m.d(i, j)} > d_M={d_m[i, j]}")),
         ("f non-expanding under d_M", _first_hit(
             DM[f[:, None], f] > DM, lambda i, j: f"pair ({i},{j})")),
-        ("d_c metric axioms", None if closed else check_metric_matrix(d_c)),
+        ("d_c metric axioms", metric_failure),
         ("c-contraction of d_c", _first_hit(
             q * DC[f[:, None], f] > p * DC,
             lambda i, j: f"pair ({i},{j}): {d_c[f[i], f[j]]} > c*{d_c[i, j]}")),
@@ -419,7 +411,7 @@ def _certify(m: FiniteSelfMap, c: Fraction, eps: Fraction, w, d_m: Scaled, d_c: 
             & (DC < np.minimum(DM, d_to_k0[:, None])),
             lambda i, j: f"pair ({i},{j})")),
         ("geodesic closure idempotent",
-         None if closed else "closure(closure(rho)) != closure(rho)"),
+         None if metric_failure is None else "closure(closure(rho)) != closure(rho)"),
     ]
     return [CertificateEntry(name, fail is None, fail or "") for name, fail in failures]
 
@@ -436,11 +428,11 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
         raise SelfMapError("c must lie in (0,1)")
     w = find_invariant_neighborhood(m, eps)
     d_m = compute_orbit_metric(m)
-    levels, k_sets = compute_levels(m, w)
+    levels, _ = compute_levels(m, w)
     rho = compute_rho(d_m, levels, c)
     d_c = geodesic_closure(rho)
     certificate = _certify(m, c, eps, w, d_m, d_c)
     for entry in certificate:
         if not entry.ok:
             raise CertificateError(f"{entry.name}: {entry.detail}")
-    return SynthesizedMetric(m, c, eps, w, levels, k_sets, certificate, (d_m, rho, d_c))
+    return SynthesizedMetric(m, c, eps, w, levels, certificate, (d_m, rho, d_c))

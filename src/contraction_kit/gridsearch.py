@@ -4,8 +4,8 @@ Not a general CLS solver: it scans a rational grid over [0,1]^3 (default
 resolution 1/16) for each accepted solution kind in a fixed priority order
 (fixed-point-style witnesses first), and checks violation clauses over a
 coarser pair/quad budget.  Candidates are decided by the verifier's own
-clause predicates (``cls.CLAUSES``), every returned solution is re-verified
-before it is handed back, and the scan order is deterministic.
+clause predicates (``cls.CLAUSES``), every hit is re-verified (one the
+verifier rejects raises AssertionError), and the scan order is deterministic.
 
 Each candidate stream is decided ``CHUNK`` candidates at a time on the exact
 batch kernel.  Per resolution, each coordinate a candidate uses is held once,
@@ -173,6 +173,13 @@ def _first_hit(holds, grid: _Grid, stream: np.ndarray) -> tuple[Point, ...] | No
     return None
 
 
+def _verified(inst: ProblemInstance, sol: Solution) -> Solution:
+    """``sol``, which the verifier must accept: a hit it rejects is a solver bug, not a miss."""
+    if not (verdict := verify(inst, sol)):
+        raise AssertionError(f"the verifier rejects the grid's {sol.kind} hit: {verdict.reason}")
+    return sol
+
+
 def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)) -> Solution | None:
     """First grid candidate, in kind priority order, whose clause holds."""
     grid = _grid(resolution)
@@ -184,8 +191,7 @@ def solve_instance(inst: ProblemInstance, resolution: Fraction = Fraction(1, 16)
         else:
             hit = _first_hit(lambda *ws: clause.holds(inst, *ws)[0], grid, grid.streams[clause.witnesses[0]])
         if hit is not None:
-            sol = Solution(kind, hit)
-            return sol if verify(inst, sol) else None
+            return _verified(inst, Solution(kind, hit))
     return None
 
 
@@ -206,6 +212,5 @@ def _solve_instance_reference(
         stream = _metric_violations(inst.d, fine) if kind == "Oe" else streams[clause.witnesses[0]]()
         for witnesses in stream:
             if clause.holds(inst, *witnesses)[0]:
-                sol = Solution(kind, witnesses)
-                return sol if verify(inst, sol) else None
+                return _verified(inst, Solution(kind, witnesses))
     return None

@@ -4,14 +4,14 @@ All checks are over caller-supplied finite point sets and decide strict
 inequalities exactly on rationals; no epsilon slack is ever added.
 ``check_metric_axioms`` names the first failed axiom with its witnessing
 points and both sides; ``lipschitz_violated`` and ``contraction_violated``
-decide one pair and return both sides, and the verifiers' clauses call them
-pair by pair.  The matrix checks decide acceptance on the matrix scaled to
-integers, a stack of them at a time: ``semimetric_mask`` decides every axiom
-before the triangle inequality and ``triangle_mask`` the triangle inequality
-itself, and only a failing matrix runs the ``_first_failure`` scan, which
-words the failure.  ``check_metric_matrix`` is the one check that words a
-failure of a distance matrix by its indices; ``converse`` words every failure
-of its matrices through it.
+decide a pair of points, or of point columns, and return both sides: the
+grid solver's clauses pass them ``gridsearch.CHUNK`` = 64-row columns.  The
+matrix checks decide acceptance on the integer-scaled matrix, a stack at a
+time: ``semimetric_mask`` decides every axiom before the triangle inequality
+and ``triangle_mask`` the triangle inequality itself, and only a failing
+matrix runs the ``_first_failure`` scan, which words the failure.
+``check_metric_matrix`` decides a distance matrix, wording a failure by indices;
+``converse`` decides d_c and words every failure of its matrices through it.
 """
 
 from __future__ import annotations
@@ -182,12 +182,10 @@ def metric_failure_mask(d: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     that passes ``semimetric_mask`` is symmetric, with a zero diagonal and no
     negative entry, so ``triangle_mask`` decides the triangle inequality on
     it: the triples with a repeated index, which ``_first_failure`` skips,
-    hold on every such matrix.
+    hold on every such matrix.  On a matrix that fails ``semimetric_mask``,
+    ``triangle_mask``'s answer does not change the result.
     """
-    failed = semimetric_mask(d, distinct)
-    keep = ~failed
-    failed[keep] = ~triangle_mask(d[keep])
-    return failed
+    return semimetric_mask(d, distinct) | ~triangle_mask(d)
 
 
 def ragged_row(dist: Sequence[Sequence[Fraction]]) -> str | None:

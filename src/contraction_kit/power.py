@@ -238,20 +238,16 @@ class _ColumnTurn:
         product that underflows to zero leaves the sign to those terms, and
         none does when |s * e| >= 2^-968 for every nonzero loaded entry e
         (and c >= |s|): each product is then a multiple of 2^-1074.  So the
-        step is decided exactly when every loaded entry below `least`, the
-        least double whose float product with |s| reaches 2^-968, is a zero.
-        A step with s = 0.0 (or a non-finite s) is refused.
+        step is decided exactly when every loaded entry e whose float product
+        |s| * |e| is below 2^-968 is a zero, the test `_annihilated_decided`
+        makes on four entries.  A step with s = 0.0 (or non-finite) is refused.
         """
         scale = abs(s)
         if not 0.0 < scale < math.inf:
             return False
-        least = _UNDERFLOW_FREE / scale
-        while scale * least >= _UNDERFLOW_FREE:  # the quotient rounds to either side
-            least = math.nextafter(least, 0.0)
-        while scale * least < _UNDERFLOW_FREE:
-            least = math.nextafter(least, math.inf)
-        pair = self.pair
-        small = np.count_nonzero(np.less(np.abs(pair, out=self.magnitudes), least, out=self.below))
+        pair, magnitudes = self.pair, self.magnitudes
+        np.multiply(np.abs(pair, out=magnitudes), scale, out=magnitudes)
+        small = np.count_nonzero(np.less(magnitudes, _UNDERFLOW_FREE, out=self.below))
         return small == pair.size - np.count_nonzero(pair)
 
     def _annihilated_decided(self, p: int, q: int, s: float) -> bool:
@@ -259,8 +255,7 @@ class _ColumnTurn:
 
         A turned entry takes its sign from the loaded entries of its own row,
         so a zero in row p or q is decided when each of those four entries is
-        a zero or reaches `least`; |s * e| >= 2^-968 says the same of e
-        without the search for `least`.
+        a zero or has |s * e| >= 2^-968.
         """
         if not 0.0 < abs(s) < math.inf:
             return False
@@ -382,9 +377,7 @@ def _column_turn(a0: np.ndarray) -> _ColumnTurn | None:
     `jacobi_eigensolve` checks every step for one.
     """
     n = a0.shape[0]
-    if n < FAST_COLUMNS_MIN or not float(np.max(np.abs(a0))) * n < _FAST_NORM_MAX:
-        return None
-    if np.signbit(a0[a0 == 0]).any():
+    if n < FAST_COLUMNS_MIN or not float(np.max(np.abs(a0))) * n < _FAST_NORM_MAX or _has_negative_zero(a0):
         return None
     forms = _COLUMN_FORMS.setdefault(n, np.zeros((n, n), dtype=np.int8))
     return _ColumnTurn(n, forms, [1 << j for j in range(n)])  # the identity's fill

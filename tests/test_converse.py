@@ -102,6 +102,18 @@ def test_neighborhood_respects_diameter_not_just_radius():
     assert find_invariant_neighborhood(m, F(1)) == [0, 1]
 
 
+def test_neighborhood_that_fails_its_postcondition_raises():
+    # U = {x*, 1}, and f sends 1 far away, so W is {x*} alone
+    near, far = F(1, 10), F(5)
+    dist = [[F(0), near, far], [near, F(0), far - near], [far, far - near, F(0)]]
+    m = FiniteSelfMap(["s", "a", "b"], [(F(0),)] * 3, dist, [0, 2, 0], 0)
+    assert find_invariant_neighborhood(m, F(1, 5)) == [0]
+    # an iterate table cut to its first row makes W = U, which f leaves
+    object.__setattr__(m, "iterates", m.iterates[:1])
+    with pytest.raises(CertificateError, match=r"W = \[0, 1\] is not"):
+        find_invariant_neighborhood(m, F(1, 5))
+
+
 def test_neighborhood_invariance_and_diameter_on_random_maps():
     rng = random.Random(5)
     for _ in range(20):
@@ -650,6 +662,33 @@ def test_certificate_failures_match_pins():
     assert got == pins
     failing = {name for case in pins for name, ok, _ in case if not ok}
     assert failing == {name for name, _, _ in pins[0]}  # every entry fails somewhere
+
+
+def test_eps_entries_match_fraction_comparisons_on_the_boundary():
+    # an eps equal to a d_c entry, or to half a base distance, puts a pair on
+    # d_c = eps or d = 2 eps exactly, where floor(eps * s) must decide as the
+    # Fractions do; on the two-point chain with d_c = 1/3, eps * s = 3/2 is no integer
+    chain = chain_selfmap((1,))
+    d_c = [[F(0), F(1, 3)], [F(1, 3), F(0)]]
+    cases = corrupted_certificate_cases()
+    cases.append((chain, F(1, 2), None, [1], compute_orbit_metric(chain).fractions(), d_c))
+    seen = set()
+    for m, c, _, w, d_m, d_c in cases:
+        n, fp, d = m.size, m.fixed_point, m.base_distance
+        pairs = [(0, 1)] + [(i, fp) for i in range(n) if i != fp]
+        for eps in {e for i, j in pairs for e in (d_c[i][j], d[i][j] / 2)}:
+            small = [[v <= eps for v in row] for row in d_c]
+            far = [[v > 2 * eps for v in row] for row in d]
+            want = (
+                not any(small[i][j] and far[i][j] and far[fp][i] and far[fp][j]
+                        for i in range(n) for j in range(n)),
+                not any(small[i][fp] and far[i][fp] for i in range(n)),
+            )
+            entries = {e.name: e.ok for e in certify_fractions(m, c, eps, w, d_m, d_c)}
+            assert (entries["small d_c implies base proximity"],
+                    entries["small d_c at the fixed point implies base proximity"]) == want
+            seen.add(want)
+    assert len(seen) > 1  # the cases reach a failing entry
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=2), st.data())

@@ -231,6 +231,18 @@ def test_oe_scan_words_only_its_hit(name, monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("solve", [solve_instance, _solve_instance_reference], ids=["chunked", "reference"])
+@pytest.mark.parametrize("kind", ["Oa", "Oe"])
+def test_a_hit_the_verifier_rejects_raises(kind, solve, monkeypatch):
+    # a hit the clause predicates found but the verifier rejects is a solver bug,
+    # which must not read as "no solution found" (exit 1)
+    insts = {"Oa": ContractionMapInstance(constant_map((F(1, 4),) * 3), F(1, 1000), F(1), F(1, 2)),
+             "Oe": OE_INSTANCES["oe-pair"]}
+    monkeypatch.setattr(gridsearch, "verify", lambda inst, sol: cls.Verdict(False, sol.kind, "patched"))
+    with pytest.raises(AssertionError, match=f"rejects the grid's {kind} hit: patched$"):
+        solve(insts[kind])
+
+
 @pytest.mark.parametrize("position", [0, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_first_hit_at_chunk_edges(position):
     target = grid_points(SIXTEENTH)[position]

@@ -4,7 +4,10 @@ read somewhere in the repository, no module of the package calls ``np.ix_``,
 ``np.argwhere``, ``np.isin`` or ``np.dot``, only ``circuit`` calls ``lcm`` or
 splits a line on ``"#"``, only ``metrics`` and ``converse.geodesic_closure``
 call ``min_plus_closure``, only ``metrics`` calls ``_describe_first_failure``,
-and only ``metrics`` and functions named ``*_reference`` call ``_first_failure``."""
+only ``metrics`` and functions named ``*_reference`` call ``_first_failure``,
+and outside ``metrics`` only ``converse.geodesic_closure`` calls
+``semimetric_mask`` and only ``gridsearch._coarse_violation`` calls
+``triangle_mask``."""
 
 import ast
 from pathlib import Path
@@ -267,6 +270,45 @@ def test_the_check_sees_a_scan_call():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != SCAN_HOME], ids=lambda p: p.name)
 def test_only_metrics_words_an_axiom_failure(path):
     assert scan_calls(path.read_text(encoding="utf-8")) == []
+
+
+# metrics decides a whole distance matrix through check_metric_matrix or
+# metric_failure_mask; outside it, geodesic_closure refuses a rho that fails an
+# axiom before closing it, and the grid solver decides the triangle inequality of
+# a coarse matrix whose every pair has passed
+MASK_HOME = "metrics.py"
+MASK_CALLERS = {
+    "semimetric_mask": {"converse.py": "geodesic_closure"},
+    "triangle_mask": {"gridsearch.py": "_coarse_violation"},
+}
+
+
+def mask_calls(name: str, source: str) -> list[str]:
+    """The calls of each mask in ``source``, a module named ``name``, outside its one caller there."""
+    return [
+        found
+        for mask, callers in MASK_CALLERS.items()
+        for found in calls_of(source, mask, lambda top: top == callers.get(name))
+    ]
+
+
+def test_the_check_sees_a_mask_call():
+    source = (
+        "from .metrics import semimetric_mask, triangle_mask\n"
+        "def geodesic_closure(rho):\n    return semimetric_mask(rho.num, off) or triangle_mask(rho.num)\n"
+        "def _certify(d_c):\n    return metrics.semimetric_mask(d_c.num, off)\n"
+    )
+    assert mask_calls("converse.py", source) == ["line 5: semimetric_mask", "line 3: triangle_mask"]
+    assert mask_calls("cls.py", source) == [
+        "line 3: semimetric_mask", "line 5: semimetric_mask", "line 3: triangle_mask"
+    ]
+    # a docstring or comment that names a mask is no call of it
+    assert mask_calls("cls.py", '"""Decided by triangle_mask(d)."""\n# semimetric_mask(d, off)\n') == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != MASK_HOME], ids=lambda p: p.name)
+def test_only_metrics_decides_a_distance_matrix(path):
+    assert mask_calls(path.name, path.read_text(encoding="utf-8")) == []
 
 
 # circuit.numbered_lines is the one reader that drops "#" comments
