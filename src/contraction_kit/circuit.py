@@ -44,7 +44,8 @@ forward reference.  Inputs bind positionally in declaration order.
 A ``Gate`` is a plain named tuple that checks nothing.  Checks live where a
 bad gate can come in: ``parse_circuit`` rejects each malformed line with a
 ``CircuitParseError`` naming the line, ``CircuitBuilder.op`` rejects a kind
-outside ``BINARY_OPS``, and ``Circuit`` checks references and outputs.
+outside ``_GATE_OPS``, and ``Circuit`` checks references and outputs.  That one
+table holds each binary kind's op on ints and on columns, for both evaluators.
 """
 
 from __future__ import annotations
@@ -57,35 +58,26 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-BINARY_OPS = ("add", "sub", "mul", "max", "min", "gt")
 T = TypeVar("T")
 
 # Largest static denominator K*D**e, in bits, that the integer path carries;
 # a call that would pass it at any node runs the Fraction interpreter.
 DEN_BIT_BUDGET = 4096
 
-# one exact op per gate kind, on Python ints and Fractions alike: the integer
-# program runs it on scaled numerators, the Fraction interpreter on values
-_SCALAR_OPS: dict[str, Callable] = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "max": max,
-    "min": min,
-    "gt": lambda a, b: 1 if a > b else 0,
-}
-
-# the same ops on numpy object arrays of Python ints, one entry per row, which
+# per gate kind, its exact op twice.  First on Python ints and Fractions alike:
+# the integer program runs it on scaled numerators, the Fraction interpreter on
+# values.  Then on numpy object arrays of Python ints, one entry per row, which
 # broadcast a plain Python int operand and give a Python int for two of them;
 # gt goes through int64 so its 0/1 come back as Python ints, not bools
-_COLUMN_OPS: dict[str, Callable] = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "max": lambda a, b: np.maximum(a, b, dtype=object),
-    "min": lambda a, b: np.minimum(a, b, dtype=object),
-    "gt": lambda a, b: np.greater(a, b).astype(np.int64).astype(object),
+_GATE_OPS: dict[str, tuple[Callable, Callable]] = {
+    "add": (operator.add, operator.add),
+    "sub": (operator.sub, operator.sub),
+    "mul": (operator.mul, operator.mul),
+    "max": (max, lambda a, b: np.maximum(a, b, dtype=object)),
+    "min": (min, lambda a, b: np.minimum(a, b, dtype=object)),
+    "gt": (lambda a, b: 1 if a > b else 0, lambda a, b: np.greater(a, b).astype(np.int64).astype(object)),
 }
+BINARY_OPS = tuple(_GATE_OPS)
 
 
 class InputError(ValueError):
@@ -198,10 +190,9 @@ class Scaled:
         while flat and isinstance(flat[0], (list, tuple)):
             shape.append(len(flat[0]))
             flat = [x for row in flat for x in row]
-        factor = {q: 1 for q in {x.denominator for x in flat}}
-        den = lcm(*factor)
-        for q in factor:
-            factor[q] = den // q
+        dens = {x.denominator for x in flat}
+        den = lcm(*dens)
+        factor = {q: den // q for q in dens}
         ints = [x.numerator * factor[x.denominator] for x in flat]
         dtype = int_dtype(max(map(abs, ints), default=0))
         return Scaled(np.array(ints, dtype=dtype).reshape(shape), den)
@@ -385,7 +376,7 @@ class Circuit:
             elif gate.kind == "const":
                 values[node_id] = gate.value
             else:
-                values[node_id] = _SCALAR_OPS[gate.kind](values[gate.args[0]], values[gate.args[1]])
+                values[node_id] = _GATE_OPS[gate.kind][0](values[gate.args[0]], values[gate.args[1]])
         return [Fraction(values[out]) for out in self.outputs]
 
     def to_text(self) -> str:
@@ -450,8 +441,8 @@ class _Program:
             if kind == "gt":
                 k, e = 1, 0
             node[node_id] = (slot, k, e)
-            self.steps.append((_SCALAR_OPS[kind], a, sa, b, sb))
-        self.column_ops = [_COLUMN_OPS[kind] for _, kind, _ in gates]
+            self.steps.append((_GATE_OPS[kind][0], a, sa, b, sb))
+        self.column_ops = [_GATE_OPS[kind][1] for _, kind, _ in gates]
         self.scales = list(scale_index)
         self.outputs = [node[out] for out in circuit.outputs]
         # per step, the slots no later step or output reads: run_many drops
@@ -575,7 +566,7 @@ def parse_circuit(text: str | list[tuple[int, str]], end: int | None = None) -> 
         head, _, rest = line.partition(":")
         parts = rest.split()
         op = parts[0] if parts else ""
-        if op in BINARY_OPS and line[0] == "n":
+        if op in _GATE_OPS and line[0] == "n":
             node_id = _parse_node_ref(head.rstrip(), line_no)
             if node_id in gates:
                 raise CircuitParseError(line_no, f"duplicate node id n{node_id}")
@@ -659,7 +650,7 @@ class CircuitBuilder:
         return node_id
 
     def op(self, kind: str, a: int, b: int) -> int:
-        if kind not in BINARY_OPS:
+        if kind not in _GATE_OPS:
             raise CircuitError(f"unknown gate kind {kind!r}")
         return self._push(Gate(kind, (a, b)))
 

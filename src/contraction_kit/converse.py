@@ -222,8 +222,8 @@ def compute_orbit_metric(m: FiniteSelfMap) -> Scaled:
     return Scaled(d_m, m.scaled_distance.den)
 
 
-def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], list[list[int]]]:
-    """Level n(x) of each point and the nested image sets K_t of W.
+def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> list[float]:
+    """Level n(x) of each point, read off the nested image sets K_t of W.
 
     n(x*) is +inf; for x in K_0 \\ {x*} it is the deepest K_t containing x;
     for x outside K_0 it is minus the number of steps to enter K_0.  K_t is
@@ -237,7 +237,7 @@ def compute_levels(m: FiniteSelfMap, w: Sequence[int]) -> tuple[list[float], lis
     # the K_t are nested, since f(W) lies in W, so x lies in K_0 .. K_n(x)
     levels = np.where(in_k[0], in_k.sum(axis=0) - 1, -in_k[0][it].argmax(axis=0)).tolist()
     levels[fp] = math.inf
-    return levels, [np.flatnonzero(row).tolist() for row in in_k]
+    return levels
 
 
 def compute_rho(d_m: Scaled, levels: Sequence[float], c: Fraction) -> Scaled:
@@ -428,7 +428,7 @@ def synthesize(m: FiniteSelfMap, c: Fraction, eps: Fraction) -> SynthesizedMetri
         raise SelfMapError("c must lie in (0,1)")
     w = find_invariant_neighborhood(m, eps)
     d_m = compute_orbit_metric(m)
-    levels, _ = compute_levels(m, w)
+    levels = compute_levels(m, w)
     rho = compute_rho(d_m, levels, c)
     d_c = geodesic_closure(rho)
     certificate = _certify(m, c, eps, w, d_m, d_c)

@@ -628,8 +628,6 @@ def _rate_chunk(sys: SpectralSystem, chunk) -> list[tuple[float, float]]:
     def step(u):
         if np.any(np.abs(np.sqrt(row_dots(u, u)) - 1.0) > UNIT_TOL):
             raise SpectralError("not a unit vector")
-        if np.any(np.abs(row_dots(u, sys.v1)) < OVERLAP_MIN):
-            raise SpectralError("perpendicular to v1")
         au = (sys.matrix @ u[:, :, None])[:, :, 0]
         norm = np.sqrt(row_dots(au, au))
         if np.any(norm == 0.0):

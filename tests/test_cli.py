@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from corpus import banach_corpus, cls_local_corpus
-from contraction_kit import cli, power
+from contraction_kit import cli, converse, power
 from contraction_kit.cli import main
 from contraction_kit.circuit import CircuitError, InputError
 from contraction_kit.cls import (
@@ -201,6 +201,49 @@ def test_synthesize_rejects_bad_selfmap(workdir, capsys):
 def test_repeated_label_exits_two(workdir, capsys, argv):
     write(workdir / "m.txt", CHAIN_SELFMAP.replace("b 1 0 0", "a 1 0 0"))
     assert run_main(argv, capsys) == (2, "", "error: repeated label 'a'\n")
+
+
+TWO_POINT_SELFMAP = "points 2\na 0 0 0\nb 1 0 0\nmap: {}\nfixed: {}\ndistances:\n1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (TWO_POINT_SELFMAP.format("0 5", 0), "map image out of range"),
+    (TWO_POINT_SELFMAP.format("1 1", 0), "declared fixed point is not fixed"),
+    ("points 3\na 0 0 0\nb 1 0 0\nc 2 0 0\nmap: 1 2 2\n", "truncated self-map file"),
+])
+def test_selfmap_input_error_exits_two(workdir, capsys, text, message):
+    write(workdir / "m.txt", text)
+    assert run_main(["synthesize", "m.txt", "1/2", "1"], capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of instance file"),
+    (instance_to_text(halving_banach()).replace("\nc 1/2\n", "\nc 1\n"), "c must lie in (0,1)"),
+])
+def test_verify_instance_error_exits_two(workdir, capsys, text, message):
+    write(workdir / "inst.txt", text)
+    write(workdir / "oa.txt", Solution("Oa", ((F(0), F(0), F(0)),)).to_text())
+    assert run_main(["verify", "inst.txt", "oa.txt"], capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("direction, source, message", [
+    ("banach-to-cls-local", "cls-local", "source instance must be banach/banach-met"),
+    ("cls-local-to-banach", "banach", "source instance must be cls-local"),
+])
+def test_reduce_refuses_the_other_source_kind(workdir, capsys, direction, source, message):
+    instance = {"cls-local": cls_local_corpus()[0], "banach": halving_banach()}[source]
+    write(workdir / "src.txt", instance_to_text(instance))
+    argv = ["reduce", "--direction", direction, "src.txt", "out.txt"]
+    assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+    assert not (workdir / "out.txt").exists()
+
+
+def test_synthesize_certificate_failure_exits_one(workdir, capsys, monkeypatch):
+    write(workdir / "m.txt", CHAIN_SELFMAP)
+    failing = [converse.CertificateEntry("d_c metric axioms", False, "pair (0,1)")]
+    monkeypatch.setattr(converse, "_certify", lambda *args: failing)
+    assert run_main(["synthesize", "m.txt", "1/2", "1"], capsys) == \
+        (1, "", "certificate failure: d_c metric axioms: pair (0,1)\n")
 
 
 def test_bip_circuit_instance(workdir, capsys):

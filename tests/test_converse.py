@@ -129,10 +129,9 @@ def test_levels_of_unit_chain():
     m = chain_selfmap((1, 1, 1))
     w = find_invariant_neighborhood(m, F(1, 2))
     assert w == [3]
-    levels, k_sets = compute_levels(m, w)
+    levels = compute_levels(m, w)
     assert levels[:3] == [-3, -2, -1]
     assert math.isinf(levels[3])
-    assert k_sets == [[3]]
 
 
 def test_levels_with_two_point_neighborhood():
@@ -141,11 +140,10 @@ def test_levels_with_two_point_neighborhood():
     m = chain_selfmap((1, 1, 1))
     w = find_invariant_neighborhood(m, F(1))
     assert w == [2, 3]
-    levels, k_sets = compute_levels(m, w)
+    levels = compute_levels(m, w)
     assert levels[2] == 0
     assert levels[1] == -1
     assert levels[0] == -2
-    assert k_sets == [[2, 3], [3]]
 
 
 def test_orbit_metric_examples():
@@ -192,11 +190,11 @@ def orbit_walk(m, i):
 
 
 def set_walk_construction(m, eps):
-    """W, the levels and the K_t by set images and list orbits, on the Fraction metric.
+    """W and the levels by set images and list orbits, on the Fraction metric.
 
     U is grown ball by ball around x* while its diameter stays <= eps; the
     rest follows ``find_invariant_neighborhood`` and ``compute_levels`` step
-    for step, one point and one image set at a time.
+    for step, one point and one image set K_t at a time.
     """
     fp, points = m.fixed_point, range(m.size)
     u = {fp}
@@ -224,7 +222,7 @@ def set_walk_construction(m, eps):
         else -next(t for t, y in enumerate(orbit_walk(m, x)) if y in w)
         for x in points
     ]
-    return sorted(w), levels, [sorted(ks) for ks in k_sets]
+    return sorted(w), levels
 
 
 def one_point_selfmap() -> FiniteSelfMap:
@@ -244,13 +242,12 @@ def test_iterate_table_stages_match_set_walks():
         assert all(type(x) is int for i in range(m.size) for x in m.orbit(i))
         assert compute_orbit_metric(m).fractions() == orbit_metric_brute_force(m)
         for eps in (F(1, 8), F(1, 2), F(1), F(3)):
-            w_ref, levels_ref, k_sets_ref = set_walk_construction(m, eps)
             w = find_invariant_neighborhood(m, eps)
-            levels, k_sets = compute_levels(m, w)
-            assert (w, levels, k_sets) == (w_ref, levels_ref, k_sets_ref)
+            levels = compute_levels(m, w)
+            assert (w, levels) == set_walk_construction(m, eps)
             assert levels[m.fixed_point] is math.inf
             assert all(type(v) is int for i, v in enumerate(levels) if i != m.fixed_point)
-            assert all(type(x) is int for x in w + [x for ks in k_sets for x in ks])
+            assert all(type(x) is int for x in w)
 
 
 @pytest.mark.parametrize("fmap, stuck", [([1, 0, 3, 2, 4], 0), ([4, 2, 1, 4, 4], 1)])
@@ -640,7 +637,7 @@ def corrupted_certificate_cases():
         eps = rng.choice((F(1, 4), F(1, 2), F(2))) * big
         w = find_invariant_neighborhood(m, eps)
         d_m = compute_orbit_metric(m)
-        levels, _ = compute_levels(m, w)
+        levels = compute_levels(m, w)
         d_c = geodesic_closure(compute_rho(d_m, levels, c)).fractions()
         d_m = d_m.fractions()
         for mat in (d_m, d_c):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from contraction_kit import iteration
+from contraction_kit.circuit import InputError
 from contraction_kit.iteration import (
     StopReason,
     predict_iterations,
@@ -164,6 +165,17 @@ def test_budget_argument_validation():
         predict_iterations(1, F(1, 2), 0)
     with pytest.raises(ValueError):
         run_bip(halve, ONES, l1, F(1, 8), 0)
+
+
+@pytest.mark.parametrize("d0, c, eps, message", [
+    (-1, F(1, 2), F(1, 8), "d0 must be nonnegative"),
+    (1, F(3, 2), F(1, 2), "c must lie in (0,1)"),
+    (1, F(1, 2), 0, "eps must be positive"),
+])
+def test_budget_argument_errors(d0, c, eps, message):
+    with pytest.raises(InputError) as exc:
+        predict_iterations(d0, c, eps)
+    assert str(exc.value) == message
 
 
 def test_budget_ceiling_clamped_at_zero():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contraction_kit import metrics
-from contraction_kit.circuit import Scaled, int_dtype
+from contraction_kit.circuit import CircuitBuilder, Scaled, int_dtype
 from contraction_kit.library import (
     discrete_metric_circuit,
     identity_map_circuit,
@@ -64,6 +64,15 @@ def test_squared_l2_passes_without_midpoint():
 
 def test_l1_circuit_is_a_metric():
     assert check_metric_axioms(l1_distance_circuit(), [ORIGIN, E1, E2, MID]) is None
+
+
+@pytest.mark.parametrize("inputs, outputs", [(6, 2), (3, 1)])
+def test_check_metric_axioms_refuses_a_circuit_of_other_arity(inputs, outputs):
+    b = CircuitBuilder()
+    circuit = b.build(b.inputs(inputs)[:outputs])
+    with pytest.raises(ValueError) as exc:
+        check_metric_axioms(circuit, [ORIGIN, E1])
+    assert str(exc.value) == "distance circuit must map 6 inputs to 1 output"
 
 
 def test_discrete_metric_passes():

@@ -109,6 +109,17 @@ def test_spectral_system_validates_invariants():
         SpectralSystem(np.diag([2.0, 1.0]), np.array([2.0, 1.5]), np.eye(2))
 
 
+@pytest.mark.parametrize("matrix, eigenvalues, eigenvectors, message", [
+    (np.ones((2, 3)), [2.0, 1.0], np.eye(2), "matrix must be square"),
+    (np.diag([2.0, 1.0]), [2.0, 1.0, 0.0], np.eye(2), "inconsistent shapes"),
+    (np.diag([1.0, 2.0]), [1.0, 2.0], np.eye(2), "eigenvalues must be sorted descending"),
+])
+def test_spectral_system_input_errors(matrix, eigenvalues, eigenvectors, message):
+    with pytest.raises(SpectralError) as exc:
+        SpectralSystem(matrix, np.array(eigenvalues), eigenvectors)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------- power step & metric
 
 
